@@ -17,7 +17,7 @@
 //! (N ∈ {10³, 10⁵}, zero-latency and lossy exponential-latency links) so the
 //! per-message event-loop cost has a tracked trajectory. Async is gated
 //! against the *agent* runtime only: a count-batched period costs
-//! O(states²·actions) independent of N, while the async runtime pays a heap
+//! O(actions + edges) independent of N, while the async runtime pays a heap
 //! push/pop per contact message, so no message-level execution can beat the
 //! count-level tiers — the honest, enforceable bound is a constant factor of
 //! the per-process agent baseline.
@@ -34,7 +34,7 @@
 //!
 //! Both workloads also run on the sharded runtime (S ∈ {1, 8, 64} at
 //! N = 10⁶–10⁷) so the per-shard overhead has a tracked trajectory. A note
-//! on the sharded gates: a count-batched period costs O(states²·actions)
+//! on the sharded gates: a count-batched period costs O(actions + edges)
 //! *independent of N* — microseconds at N = 10⁷ — so S shards cost roughly
 //! S × that, and no sharded configuration can beat single-group batched
 //! wall-clock (let alone on this repo's single-core CI runner, where worker
@@ -245,7 +245,7 @@ fn main() {
     // Async rows: the epidemic workload through the message-passing runtime,
     // on the implicit zero-latency transport and on a lossy half-period
     // exponential link. The async runtime pays a heap push/pop plus rng
-    // draws *per message* where batched pays O(states²·actions) *per
+    // draws *per message* where batched pays O(actions + edges) *per
     // period*, so it can never beat the count-level runtimes and isn't
     // gated against them — its honest envelope is a constant factor of the
     // agent runtime, which does comparable per-process work without the

@@ -213,6 +213,7 @@ impl Runtime for AggregateRuntime {
         state.transitions.clear();
         state.messages = 0;
 
+        let contact_ok = 1.0 - state.loss.effective_contact_failure(1);
         let start: Vec<u64> = state.counts.clone();
         let mut delta = vec![0i64; num_states];
         // Expected messages, matching the agent runtime's accounting: a
@@ -235,7 +236,7 @@ impl Runtime for AggregateRuntime {
             let mut survive = 1.0; // probability of not having moved yet
             for action in actions {
                 messages_f += k_s as f64 * survive * f64::from(action.messages_per_period());
-                let fire = super::fire_probability(action, &start, n_f, &state.loss);
+                let fire = super::fire_probability(action, &start, n_f, contact_ok);
                 match action {
                     Action::Flip { to, .. }
                     | Action::Sample { to, .. }
@@ -256,7 +257,7 @@ impl Runtime for AggregateRuntime {
                         // convert alive members of target_state.
                         let per_draw = (start[target_state.index()] as f64 / n_f)
                             * prob
-                            * (1.0 - state.loss.effective_contact_failure(1))
+                            * contact_ok
                             * survive;
                         let draws = k_s.saturating_mul(u64::from(*samples));
                         let converted = binomial(&mut state.rng, draws, per_draw)

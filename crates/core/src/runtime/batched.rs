@@ -13,7 +13,8 @@ use netsim::{FailureEvent, Rng, Scenario};
 
 /// Executes a protocol by advancing whole state-count vectors, sampling the
 /// *number* of processes taking each transition per period instead of
-/// simulating every process — O(states² · actions) per period, independent of
+/// simulating every process — O(actions) arithmetic plus one conditional
+/// binomial draw per *distinct transition edge* per period, independent of
 /// the group size `N`.
 ///
 /// The paper's protocols are symmetric and memoryless: within a period every
@@ -36,17 +37,34 @@ use netsim::{FailureEvent, Rng, Scenario};
 ///   reproduces this with survival accounting: action `j` fires for the
 ///   `k_s · survive_j` processes that no earlier action moved, and the joint
 ///   outcome is a single multinomial draw per state.
+/// * **One cell per destination.** The compiler emits one action per
+///   polynomial term, so a many-variable system has states whose actions
+///   nearly all lead to the same destination (32 of the 33 plurality states
+///   carry 31 actions into the undecided state). The cells of a multinomial
+///   that share a destination are *merged before the draw*: their
+///   first-move-wins weights `survive_j · fire_j` are summed into one bucket
+///   per distinct destination (in order of first appearance in the action
+///   list) and the state makes one draw over those buckets plus "stay". The
+///   merge is exact, not an approximation: summing cells of a multinomial
+///   vector gives a multinomial over the summed probabilities, and nothing
+///   downstream — the count update, [`PeriodEvents::transitions`] — ever saw
+///   more than the per-destination sum. A state with no repeated destination
+///   has one bucket per action and consumes the PRNG stream exactly as a
+///   per-action draw would.
 /// * **`PushSample`/`Tokenize` ordering.** The executor pool of a push/token
 ///   action is thinned by the same survival probability as the self-moving
 ///   actions (an executor that already moved never reaches it, exactly as in
 ///   the agent's first-move-wins loop). The conversions themselves are drawn
-///   as binomial tallies against start-of-period counts and capped by the
-///   target state's population; a process that is pushed and also moves
-///   itself in the same period is counted once for each (the agent runtime
-///   resolves such races in process order). These target-side race effects
-///   are O(per-period-probability²) and statistically invisible at the
-///   paper's parameters — the property tests in `tests/property.rs` validate
-///   the agreement through the `Runtime` trait.
+///   as binomial tallies against start-of-period counts, in action order,
+///   and *applied after every state's self-move draw*: they land on the
+///   members of the target state that did not move themselves this period,
+///   capped at however many of those earlier conversions have left. A
+///   process therefore leaves its state at most once per period and the
+///   population is conserved exactly (the agent runtime resolves the same
+///   races in process order). The cap binds only when self-moves and
+///   conversions together would drain a state — O(per-period-probability²)
+///   at the paper's parameters — and the property tests in
+///   `tests/property.rs` validate the agreement through the `Runtime` trait.
 ///
 /// # Environment support
 ///
@@ -90,6 +108,106 @@ use netsim::{FailureEvent, Rng, Scenario};
 pub struct BatchedRuntime {
     protocol: Protocol,
     config: RunConfig,
+    plan: EdgePlan,
+}
+
+/// The protocol's transition structure, compiled once per runtime: which
+/// multinomial bucket every self-moving action feeds, and which
+/// `(from, to)` edge slot every bucket and every push/token conversion is
+/// tallied on. Actions and buckets are flattened in state order.
+#[derive(Debug, Clone)]
+struct EdgePlan {
+    /// Per action: the bucket (within its state's multinomial) a self-moving
+    /// action accumulates its weight into, or the edge slot a push/token
+    /// action's conversions are tallied on.
+    action_slots: Vec<u32>,
+    /// State `s` owns `action_slots[action_start[s]..action_start[s + 1]]`.
+    action_start: Vec<u32>,
+    /// Per bucket: the edge slot of `(state, destination)`. Buckets are in
+    /// order of the destination's first appearance in the action list.
+    bucket_edges: Vec<u32>,
+    /// State `s` owns `bucket_edges[bucket_start[s]..bucket_start[s + 1]]`.
+    bucket_start: Vec<u32>,
+    /// Edge slot → `(from, to)`, sorted, so the rendered transition list is
+    /// from-major like a dense `states²` scan would produce.
+    edges: Vec<(StateId, StateId)>,
+    /// The most buckets any one state draws over ("stay" not included).
+    max_buckets: usize,
+}
+
+impl EdgePlan {
+    /// One pass over the action lists to collect the distinct edges, one to
+    /// assign slots.
+    fn compile(protocol: &Protocol) -> Self {
+        let num_states = protocol.num_states();
+        let edge_of = |s: usize, action: &Action| {
+            let from = match action {
+                Action::PushSample { target_state, .. } => *target_state,
+                Action::Tokenize { token_state, .. } => *token_state,
+                _ => StateId::new(s),
+            };
+            (from, action.destination())
+        };
+        let mut edges: Vec<(StateId, StateId)> = (0..num_states)
+            .flat_map(|s| {
+                protocol
+                    .actions(StateId::new(s))
+                    .iter()
+                    .map(move |action| edge_of(s, action))
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+
+        let mut plan = EdgePlan {
+            action_slots: Vec::new(),
+            action_start: Vec::with_capacity(num_states + 1),
+            bucket_edges: Vec::new(),
+            bucket_start: Vec::with_capacity(num_states + 1),
+            edges,
+            max_buckets: 0,
+        };
+        const NO_BUCKET: u32 = u32::MAX;
+        let mut bucket_of = vec![NO_BUCKET; num_states];
+        for s in 0..num_states {
+            plan.action_start.push(plan.action_slots.len() as u32);
+            plan.bucket_start.push(plan.bucket_edges.len() as u32);
+            let first_bucket = plan.bucket_edges.len();
+            for action in protocol.actions(StateId::new(s)) {
+                let edge = plan
+                    .edges
+                    .binary_search(&edge_of(s, action))
+                    .expect("every action's edge was collected") as u32;
+                if action.moves_self() {
+                    let dest = action.destination().index();
+                    if bucket_of[dest] == NO_BUCKET {
+                        bucket_of[dest] = (plan.bucket_edges.len() - first_bucket) as u32;
+                        plan.bucket_edges.push(edge);
+                    }
+                    plan.action_slots.push(bucket_of[dest]);
+                } else {
+                    plan.action_slots.push(edge);
+                }
+            }
+            for &edge in &plan.bucket_edges[first_bucket..] {
+                bucket_of[plan.edges[edge as usize].1.index()] = NO_BUCKET;
+            }
+            plan.max_buckets = plan.max_buckets.max(plan.bucket_edges.len() - first_bucket);
+        }
+        plan.action_start.push(plan.action_slots.len() as u32);
+        plan.bucket_start.push(plan.bucket_edges.len() as u32);
+        plan
+    }
+
+    /// The slots of state `s`'s actions, parallel to `protocol.actions(s)`.
+    fn action_slots(&self, s: usize) -> &[u32] {
+        &self.action_slots[self.action_start[s] as usize..self.action_start[s + 1] as usize]
+    }
+
+    /// The edge slots of state `s`'s multinomial buckets.
+    fn bucket_edges(&self, s: usize) -> &[u32] {
+        &self.bucket_edges[self.bucket_start[s] as usize..self.bucket_start[s + 1] as usize]
+    }
 }
 
 /// The mutable execution state of a [`BatchedRuntime`] run: per-state alive
@@ -110,15 +228,21 @@ pub struct BatchedState {
     counts_crashed: Vec<u64>,
     period: u64,
     messages: u64,
-    transitions_dense: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     injector: Option<InjectionPoint>,
     // Scratch buffers reused every period.
     start: Vec<u64>,
-    delta: Vec<i64>,
+    /// Per state: the start-of-period members that have not left it yet this
+    /// period — what a push/token conversion can still take.
+    stayed: Vec<u64>,
+    /// Per edge slot: processes that crossed the edge this period.
+    tallies: Vec<u64>,
+    /// Push/token conversions drawn this period, as `(edge slot, drawn)`.
+    pending: Vec<(u32, u64)>,
     weights: Vec<f64>,
-    dests: Vec<u32>,
     draws: Vec<u64>,
+    /// Per-state victim split of a uniform crash or recovery.
+    hits: Vec<u64>,
 }
 
 impl BatchedState {
@@ -280,9 +404,11 @@ impl BatchedState {
 impl BatchedRuntime {
     /// Creates a batched runtime with the default [`RunConfig`].
     pub fn new(protocol: Protocol) -> Self {
+        let plan = EdgePlan::compile(&protocol);
         BatchedRuntime {
             protocol,
             config: RunConfig::default(),
+            plan,
         }
     }
 
@@ -365,19 +491,8 @@ impl BatchedRuntime {
             .zip(&counts_crashed)
             .map(|(a, c)| a + c)
             .collect();
-        // Scratch sized once: at most one self-move outcome per action, plus
-        // the "stay" bucket.
-        let max_outcomes = (0..num_states)
-            .map(|s| {
-                self.protocol
-                    .actions(StateId::new(s))
-                    .iter()
-                    .filter(|a| a.moves_self())
-                    .count()
-            })
-            .max()
-            .unwrap_or(0)
-            + 1;
+        // Scratch sized once: one cell per bucket, plus "stay".
+        let max_outcomes = self.plan.max_buckets + 1;
         BatchedState {
             scenario: scenario.clone(),
             rng,
@@ -388,14 +503,15 @@ impl BatchedRuntime {
             counts,
             period,
             messages: 0,
-            transitions_dense: vec![0; num_states * num_states],
-            transitions: Vec::new(),
+            transitions: Vec::with_capacity(self.plan.edges.len()),
             injector: InjectionPoint::from_scenario(scenario),
             start: vec![0; num_states],
-            delta: vec![0; num_states],
+            stayed: vec![0; num_states],
+            tallies: vec![0; self.plan.edges.len()],
+            pending: Vec::new(),
             weights: Vec::with_capacity(max_outcomes),
-            dests: Vec::with_capacity(max_outcomes),
             draws: vec![0; max_outcomes],
+            hits: vec![0; num_states],
         }
     }
 
@@ -422,6 +538,7 @@ impl BatchedRuntime {
                         &mut state.rng,
                         &mut state.counts_alive,
                         &mut state.counts_crashed,
+                        &mut state.hits,
                         state.alive_n,
                         k,
                     );
@@ -496,6 +613,7 @@ impl BatchedRuntime {
                         &mut state.rng,
                         &mut state.counts_alive,
                         &mut state.counts_crashed,
+                        &mut state.hits,
                         state.alive_n,
                         k,
                     );
@@ -526,13 +644,14 @@ impl BatchedRuntime {
                     let crashed_total: u64 = state.counts_crashed.iter().sum();
                     let k = inject::victim_count(fraction, crashed_total);
                     if k > 0 {
-                        let mut hits = vec![0u64; state.counts_crashed.len()];
+                        let mut hits = std::mem::take(&mut state.hits);
                         state.rng.multivariate_hypergeometric_into(
                             &state.counts_crashed,
                             k,
                             &mut hits,
                         );
                         state.recover_counts(&hits, self.config.rejoin_state);
+                        state.hits = hits;
                     }
                     k
                 }
@@ -551,7 +670,8 @@ impl BatchedRuntime {
 }
 
 /// Crashes `k` uniformly random alive processes: the per-state hit counts
-/// follow a multivariate hypergeometric distribution.
+/// follow a multivariate hypergeometric distribution, drawn into the `hits`
+/// scratch.
 ///
 /// Delegates to [`Rng::multivariate_hypergeometric_into`], whose
 /// sequential-conditional walk consumes the PRNG stream exactly like the
@@ -560,17 +680,17 @@ fn crash_hypergeometric(
     rng: &mut Rng,
     counts_alive: &mut [u64],
     counts_crashed: &mut [u64],
+    hits: &mut [u64],
     alive_total: u64,
     k: u64,
 ) {
     debug_assert_eq!(counts_alive.iter().sum::<u64>(), alive_total);
     debug_assert!(k <= alive_total, "cannot crash more than are alive");
-    let mut hits = vec![0u64; counts_alive.len()];
-    rng.multivariate_hypergeometric_into(counts_alive, k, &mut hits);
-    for ((alive, crashed), hit) in counts_alive
+    rng.multivariate_hypergeometric_into(counts_alive, k, hits);
+    for ((alive, crashed), &hit) in counts_alive
         .iter_mut()
         .zip(counts_crashed.iter_mut())
-        .zip(hits)
+        .zip(hits.iter())
     {
         *alive -= hit;
         *crashed += hit;
@@ -617,8 +737,6 @@ impl Runtime for BatchedRuntime {
 
     fn step<'s>(&self, state: &'s mut BatchedState) -> Result<PeriodEvents<'s>> {
         let num_states = self.protocol.num_states();
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
 
         // 1. Environment events at count level, then adversary injections
         // (which observe the post-event counts).
@@ -627,10 +745,11 @@ impl Runtime for BatchedRuntime {
 
         // 2. Protocol actions over the start-of-period alive counts.
         let n_f = state.n_f;
-        let loss = *state.scenario.loss();
-        let contact_ok = 1.0 - loss.effective_contact_failure(1);
+        let contact_ok = 1.0 - state.scenario.loss().effective_contact_failure(1);
         state.start.copy_from_slice(&state.counts_alive);
-        state.delta.fill(0);
+        state.stayed.copy_from_slice(&state.counts_alive);
+        state.tallies.fill(0);
+        state.pending.clear();
         // Expected messages, matching the agent runtime's accounting: a
         // process pays for an action only if it has not already moved on an
         // earlier action this period (including the action that moves it).
@@ -645,28 +764,29 @@ impl Runtime for BatchedRuntime {
             if actions.is_empty() {
                 continue;
             }
-            // Per-process probabilities of each *self-moving* outcome, in
-            // action order; push/token actions affect other states and are
-            // drawn separately.
+            // Per-process probability of moving to each distinct
+            // destination: every self-moving action adds its first-move-wins
+            // weight to its destination's bucket. Push/token actions affect
+            // other states and are drawn separately.
+            let bucket_edges = self.plan.bucket_edges(s);
+            let buckets = bucket_edges.len();
             state.weights.clear();
-            state.dests.clear();
+            state.weights.resize(buckets, 0.0);
             let mut survive = 1.0; // probability of not having moved yet
-            for action in actions {
+            for (action, &slot) in actions.iter().zip(self.plan.action_slots(s)) {
                 messages_f += k_s as f64 * survive * f64::from(action.messages_per_period());
-                let fire = super::fire_probability(action, &state.start, n_f, &loss);
-                match action {
-                    Action::Flip { to, .. }
-                    | Action::Sample { to, .. }
-                    | Action::SampleAny { to, .. } => {
-                        state.weights.push(survive * fire);
-                        state.dests.push(to.index() as u32);
+                let fire = super::fire_probability(action, &state.start, n_f, contact_ok);
+                let drawn = match action {
+                    Action::Flip { .. } | Action::Sample { .. } | Action::SampleAny { .. } => {
+                        state.weights[slot as usize] += survive * fire;
                         survive *= 1.0 - fire;
+                        continue;
                     }
                     Action::PushSample {
                         target_state,
                         samples,
                         prob,
-                        to,
+                        ..
                     } => {
                         // Executors do not move themselves, but only those
                         // that no earlier self-moving action already moved
@@ -679,71 +799,67 @@ impl Runtime for BatchedRuntime {
                             * contact_ok
                             * survive;
                         let draws = k_s.saturating_mul(u64::from(*samples));
-                        let converted = state
-                            .rng
-                            .binomial(draws, per_draw)
-                            .min(state.start[target_state.index()]);
-                        if converted > 0 {
-                            state.delta[target_state.index()] -= converted as i64;
-                            state.delta[to.index()] += converted as i64;
-                            state.transitions_dense
-                                [target_state.index() * num_states + to.index()] += converted;
-                        }
+                        state.rng.binomial(draws, per_draw)
                     }
-                    Action::Tokenize {
-                        token_state, to, ..
-                    } => {
-                        // Each executor reaches this action only if it has
-                        // not moved on an earlier action (probability
-                        // `survive`, independent of the token draw).
-                        let fired = state.rng.binomial(k_s, survive * fire);
-                        let consumed = fired.min(state.start[token_state.index()]);
-                        if consumed > 0 {
-                            state.delta[token_state.index()] -= consumed as i64;
-                            state.delta[to.index()] += consumed as i64;
-                            state.transitions_dense
-                                [token_state.index() * num_states + to.index()] += consumed;
-                        }
-                    }
+                    // Each executor reaches this action only if it has not
+                    // moved on an earlier action (probability `survive`,
+                    // independent of the token draw).
+                    Action::Tokenize { .. } => state.rng.binomial(k_s, survive * fire),
+                };
+                if drawn > 0 {
+                    state.pending.push((slot, drawn));
                 }
             }
 
-            if !state.weights.is_empty() {
-                // One multinomial draw over (outcome_1, ..., outcome_m, stay).
+            if buckets > 0 {
+                // One multinomial draw over (dest_1, ..., dest_m, stay).
                 let stay = (1.0 - state.weights.iter().sum::<f64>()).max(0.0);
                 state.weights.push(stay);
-                let buckets = state.weights.len();
                 state
                     .rng
-                    .multinomial_into(k_s, &state.weights, &mut state.draws[..buckets]);
-                for (&dest, &moved) in state.dests.iter().zip(&state.draws) {
-                    if moved > 0 {
-                        let dest = dest as usize;
-                        state.delta[s] -= moved as i64;
-                        state.delta[dest] += moved as i64;
-                        state.transitions_dense[s * num_states + dest] += moved;
-                    }
+                    .multinomial_into(k_s, &state.weights, &mut state.draws[..=buckets]);
+                let mut left = 0;
+                for (&edge, &moved) in bucket_edges.iter().zip(&state.draws) {
+                    state.tallies[edge as usize] += moved;
+                    left += moved;
                 }
+                state.stayed[s] = k_s - left;
             }
         }
 
-        // 3. Apply the deltas with saturation (clamping can only be triggered
-        // by the push/token approximations racing each other in the same
-        // period, which is statistically negligible) and refresh the totals.
-        for ((alive, crashed), (count, d)) in state
-            .counts_alive
-            .iter_mut()
-            .zip(&state.counts_crashed)
-            .zip(state.counts.iter_mut().zip(&state.delta))
-        {
-            *alive = (*alive as i64 + d).max(0) as u64;
-            *count = *alive + crashed;
+        // 3. Conversions take members of their target state that did not
+        // move themselves, in the order they were drawn, so a process leaves
+        // its state at most once per period.
+        for &(edge, drawn) in &state.pending {
+            let target = self.plan.edges[edge as usize].0.index();
+            let converted = drawn.min(state.stayed[target]);
+            state.stayed[target] -= converted;
+            state.tallies[edge as usize] += converted;
         }
 
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            num_states,
-            &mut state.transitions,
+        // 4. Move the tallies along their edges (a state's outflow never
+        // exceeds its start-of-period population, so the unsigned updates
+        // cannot underflow in any order) and refresh the totals.
+        state.transitions.clear();
+        for (&(from, to), &moved) in self.plan.edges.iter().zip(&state.tallies) {
+            if moved > 0 {
+                state.counts_alive[from.index()] -= moved;
+                state.counts_alive[to.index()] += moved;
+                state.transitions.push((from, to, moved));
+            }
+        }
+        for ((count, alive), crashed) in state
+            .counts
+            .iter_mut()
+            .zip(&state.counts_alive)
+            .zip(&state.counts_crashed)
+        {
+            *count = alive + crashed;
+        }
+        debug_assert_eq!(
+            state.counts.iter().sum::<u64>() as f64,
+            state.n_f,
+            "a batched period must conserve the population"
         );
 
         state.messages = messages_f.round() as u64;
@@ -1161,6 +1277,289 @@ mod tests {
         assert_eq!(state.alive_n, 10_000);
         assert_eq!(state.counts_crashed.iter().sum::<u64>(), 0);
         assert_eq!(state.counts.iter().sum::<u64>(), 10_000);
+    }
+
+    /// Competitive exclusion among `k` proposals plus an undecided state `z`
+    /// (what `dpde_protocols::lv::multi` compiles): each proposal state gets
+    /// `k − 1` actions that all lead to `z`.
+    fn plurality_protocol(k: usize) -> Protocol {
+        let names: Vec<String> = (0..k)
+            .map(|i| format!("x{i}"))
+            .chain(["z".into()])
+            .collect();
+        let mut builder = EquationSystemBuilder::new().vars(names.clone());
+        for i in 0..k {
+            let xi = names[i].as_str();
+            builder = builder.term(xi, 3.0, &[(xi, 1), ("z", 1)]);
+            builder = builder.term("z", -3.0, &[(xi, 1), ("z", 1)]);
+            for xj in names.iter().take(k).filter(|xj| xj.as_str() != xi) {
+                builder = builder.term(xi, -3.0, &[(xi, 1), (xj, 1)]);
+                builder = builder.term("z", 3.0, &[(xi, 1), (xj, 1)]);
+            }
+        }
+        ProtocolCompiler::new("plurality")
+            .with_normalizing_constant(0.01)
+            .compile(&builder.build().unwrap())
+            .unwrap()
+    }
+
+    /// The endemic protocol of the paper's Figure 1 with the push action
+    /// (b = 2, γ = 0.1, α = 0.01), as `dpde_protocols::endemic` builds it.
+    fn figure1_protocol() -> Protocol {
+        let mut protocol = Protocol::new(
+            "endemic-figure1",
+            vec!["receptive".into(), "stash".into(), "averse".into()],
+        )
+        .unwrap();
+        let [receptive, stash, averse] = [0, 1, 2].map(StateId::new);
+        let flip = |prob, to| Action::Flip { prob, to };
+        protocol.add_action(stash, flip(0.1, averse)).unwrap();
+        protocol.add_action(averse, flip(0.01, receptive)).unwrap();
+        protocol
+            .add_action(
+                receptive,
+                Action::SampleAny {
+                    target_state: stash,
+                    samples: 2,
+                    prob: 1.0,
+                    to: stash,
+                },
+            )
+            .unwrap();
+        protocol
+            .add_action(
+                stash,
+                Action::PushSample {
+                    target_state: receptive,
+                    samples: 2,
+                    prob: 1.0,
+                    to: stash,
+                },
+            )
+            .unwrap();
+        protocol
+    }
+
+    #[test]
+    fn edge_plan_merges_actions_that_share_a_destination() {
+        // Plurality-32: 32 proposal states with 31 actions into z each, and z
+        // with one action into every proposal — 1024 actions, 64 edges.
+        let protocol = plurality_protocol(32);
+        let plan = EdgePlan::compile(&protocol);
+        assert_eq!(protocol.num_actions(), 1024);
+        assert_eq!(plan.action_slots.len(), 1024);
+        assert_eq!(plan.bucket_edges.len(), 64);
+        assert_eq!(plan.edges.len(), 64);
+        assert_eq!(plan.max_buckets, 32);
+        let z = protocol.require_state("z").unwrap();
+        for s in 0..32 {
+            assert_eq!(plan.action_slots(s), &[0; 31][..]);
+            let &[edge] = plan.bucket_edges(s) else {
+                panic!("state {s} has more than one bucket");
+            };
+            assert_eq!(plan.edges[edge as usize], (StateId::new(s), z));
+        }
+        assert_eq!(plan.bucket_edges(32).len(), 32);
+        assert!(plan.edges.windows(2).all(|w| w[0] < w[1]));
+
+        // Figure 1: four actions, three buckets; the push conversion shares
+        // the receptive→stash edge with the receptives' own move.
+        let protocol = figure1_protocol();
+        let plan = EdgePlan::compile(&protocol);
+        assert_eq!(protocol.num_actions(), 4);
+        assert_eq!(plan.bucket_edges.len(), 3);
+        assert_eq!(plan.edges.len(), 3);
+        let [receptive, stash] = [0, 1].map(StateId::new);
+        let push_slot = plan.action_slots(stash.index())[1] as usize;
+        assert_eq!(plan.edges[push_slot], (receptive, stash));
+        assert_eq!(plan.bucket_edges(receptive.index()), &[push_slot as u32]);
+    }
+
+    #[test]
+    fn edge_plan_merges_non_adjacent_repeats() {
+        let mut protocol = Protocol::new("abc", vec!["a".into(), "b".into(), "c".into()]).unwrap();
+        let [a, b, c] = [0, 1, 2].map(StateId::new);
+        for to in [b, c, b] {
+            protocol
+                .add_action(a, Action::Flip { prob: 0.1, to })
+                .unwrap();
+        }
+        let plan = EdgePlan::compile(&protocol);
+        assert_eq!(plan.action_slots(0), &[0, 1, 0]);
+        assert_eq!(plan.bucket_edges(0).len(), 2);
+        assert_eq!(plan.edges, vec![(a, b), (a, c)]);
+        // b is reached first with 0.1, then by the 0.9 · 0.9 that passed
+        // both earlier coins: its bucket holds 0.1 + 0.081.
+        let runtime = BatchedRuntime::new(protocol);
+        let scenario = Scenario::new(1_000_000, 1).unwrap().with_seed(5);
+        let mut state = runtime
+            .init(&scenario, &InitialStates::counts(&[1_000_000, 0, 0]))
+            .unwrap();
+        runtime.step(&mut state).unwrap();
+        assert!((state.weights[0] - 0.181).abs() < 1e-12);
+        assert!((state.weights[1] - 0.09).abs() < 1e-12);
+        let moved_to_b = state.counts[1] as f64;
+        assert!((moved_to_b - 181_000.0).abs() < 5.0 * (181_000.0f64 * 0.819).sqrt());
+        assert_eq!(state.counts.iter().sum::<u64>(), 1_000_000);
+    }
+
+    /// The kernel this module's bucket merge replaced, kept as the test
+    /// oracle: one multinomial cell per self-moving action. Returns state
+    /// `s`'s `(destination, first-move-wins weight)` cells in action order.
+    fn per_action_weights(protocol: &Protocol, s: usize, start: &[u64]) -> Vec<(usize, f64)> {
+        let n_f = start.iter().sum::<u64>() as f64;
+        let mut survive = 1.0;
+        protocol
+            .actions(StateId::new(s))
+            .iter()
+            .map(|action| {
+                assert!(action.moves_self(), "the oracle covers self-moving actions");
+                let fire = crate::runtime::fire_probability(action, start, n_f, 1.0);
+                let weight = survive * fire;
+                survive *= 1.0 - fire;
+                (action.destination().index(), weight)
+            })
+            .collect()
+    }
+
+    /// One period of the per-action oracle: draws every state's cells and
+    /// sums them into dense `from * states + to` tallies.
+    fn per_action_period(protocol: &Protocol, start: &[u64], rng: &mut Rng) -> Vec<u64> {
+        let num_states = start.len();
+        let mut tallies = vec![0u64; num_states * num_states];
+        for s in 0..num_states {
+            let cells = per_action_weights(protocol, s, start);
+            let mut weights: Vec<f64> = cells.iter().map(|&(_, w)| w).collect();
+            weights.push((1.0 - weights.iter().sum::<f64>()).max(0.0));
+            let draws = rng.multinomial(start[s], &weights);
+            for (&(dest, _), moved) in cells.iter().zip(draws) {
+                tallies[s * num_states + dest] += moved;
+            }
+        }
+        tallies
+    }
+
+    #[test]
+    fn merged_buckets_hold_the_per_action_weight_sums() {
+        // Isolate one state's action list at a time, so the weights scratch
+        // still holds that state's buckets after the step.
+        let protocol = plurality_protocol(32);
+        let names: Vec<String> = (0..33)
+            .map(|s| protocol.state_name(StateId::new(s)).to_string())
+            .collect();
+        let start: Vec<u64> = (0..33).map(|i| 50_000 + 3_000 * i).collect();
+        let n: u64 = start.iter().sum();
+        let scenario = Scenario::new(n as usize, 1).unwrap().with_seed(1);
+        for s in 0..33 {
+            let mut only_s = Protocol::new("one-state", names.clone()).unwrap();
+            for action in protocol.actions(StateId::new(s)) {
+                only_s.add_action(StateId::new(s), action.clone()).unwrap();
+            }
+            let runtime = BatchedRuntime::new(only_s);
+            let mut state = runtime
+                .init(&scenario, &InitialStates::counts(&start))
+                .unwrap();
+            runtime.step(&mut state).unwrap();
+            let bucket_edges = runtime.plan.bucket_edges(s);
+            assert_eq!(state.weights.len(), bucket_edges.len() + 1);
+            let cells = per_action_weights(&protocol, s, &start);
+            for (&edge, &weight) in bucket_edges.iter().zip(&state.weights) {
+                let dest = runtime.plan.edges[edge as usize].1.index();
+                let summed: f64 = cells
+                    .iter()
+                    .filter(|&&(d, _)| d == dest)
+                    .map(|&(_, w)| w)
+                    .sum();
+                assert!(
+                    (weight - summed).abs() < 1e-12,
+                    "state {s} → {dest}: bucket {weight} vs per-action sum {summed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merged_draw_has_the_per_action_marginals() {
+        // One period of plurality-33 from a fixed configuration, over 4000
+        // fixed seeds each through the kernel and through the per-action
+        // oracle: every one of the 64 edge tallies must agree in mean and
+        // variance. 128 comparisons at |z| < 4.5 leave a false-alarm budget
+        // of 128 · 6.8e-6 ≈ 1e-3 (and the seeds are fixed).
+        const SEEDS: u64 = 4_000;
+        const Z: f64 = 4.5;
+        let protocol = plurality_protocol(32);
+        let start: Vec<u64> = (0..33).map(|i| 50_000 + 3_000 * i).collect();
+        let n: u64 = start.iter().sum();
+        let runtime = BatchedRuntime::new(protocol.clone());
+        let mut kernel = vec![netsim::OnlineStats::new(); 33 * 33];
+        let mut oracle = kernel.clone();
+        for seed in 0..SEEDS {
+            let scenario = Scenario::new(n as usize, 1).unwrap().with_seed(seed);
+            let mut state = runtime
+                .init(&scenario, &InitialStates::counts(&start))
+                .unwrap();
+            runtime.step(&mut state).unwrap();
+            let mut tallies = vec![0u64; 33 * 33];
+            for &(from, to, moved) in state.last_transitions() {
+                tallies[from.index() * 33 + to.index()] = moved;
+            }
+            let mut rng = Rng::seed_from(seed ^ 0x5eed_0ac1e);
+            let reference = per_action_period(&protocol, &start, &mut rng);
+            for (cell, (&k, &r)) in tallies.iter().zip(&reference).enumerate() {
+                kernel[cell].push(k as f64);
+                oracle[cell].push(r as f64);
+            }
+        }
+        let mut edges = 0;
+        for (cell, (k, r)) in kernel.iter().zip(&oracle).enumerate() {
+            if r.mean() == 0.0 {
+                assert_eq!(k.mean(), 0.0, "cell {cell} is not an edge");
+                continue;
+            }
+            edges += 1;
+            let runs = SEEDS as f64;
+            let mean_se = ((k.variance() + r.variance()) / runs).sqrt();
+            assert!(
+                (k.mean() - r.mean()).abs() < Z * mean_se,
+                "edge {cell}: mean {} vs oracle {}",
+                k.mean(),
+                r.mean()
+            );
+            // Var of a sample variance of a near-normal tally: 2σ⁴/(R−1).
+            let var_se = r.variance() * (4.0 / (runs - 1.0)).sqrt();
+            assert!(
+                (k.variance() - r.variance()).abs() < Z * var_se,
+                "edge {cell}: variance {} vs oracle {}",
+                k.variance(),
+                r.variance()
+            );
+        }
+        assert_eq!(edges, 64);
+    }
+
+    #[test]
+    fn conversions_cannot_overdraw_a_state_that_also_moves_itself() {
+        // 990 000 stashers push onto 10 000 receptives that nearly all fetch
+        // the object themselves in the same period: capping the push at the
+        // start-of-period receptives alone counted each of them twice and
+        // the period ended with 1 009 999 processes.
+        let runtime = BatchedRuntime::new(figure1_protocol());
+        let scenario = Scenario::new(1_000_000, 1).unwrap().with_seed(1);
+        let mut state = runtime
+            .init(&scenario, &InitialStates::counts(&[10_000, 990_000, 0]))
+            .unwrap();
+        runtime.step(&mut state).unwrap();
+        assert_eq!(state.counts.iter().sum::<u64>(), 1_000_000);
+        assert_eq!(state.counts_alive.iter().sum::<u64>(), 1_000_000);
+        // Every receptive left exactly once, along the one edge out.
+        let receptive_out: u64 = state
+            .last_transitions()
+            .iter()
+            .filter(|(from, _, _)| from.index() == 0)
+            .map(|&(_, _, moved)| moved)
+            .sum();
+        assert_eq!(receptive_out, 10_000);
+        assert_eq!(state.counts[0], 0);
     }
 
     #[test]

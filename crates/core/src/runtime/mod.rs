@@ -9,8 +9,9 @@
 //!   [`Scenario`]. Four fidelities are provided:
 //!   [`AgentRuntime`] keeps one state per process (failures, churn, host
 //!   identity), [`BatchedRuntime`] advances whole state-count vectors with
-//!   binomial/multinomial draws — O(states² · actions) per period,
-//!   independent of N, while still modelling exchangeable failures —
+//!   binomial/multinomial draws — O(actions) arithmetic plus one draw per
+//!   distinct transition edge per period, independent of N, while still
+//!   modelling exchangeable failures —
 //!   [`HybridRuntime`] batches while every per-state count is large and
 //!   hands off losslessly to per-process execution when any count runs
 //!   small (extinction, tie-breaking, post-failure recovery), and
@@ -541,15 +542,16 @@ pub(crate) fn edge_name(protocol: &Protocol, from: StateId, to: StateId) -> Stri
 /// `counts` over a maximal group of `n` processes. Shared by the count-level
 /// runtimes ([`BatchedRuntime`], [`AggregateRuntime`]): a sampled contact
 /// hits a wanted target with probability `counts[target] / n`, degraded by
-/// the per-contact loss rate.
+/// the per-contact success rate `contact_ok`
+/// (`1 − LossConfig::effective_contact_failure(1)`, which callers hoist out
+/// of their action loops).
 pub(crate) fn fire_probability(
     action: &crate::action::Action,
     counts: &[u64],
     n: f64,
-    loss: &netsim::LossConfig,
+    contact_ok: f64,
 ) -> f64 {
     use crate::action::Action;
-    let contact_ok = 1.0 - loss.effective_contact_failure(1);
     match action {
         Action::Flip { prob, .. } => *prob,
         Action::Sample { required, prob, .. } => {

@@ -167,15 +167,13 @@ impl CountsRecorder {
 
 impl Observer for CountsRecorder {
     fn on_period(&mut self, _protocol: &Protocol, events: &PeriodEvents<'_>) {
-        let counts = if self.alive_only {
-            events.alive_counts()
-        } else {
-            events.counts.to_vec()
+        let as_f64 = |counts: &[u64]| counts.iter().map(|&c| c as f64).collect();
+        let counts = match (self.alive_only, events.counts_alive) {
+            (false, _) => as_f64(events.counts),
+            (true, Some(alive)) => as_f64(alive),
+            (true, None) => as_f64(&events.alive_counts()),
         };
-        self.trajectory.push(
-            events.period as f64,
-            counts.iter().map(|&c| c as f64).collect(),
-        );
+        self.trajectory.push(events.period as f64, counts);
     }
 
     fn finish(&mut self, result: &mut RunResult) {
@@ -187,7 +185,16 @@ impl Observer for CountsRecorder {
 /// [`RunResult::transitions`].
 #[derive(Debug, Default)]
 pub struct TransitionRecorder {
-    recorder: MetricsRecorder,
+    /// One slot per edge seen so far, sorted by `(from, to)`; the series
+    /// name is formatted when the slot is created, not per sample.
+    edges: Vec<EdgeSeries>,
+}
+
+#[derive(Debug)]
+struct EdgeSeries {
+    edge: (StateId, StateId),
+    name: String,
+    samples: Vec<(u64, f64)>,
 }
 
 impl TransitionRecorder {
@@ -201,17 +208,41 @@ impl Observer for TransitionRecorder {
     fn on_period(&mut self, protocol: &Protocol, events: &PeriodEvents<'_>) {
         // Transitions in the events of snapshot `p` fired during period
         // `p - 1` (the period that produced the snapshot).
+        let period = events.period.saturating_sub(1);
         for &(from, to, count) in events.transitions {
-            self.recorder.add(
-                &edge_name(protocol, from, to),
-                events.period.saturating_sub(1),
-                count as f64,
-            );
+            let slot = match self
+                .edges
+                .binary_search_by_key(&(from, to), |series| series.edge)
+            {
+                Ok(slot) => slot,
+                Err(slot) => {
+                    self.edges.insert(
+                        slot,
+                        EdgeSeries {
+                            edge: (from, to),
+                            name: edge_name(protocol, from, to),
+                            samples: Vec::new(),
+                        },
+                    );
+                    slot
+                }
+            };
+            // An edge listed twice in one period accumulates, like
+            // `MetricsRecorder::add`.
+            let samples = &mut self.edges[slot].samples;
+            match samples.last_mut() {
+                Some((p, v)) if *p == period => *v += count as f64,
+                _ => samples.push((period, count as f64)),
+            }
         }
     }
 
     fn finish(&mut self, result: &mut RunResult) {
-        result.transitions.merge(&self.recorder);
+        for series in self.edges.drain(..) {
+            result
+                .transitions
+                .append_series(series.name, series.samples);
+        }
     }
 }
 
@@ -679,6 +710,37 @@ mod tests {
         // The transition fired during period 0 (between snapshots 0 and 1).
         assert_eq!(result.transitions.series("x->y").unwrap(), &[(0, 40.0)]);
         assert_eq!(result.total_transitions("x", "y"), 40.0);
+    }
+
+    #[test]
+    fn transition_recorder_matches_per_sample_metrics_recording() {
+        // Edges first seen out of order, skipped in some periods and listed
+        // twice in another must land exactly where `MetricsRecorder::add`
+        // under the formatted edge name would have put them.
+        let p = protocol();
+        let x = p.require_state("x").unwrap();
+        let y = p.require_state("y").unwrap();
+        let periods: [&[(StateId, StateId, u64)]; 4] = [
+            &[(y, x, 3)],
+            &[(x, y, 5), (y, x, 2), (x, y, 1)],
+            &[],
+            &[(x, x, 4), (x, y, 7)],
+        ];
+        let mut obs = TransitionRecorder::new();
+        let mut expected = MetricsRecorder::new();
+        for (period, transitions) in periods.iter().enumerate() {
+            obs.on_period(&p, &events(period as u64 + 1, &[50, 50], transitions));
+            for &(from, to, count) in *transitions {
+                expected.add(&edge_name(&p, from, to), period as u64, count as f64);
+            }
+        }
+        let mut result = RunResult::new(&p);
+        obs.finish(&mut result);
+        assert_eq!(result.transitions, expected);
+        assert_eq!(
+            result.transitions.series("x->y").unwrap(),
+            &[(1, 6.0), (3, 7.0)]
+        );
     }
 
     #[test]

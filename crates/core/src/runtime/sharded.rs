@@ -56,10 +56,10 @@
 //! # Threads
 //!
 //! [`ShardedRuntime::with_parallel`] steps shards on scoped worker threads.
-//! Per-shard work is O(states² · actions) regardless of N, so parallelism
-//! only pays when that inner work is heavy (many states) or cores are
-//! plentiful; the default is sequential stepping, which also keeps
-//! single-core CI benches honest.
+//! Per-shard work is O(actions) arithmetic plus one draw per distinct
+//! transition edge, regardless of N, so parallelism only pays when that
+//! inner work is heavy (many states) or cores are plentiful; the default is
+//! sequential stepping, which also keeps single-core CI benches honest.
 
 use super::inject::{self, InjectionPoint};
 use super::observer::default_observers;

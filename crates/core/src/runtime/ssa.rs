@@ -155,6 +155,7 @@ impl Channel {
         if k == 0.0 {
             return 0.0;
         }
+        let contact_ok = 1.0 - loss.effective_contact_failure(1);
         match &self.action {
             Action::PushSample {
                 target_state,
@@ -162,7 +163,6 @@ impl Channel {
                 prob,
                 ..
             } => {
-                let contact_ok = 1.0 - loss.effective_contact_failure(1);
                 let per_draw = (x[target_state.index()] as f64 / n) * prob * contact_ok;
                 k * f64::from(*samples) * hazard(per_draw) / period_secs
             }
@@ -170,9 +170,9 @@ impl Channel {
                 if x[token_state.index()] == 0 {
                     return 0.0;
                 }
-                k * hazard(super::fire_probability(&self.action, x, n, loss)) / period_secs
+                k * hazard(super::fire_probability(&self.action, x, n, contact_ok)) / period_secs
             }
-            _ => k * hazard(super::fire_probability(&self.action, x, n, loss)) / period_secs,
+            _ => k * hazard(super::fire_probability(&self.action, x, n, contact_ok)) / period_secs,
         }
     }
 
@@ -226,6 +226,7 @@ pub(super) fn expected_messages(
     n: f64,
     loss: &LossConfig,
 ) -> f64 {
+    let contact_ok = 1.0 - loss.effective_contact_failure(1);
     let mut messages = 0.0f64;
     for (s, &k_s) in counts_alive.iter().enumerate() {
         if k_s == 0 {
@@ -235,7 +236,7 @@ pub(super) fn expected_messages(
         for action in protocol.actions(StateId::new(s)) {
             messages += k_s as f64 * survive * f64::from(action.messages_per_period());
             if action.moves_self() {
-                survive *= 1.0 - super::fire_probability(action, counts_alive, n, loss);
+                survive *= 1.0 - super::fire_probability(action, counts_alive, n, contact_ok);
             }
         }
     }

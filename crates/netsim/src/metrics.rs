@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::Result;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Summary statistics of a set of samples (used by the paper's Figure 7,
 /// which reports median, minimum and maximum over a time window).
@@ -253,6 +253,17 @@ impl MetricsRecorder {
         out
     }
 
+    /// Appends a whole series by value: a new name takes ownership of
+    /// `samples` without copying them, an existing one is extended.
+    pub fn append_series(&mut self, name: String, samples: Vec<(u64, f64)>) {
+        match self.series.entry(name) {
+            Entry::Vacant(slot) => {
+                slot.insert(samples);
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().extend(samples),
+        }
+    }
+
     /// Merges another recorder's series into this one (samples are appended).
     pub fn merge(&mut self, other: &MetricsRecorder) {
         for (name, samples) in &other.series {
@@ -324,6 +335,16 @@ mod tests {
         assert_eq!(lines[0], "period,a,b");
         assert_eq!(lines[1], "0,1,");
         assert_eq!(lines[2], "1,2,3");
+    }
+
+    #[test]
+    fn append_series_moves_new_series_and_extends_existing_ones() {
+        let mut m = MetricsRecorder::new();
+        m.append_series("x".into(), vec![(0, 1.0), (1, 2.0)]);
+        m.append_series("x".into(), vec![(2, 3.0)]);
+        m.append_series("y".into(), Vec::new());
+        assert_eq!(m.series("x").unwrap(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert_eq!(m.series_names(), vec!["x", "y"]);
     }
 
     #[test]

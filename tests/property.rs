@@ -14,7 +14,10 @@
 //! * the continuous-time fidelities (exact SSA and tau-leaping) match the
 //!   synchronized tiers' ensemble means at slow per-period rates, and the
 //!   tau-leap runtime's small-count fallback to exact SSA steps is
-//!   deterministic per seed.
+//!   deterministic per seed;
+//! * the count kernel's PRNG stream is pinned by golden final counts on
+//!   every protocol without a repeated destination, and push conversions
+//!   conserve the population on every tier built on it.
 
 use dpde::prelude::*;
 use proptest::prelude::*;
@@ -824,5 +827,140 @@ proptest! {
             .sum();
         prop_assert!(victims > 0.0, "the adversary's worker strikes must land");
         prop_assert_eq!(first, run());
+    }
+}
+
+/// Final counts of one seeded run with only a [`CountsRecorder`] attached.
+fn final_counts<R: Runtime>(protocol: &Protocol, scenario: Scenario, initial: &[u64]) -> Vec<u64> {
+    let run = Simulation::of(protocol.clone())
+        .scenario(scenario)
+        .initial(InitialStates::counts(initial))
+        .observe(CountsRecorder::new())
+        .run::<R>()
+        .unwrap();
+    let last = run.final_counts().expect("counts recorded");
+    last.iter().map(|&c| c as u64).collect()
+}
+
+fn figure1_endemic() -> EndemicParams {
+    EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap()
+}
+
+/// Golden final counts, recorded before the batched kernel merged
+/// same-destination actions into one multinomial bucket. None of these
+/// protocols repeats a destination within a state, so the merged kernel must
+/// consume the PRNG stream draw for draw as the per-action kernel did — on
+/// its own, as the hybrid runtime's middle phase (each hybrid run below
+/// spends 9, 145 and 243 periods at count level between handoffs) and as
+/// every shard of a sharded run. A pin that moves means the stream moved
+/// where it must not.
+#[test]
+fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
+    let epidemic = ProtocolCompiler::new("epidemic")
+        .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+        .unwrap();
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let lv = LvParams::new().protocol().unwrap();
+    let plain =
+        |n: usize, periods: u64, seed: u64| Scenario::new(n, periods).unwrap().with_seed(seed);
+    let sharded = |placement: Placement, periods: u64, seed: u64| {
+        let shards = ShardConfig::new(4, 0.05).unwrap().with_placement(placement);
+        plain(1_000_000, periods, seed).with_topology(Topology::Sharded(shards))
+    };
+    let endemic_eq = figure1_endemic().equilibrium_counts(1_000_000);
+
+    assert_eq!(
+        final_counts::<BatchedRuntime>(&epidemic, plain(1_000_000, 12, 11), &[999_000, 1_000]),
+        [15_819, 984_181]
+    );
+    assert_eq!(
+        final_counts::<HybridRuntime>(&epidemic, plain(20_000, 14, 12), &[19_999, 1]),
+        [1_157, 18_843]
+    );
+    assert_eq!(
+        final_counts::<ShardedRuntime>(
+            &epidemic,
+            sharded(Placement::Blocks, 12, 13),
+            &[999_000, 1_000]
+        ),
+        [149_445, 850_555]
+    );
+
+    assert_eq!(
+        final_counts::<BatchedRuntime>(&endemic, plain(1_000_000, 200, 21), &endemic_eq),
+        [26_642, 88_372, 884_986]
+    );
+    assert_eq!(
+        final_counts::<HybridRuntime>(
+            &endemic,
+            plain(1_500, 300, 22),
+            &figure1_endemic().equilibrium_counts(1_500)
+        ),
+        [38, 137, 1_325]
+    );
+    assert_eq!(
+        final_counts::<ShardedRuntime>(&endemic, sharded(Placement::Uniform, 200, 23), &endemic_eq),
+        [26_953, 88_362, 884_685]
+    );
+
+    assert_eq!(
+        final_counts::<BatchedRuntime>(&lv, plain(1_000_000, 300, 31), &[550_000, 450_000, 0]),
+        [884_645, 20_525, 94_830]
+    );
+    assert_eq!(
+        final_counts::<HybridRuntime>(&lv, plain(2_000, 300, 32), &[1_200, 800, 0]),
+        [1_945, 4, 51]
+    );
+    assert_eq!(
+        final_counts::<ShardedRuntime>(
+            &lv,
+            sharded(Placement::Blocks, 300, 33),
+            &[550_000, 450_000, 0]
+        ),
+        [857_081, 27_403, 115_516]
+    );
+}
+
+/// Block placement starts the first shards with a single state each, so the
+/// Figure-1 push action meets receptive populations that drain within the
+/// period: the kernel used to credit both the receptives' own move and the
+/// push (N = 10⁷ read 10 069 954 after 25 periods). The population must be
+/// conserved at every snapshot.
+#[test]
+fn sharded_blocks_placement_conserves_the_endemic_population() {
+    let n = 10_000_000u64;
+    let scenario = Scenario::new(n as usize, 500)
+        .unwrap()
+        .with_topology(Topology::sharded(64, 0.01).unwrap())
+        .with_seed(1);
+    let run = Simulation::of(figure1_endemic().figure1_protocol().unwrap())
+        .scenario(scenario)
+        .initial(InitialStates::counts(
+            &figure1_endemic().equilibrium_counts(n),
+        ))
+        .observe(CountsRecorder::new())
+        .run::<ShardedRuntime>()
+        .unwrap();
+    assert_eq!(run.counts.len(), 501);
+    for (period, counts) in run.counts.iter() {
+        assert_eq!(counts.iter().sum::<f64>() as u64, n, "period {period}");
+    }
+}
+
+/// The same overdraft used to hand the hybrid runtime more processes than
+/// the group has at its count→membership handoff (an out-of-bounds panic):
+/// an endemic outbreak from ten stashers overshoots, the receptives drain
+/// while most of the group pushes at them, and the run must come through
+/// conserved.
+#[test]
+fn hybrid_endemic_outbreak_conserves_the_population() {
+    let run = Simulation::of(figure1_endemic().figure1_protocol().unwrap())
+        .scenario(Scenario::new(20_000, 120).unwrap().with_seed(22))
+        .initial(InitialStates::counts(&[19_990, 10, 0]))
+        .observe(CountsRecorder::new())
+        .run::<HybridRuntime>()
+        .unwrap();
+    for (period, counts) in run.counts.iter() {
+        assert_eq!(counts.iter().sum::<f64>() as u64, 20_000, "period {period}");
     }
 }
