@@ -66,6 +66,24 @@ use netsim::{FailureEvent, Rng, Scenario};
 ///   at the paper's parameters — and the property tests in
 ///   `tests/property.rs` validate the agreement through the `Runtime` trait.
 ///
+/// # Column blocks
+///
+/// The period arithmetic is written once, over `W` runs at a time. All
+/// per-state and per-edge quantities are row-major `states × W` /
+/// `edges × W` matrices whose column `r` belongs to run `r`, with one PRNG
+/// per column, and the loops go state → action → column. A single run
+/// ([`step`](Runtime::step)) is the `W = 1` instance — its matrices *are* the
+/// state's count vectors — and [`Ensemble`](super::Ensemble) advances blocks
+/// of 64 seeds of one scenario through the same code, sharing the protocol,
+/// the compiled edge plan and everything that is constant per action.
+/// Putting the column loop innermost reorders draws only *between* columns,
+/// which share nothing; within a column the order is still state by state,
+/// action by action, multinomial last, so column `r` consumes its stream
+/// draw for draw as a run on its own at that seed would and ends every
+/// period with the same counts. Scheduled failures, the crash/recovery
+/// model and adversary injections are applied by the single-run hooks, one
+/// column at a time, and only on the periods that carry an event.
+///
 /// # Environment support
 ///
 /// Unlike [`AggregateRuntime`](super::AggregateRuntime) (which rejects every
@@ -109,6 +127,10 @@ pub struct BatchedRuntime {
     protocol: Protocol,
     config: RunConfig,
     plan: EdgePlan,
+    /// A seed whose column panics when its block is built — how the
+    /// ensemble tests exercise per-block panic isolation.
+    #[cfg(test)]
+    poisoned_seed: Option<u64>,
 }
 
 /// The protocol's transition structure, compiled once per runtime: which
@@ -128,6 +150,12 @@ struct EdgePlan {
     bucket_edges: Vec<u32>,
     /// State `s` owns `bucket_edges[bucket_start[s]..bucket_start[s + 1]]`.
     bucket_start: Vec<u32>,
+    /// Per push/token action, in state-then-action order: the edge slot its
+    /// conversions are tallied on (the action's own slot, listed again so
+    /// the conversions of a period form one dense matrix).
+    conversion_edges: Vec<u32>,
+    /// State `s` owns conversion rows `conversion_start[s]..`.
+    conversion_start: Vec<u32>,
     /// Edge slot → `(from, to)`, sorted, so the rendered transition list is
     /// from-major like a dense `states²` scan would produce.
     edges: Vec<(StateId, StateId)>,
@@ -164,6 +192,8 @@ impl EdgePlan {
             action_start: Vec::with_capacity(num_states + 1),
             bucket_edges: Vec::new(),
             bucket_start: Vec::with_capacity(num_states + 1),
+            conversion_edges: Vec::new(),
+            conversion_start: Vec::with_capacity(num_states),
             edges,
             max_buckets: 0,
         };
@@ -172,6 +202,8 @@ impl EdgePlan {
         for s in 0..num_states {
             plan.action_start.push(plan.action_slots.len() as u32);
             plan.bucket_start.push(plan.bucket_edges.len() as u32);
+            plan.conversion_start
+                .push(plan.conversion_edges.len() as u32);
             let first_bucket = plan.bucket_edges.len();
             for action in protocol.actions(StateId::new(s)) {
                 let edge = plan
@@ -187,6 +219,7 @@ impl EdgePlan {
                     plan.action_slots.push(bucket_of[dest]);
                 } else {
                     plan.action_slots.push(edge);
+                    plan.conversion_edges.push(edge);
                 }
             }
             for &edge in &plan.bucket_edges[first_bucket..] {
@@ -230,6 +263,9 @@ pub struct BatchedState {
     messages: u64,
     transitions: Vec<(StateId, StateId, u64)>,
     injector: Option<InjectionPoint>,
+    /// The periods the failure schedule names, sorted — so a period boundary
+    /// knows without a scan whether any scheduled event is due.
+    event_periods: Vec<u64>,
     // Scratch buffers reused every period.
     start: Vec<u64>,
     /// Per state: the start-of-period members that have not left it yet this
@@ -237,15 +273,142 @@ pub struct BatchedState {
     stayed: Vec<u64>,
     /// Per edge slot: processes that crossed the edge this period.
     tallies: Vec<u64>,
-    /// Push/token conversions drawn this period, as `(edge slot, drawn)`.
-    pending: Vec<(u32, u64)>,
+    /// Per push/token action ([`EdgePlan::conversion_edges`]): the
+    /// conversions it drew this period.
+    pending: Vec<u64>,
     weights: Vec<f64>,
     draws: Vec<u64>,
     /// Per-state victim split of a uniform crash or recovery.
     hits: Vec<u64>,
 }
 
+/// What one call of the period kernel advances: `W` independent runs of the
+/// same protocol under the same scenario, side by side. Every per-state (or
+/// per-edge) quantity is a row-major `states × W` (`edges × W`) matrix, so
+/// entry `[s * W + r]` belongs to run ("column") `r`, and column `r` draws
+/// from `rngs[r]` only. At `W = 1` the matrices are a [`BatchedState`]'s own
+/// vectors; a [`ColumnBlock`] lends its `W`-wide ones.
+struct Columns<'a> {
+    /// One PRNG per column; the slice length is the width `W`.
+    rngs: &'a mut [Rng],
+    counts: &'a mut [u64],
+    counts_alive: &'a mut [u64],
+    counts_crashed: &'a [u64],
+    start: &'a mut [u64],
+    stayed: &'a mut [u64],
+    tallies: &'a mut [u64],
+    /// `conversions × W`: what every push/token action drew this period.
+    pending: &'a mut [u64],
+    /// The state being drawn's bucket weights plus "stay", one contiguous
+    /// run per column (`W × (buckets + 1)`) — the layout
+    /// [`Rng::multinomial_into`] reads.
+    weights: &'a mut Vec<f64>,
+    draws: &'a mut [u64],
+    /// Per column: probability of not having moved yet within the state
+    /// being drawn.
+    survive: &'a mut [f64],
+    /// Per column: expected messages of the period.
+    messages: &'a mut [f64],
+}
+
+/// Column `r` of a row-major `states × width` count matrix, indexable by
+/// state like the plain count vector [`fire_probability`](super::fire_probability)
+/// reads.
+struct Column<'a> {
+    matrix: &'a [u64],
+    width: usize,
+    r: usize,
+}
+
+impl std::ops::Index<usize> for Column<'_> {
+    type Output = u64;
+
+    fn index(&self, state: usize) -> &u64 {
+        &self.matrix[state * self.width + self.r]
+    }
+}
+
+/// `W` runs of one scenario that differ only in their seed, advanced
+/// together by [`BatchedRuntime::step_block`] — what [`Ensemble`](super::Ensemble)
+/// folds instead of `W` separate [`BatchedState`]s. Column `r` is, count for
+/// count and draw for draw, the run [`BatchedRuntime`] produces at the
+/// `r`-th seed.
+#[derive(Debug)]
+pub(super) struct ColumnBlock {
+    /// The width-1 state the boundary hooks run on, one column at a time
+    /// (failures, recoveries and injections exist once, for single runs);
+    /// also the block's scenario, period counter and density denominator.
+    lane: BatchedState,
+    rngs: Vec<Rng>,
+    /// Per column: its adversary's strategy and decision stream.
+    injectors: Vec<Option<InjectionPoint>>,
+    alive_n: Vec<u64>,
+    counts: Vec<u64>,
+    counts_alive: Vec<u64>,
+    counts_crashed: Vec<u64>,
+    start: Vec<u64>,
+    stayed: Vec<u64>,
+    tallies: Vec<u64>,
+    pending: Vec<u64>,
+    weights: Vec<f64>,
+    draws: Vec<u64>,
+    survive: Vec<f64>,
+    messages: Vec<f64>,
+}
+
+impl ColumnBlock {
+    /// The number of columns.
+    pub(super) fn width(&self) -> usize {
+        self.rngs.len()
+    }
+
+    /// The row-major `states × width` count matrix observers would see:
+    /// every process, or only the alive ones.
+    pub(super) fn counts(&self, alive_only: bool) -> &[u64] {
+        if alive_only {
+            &self.counts_alive
+        } else {
+            &self.counts
+        }
+    }
+
+    /// Exchanges column `r` with the lane. Called before the single-run
+    /// hooks it moves the column into the lane; called again after them it
+    /// moves the result back (in between, the column holds the lane's stale
+    /// values, which nothing reads).
+    fn swap_lane(&mut self, r: usize) {
+        let w = self.width();
+        let lane = &mut self.lane;
+        for (matrix, column) in [
+            (&mut self.counts, &mut lane.counts),
+            (&mut self.counts_alive, &mut lane.counts_alive),
+            (&mut self.counts_crashed, &mut lane.counts_crashed),
+        ] {
+            for (row, count) in matrix.chunks_exact_mut(w).zip(column) {
+                std::mem::swap(&mut row[r], count);
+            }
+        }
+        std::mem::swap(&mut self.alive_n[r], &mut lane.alive_n);
+        std::mem::swap(&mut self.rngs[r], &mut lane.rng);
+        std::mem::swap(&mut self.injectors[r], &mut lane.injector);
+    }
+}
+
 impl BatchedState {
+    /// Whether the boundary of the period about to run has anything to
+    /// apply: a scheduled event, an active crash/recovery model, or an
+    /// adversary that must be shown the counts. Depends on the scenario and
+    /// the period only, so one answer serves every column of a block.
+    fn boundary_due(&self, adversary: bool) -> bool {
+        let model = self.scenario.failure_model();
+        adversary || model.crash_prob() > 0.0 || model.recover_prob() > 0.0 || self.schedule_due()
+    }
+
+    /// Whether the failure schedule names the period about to run.
+    fn schedule_due(&self) -> bool {
+        self.event_periods.binary_search(&self.period).is_ok()
+    }
+
     /// The next period to execute (also the number of periods executed).
     pub fn period(&self) -> u64 {
         self.period
@@ -409,7 +572,16 @@ impl BatchedRuntime {
             protocol,
             config: RunConfig::default(),
             plan,
+            #[cfg(test)]
+            poisoned_seed: None,
         }
+    }
+
+    /// Makes every block that holds `seed` panic.
+    #[cfg(test)]
+    pub(super) fn poisoned(mut self, seed: u64) -> Self {
+        self.poisoned_seed = Some(seed);
+        self
     }
 
     /// Replaces the run configuration ([`RunConfig::rejoin_state`] steers
@@ -493,6 +665,13 @@ impl BatchedRuntime {
             .collect();
         // Scratch sized once: one cell per bucket, plus "stay".
         let max_outcomes = self.plan.max_buckets + 1;
+        let mut event_periods: Vec<u64> = scenario
+            .failure_schedule()
+            .events()
+            .iter()
+            .map(|(period, _)| *period)
+            .collect();
+        event_periods.sort_unstable();
         BatchedState {
             scenario: scenario.clone(),
             rng,
@@ -505,10 +684,11 @@ impl BatchedRuntime {
             messages: 0,
             transitions: Vec::with_capacity(self.plan.edges.len()),
             injector: InjectionPoint::from_scenario(scenario),
+            event_periods,
             start: vec![0; num_states],
             stayed: vec![0; num_states],
             tallies: vec![0; self.plan.edges.len()],
-            pending: Vec::new(),
+            pending: vec![0; self.plan.conversion_edges.len()],
             weights: Vec::with_capacity(max_outcomes),
             draws: vec![0; max_outcomes],
             hits: vec![0; num_states],
@@ -521,7 +701,13 @@ impl BatchedRuntime {
     pub(super) fn apply_failures(&self, state: &mut BatchedState) -> Result<()> {
         let period = state.period;
         // Scheduled massive failures: hypergeometric split across states.
-        for (p, event) in state.scenario.failure_schedule().events() {
+        // The schedule is walked only on a period it names.
+        let scheduled = if state.schedule_due() {
+            state.scenario.failure_schedule().events()
+        } else {
+            &[]
+        };
+        for (p, event) in scheduled {
             if *p != period {
                 continue;
             }
@@ -669,6 +855,266 @@ impl BatchedRuntime {
     }
 }
 
+impl BatchedRuntime {
+    /// One protocol period over the start-of-period alive counts of every
+    /// column — the only implementation of the period arithmetic.
+    ///
+    /// The loops run state → action → column, column innermost: whatever
+    /// depends only on the protocol (the action's kind and constants, its
+    /// [`EdgePlan`] slot, `contact_ok`) is read once per action, and the
+    /// matrices are walked along their rows. Reordering *across* columns is
+    /// free because no column ever reads another's PRNG; *within* a column
+    /// the draws still come state by state, action by action, multinomial
+    /// last, so each stream is consumed exactly as a run on its own would
+    /// consume it. A column with nobody in the state draws nothing.
+    #[inline(always)]
+    fn advance(&self, cols: Columns<'_>, n_f: f64, contact_ok: f64) {
+        let Columns {
+            rngs,
+            counts,
+            counts_alive,
+            counts_crashed,
+            start,
+            stayed,
+            tallies,
+            pending,
+            weights,
+            draws,
+            survive,
+            messages,
+        } = cols;
+        let w = rngs.len();
+        start.copy_from_slice(counts_alive);
+        stayed.copy_from_slice(counts_alive);
+        tallies.fill(0);
+        pending.fill(0);
+        // Expected messages, matching the agent runtime's accounting: a
+        // process pays for an action only if it has not already moved on an
+        // earlier action this period (including the action that moves it).
+        messages.fill(0.0);
+
+        for s in 0..self.protocol.num_states() {
+            let actions = self.protocol.actions(StateId::new(s));
+            let row = s * w;
+            if actions.is_empty() || start[row..row + w].iter().all(|&k| k == 0) {
+                continue;
+            }
+            // Per-process probability of moving to each distinct
+            // destination: every self-moving action adds its first-move-wins
+            // weight to its destination's bucket. Push/token actions affect
+            // other states and are drawn separately.
+            let bucket_edges = self.plan.bucket_edges(s);
+            let buckets = bucket_edges.len();
+            let cells = buckets + 1; // the buckets, then "stay"
+            weights.clear();
+            weights.resize(cells * w, 0.0);
+            survive.fill(1.0); // probability of not having moved yet
+            let mut conversion = self.plan.conversion_start[s] as usize;
+            for (action, &slot) in actions.iter().zip(self.plan.action_slots(s)) {
+                let cost = f64::from(action.messages_per_period());
+                for r in 0..w {
+                    let k_s = start[row + r];
+                    if k_s == 0 {
+                        continue;
+                    }
+                    messages[r] += k_s as f64 * survive[r] * cost;
+                    let column = Column {
+                        matrix: start,
+                        width: w,
+                        r,
+                    };
+                    let fire = super::fire_probability(action, &column, n_f, contact_ok);
+                    // Push/token actions convert members of another state:
+                    // a binomial tally over `trials` independent attempts.
+                    let (trials, success) = match action {
+                        Action::Flip { .. } | Action::Sample { .. } | Action::SampleAny { .. } => {
+                            weights[r * cells + slot as usize] += survive[r] * fire;
+                            survive[r] *= 1.0 - fire;
+                            continue;
+                        }
+                        Action::PushSample {
+                            target_state,
+                            samples,
+                            prob,
+                            ..
+                        } => {
+                            // Executors do not move themselves, but only
+                            // those that no earlier self-moving action
+                            // already moved reach this action (the agent
+                            // runtime breaks out of the list on a move) —
+                            // fold `survive` into the per-draw probability.
+                            // Each surviving executor's samples convert
+                            // alive members of target_state.
+                            let per_draw = (column[target_state.index()] as f64 / n_f)
+                                * prob
+                                * contact_ok
+                                * survive[r];
+                            (k_s.saturating_mul(u64::from(*samples)), per_draw)
+                        }
+                        // Each executor reaches this action only if it has
+                        // not moved on an earlier action (probability
+                        // `survive`, independent of the token draw).
+                        Action::Tokenize { .. } => (k_s, survive[r] * fire),
+                    };
+                    pending[conversion * w + r] = rngs[r].binomial(trials, success);
+                }
+                if !action.moves_self() {
+                    conversion += 1;
+                }
+            }
+
+            if buckets > 0 {
+                for r in 0..w {
+                    let k_s = start[row + r];
+                    if k_s == 0 {
+                        continue;
+                    }
+                    // One multinomial draw over (dest_1, ..., dest_m, stay).
+                    let cell = &mut weights[r * cells..(r + 1) * cells];
+                    cell[buckets] = (1.0 - cell[..buckets].iter().sum::<f64>()).max(0.0);
+                    rngs[r].multinomial_into(k_s, cell, &mut draws[..cells]);
+                    let mut left = 0;
+                    for (&edge, &moved) in bucket_edges.iter().zip(&*draws) {
+                        tallies[edge as usize * w + r] += moved;
+                        left += moved;
+                    }
+                    stayed[row + r] = k_s - left;
+                }
+            }
+        }
+
+        // Conversions take members of their target state that did not move
+        // themselves, in the order they were drawn, so a process leaves its
+        // state at most once per period.
+        let conversion_edges = self.plan.conversion_edges.iter();
+        for (&edge, drawn) in conversion_edges.zip(pending.chunks_exact(w)) {
+            let target = self.plan.edges[edge as usize].0.index();
+            let left = &mut stayed[target * w..(target + 1) * w];
+            let tally = &mut tallies[edge as usize * w..(edge as usize + 1) * w];
+            for ((&drawn, left), tally) in drawn.iter().zip(left).zip(tally) {
+                let converted = drawn.min(*left);
+                *left -= converted;
+                *tally += converted;
+            }
+        }
+
+        // Move the tallies along their edges (a state's outflow never
+        // exceeds its start-of-period population, so the unsigned updates
+        // cannot underflow in any order) and refresh the totals.
+        for (&(from, to), moved) in self.plan.edges.iter().zip(tallies.chunks_exact(w)) {
+            for (r, &moved) in moved.iter().enumerate() {
+                counts_alive[from.index() * w + r] -= moved;
+                counts_alive[to.index() * w + r] += moved;
+            }
+        }
+        for ((count, alive), crashed) in counts.iter_mut().zip(&*counts_alive).zip(counts_crashed) {
+            *count = alive + crashed;
+        }
+        debug_assert!(
+            (0..w).all(|r| counts.iter().skip(r).step_by(w).sum::<u64>() as f64 == n_f),
+            "a batched period must conserve the population of every column"
+        );
+    }
+
+    /// Builds the start-of-run [`ColumnBlock`] of `seeds.len()` runs of
+    /// `scenario`, column `r` seeded with `seeds[r]` exactly as
+    /// [`init`](Runtime::init) seeds a run of `scenario.with_seed(seeds[r])`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`init`](Runtime::init).
+    pub(super) fn init_block(
+        &self,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        seeds: &[u64],
+    ) -> Result<ColumnBlock> {
+        #[cfg(test)]
+        assert!(
+            !self.poisoned_seed.is_some_and(|seed| seeds.contains(&seed)),
+            "injected test panic"
+        );
+        let lane = self.init(scenario, initial)?;
+        let w = seeds.len();
+        let widen = |column: &[u64]| -> Vec<u64> {
+            column
+                .iter()
+                .flat_map(|&count| std::iter::repeat(count).take(w))
+                .collect()
+        };
+        let mut seeded = scenario.clone();
+        let mut rngs = Vec::with_capacity(w);
+        let mut injectors = Vec::with_capacity(w);
+        for &seed in seeds {
+            seeded = seeded.with_seed(seed);
+            rngs.push(seeded.build_rng());
+            injectors.push(InjectionPoint::from_scenario(&seeded));
+        }
+        let num_states = self.protocol.num_states();
+        let edges = self.plan.edges.len();
+        let cells = self.plan.max_buckets + 1;
+        Ok(ColumnBlock {
+            rngs,
+            injectors,
+            alive_n: vec![lane.alive_n; w],
+            counts: widen(&lane.counts),
+            counts_alive: widen(&lane.counts_alive),
+            counts_crashed: widen(&lane.counts_crashed),
+            start: vec![0; num_states * w],
+            stayed: vec![0; num_states * w],
+            tallies: vec![0; edges * w],
+            pending: vec![0; self.plan.conversion_edges.len() * w],
+            weights: Vec::with_capacity(cells * w),
+            draws: vec![0; cells],
+            survive: vec![1.0; w],
+            messages: vec![0.0; w],
+            lane,
+        })
+    }
+
+    /// Advances every column of the block by one period: the boundary hooks
+    /// column by column on the periods that carry an event, then one call of
+    /// the period kernel.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`step`](Runtime::step).
+    pub(super) fn step_block(&self, block: &mut ColumnBlock) -> Result<()> {
+        let adversary = block.injectors.iter().any(Option::is_some);
+        if block.lane.boundary_due(adversary) {
+            for r in 0..block.width() {
+                block.swap_lane(r);
+                let applied = self
+                    .apply_failures(&mut block.lane)
+                    .and_then(|()| self.apply_injections(&mut block.lane));
+                block.swap_lane(r);
+                applied?;
+            }
+        }
+        let contact_ok = 1.0 - block.lane.scenario.loss().effective_contact_failure(1);
+        self.advance(
+            Columns {
+                rngs: &mut block.rngs,
+                counts: &mut block.counts,
+                counts_alive: &mut block.counts_alive,
+                counts_crashed: &block.counts_crashed,
+                start: &mut block.start,
+                stayed: &mut block.stayed,
+                tallies: &mut block.tallies,
+                pending: &mut block.pending,
+                weights: &mut block.weights,
+                draws: &mut block.draws,
+                survive: &mut block.survive,
+                messages: &mut block.messages,
+            },
+            block.lane.n_f,
+            contact_ok,
+        );
+        block.lane.period += 1;
+        Ok(())
+    }
+}
+
 /// Crashes `k` uniformly random alive processes: the per-state hit counts
 /// follow a multivariate hypergeometric distribution, drawn into the `hits`
 /// scratch.
@@ -736,133 +1182,42 @@ impl Runtime for BatchedRuntime {
     }
 
     fn step<'s>(&self, state: &'s mut BatchedState) -> Result<PeriodEvents<'s>> {
-        let num_states = self.protocol.num_states();
-
         // 1. Environment events at count level, then adversary injections
         // (which observe the post-event counts).
-        self.apply_failures(state)?;
-        self.apply_injections(state)?;
+        if state.boundary_due(state.injector.is_some()) {
+            self.apply_failures(state)?;
+            self.apply_injections(state)?;
+        }
 
-        // 2. Protocol actions over the start-of-period alive counts.
-        let n_f = state.n_f;
+        // 2. The protocol period: the width-1 instance of the column kernel.
         let contact_ok = 1.0 - state.scenario.loss().effective_contact_failure(1);
-        state.start.copy_from_slice(&state.counts_alive);
-        state.stayed.copy_from_slice(&state.counts_alive);
-        state.tallies.fill(0);
-        state.pending.clear();
-        // Expected messages, matching the agent runtime's accounting: a
-        // process pays for an action only if it has not already moved on an
-        // earlier action this period (including the action that moves it).
-        let mut messages_f = 0.0f64;
-
-        for s in 0..num_states {
-            let k_s = state.start[s];
-            if k_s == 0 {
-                continue;
-            }
-            let actions = self.protocol.actions(StateId::new(s));
-            if actions.is_empty() {
-                continue;
-            }
-            // Per-process probability of moving to each distinct
-            // destination: every self-moving action adds its first-move-wins
-            // weight to its destination's bucket. Push/token actions affect
-            // other states and are drawn separately.
-            let bucket_edges = self.plan.bucket_edges(s);
-            let buckets = bucket_edges.len();
-            state.weights.clear();
-            state.weights.resize(buckets, 0.0);
-            let mut survive = 1.0; // probability of not having moved yet
-            for (action, &slot) in actions.iter().zip(self.plan.action_slots(s)) {
-                messages_f += k_s as f64 * survive * f64::from(action.messages_per_period());
-                let fire = super::fire_probability(action, &state.start, n_f, contact_ok);
-                let drawn = match action {
-                    Action::Flip { .. } | Action::Sample { .. } | Action::SampleAny { .. } => {
-                        state.weights[slot as usize] += survive * fire;
-                        survive *= 1.0 - fire;
-                        continue;
-                    }
-                    Action::PushSample {
-                        target_state,
-                        samples,
-                        prob,
-                        ..
-                    } => {
-                        // Executors do not move themselves, but only those
-                        // that no earlier self-moving action already moved
-                        // reach this action (the agent runtime breaks out of
-                        // the list on a move) — fold `survive` into the
-                        // per-draw probability. Each surviving executor's
-                        // samples convert alive members of target_state.
-                        let per_draw = (state.start[target_state.index()] as f64 / n_f)
-                            * prob
-                            * contact_ok
-                            * survive;
-                        let draws = k_s.saturating_mul(u64::from(*samples));
-                        state.rng.binomial(draws, per_draw)
-                    }
-                    // Each executor reaches this action only if it has not
-                    // moved on an earlier action (probability `survive`,
-                    // independent of the token draw).
-                    Action::Tokenize { .. } => state.rng.binomial(k_s, survive * fire),
-                };
-                if drawn > 0 {
-                    state.pending.push((slot, drawn));
-                }
-            }
-
-            if buckets > 0 {
-                // One multinomial draw over (dest_1, ..., dest_m, stay).
-                let stay = (1.0 - state.weights.iter().sum::<f64>()).max(0.0);
-                state.weights.push(stay);
-                state
-                    .rng
-                    .multinomial_into(k_s, &state.weights, &mut state.draws[..=buckets]);
-                let mut left = 0;
-                for (&edge, &moved) in bucket_edges.iter().zip(&state.draws) {
-                    state.tallies[edge as usize] += moved;
-                    left += moved;
-                }
-                state.stayed[s] = k_s - left;
-            }
-        }
-
-        // 3. Conversions take members of their target state that did not
-        // move themselves, in the order they were drawn, so a process leaves
-        // its state at most once per period.
-        for &(edge, drawn) in &state.pending {
-            let target = self.plan.edges[edge as usize].0.index();
-            let converted = drawn.min(state.stayed[target]);
-            state.stayed[target] -= converted;
-            state.tallies[edge as usize] += converted;
-        }
-
-        // 4. Move the tallies along their edges (a state's outflow never
-        // exceeds its start-of-period population, so the unsigned updates
-        // cannot underflow in any order) and refresh the totals.
+        let mut survive = 1.0;
+        let mut messages = 0.0;
+        self.advance(
+            Columns {
+                rngs: std::slice::from_mut(&mut state.rng),
+                counts: &mut state.counts,
+                counts_alive: &mut state.counts_alive,
+                counts_crashed: &state.counts_crashed,
+                start: &mut state.start,
+                stayed: &mut state.stayed,
+                tallies: &mut state.tallies,
+                pending: &mut state.pending,
+                weights: &mut state.weights,
+                draws: &mut state.draws,
+                survive: std::slice::from_mut(&mut survive),
+                messages: std::slice::from_mut(&mut messages),
+            },
+            state.n_f,
+            contact_ok,
+        );
         state.transitions.clear();
         for (&(from, to), &moved) in self.plan.edges.iter().zip(&state.tallies) {
             if moved > 0 {
-                state.counts_alive[from.index()] -= moved;
-                state.counts_alive[to.index()] += moved;
                 state.transitions.push((from, to, moved));
             }
         }
-        for ((count, alive), crashed) in state
-            .counts
-            .iter_mut()
-            .zip(&state.counts_alive)
-            .zip(&state.counts_crashed)
-        {
-            *count = alive + crashed;
-        }
-        debug_assert_eq!(
-            state.counts.iter().sum::<u64>() as f64,
-            state.n_f,
-            "a batched period must conserve the population"
-        );
-
-        state.messages = messages_f.round() as u64;
+        state.messages = messages.round() as u64;
         state.period += 1;
         Ok(self.events(state))
     }
@@ -1560,6 +1915,163 @@ mod tests {
             .sum();
         assert_eq!(receptive_out, 10_000);
         assert_eq!(state.counts[0], 0);
+    }
+
+    /// The count trajectory of every column of one block over `seeds`, as
+    /// `[column][period][state]`.
+    fn block_trajectories(
+        runtime: &BatchedRuntime,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        seeds: &[u64],
+        alive_only: bool,
+    ) -> Vec<Vec<Vec<f64>>> {
+        let mut block = runtime.init_block(scenario, initial, seeds).unwrap();
+        let w = block.width();
+        let mut columns = vec![Vec::new(); w];
+        for period in 0..=scenario.periods() {
+            if period > 0 {
+                runtime.step_block(&mut block).unwrap();
+            }
+            for (r, column) in columns.iter_mut().enumerate() {
+                let counts = block.counts(alive_only).iter().skip(r).step_by(w);
+                column.push(counts.map(|&c| c as f64).collect());
+            }
+        }
+        columns
+    }
+
+    /// What a single run records at `seed`.
+    fn scalar_trajectory(
+        runtime: &BatchedRuntime,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        seed: u64,
+        alive_only: bool,
+    ) -> Vec<Vec<f64>> {
+        let recorder = if alive_only {
+            CountsRecorder::alive_only()
+        } else {
+            CountsRecorder::new()
+        };
+        Simulation::of(runtime.protocol.clone())
+            .scenario(scenario.clone().with_seed(seed))
+            .initial(initial.clone())
+            .observe(recorder)
+            .run_on(runtime)
+            .unwrap()
+            .counts
+            .states()
+            .to_vec()
+    }
+
+    /// A massive failure at period 6, background crash/recovery and an
+    /// oblivious adversary that crashes at 9 and recovers at 14.
+    fn hostile(scenario: Scenario) -> Scenario {
+        let adversary = ObliviousSchedule::new()
+            .crash_uniform_at(9, 0.3)
+            .unwrap()
+            .inject_at(14, netsim::Injection::RecoverUniform { fraction: 0.5 })
+            .unwrap();
+        scenario
+            .with_massive_failure(6, 0.4)
+            .unwrap()
+            .with_failure_model(FailureModel::new(0.01, 0.05).unwrap())
+            .with_adversary(adversary)
+    }
+
+    #[test]
+    fn every_column_of_a_block_is_the_run_of_its_seed() {
+        let n = 200_000u64;
+        let plurality8: Vec<u64> = (0..9)
+            .map(|i| if i < 8 { 24_000 + i } else { 7_972 })
+            .collect();
+        let cases: [(Protocol, Vec<u64>); 4] = [
+            (epidemic_protocol(), vec![n - 50, 50]),
+            (figure1_protocol(), vec![20_000, 150_000, 30_000]),
+            (plurality_protocol(2), vec![110_000, 90_000, 0]),
+            (plurality_protocol(8), plurality8),
+        ];
+        // Unordered, with a repeat: a column depends on its seed only.
+        let seeds = [5, 0, 977, 5, 31, 1 << 40, 2, 64, 63, 12];
+        for (protocol, initial) in cases {
+            let initial = InitialStates::counts(&initial);
+            let name = protocol.name().to_string();
+            let rejoin = StateId::new(0);
+            let runtime =
+                BatchedRuntime::new(protocol).with_config(RunConfig::rejoining_to(rejoin));
+            let calm = Scenario::new(n as usize, 25).unwrap();
+            for scenario in [calm.clone(), hostile(calm)] {
+                for alive_only in [false, true] {
+                    let columns =
+                        block_trajectories(&runtime, &scenario, &initial, &seeds, alive_only);
+                    for (&seed, column) in seeds.iter().zip(&columns) {
+                        assert_eq!(
+                            column,
+                            &scalar_trajectory(&runtime, &scenario, &initial, seed, alive_only),
+                            "{name}, seed {seed}, alive_only {alive_only}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_does_not_depend_on_the_width_of_its_block() {
+        let runtime = BatchedRuntime::new(figure1_protocol());
+        let scenario = hostile(Scenario::new(100_000, 20).unwrap());
+        let initial = InitialStates::counts(&[10_000, 80_000, 10_000]);
+        let seeds: Vec<u64> = (100..110).collect();
+        let whole = block_trajectories(&runtime, &scenario, &initial, &seeds, false);
+        for width in [1, 3, 64] {
+            let cut: Vec<_> = seeds
+                .chunks(width)
+                .flat_map(|part| block_trajectories(&runtime, &scenario, &initial, part, false))
+                .collect();
+            assert_eq!(cut, whole, "width {width}");
+        }
+    }
+
+    #[test]
+    fn an_invalid_scheduled_fraction_fails_the_block_step() {
+        // The schedule is only read on the period it names.
+        let mut schedule = netsim::FailureSchedule::new();
+        schedule.add(2, FailureEvent::MassiveFailure { fraction: 1.5 });
+        let scenario = Scenario::new(1_000, 5)
+            .unwrap()
+            .with_failure_schedule(schedule)
+            .unwrap();
+        let runtime = BatchedRuntime::new(epidemic_protocol());
+        let initial = InitialStates::counts(&[900, 100]);
+        let mut block = runtime.init_block(&scenario, &initial, &[1, 2]).unwrap();
+        assert!(runtime.step_block(&mut block).is_ok());
+        assert!(runtime.step_block(&mut block).is_ok());
+        assert!(matches!(
+            runtime.step_block(&mut block),
+            Err(CoreError::InvalidProbability { .. })
+        ));
+    }
+
+    /// One million runs fold into per-block accumulators of a few hundred KB
+    /// plus the `final_counts` rows; stored trajectories would need > 1 GB.
+    #[test]
+    #[ignore = "10⁶ seeds: run with --release (CI does)"]
+    fn million_column_ensemble_streams_in_bounded_memory() {
+        let n = 1_000_000u64;
+        let result = Ensemble::of(figure1_protocol())
+            .scenario(Scenario::new(n as usize, 20).unwrap())
+            .initial(InitialStates::counts(&[100_000, 800_000, 100_000]))
+            .seed_range(0..1_000_000)
+            .run_auto()
+            .unwrap();
+        assert_eq!(result.runs(), 1_000_000);
+        assert!(result.failures.is_empty());
+        assert_eq!(result.mean.len(), 21);
+        for (period, mean) in result.mean.iter() {
+            let total: f64 = mean.iter().sum();
+            assert!((total - n as f64).abs() < 1e-6, "period {period}: {total}");
+        }
     }
 
     #[test]

@@ -4,9 +4,38 @@
 //! dynamics against the ODE limit through *ensembles*: many independent runs
 //! of the same protocol under varied seeds or environments, summarized by
 //! per-period mean/standard-deviation envelopes. [`Ensemble`] makes that a
-//! one-liner — it fans the runs across `std::thread` workers and folds the
-//! trajectories into an [`EnsembleResult`] with Welford accumulators, so
-//! memory stays O(periods × states) regardless of the number of seeds.
+//! one-liner — it cuts the seed list into jobs in seed order, fans the jobs
+//! across `std::thread` workers, and merges each job's Welford accumulators
+//! into the [`EnsembleResult`] *in job order*, so the result does not depend
+//! on the number of threads or on which worker finished first.
+//!
+//! What a job is depends on the runtime:
+//!
+//! * **Count-batched ensembles** ([`BatchedRuntime`] — `run::<BatchedRuntime>`,
+//!   `run_sweep`, and [`run_auto`](Ensemble::run_auto) on the batched tier)
+//!   advance a *block* of 64 consecutive seeds at a time as one
+//!   `states × 64` count matrix through the column kernel of
+//!   [`BatchedRuntime`]: the protocol, its compiled edge plan and the
+//!   scenario are shared by the block, every column owns the PRNG its seed
+//!   would get on its own, and each period's counts go straight into the
+//!   block's accumulators. No trajectory is ever stored: memory is
+//!   O(blocks in flight × periods × states) plus the O(seeds)
+//!   [`final_counts`](EnsembleResult::final_counts) rows, however many seeds
+//!   there are. Column `r` of a block is bit-for-bit the run
+//!   `Simulation::run::<BatchedRuntime>` produces at that seed, so
+//!   `final_counts`, the order of [`seeds`](EnsembleResult::seeds) and
+//!   [`failures`](EnsembleResult::failures) are exact. An ensemble that
+//!   fits one block folds its seeds one by one; across blocks the
+//!   accumulators are combined with the pairwise update of Chan et al., so
+//!   `mean`/`std_dev` of a larger ensemble may differ from a
+//!   one-seed-at-a-time fold in the last ulp.
+//! * **Every other runtime** runs one seed per job through the ordinary
+//!   step loop with a [`CountsRecorder`]. A worker holds the full
+//!   trajectory of the run it is executing (periods × states), folds it
+//!   when the run ends, and drops it; finished single-run folds wait only
+//!   until the seeds before them have been merged. Merging a single run is
+//!   exactly a Welford push, so these envelopes equal a sequential fold over
+//!   the seed list bit for bit.
 //!
 //! # A Figure-11-style convergence sweep in a few lines
 //!
@@ -30,15 +59,25 @@
 
 use super::observer::CountsRecorder;
 use super::simulation::drive;
-use super::{auto_tier, ErrorBudget, FidelityTier, InitialStates, Observer, RunConfig, Runtime};
+use super::{
+    auto_tier, BatchedRuntime, ErrorBudget, FidelityTier, InitialStates, Observer, RunConfig,
+    Runtime,
+};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::{OnlineStats, Scenario, Topology};
 use odekit::integrate::Trajectory;
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Seeds one [`ColumnBlock`](super::batched::ColumnBlock) advances side by
+/// side. Widths from 16 to 256 measured the same on a 3-state protocol;
+/// below 8 the per-block set-up shows.
+const BLOCK_WIDTH: usize = 64;
 
 /// One ensemble run that panicked instead of completing.
 ///
@@ -252,6 +291,19 @@ impl Ensemble {
     ///
     /// Same as [`run`](Self::run), plus an error for an empty scenario list.
     pub fn run_sweep<R: Runtime>(&self, scenarios: &[Scenario]) -> Result<Vec<EnsembleResult>> {
+        let runtime = R::build(self.protocol.clone(), &self.config);
+        self.sweep_on(&runtime, scenarios, BLOCK_WIDTH)
+    }
+
+    /// [`run_sweep`](Self::run_sweep) on an already built runtime (shared by
+    /// every worker: stepping takes `&self`), with count-batched seeds cut
+    /// into blocks of `block_width`.
+    fn sweep_on<R: Runtime>(
+        &self,
+        runtime: &R,
+        scenarios: &[Scenario],
+        block_width: usize,
+    ) -> Result<Vec<EnsembleResult>> {
         if scenarios.is_empty() {
             return Err(CoreError::InvalidConfig {
                 name: "scenarios",
@@ -269,11 +321,14 @@ impl Ensemble {
             reason: "Ensemble::initial was not set".into(),
         })?;
 
-        // One job per (scenario, seed) pair, pulled off a shared counter by
-        // the workers; trajectories land in per-job slots so aggregation is
-        // deterministic regardless of scheduling.
-        let jobs: Vec<(usize, u64)> = (0..scenarios.len())
-            .flat_map(|sc| self.seeds.iter().map(move |&seed| (sc, seed)))
+        // The count-batched kernel advances whole blocks of seeds; every
+        // other runtime takes them one at a time. Jobs are scenario-major
+        // and in seed order, pulled off a shared counter by the workers and
+        // merged in job order whatever order they finish in.
+        let batched = (runtime as &dyn Any).downcast_ref::<BatchedRuntime>();
+        let per_job = if batched.is_some() { block_width } else { 1 };
+        let jobs: Vec<(usize, &[u64])> = (0..scenarios.len())
+            .flat_map(|sc| self.seeds.chunks(per_job).map(move |seeds| (sc, seeds)))
             .collect();
         let threads = self
             .threads
@@ -285,8 +340,15 @@ impl Ensemble {
             .min(jobs.len())
             .max(1);
 
+        // Runs are executed under `catch_unwind` and nothing that can panic
+        // runs under these locks, so none of them is ever poisoned.
+        const UNPOISONED: &str = "no worker panics while holding an ensemble lock";
         let next_job = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Trajectory>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let merged = Mutex::new(OrderedMerge {
+            next: 0,
+            parked: BTreeMap::new(),
+            folds: scenarios.iter().map(|_| EnvelopeFold::default()).collect(),
+        });
         let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
         let panics: Mutex<Vec<SeedFailure>> = Mutex::new(Vec::new());
 
@@ -294,74 +356,53 @@ impl Ensemble {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     let job = next_job.fetch_add(1, Ordering::Relaxed);
-                    if job >= jobs.len() || first_error.lock().unwrap().is_some() {
+                    if job >= jobs.len() || first_error.lock().expect(UNPOISONED).is_some() {
                         return;
                     }
-                    let (sc, seed) = jobs[job];
-                    let mut scenario = scenarios[sc].clone().with_seed(seed);
+                    let (sc, seeds) = jobs[job];
+                    let mut scenario = scenarios[sc].clone().with_seed(seeds[0]);
                     if let Some(topology) = self.topology {
                         scenario = scenario.with_topology(topology);
                     }
-                    let runtime = R::build(self.protocol.clone(), &self.config);
-                    let mut observers: Vec<Box<dyn Observer>> =
-                        vec![Box::new(if self.alive_only {
-                            CountsRecorder::alive_only()
-                        } else {
-                            CountsRecorder::new()
-                        })];
-                    // A panicking run must not take its worker (let alone the
-                    // whole ensemble) down: catch the unwind, record the seed,
-                    // keep pulling jobs.
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        drive(&runtime, &scenario, initial, &mut observers)
-                    })) {
-                        Ok(Ok(result)) => {
-                            *slots[job].lock().unwrap() = Some(result.counts);
-                        }
-                        Ok(Err(err)) => {
-                            let mut guard = first_error.lock().unwrap();
-                            if guard.is_none() {
-                                *guard = Some(err);
-                            }
+                    let run = |seeds: &[u64]| match batched {
+                        Some(batched) => self.fold_block(batched, &scenario, initial, seeds),
+                        None => self.fold_run(runtime, &scenario, initial),
+                    };
+                    let mut failed = |seed, message| {
+                        panics.lock().expect(UNPOISONED).push(SeedFailure {
+                            scenario: sc,
+                            seed,
+                            message,
+                        });
+                    };
+                    match fold_surviving(&run, seeds, &mut failed) {
+                        Ok(fold) => merged.lock().expect(UNPOISONED).deposit(job, sc, fold),
+                        Err(err) => {
+                            first_error.lock().expect(UNPOISONED).get_or_insert(err);
                             return;
-                        }
-                        Err(payload) => {
-                            panics.lock().unwrap().push(SeedFailure {
-                                scenario: sc,
-                                seed,
-                                message: panic_message(payload),
-                            });
                         }
                     }
                 });
             }
         });
 
-        if let Some(err) = first_error.into_inner().unwrap() {
+        if let Some(err) = first_error.into_inner().expect(UNPOISONED) {
             return Err(err);
         }
         // Workers race on the shared failure list; sort it so results are
         // deterministic regardless of scheduling.
-        let mut panics = panics.into_inner().unwrap();
+        let mut panics = panics.into_inner().expect(UNPOISONED);
         panics.sort_by_key(|a| (a.scenario, a.seed));
 
-        let mut slot_iter = slots.into_iter().map(|slot| slot.into_inner().unwrap());
+        let folds = merged.into_inner().expect(UNPOISONED).folds;
         let mut results = Vec::with_capacity(scenarios.len());
-        for sc in 0..scenarios.len() {
-            let mut seeds = Vec::with_capacity(self.seeds.len());
-            let mut trajectories = Vec::with_capacity(self.seeds.len());
-            for &seed in &self.seeds {
-                if let Some(trajectory) = slot_iter.next().expect("one slot per job") {
-                    seeds.push(seed);
-                    trajectories.push(trajectory);
-                }
-            }
+        for (sc, fold) in folds.into_iter().enumerate() {
             let failures: Vec<SeedFailure> = panics
                 .iter()
                 .filter(|f| f.scenario == sc)
                 .cloned()
                 .collect();
-            if trajectories.is_empty() {
+            if fold.seeds.is_empty() {
                 return Err(CoreError::EnsemblePanicked {
                     scenario: sc,
                     first_message: failures
@@ -370,48 +411,198 @@ impl Ensemble {
                         .unwrap_or_default(),
                 });
             }
-            results.push(self.aggregate(seeds, &trajectories, failures, threads));
+            results.push(fold.finish(&self.protocol, failures, threads));
         }
         Ok(results)
     }
 
-    /// Folds the per-seed trajectories of one scenario into mean/std
-    /// envelopes.
-    fn aggregate(
+    /// The scenario's own seed through the ordinary step loop, folded when
+    /// the run ends.
+    fn fold_run<R: Runtime>(
         &self,
-        seeds: Vec<u64>,
-        trajectories: &[Trajectory],
+        runtime: &R,
+        scenario: &Scenario,
+        initial: &InitialStates,
+    ) -> Result<EnvelopeFold> {
+        let mut observers: Vec<Box<dyn Observer>> = vec![Box::new(if self.alive_only {
+            CountsRecorder::alive_only()
+        } else {
+            CountsRecorder::new()
+        })];
+        let result = drive(runtime, scenario, initial, &mut observers)?;
+        let mut fold = EnvelopeFold::default();
+        fold.push_trajectory(scenario.seed(), &result.counts);
+        Ok(fold)
+    }
+
+    /// One block of seeds through the column kernel, every period folded as
+    /// it is produced.
+    fn fold_block(
+        &self,
+        runtime: &BatchedRuntime,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        seeds: &[u64],
+    ) -> Result<EnvelopeFold> {
+        let mut block = runtime.init_block(scenario, initial, seeds)?;
+        let mut fold = EnvelopeFold::default();
+        fold.push_period(block.counts(self.alive_only), block.width());
+        for _ in 0..scenario.periods() {
+            runtime.step_block(&mut block)?;
+            fold.push_period(block.counts(self.alive_only), block.width());
+        }
+        fold.push_finals(seeds, block.counts(self.alive_only));
+        Ok(fold)
+    }
+}
+
+/// Runs one job. A panic must not take its worker (let alone the whole
+/// ensemble) down: the unwind is caught and the job's seeds are run again
+/// one at a time, so whatever can complete is folded — in seed order, as if
+/// the job had never held the others — and `failed` hears the seed and
+/// message of each run that cannot.
+fn fold_surviving(
+    run: &impl Fn(&[u64]) -> Result<EnvelopeFold>,
+    seeds: &[u64],
+    failed: &mut impl FnMut(u64, String),
+) -> Result<EnvelopeFold> {
+    match catch_unwind(AssertUnwindSafe(|| run(seeds))) {
+        Ok(fold) => fold,
+        Err(payload) => {
+            let mut fold = EnvelopeFold::default();
+            match seeds {
+                [seed] => failed(*seed, panic_message(payload)),
+                _ => {
+                    for seed in seeds {
+                        fold.merge(fold_surviving(run, std::slice::from_ref(seed), failed)?);
+                    }
+                }
+            }
+            Ok(fold)
+        }
+    }
+}
+
+/// The per-scenario folds of a sweep, fed job by job in job order: a job
+/// that finishes early is parked until every job before it has been merged.
+struct OrderedMerge {
+    /// The next job to merge.
+    next: usize,
+    /// Finished jobs still waiting for an earlier one: job → (scenario, fold).
+    parked: BTreeMap<usize, (usize, EnvelopeFold)>,
+    folds: Vec<EnvelopeFold>,
+}
+
+impl OrderedMerge {
+    /// Takes the fold of a finished job and merges every job that is now
+    /// next in line.
+    fn deposit(&mut self, job: usize, scenario: usize, fold: EnvelopeFold) {
+        self.parked.insert(job, (scenario, fold));
+        while let Some((scenario, fold)) = self.parked.remove(&self.next) {
+            self.folds[scenario].merge(fold);
+            self.next += 1;
+        }
+    }
+}
+
+/// The envelope of a set of runs while it is being built: one Welford
+/// accumulator per (period, state) plus the final-count row of every run.
+/// The block path feeds it a period of columns at a time, the per-seed path
+/// a finished trajectory at a time, and [`merge`](Self::merge) joins the
+/// folds of consecutive jobs.
+#[derive(Debug, Default)]
+struct EnvelopeFold {
+    /// Row-major `(periods + 1) × states`.
+    accumulators: Vec<OnlineStats>,
+    seeds: Vec<u64>,
+    final_counts: Vec<Vec<f64>>,
+}
+
+impl EnvelopeFold {
+    /// Folds one finished run.
+    fn push_trajectory(&mut self, seed: u64, trajectory: &Trajectory) {
+        self.accumulators
+            .resize(trajectory.len() * trajectory.dim(), OnlineStats::new());
+        for (acc, count) in self
+            .accumulators
+            .iter_mut()
+            .zip(trajectory.states().iter().flatten())
+        {
+            acc.push(*count);
+        }
+        self.seeds.push(seed);
+        self.final_counts.push(trajectory.last_state().to_vec());
+    }
+
+    /// Folds the next period of a block: `counts` is the row-major
+    /// `states × width` matrix of the counts at that period.
+    fn push_period(&mut self, counts: &[u64], width: usize) {
+        let folded = self.accumulators.len();
+        self.accumulators
+            .resize(folded + counts.len() / width, OnlineStats::new());
+        // Column by column, so each accumulator sees its seeds in order and
+        // the states' independent update chains overlap.
+        let accumulators = &mut self.accumulators[folded..];
+        for r in 0..width {
+            for (acc, row) in accumulators.iter_mut().zip(counts.chunks_exact(width)) {
+                acc.push(row[r] as f64);
+            }
+        }
+    }
+
+    /// Records the runs of a finished block: `counts` is its final
+    /// `states × seeds.len()` matrix.
+    fn push_finals(&mut self, seeds: &[u64], counts: &[u64]) {
+        let width = seeds.len();
+        self.seeds.extend_from_slice(seeds);
+        self.final_counts.extend((0..width).map(|r| {
+            counts
+                .iter()
+                .skip(r)
+                .step_by(width)
+                .map(|&c| c as f64)
+                .collect()
+        }));
+    }
+
+    /// Appends the runs of the job that follows this fold's in seed order.
+    fn merge(&mut self, other: EnvelopeFold) {
+        if self.accumulators.is_empty() {
+            self.accumulators = other.accumulators;
+        } else {
+            for (acc, theirs) in self.accumulators.iter_mut().zip(&other.accumulators) {
+                acc.merge(theirs);
+            }
+        }
+        self.seeds.extend(other.seeds);
+        self.final_counts.extend(other.final_counts);
+    }
+
+    /// The finished envelopes. Needs at least one run.
+    fn finish(
+        self,
+        protocol: &Protocol,
         failures: Vec<SeedFailure>,
         threads_used: usize,
     ) -> EnsembleResult {
-        let reference = &trajectories[0];
-        let periods = reference.len();
-        let dim = reference.dim();
-        let mut accumulators = vec![OnlineStats::new(); periods * dim];
-        for trajectory in trajectories {
-            for (p, (_, counts)) in trajectory.iter().enumerate() {
-                for (v, acc) in counts.iter().zip(&mut accumulators[p * dim..(p + 1) * dim]) {
-                    acc.push(*v);
-                }
-            }
-        }
-        let mut mean = Trajectory::with_capacity(periods);
-        let mut std_dev = Trajectory::with_capacity(periods);
-        for (p, &t) in reference.times().iter().enumerate() {
-            let accs = &accumulators[p * dim..(p + 1) * dim];
-            mean.push(t, accs.iter().map(OnlineStats::mean).collect());
-            std_dev.push(t, accs.iter().map(OnlineStats::std_dev).collect());
+        let dim = self.final_counts[0].len();
+        let rows = self.accumulators.len() / dim;
+        let mut mean = Trajectory::with_capacity(rows);
+        let mut std_dev = Trajectory::with_capacity(rows);
+        for (period, accs) in self.accumulators.chunks_exact(dim).enumerate() {
+            mean.push(period as f64, accs.iter().map(OnlineStats::mean).collect());
+            std_dev.push(
+                period as f64,
+                accs.iter().map(OnlineStats::std_dev).collect(),
+            );
         }
         EnsembleResult {
-            state_names: self.protocol.state_names().to_vec(),
-            time_scale: self.protocol.time_scale(),
-            seeds,
+            state_names: protocol.state_names().to_vec(),
+            time_scale: protocol.time_scale(),
+            seeds: self.seeds,
             mean,
             std_dev,
-            final_counts: trajectories
-                .iter()
-                .map(|t| t.last_state().to_vec())
-                .collect(),
+            final_counts: self.final_counts,
             threads_used,
             failures,
         }
@@ -675,6 +866,221 @@ mod tests {
             assert_eq!(failure.scenario, 0);
             assert!(failure.message.contains("injected test panic"));
         }
+    }
+
+    /// [`BatchedRuntime`] behind another type: the same runs, but taken one
+    /// seed at a time through the step loop — the reference the block path
+    /// is compared against.
+    struct SeedBySeed(BatchedRuntime);
+
+    impl Runtime for SeedBySeed {
+        type State = super::super::BatchedState;
+
+        fn build(protocol: Protocol, config: &RunConfig) -> Self {
+            SeedBySeed(BatchedRuntime::build(protocol, config))
+        }
+
+        fn protocol(&self) -> &Protocol {
+            self.0.protocol()
+        }
+
+        fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<Self::State> {
+            self.0.init(scenario, initial)
+        }
+
+        fn step<'s>(&self, state: &'s mut Self::State) -> Result<super::super::PeriodEvents<'s>> {
+            self.0.step(state)
+        }
+
+        fn snapshot<'s>(&self, state: &'s Self::State) -> super::super::PeriodEvents<'s> {
+            self.0.snapshot(state)
+        }
+    }
+
+    /// 200 seeds of an epidemic that loses 40 % of its processes at period 8
+    /// under background crash/recovery — more than three blocks, the last
+    /// one partial.
+    fn stormy_ensemble() -> Ensemble {
+        let scenario = Scenario::new(50_000, 20)
+            .unwrap()
+            .with_massive_failure(8, 0.4)
+            .unwrap()
+            .with_failure_model(netsim::FailureModel::new(0.01, 0.05).unwrap());
+        Ensemble::of(epidemic_protocol())
+            .scenario(scenario)
+            .initial(InitialStates::counts(&[49_000, 1_000]))
+            .seed_range(1_000..1_200)
+    }
+
+    /// Same runs and the same envelopes up to the rounding of a different
+    /// fold order.
+    fn assert_same_envelopes(a: &EnsembleResult, b: &EnsembleResult) {
+        assert_eq!(a.seeds, b.seeds);
+        assert_eq!(a.final_counts, b.final_counts);
+        assert_eq!(a.failures, b.failures);
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * y.abs().max(1.0);
+        for (ours, theirs) in [(&a.mean, &b.mean), (&a.std_dev, &b.std_dev)] {
+            assert_eq!(ours.times(), theirs.times());
+            for (x, y) in ours
+                .states()
+                .iter()
+                .flatten()
+                .zip(theirs.states().iter().flatten())
+            {
+                assert!(close(*x, *y), "{x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_path_is_independent_of_the_thread_count() {
+        let one = stormy_ensemble()
+            .threads(1)
+            .run::<BatchedRuntime>()
+            .unwrap();
+        let four = stormy_ensemble()
+            .threads(4)
+            .run::<BatchedRuntime>()
+            .unwrap();
+        assert_eq!(one.threads_used, 1);
+        assert_eq!(four.threads_used, 4, "200 seeds are four blocks");
+        assert_eq!(
+            EnsembleResult {
+                threads_used: 1,
+                ..four
+            },
+            one
+        );
+        assert_eq!(one.runs(), 200);
+        // run_auto picks the batched tier and is the same call.
+        assert_eq!(stormy_ensemble().selected_tier(), FidelityTier::Batched);
+        assert_eq!(stormy_ensemble().threads(1).run_auto().unwrap(), one);
+    }
+
+    #[test]
+    fn block_path_matches_the_seed_by_seed_fold() {
+        // The Welford merge over blocks against sequential pushes.
+        let blocks = stormy_ensemble().run::<BatchedRuntime>().unwrap();
+        let sequential = stormy_ensemble().run::<SeedBySeed>().unwrap();
+        assert_same_envelopes(&blocks, &sequential);
+        // Alive-only counts and a two-scenario sweep take the block path too.
+        let alive = stormy_ensemble().count_alive_only();
+        assert_same_envelopes(
+            &alive.run::<BatchedRuntime>().unwrap(),
+            &alive.run::<SeedBySeed>().unwrap(),
+        );
+        assert!(
+            alive
+                .run_auto()
+                .unwrap()
+                .mean
+                .last_state()
+                .iter()
+                .sum::<f64>()
+                < 40_000.0
+        );
+        let scenarios = [
+            Scenario::new(30_000, 12).unwrap(),
+            Scenario::new(60_000, 15)
+                .unwrap()
+                .with_massive_failure(3, 0.5)
+                .unwrap(),
+        ];
+        let sweep = Ensemble::of(epidemic_protocol())
+            .initial(InitialStates::fractions(&[0.98, 0.02]))
+            .seed_range(0..70)
+            .threads(3);
+        let blocks = sweep.run_sweep::<BatchedRuntime>(&scenarios).unwrap();
+        let sequential = sweep.run_sweep::<SeedBySeed>(&scenarios).unwrap();
+        assert_eq!(blocks.len(), 2);
+        for (blocks, sequential) in blocks.iter().zip(&sequential) {
+            assert_same_envelopes(blocks, sequential);
+        }
+        assert_eq!(blocks[1].mean.len(), 16);
+    }
+
+    #[test]
+    fn block_width_changes_nothing_but_the_last_ulp() {
+        let ensemble = stormy_ensemble().seed_range(0..70).threads(2);
+        let runtime = BatchedRuntime::new(epidemic_protocol());
+        let scenario = ensemble.scenario.clone().unwrap();
+        let at = |width| {
+            ensemble
+                .sweep_on(&runtime, std::slice::from_ref(&scenario), width)
+                .unwrap()
+                .pop()
+                .unwrap()
+        };
+        let whole = at(70);
+        // One block folds its seeds one by one: exactly the per-seed fold.
+        assert_eq!(
+            EnsembleResult {
+                threads_used: 2,
+                ..whole.clone()
+            },
+            ensemble.run::<SeedBySeed>().unwrap()
+        );
+        // So do blocks of one seed each.
+        assert_eq!(
+            EnsembleResult {
+                threads_used: 1,
+                ..at(1)
+            },
+            whole
+        );
+        for width in [3, 64] {
+            assert_same_envelopes(&at(width), &whole);
+        }
+    }
+
+    #[test]
+    fn single_seed_ensemble_is_the_scalar_run() {
+        let ensemble = stormy_ensemble().seeds([77]);
+        let run = super::super::Simulation::of(epidemic_protocol())
+            .scenario(ensemble.scenario.clone().unwrap().with_seed(77))
+            .initial(InitialStates::counts(&[49_000, 1_000]))
+            .observe(CountsRecorder::new())
+            .run::<BatchedRuntime>()
+            .unwrap();
+        let result = ensemble.run::<BatchedRuntime>().unwrap();
+        assert_eq!(result.mean, run.counts);
+        assert_eq!(result.final_counts, [run.counts.last_state().to_vec()]);
+        assert!(result.std_dev.states().iter().flatten().all(|&s| s == 0.0));
+    }
+
+    #[test]
+    fn a_panicking_column_costs_only_its_own_seed() {
+        let ensemble = stormy_ensemble().seed_range(0..128).threads(2);
+        let scenario = ensemble.scenario.clone().unwrap();
+        let poisoned = BatchedRuntime::new(epidemic_protocol()).poisoned(17);
+        let result = ensemble
+            .sweep_on(&poisoned, std::slice::from_ref(&scenario), BLOCK_WIDTH)
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(result.failures.len(), 1);
+        assert_eq!(
+            (result.failures[0].scenario, result.failures[0].seed),
+            (0, 17)
+        );
+        assert!(result.failures[0].message.contains("injected test panic"));
+        assert_eq!(result.runs(), 127);
+        // The other 63 columns of the block were run again one by one and
+        // folded as if seed 17 had never been asked for.
+        let healthy = ensemble
+            .clone()
+            .seeds((0..128).filter(|&seed| seed != 17))
+            .run::<BatchedRuntime>()
+            .unwrap();
+        assert_eq!(result.seeds, healthy.seeds);
+        assert_eq!(result.final_counts, healthy.final_counts);
+        assert_same_envelopes(
+            &EnsembleResult {
+                failures: Vec::new(),
+                ..result
+            },
+            &healthy,
+        );
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //!   identity), [`BatchedRuntime`] advances whole state-count vectors with
 //!   binomial/multinomial draws — O(actions) arithmetic plus one draw per
 //!   distinct transition edge per period, independent of N, while still
-//!   modelling exchangeable failures —
+//!   modelling exchangeable failures; its period kernel is written over
+//!   `states × W` column blocks (one seed and one PRNG per column, column
+//!   loop innermost), so a single run is the `W = 1` case and an
+//!   [`Ensemble`] advances 64 seeds per sweep, each bit-for-bit the run of
+//!   its seed —
 //!   [`HybridRuntime`] batches while every per-state count is large and
 //!   hands off losslessly to per-process execution when any count runs
 //!   small (extinction, tie-breaking, post-failure recovery), and
@@ -33,7 +37,8 @@
 //! * **Drivers** — [`Simulation`] is the one-run builder
 //!   (`Simulation::of(protocol).scenario(s).initial(i).run::<AgentRuntime>()`)
 //!   and [`Ensemble`] fans a seed range or scenario sweep across threads and
-//!   aggregates per-period mean/std envelopes into an [`EnsembleResult`].
+//!   aggregates per-period mean/std envelopes into an [`EnsembleResult`],
+//!   merged in seed order so the result does not depend on the thread count.
 
 mod agent;
 mod aggregate;
@@ -79,8 +84,10 @@ use odekit::integrate::Trajectory;
 /// [`PeriodEvents`] observers consume. Drivers ([`Simulation`], [`Ensemble`])
 /// and tests are generic over this trait, so the same experiment runs at
 /// per-process fidelity ([`AgentRuntime`]) or count-level fidelity
-/// ([`AggregateRuntime`]) without changing driver code.
-pub trait Runtime: Sized + Send + Sync {
+/// ([`AggregateRuntime`]) without changing driver code. A runtime owns its
+/// protocol (`'static`), which is what lets [`Ensemble`] recognise
+/// [`BatchedRuntime`] and hand it whole blocks of seeds.
+pub trait Runtime: Sized + Send + Sync + 'static {
     /// The mutable per-run execution state.
     type State: Send;
 
@@ -544,13 +551,17 @@ pub(crate) fn edge_name(protocol: &Protocol, from: StateId, to: StateId) -> Stri
 /// hits a wanted target with probability `counts[target] / n`, degraded by
 /// the per-contact success rate `contact_ok`
 /// (`1 − LossConfig::effective_contact_failure(1)`, which callers hoist out
-/// of their action loops).
-pub(crate) fn fire_probability(
+/// of their action loops). `counts` is anything indexable by state: a count
+/// vector, or one column of the batched kernel's `states × W` matrix.
+pub(crate) fn fire_probability<C>(
     action: &crate::action::Action,
-    counts: &[u64],
+    counts: &C,
     n: f64,
     contact_ok: f64,
-) -> f64 {
+) -> f64
+where
+    C: std::ops::Index<usize, Output = u64> + ?Sized,
+{
     use crate::action::Action;
     match action {
         Action::Flip { prob, .. } => *prob,

@@ -96,6 +96,26 @@ impl OnlineStats {
         self.m2 += delta * (sample - self.mean);
     }
 
+    /// Folds another accumulator's samples into this one (the pairwise
+    /// update of Chan, Golub & LeVeque), as if they had been pushed here.
+    /// Merging an empty accumulator changes nothing and merging a
+    /// single-sample one is exactly a [`push`](Self::push); a longer one may
+    /// differ from pushing its samples one by one in the last ulp.
+    pub fn merge(&mut self, other: &OnlineStats) {
+        match (self.count, other.count) {
+            (_, 0) => {}
+            (0, _) => *self = *other,
+            (_, 1) => self.push(other.mean),
+            (ours, theirs) => {
+                let total = (ours + theirs) as f64;
+                let delta = other.mean - self.mean;
+                self.mean += delta * (theirs as f64 / total);
+                self.m2 += other.m2 + delta * delta * (ours as f64 * theirs as f64 / total);
+                self.count = ours + theirs;
+            }
+        }
+    }
+
     /// Number of samples folded in so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -345,6 +365,38 @@ mod tests {
         m.append_series("y".into(), Vec::new());
         assert_eq!(m.series("x").unwrap(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
         assert_eq!(m.series_names(), vec!["x", "y"]);
+    }
+
+    #[test]
+    fn online_stats_merge_equals_sequential_pushes() {
+        // Counts near 10⁶ with a spread of a few thousand — what an ensemble
+        // accumulator holds — cut into uneven parts.
+        let mut rng = crate::Rng::seed_from(9);
+        let samples: Vec<f64> = (0..1_000)
+            .map(|_| 990_000.0 + (rng.next_f64() * 20_000.0).floor())
+            .collect();
+        let mut sequential = OnlineStats::new();
+        samples.iter().for_each(|&x| sequential.push(x));
+        for parts in [1usize, 2, 3, 64, 1_000] {
+            let mut merged = OnlineStats::new();
+            for part in samples.chunks(samples.len().div_ceil(parts)) {
+                let mut acc = OnlineStats::new();
+                part.iter().for_each(|&x| acc.push(x));
+                merged.merge(&acc);
+            }
+            merged.merge(&OnlineStats::new());
+            assert_eq!(merged.count(), sequential.count());
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+            assert!(close(merged.mean(), sequential.mean()), "{parts} parts");
+            assert!(
+                close(merged.variance(), sequential.variance()),
+                "{parts} parts"
+            );
+            // One sample per part is a sequence of pushes, exactly.
+            if parts == samples.len() {
+                assert_eq!(merged, sequential);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   deterministic per seed;
 //! * the count kernel's PRNG stream is pinned by golden final counts on
 //!   every protocol without a repeated destination, and push conversions
-//!   conserve the population on every tier built on it.
+//!   conserve the population on every tier built on it;
+//! * every column of a count-batched ensemble block is the scalar run of
+//!   its seed.
 
 use dpde::prelude::*;
 use proptest::prelude::*;
@@ -962,5 +964,79 @@ fn hybrid_endemic_outbreak_conserves_the_population() {
         .unwrap();
     for (period, counts) in run.counts.iter() {
         assert_eq!(counts.iter().sum::<f64>() as u64, 20_000, "period {period}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A count-batched ensemble advances its seeds in blocks of 64 columns,
+    /// and column `r` of a block must be the run `BatchedRuntime` produces at
+    /// the `r`-th seed: every `final_counts` row equals the final counts of a
+    /// `Simulation` at that seed, for every protocol family the kernel
+    /// treats differently (plain sampling, a push action, several buckets
+    /// per state, repeated destinations), with and without a scheduled
+    /// massive failure, a crash/recovery model and an oblivious adversary —
+    /// over 70 seeds, so one full block and one partial block. A
+    /// single-seed ensemble's mean *is* that run's trajectory.
+    #[test]
+    fn ensemble_columns_are_the_scalar_runs_of_their_seeds(
+        seed_base in 0u64..1_000_000,
+        hostile in any::<bool>(),
+        family in 0usize..4,
+    ) {
+        let n = 100_000u64;
+        let (protocol, initial) = match family {
+            0 => (
+                ProtocolCompiler::new("epidemic")
+                    .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+                    .unwrap(),
+                vec![n - 100, 100],
+            ),
+            1 => (
+                figure1_endemic().figure1_protocol().unwrap(),
+                figure1_endemic().equilibrium_counts(n).to_vec(),
+            ),
+            2 => (LvParams::new().protocol().unwrap(), vec![55_000, 45_000, 0]),
+            _ => (
+                dpde::protocols::lv::multi::MultiLvParams::new(8)
+                    .unwrap()
+                    .protocol()
+                    .unwrap(),
+                (0..9).map(|i| if i < 8 { 12_000 + i } else { 3_972 }).collect(),
+            ),
+        };
+        let mut scenario = Scenario::new(n as usize, 30).unwrap();
+        if hostile {
+            scenario = scenario
+                .with_massive_failure(10, 0.5)
+                .unwrap()
+                .with_failure_model(netsim::FailureModel::new(0.01, 0.04).unwrap())
+                .with_adversary(ObliviousSchedule::new().crash_uniform_at(20, 0.25).unwrap());
+        }
+        let ensemble = Ensemble::of(protocol.clone())
+            .scenario(scenario.clone())
+            .initial(InitialStates::counts(&initial))
+            .seed_range(seed_base..seed_base + 70);
+        let result = ensemble.run::<BatchedRuntime>().unwrap();
+        prop_assert_eq!(result.runs(), 70);
+        prop_assert!(result.failures.is_empty());
+        let scalar = |seed: u64| {
+            Simulation::of(protocol.clone())
+                .scenario(scenario.clone().with_seed(seed))
+                .initial(InitialStates::counts(&initial))
+                .observe(CountsRecorder::new())
+                .run::<BatchedRuntime>()
+                .unwrap()
+        };
+        for (&seed, row) in result.seeds.iter().zip(&result.final_counts) {
+            let run = scalar(seed);
+            prop_assert_eq!(row.as_slice(), run.counts.last_state(), "seed {}", seed);
+        }
+        for (_, mean) in result.mean.iter() {
+            prop_assert!((mean.iter().sum::<f64>() - n as f64).abs() < 1e-6);
+        }
+        let alone = ensemble.seeds([seed_base + 69]).run::<BatchedRuntime>().unwrap();
+        prop_assert_eq!(alone.mean, scalar(seed_base + 69).counts);
     }
 }
