@@ -425,27 +425,32 @@ impl AgentRuntime {
             "handoff counts must cover the whole group"
         );
         // Uniform random joint assignment of (state, liveness) labels to ids
-        // (exchangeability).
-        let mut labels: Vec<(usize, bool)> = Vec::with_capacity(n);
+        // (exchangeability). A label is `state << 1 | crashed`, packed into
+        // the one `u32` per process that `Membership` keeps (it stores states
+        // as `u32` already; the packing spends one of those bits). The
+        // shuffle's index draws do not depend on the element type, and the
+        // crashed bit is peeled off into the group and shifted out in the
+        // same pass.
+        let mut assignment: Vec<u32> = Vec::with_capacity(n);
         for (state, (&alive, &crashed)) in counts_alive.iter().zip(counts_crashed).enumerate() {
-            labels.extend(std::iter::repeat((state, false)).take(alive as usize));
-            labels.extend(std::iter::repeat((state, true)).take(crashed as usize));
+            let label = (state as u32) << 1;
+            assignment.extend(std::iter::repeat(label).take(alive as usize));
+            assignment.extend(std::iter::repeat(label | 1).take(crashed as usize));
         }
-        rng.shuffle(&mut labels);
+        rng.shuffle(&mut assignment);
         let mut group = Group::new(n);
-        let mut assignment: Vec<usize> = Vec::with_capacity(n);
-        for (p, &(state, crashed)) in labels.iter().enumerate() {
-            assignment.push(state);
-            if crashed {
+        for (p, label) in assignment.iter_mut().enumerate() {
+            if *label & 1 == 1 {
                 let changed = group.crash(ProcessId(p)).expect("id in range");
                 debug_assert!(changed);
             }
+            *label >>= 1;
         }
         let flip_skips = self.seed_flip_skips(&mut rng);
         AgentState {
             members: Membership::new(
                 num_states,
-                &assignment,
+                assignment,
                 &group,
                 self.compiled.needs_member_lists,
             ),
@@ -635,9 +640,9 @@ impl Runtime for AgentRuntime {
 
         // Assign initial states: counts_spec[i] processes in state i, shuffled
         // so state assignment is independent of process id.
-        let mut assignment: Vec<usize> = Vec::with_capacity(n);
+        let mut assignment: Vec<u32> = Vec::with_capacity(n);
         for (state, count) in counts_spec.iter().enumerate() {
-            assignment.extend(std::iter::repeat(state).take(*count as usize));
+            assignment.extend(std::iter::repeat(state as u32).take(*count as usize));
         }
         rng.shuffle(&mut assignment);
 
@@ -649,7 +654,7 @@ impl Runtime for AgentRuntime {
             flip_skips,
             members: Membership::new(
                 num_states,
-                &assignment,
+                assignment,
                 &group,
                 self.compiled.needs_member_lists,
             ),
@@ -1007,23 +1012,23 @@ struct MemberLists {
 }
 
 impl Membership {
-    fn new(num_states: usize, assignment: &[usize], group: &Group, with_lists: bool) -> Self {
-        let mut state = Vec::with_capacity(assignment.len());
+    /// Takes the per-process state vector it keeps: construction allocates
+    /// one `u32` per process and nothing wider.
+    fn new(num_states: usize, state: Vec<u32>, group: &Group, with_lists: bool) -> Self {
         let mut counts = vec![0u64; num_states];
         let mut counts_alive = vec![0u64; num_states];
-        for (p, &s) in assignment.iter().enumerate() {
-            state.push(s as u32);
-            counts[s] += 1;
+        for (p, &s) in state.iter().enumerate() {
+            counts[s as usize] += 1;
             if group.is_alive_unchecked(p) {
-                counts_alive[s] += 1;
+                counts_alive[s as usize] += 1;
             }
         }
         let lists = with_lists.then(|| {
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); num_states];
-            let mut position = Vec::with_capacity(assignment.len());
-            for (p, &s) in assignment.iter().enumerate() {
-                position.push(members[s].len() as u32);
-                members[s].push(p as u32);
+            let mut position = Vec::with_capacity(state.len());
+            for (p, &s) in state.iter().enumerate() {
+                position.push(members[s as usize].len() as u32);
+                members[s as usize].push(p as u32);
             }
             MemberLists { position, members }
         });
@@ -1340,6 +1345,46 @@ mod tests {
     }
 
     #[test]
+    fn handoff_stream_is_pinned() {
+        // Recorded before PR 24 packed the labels into the kept `Vec<u32>`
+        // and unmodified by it: the handoff's permutation, the crashed set it
+        // implies, the flip counters seeded after it and the first draw a
+        // later period would see. A failure means the construction changed
+        // the stream, not just its memory — a bug unless an issue says the
+        // handoff stream moves.
+        let sys = EquationSystemBuilder::new()
+            .vars(["x", "y", "z"])
+            .term("x", -2.0, &[("x", 1), ("y", 1)])
+            .term("x", 0.01, &[("z", 1)])
+            .term("y", 2.0, &[("x", 1), ("y", 1)])
+            .term("y", -0.1, &[("y", 1)])
+            .term("z", 0.1, &[("y", 1)])
+            .term("z", -0.01, &[("z", 1)])
+            .build()
+            .unwrap();
+        let runtime = AgentRuntime::new(ProtocolCompiler::new("endemic").compile(&sys).unwrap());
+        let scenario = Scenario::new(48, 1).unwrap();
+        let state =
+            runtime.state_from_counts(&scenario, &[20, 15, 5], &[4, 0, 4], 3, Rng::seed_from(24));
+        assert_eq!(state.members.counts(), &[24, 15, 9]);
+        assert_eq!(state.members.counts_alive(), &[20, 15, 5]);
+        let first_32: Vec<usize> = (0..32).map(|p| state.members.state_of(p)).collect();
+        assert_eq!(
+            first_32,
+            [
+                0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 0, 0, 2, 1, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 1, 1, 2, 0,
+                1, 1, 1, 0
+            ]
+        );
+        let crashed: Vec<usize> = (0..48)
+            .filter(|&p| !state.group.is_alive_unchecked(p))
+            .collect();
+        assert_eq!(crashed, [5, 7, 10, 18, 23, 26, 36, 44]);
+        assert_eq!(state.flip_skips, [0, 24, 164]);
+        assert_eq!(state.rng.clone().next_u64(), 3_485_779_260_461_829_856);
+    }
+
+    #[test]
     fn member_tracking_records_state_membership() {
         let protocol = epidemic_protocol();
         let y = protocol.require_state("y").unwrap();
@@ -1363,7 +1408,7 @@ mod tests {
     #[test]
     fn membership_bookkeeping_is_consistent() {
         let group = Group::new(5);
-        let mut m = Membership::new(3, &[0, 0, 1, 2, 1], &group, true);
+        let mut m = Membership::new(3, vec![0, 0, 1, 2, 1], &group, true);
         assert_eq!(m.counts(), &[2, 2, 1]);
         assert_eq!(m.counts_alive(), &[2, 2, 1]);
         assert_eq!(m.state_of(3), 2);
@@ -1404,7 +1449,12 @@ mod tests {
                 group.crash(ProcessId(p)).unwrap();
             }
         }
-        let m = Membership::new(1, &assignment, &group, true);
+        let m = Membership::new(
+            1,
+            assignment.iter().map(|&s| s as u32).collect(),
+            &group,
+            true,
+        );
         let mut rng = Rng::seed_from(99);
         let mut hits = std::collections::HashMap::new();
         let draws = 4_000;

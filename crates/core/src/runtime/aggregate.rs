@@ -309,6 +309,11 @@ impl Runtime for AggregateRuntime {
             let new = *c as i64 + d;
             *c = new.max(0) as u64;
         }
+        debug_assert_eq!(
+            state.counts.iter().sum::<u64>(),
+            state.alive_n,
+            "an aggregate period must conserve the population"
+        );
 
         super::render_sparse_transitions(
             &state.transitions_dense,

@@ -774,6 +774,11 @@ impl Runtime for ShardedRuntime {
         }
         state.period += 1;
         state.refresh_aggregates();
+        debug_assert_eq!(
+            state.counts.iter().sum::<u64>(),
+            state.scenario.group_size() as u64,
+            "a sharded period (exchange, failures and every shard kernel) must conserve the population"
+        );
         Ok(self.events(state))
     }
 

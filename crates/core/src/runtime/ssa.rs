@@ -75,7 +75,7 @@ use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::{LossConfig, Scenario};
+use netsim::Scenario;
 
 /// Executes a protocol as an exact continuous-time jump process (Gillespie's
 /// stochastic simulation algorithm in next-reaction form) — every reaction
@@ -145,18 +145,25 @@ pub(super) struct Channel {
     /// State a firing increments.
     pub(super) to: usize,
     action: Action,
+    /// `hazard(prob)` of a `Flip` channel — a compile-time constant, so its
+    /// `ln` is taken once at [`build_channels`], not per event. Zero (and
+    /// unread) for every other action.
+    flip_hazard: f64,
 }
 
 impl Channel {
     /// The channel's propensity (events per second of virtual time) against
     /// the current alive counts `x` over a maximal group of `n` processes.
-    pub(super) fn propensity(&self, x: &[u64], n: f64, loss: &LossConfig, period_secs: f64) -> f64 {
+    /// `contact_ok` is the per-contact success rate
+    /// (`1 − LossConfig::effective_contact_failure(1)`), which both
+    /// continuous runtimes hoist to once per period.
+    pub(super) fn propensity(&self, x: &[u64], n: f64, contact_ok: f64, period_secs: f64) -> f64 {
         let k = x[self.state] as f64;
         if k == 0.0 {
             return 0.0;
         }
-        let contact_ok = 1.0 - loss.effective_contact_failure(1);
         match &self.action {
+            Action::Flip { .. } => k * self.flip_hazard / period_secs,
             Action::PushSample {
                 target_state,
                 samples,
@@ -204,11 +211,16 @@ pub(super) fn build_channels(protocol: &Protocol) -> Vec<Channel> {
                     token_state, to, ..
                 } => (token_state.index(), to.index()),
             };
+            let flip_hazard = match action {
+                Action::Flip { prob, .. } => hazard(*prob),
+                _ => 0.0,
+            };
             channels.push(Channel {
                 state: s,
                 from,
                 to,
                 action: action.clone(),
+                flip_hazard,
             });
         }
     }
@@ -224,9 +236,8 @@ pub(super) fn expected_messages(
     protocol: &Protocol,
     counts_alive: &[u64],
     n: f64,
-    loss: &LossConfig,
+    contact_ok: f64,
 ) -> f64 {
-    let contact_ok = 1.0 - loss.effective_contact_failure(1);
     let mut messages = 0.0f64;
     for (s, &k_s) in counts_alive.iter().enumerate() {
         if k_s == 0 {
@@ -376,15 +387,15 @@ impl Runtime for SsaRuntime {
         state.x.clear();
         state.x.extend_from_slice(state.inner.alive_counts());
         let n_f = state.inner.density_n();
-        let loss = *state.inner.scenario().loss();
+        let contact_ok = 1.0 - state.inner.scenario().loss().effective_contact_failure(1);
         let period_secs = state.inner.scenario().clock().period_secs();
-        let messages_f = expected_messages(self.protocol(), &state.x, n_f, &loss);
+        let messages_f = expected_messages(self.protocol(), &state.x, n_f, contact_ok);
 
         let mut t = 0.0f64;
         loop {
             let mut total = 0.0;
             for c in 0..state.channels.len() {
-                let a = state.channels[c].propensity(&state.x, n_f, &loss, period_secs);
+                let a = state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
                 state.propensities[c] = a;
                 total += a;
             }
@@ -425,6 +436,11 @@ impl Runtime for SsaRuntime {
 
         // 3. Commit boundary counts back into the shared state.
         state.inner.rebase_alive(&state.x);
+        debug_assert_eq!(
+            state.inner.total_counts().iter().sum::<u64>(),
+            state.inner.scenario().group_size() as u64,
+            "an SSA period must conserve the population"
+        );
         let next = state.inner.period() + 1;
         state.inner.set_period(next);
         super::render_sparse_transitions(

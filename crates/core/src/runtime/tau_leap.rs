@@ -189,10 +189,15 @@ impl TauLeapRuntime {
     /// virtual time `t`, returning the new time (capped at the period
     /// boundary `period_secs`). Propensities in `state.propensities` are
     /// current on entry and are refreshed after every applied event.
-    fn exact_burst(&self, state: &mut TauLeapState, mut t: f64, period_secs: f64) -> f64 {
+    fn exact_burst(
+        &self,
+        state: &mut TauLeapState,
+        mut t: f64,
+        period_secs: f64,
+        contact_ok: f64,
+    ) -> f64 {
         let num_states = self.protocol().num_states();
         let n_f = state.inner.density_n();
-        let loss = *state.inner.scenario().loss();
         for _ in 0..EXACT_BURST_STEPS {
             let total: f64 = state.propensities.iter().sum();
             if total <= 0.0 {
@@ -220,7 +225,7 @@ impl TauLeapRuntime {
             state.exact_steps += 1;
             for c in 0..state.channels.len() {
                 state.propensities[c] =
-                    state.channels[c].propensity(&state.x, n_f, &loss, period_secs);
+                    state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
             }
         }
         t
@@ -295,15 +300,15 @@ impl Runtime for TauLeapRuntime {
         state.x.clear();
         state.x.extend_from_slice(state.inner.alive_counts());
         let n_f = state.inner.density_n();
-        let loss = *state.inner.scenario().loss();
+        let contact_ok = 1.0 - state.inner.scenario().loss().effective_contact_failure(1);
         let period_secs = state.inner.scenario().clock().period_secs();
-        let messages_f = expected_messages(self.protocol(), &state.x, n_f, &loss);
+        let messages_f = expected_messages(self.protocol(), &state.x, n_f, contact_ok);
 
         let mut t = 0.0f64;
         while t < period_secs {
             let mut total = 0.0;
             for c in 0..state.channels.len() {
-                let a = state.channels[c].propensity(&state.x, n_f, &loss, period_secs);
+                let a = state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
                 state.propensities[c] = a;
                 total += a;
             }
@@ -319,7 +324,7 @@ impl Runtime for TauLeapRuntime {
                 .zip(&state.propensities)
                 .any(|(ch, &a)| a > 0.0 && state.x[ch.from] < SMALL_COUNT_THRESHOLD);
             if small {
-                t = self.exact_burst(state, t, period_secs);
+                t = self.exact_burst(state, t, period_secs, contact_ok);
                 continue;
             }
 
@@ -350,7 +355,7 @@ impl Runtime for TauLeapRuntime {
             // Unprofitable leap: a handful of exact events is cheaper and
             // exact.
             if tau * total < MIN_EVENTS_PER_LEAP && tau < period_secs - t {
-                t = self.exact_burst(state, t, period_secs);
+                t = self.exact_burst(state, t, period_secs, contact_ok);
                 continue;
             }
 
@@ -376,6 +381,11 @@ impl Runtime for TauLeapRuntime {
 
         // 3. Commit boundary counts back into the shared state.
         state.inner.rebase_alive(&state.x);
+        debug_assert_eq!(
+            state.inner.total_counts().iter().sum::<u64>(),
+            state.inner.scenario().group_size() as u64,
+            "a tau-leap period must conserve the population"
+        );
         let next = state.inner.period() + 1;
         state.inner.set_period(next);
         super::render_sparse_transitions(

@@ -848,14 +848,23 @@ fn figure1_endemic() -> EndemicParams {
     EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap()
 }
 
-/// Golden final counts, recorded before the batched kernel merged
+/// Golden final counts, first recorded before the batched kernel merged
 /// same-destination actions into one multinomial bucket. None of these
 /// protocols repeats a destination within a state, so the merged kernel must
 /// consume the PRNG stream draw for draw as the per-action kernel did — on
 /// its own, as the hybrid runtime's middle phase (each hybrid run below
 /// spends 9, 145 and 243 periods at count level between handoffs) and as
-/// every shard of a sharded run. A pin that moves means the stream moved
-/// where it must not.
+/// every shard of a sharded run.
+///
+/// Seven of the nine vectors were re-recorded in PR 24, which replaced the
+/// Box–Muller body of `Rng::standard_normal` with a ziggurat: the three
+/// batched and three sharded runs and the N = 20 000 hybrid epidemic all take
+/// normal-regime binomial (and, sharded, hypergeometric) draws, whose stream
+/// that PR moved once, on purpose (`netsim::stochastic`'s stream contract).
+/// The hybrid endemic (N = 1 500) and hybrid LV (N = 2 000) vectors never
+/// leave the exact regimes and kept their literals. The kernels' draw
+/// *order* was not touched. A pin that moves again means the stream moved
+/// where it must not — a bug, unless an issue says which regime moves.
 #[test]
 fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
     let epidemic = ProtocolCompiler::new("epidemic")
@@ -873,11 +882,11 @@ fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
 
     assert_eq!(
         final_counts::<BatchedRuntime>(&epidemic, plain(1_000_000, 12, 11), &[999_000, 1_000]),
-        [15_819, 984_181]
+        [14_676, 985_324]
     );
     assert_eq!(
         final_counts::<HybridRuntime>(&epidemic, plain(20_000, 14, 12), &[19_999, 1]),
-        [1_157, 18_843]
+        [1_181, 18_819]
     );
     assert_eq!(
         final_counts::<ShardedRuntime>(
@@ -885,12 +894,12 @@ fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
             sharded(Placement::Blocks, 12, 13),
             &[999_000, 1_000]
         ),
-        [149_445, 850_555]
+        [169_325, 830_675]
     );
 
     assert_eq!(
         final_counts::<BatchedRuntime>(&endemic, plain(1_000_000, 200, 21), &endemic_eq),
-        [26_642, 88_372, 884_986]
+        [26_796, 88_620, 884_584]
     );
     assert_eq!(
         final_counts::<HybridRuntime>(
@@ -902,12 +911,12 @@ fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
     );
     assert_eq!(
         final_counts::<ShardedRuntime>(&endemic, sharded(Placement::Uniform, 200, 23), &endemic_eq),
-        [26_953, 88_362, 884_685]
+        [27_364, 88_321, 884_315]
     );
 
     assert_eq!(
         final_counts::<BatchedRuntime>(&lv, plain(1_000_000, 300, 31), &[550_000, 450_000, 0]),
-        [884_645, 20_525, 94_830]
+        [888_562, 19_648, 91_790]
     );
     assert_eq!(
         final_counts::<HybridRuntime>(&lv, plain(2_000, 300, 32), &[1_200, 800, 0]),
@@ -919,7 +928,7 @@ fn batched_kernel_stream_is_pinned_where_no_destination_repeats() {
             sharded(Placement::Blocks, 300, 33),
             &[550_000, 450_000, 0]
         ),
-        [857_081, 27_403, 115_516]
+        [861_784, 26_174, 112_042]
     );
 }
 
