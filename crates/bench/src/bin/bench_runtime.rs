@@ -35,11 +35,11 @@
 //! Both workloads also run on the sharded runtime (S ∈ {1, 8, 64} at
 //! N = 10⁶–10⁷) so the per-shard overhead has a tracked trajectory. A note
 //! on the sharded gates: a count-batched period costs O(actions + edges)
-//! *independent of N* — microseconds at N = 10⁷ — so S shards cost roughly
-//! S × that, and no sharded configuration can beat single-group batched
-//! wall-clock (let alone on this repo's single-core CI runner, where worker
-//! threads cannot overlap). The enforceable form of "sharding must not cost
-//! the count-level win" is what we gate: the delegating S = 1 path stays
+//! per column *independent of N* — microseconds at N = 10⁷ — and the S
+//! shards are S columns of one block, so they cost roughly S × that; no
+//! sharded configuration can beat single-group batched wall-clock. The
+//! enforceable form of "sharding must not cost the count-level win" is what
+//! we gate: S = 1 (a width-1 block, bit-for-bit the batched run) stays
 //! within a small factor of batched, S = 8 stays within a linear-in-S
 //! envelope of batched (catching any accidental O(N) term in the exchange),
 //! and sharded throughput never regresses past the agent baseline.
@@ -84,8 +84,8 @@ const PERIODS: u64 = 30;
 /// shards stay meaningfully local, high enough that the exchange path (the
 /// code being timed) does real work every period.
 const SHARD_MIGRATION: f64 = 0.01;
-/// Shard counts tracked in the sweep; "s1" exercises the bit-for-bit
-/// delegation path, the others the exchange + per-shard stepping path.
+/// Shard counts tracked in the sweep; "s1" is a width-1 block, bit-for-bit
+/// the batched run, the others add the exchange to a block of S columns.
 const SHARD_SWEEP: [(usize, &str); 3] = [(1, "sharded_s1"), (8, "sharded_s8"), (64, "sharded_s64")];
 
 fn epidemic() -> Protocol {
@@ -303,9 +303,9 @@ fn main() {
     }
 
     // Sharded rows: the epidemic workload at N = 10⁶ and 10⁷ for S ∈ {1, 8,
-    // 64}. S = 1 takes the delegation path (bit-for-bit batched); S > 1 pays
-    // the multivariate-hypergeometric exchange plus one batched step per
-    // shard.
+    // 64}. S = 1 is a width-1 block (bit-for-bit batched); S > 1 pays the
+    // multivariate-hypergeometric exchange plus one kernel call over the
+    // S-column block.
     let mut sharded_ns = vec![largest_common, count_level_extra];
     sharded_ns.dedup();
     for &n in &sharded_ns {
@@ -524,15 +524,15 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Perf gate 4: the S = 1 delegation path must stay within a small factor
-    // of plain batched (it *is* a batched run plus aggregation copies). The
+    // Perf gate 4: S = 1 must stay within a small factor of plain batched
+    // (it *is* the batched run, as a width-1 block, plus aggregation). The
     // absolute floor absorbs timer noise at microsecond magnitudes.
     if let Some(s1) = sharded_s1 {
         let bound = (10.0 * batched_at_sharded).max(0.002);
         if s1 > bound {
             eprintln!(
                 "error: sharded S=1 took {s1:.6}s at N = {sharded_largest}, past its \
-                 delegation bound of {bound:.6}s (batched: {batched_at_sharded:.6}s)"
+                 bound of {bound:.6}s (batched: {batched_at_sharded:.6}s)"
             );
             std::process::exit(1);
         }

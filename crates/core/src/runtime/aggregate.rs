@@ -335,19 +335,10 @@ impl Runtime for AggregateRuntime {
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::AgentRuntime;
     use netsim::Scenario;
     use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     // Endemic system with β=2, γ=0.1, α=0.01: a comfortable equilibrium
     // (y* ≈ 8.6 % of the group) far from the stochastic-extinction regime.

@@ -1282,20 +1282,9 @@ impl Runtime for AsyncRuntime {
 mod tests {
     use super::super::{AgentRuntime, BatchedRuntime, CountsRecorder};
     use super::*;
-    use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use netsim::transport::{LatencyModel, LinkModel};
     use netsim::Topology;
-    use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     #[test]
     fn epidemic_saturates_on_the_default_reliable_transport() {

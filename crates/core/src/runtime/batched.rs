@@ -73,16 +73,21 @@ use netsim::{FailureEvent, Rng, Scenario};
 /// `edges × W` matrices whose column `r` belongs to run `r`, with one PRNG
 /// per column, and the loops go state → action → column. A single run
 /// ([`step`](Runtime::step)) is the `W = 1` instance — its matrices *are* the
-/// state's count vectors — and [`Ensemble`](super::Ensemble) advances blocks
-/// of 64 seeds of one scenario through the same code, sharing the protocol,
-/// the compiled edge plan and everything that is constant per action.
+/// state's count vectors. A block's columns are either the seeds of one
+/// scenario ([`Ensemble`](super::Ensemble) advances 64 at a time) or the
+/// shards of one population ([`ShardedRuntime`](super::ShardedRuntime)
+/// advances all `S` at once); either way they share the protocol, the
+/// compiled edge plan and everything that is constant per action. The
+/// density denominator is per column — a shard's population changes at
+/// every exchange — but it is a type parameter of the kernel, so seeds and
+/// single runs, which share one, compile to a scalar.
 /// Putting the column loop innermost reorders draws only *between* columns,
 /// which share nothing; within a column the order is still state by state,
 /// action by action, multinomial last, so column `r` consumes its stream
-/// draw for draw as a run on its own at that seed would and ends every
-/// period with the same counts. Scheduled failures, the crash/recovery
-/// model and adversary injections are applied by the single-run hooks, one
-/// column at a time, and only on the periods that carry an event.
+/// draw for draw as a run on its own would and ends every period with the
+/// same counts. Scheduled failures, the crash/recovery model and adversary
+/// injections are applied by the single-run hooks, one column at a time,
+/// and only on the periods that carry an event.
 ///
 /// # Environment support
 ///
@@ -328,16 +333,97 @@ impl std::ops::Index<usize> for Column<'_> {
     }
 }
 
-/// `W` runs of one scenario that differ only in their seed, advanced
-/// together by [`BatchedRuntime::step_block`] — what [`Ensemble`](super::Ensemble)
-/// folds instead of `W` separate [`BatchedState`]s. Column `r` is, count for
-/// count and draw for draw, the run [`BatchedRuntime`] produces at the
-/// `r`-th seed.
-#[derive(Debug)]
+/// The density denominator of columns that share one population size: a
+/// single run, or the seeds of one scenario. Indexing it by column returns
+/// the one value, so [`BatchedRuntime::advance`] instantiated over it keeps
+/// the denominator in a register; shards index a per-column slice instead.
+struct Shared(f64);
+
+impl std::ops::Index<usize> for Shared {
+    type Output = f64;
+
+    #[inline(always)]
+    fn index(&self, _column: usize) -> &f64 {
+        &self.0
+    }
+}
+
+/// One run's counts seen through row-major `states × width` matrices: a
+/// [`BatchedState`]'s own vectors at width 1, or column `r` of a
+/// [`ColumnBlock`]. Crashes, recoveries and rebases are written once, here,
+/// for both.
+pub(super) struct ColumnMut<'a> {
+    counts: &'a mut [u64],
+    counts_alive: &'a mut [u64],
+    counts_crashed: &'a mut [u64],
+    alive_n: &'a mut u64,
+    width: usize,
+    r: usize,
+}
+
+impl ColumnMut<'_> {
+    /// Moves `hits[s]` processes of each state `s` from alive to crashed.
+    /// State totals and the density denominator are unchanged: crashed
+    /// processes remember their state.
+    pub(super) fn crash(&mut self, hits: &[u64]) {
+        for (s, &hit) in hits.iter().enumerate() {
+            let cell = s * self.width + self.r;
+            debug_assert!(hit <= self.counts_alive[cell]);
+            self.counts_alive[cell] -= hit;
+            self.counts_crashed[cell] += hit;
+        }
+        *self.alive_n -= hits.iter().sum::<u64>();
+    }
+
+    /// Moves `hits[s]` processes of each state `s` from crashed back to
+    /// alive: into their remembered state, or all into `rejoin`.
+    pub(super) fn recover(&mut self, hits: &[u64], rejoin: Option<StateId>) {
+        for (s, &hit) in hits.iter().enumerate() {
+            let cell = s * self.width + self.r;
+            debug_assert!(hit <= self.counts_crashed[cell]);
+            self.counts_crashed[cell] -= hit;
+            match rejoin {
+                // Rejoiners are reset: they change state, so the totals
+                // move too.
+                Some(to) => {
+                    let to = to.index() * self.width + self.r;
+                    self.counts_alive[to] += hit;
+                    self.counts[cell] -= hit;
+                    self.counts[to] += hit;
+                }
+                None => self.counts_alive[cell] += hit,
+            }
+        }
+        *self.alive_n += hits.iter().sum::<u64>();
+    }
+
+    /// Replaces the alive counts (crashed counts are untouched), refreshes
+    /// the totals and returns the population, alive and crashed — the
+    /// density denominator of a group whose size just changed.
+    pub(super) fn rebase(&mut self, counts_alive: &[u64]) -> u64 {
+        let mut population = 0;
+        for (s, &alive) in counts_alive.iter().enumerate() {
+            let cell = s * self.width + self.r;
+            self.counts_alive[cell] = alive;
+            self.counts[cell] = alive + self.counts_crashed[cell];
+            population += self.counts[cell];
+        }
+        *self.alive_n = counts_alive.iter().sum();
+        population
+    }
+}
+
+/// `W` runs advanced together by [`BatchedRuntime::step_columns`]: the seeds
+/// of one scenario, which [`Ensemble`](super::Ensemble) folds instead of `W`
+/// separate [`BatchedState`]s (column `r` is, count for count and draw for
+/// draw, the run [`BatchedRuntime`] produces at the `r`-th seed), or the
+/// shards of one [`ShardedRuntime`](super::ShardedRuntime) population.
+#[derive(Debug, Clone)]
 pub(super) struct ColumnBlock {
     /// The width-1 state the boundary hooks run on, one column at a time
     /// (failures, recoveries and injections exist once, for single runs);
-    /// also the block's scenario, period counter and density denominator.
+    /// also the block's scenario, period counter and, for seeds, their
+    /// shared density denominator.
     lane: BatchedState,
     rngs: Vec<Rng>,
     /// Per column: its adversary's strategy and decision stream.
@@ -369,6 +455,44 @@ impl ColumnBlock {
             &self.counts_alive
         } else {
             &self.counts
+        }
+    }
+
+    /// The row-major `states × width` matrix of crashed processes.
+    pub(super) fn crashed_counts(&self) -> &[u64] {
+        &self.counts_crashed
+    }
+
+    /// The row-major `edges × width` matrix of the last period's transition
+    /// tallies, edges in [`BatchedRuntime::render_transitions`] order.
+    pub(super) fn tallies(&self) -> &[u64] {
+        &self.tallies
+    }
+
+    /// Per column: the expected messages of the last period.
+    pub(super) fn messages(&self) -> &[f64] {
+        &self.messages
+    }
+
+    /// The next period to execute.
+    pub(super) fn period(&self) -> u64 {
+        self.lane.period
+    }
+
+    /// The injections column `r`'s own adversary applied in the last period.
+    pub(super) fn injection_records(&self, r: usize) -> &[InjectionRecord] {
+        inject::records_of(&self.injectors[r])
+    }
+
+    /// Column `r`'s counts, for the crash, recovery and rebase arithmetic.
+    pub(super) fn column(&mut self, r: usize) -> ColumnMut<'_> {
+        ColumnMut {
+            counts: &mut self.counts,
+            counts_alive: &mut self.counts_alive,
+            counts_crashed: &mut self.counts_crashed,
+            alive_n: &mut self.alive_n[r],
+            width: self.rngs.len(),
+            r,
         }
     }
 
@@ -441,83 +565,41 @@ impl BatchedState {
         self.alive_n
     }
 
-    /// The sparse transition tallies of the last executed period.
-    pub(super) fn last_transitions(&self) -> &[(StateId, StateId, u64)] {
-        &self.transitions
+    /// The run's count vectors as the width-1 column the crash, recovery and
+    /// rebase arithmetic works on, with the victim scratch split off beside
+    /// it.
+    fn split_column(&mut self) -> (ColumnMut<'_>, &[u64]) {
+        let column = ColumnMut {
+            counts: &mut self.counts,
+            counts_alive: &mut self.counts_alive,
+            counts_crashed: &mut self.counts_crashed,
+            alive_n: &mut self.alive_n,
+            width: 1,
+            r: 0,
+        };
+        (column, &self.hits)
     }
 
-    /// The message tally of the last executed period.
-    pub(super) fn last_messages(&self) -> u64 {
-        self.messages
+    /// Crashes `k` uniformly random alive processes: the per-state victims
+    /// are one multivariate hypergeometric draw from the run's PRNG.
+    fn crash_uniform(&mut self, k: u64) {
+        debug_assert!(k <= self.alive_n, "cannot crash more than are alive");
+        self.rng
+            .multivariate_hypergeometric_into(&self.counts_alive, k, &mut self.hits);
+        let (mut column, hits) = self.split_column();
+        column.crash(hits);
     }
 
     /// Replaces the per-state alive counts (crashed counts are untouched) and
     /// refreshes the derived totals — including the density denominator
     /// `n_f`, which tracks the *current* population so firing probabilities
-    /// keep meaning "sample a uniform member of this group".
-    ///
-    /// This is the sharded runtime's migration hook: after an inter-shard
-    /// exchange the shard's population differs from the group size its
-    /// scenario was built with, and this method is the only place allowed to
-    /// break that equality. Scratch buffers are untouched (their sizes
+    /// keep meaning "sample a uniform member of this group". The
+    /// continuous-time runtimes write their event-clock counts back through
+    /// it at every boundary. Scratch buffers are untouched (their sizes
     /// depend only on the protocol).
     pub(super) fn rebase_alive(&mut self, counts_alive: &[u64]) {
         debug_assert_eq!(counts_alive.len(), self.counts_alive.len());
-        self.counts_alive.copy_from_slice(counts_alive);
-        for ((count, alive), crashed) in self
-            .counts
-            .iter_mut()
-            .zip(&self.counts_alive)
-            .zip(&self.counts_crashed)
-        {
-            *count = alive + crashed;
-        }
-        self.alive_n = self.counts_alive.iter().sum();
-        self.n_f = self.counts.iter().sum::<u64>() as f64;
-    }
-
-    /// Moves `hits[s]` processes of each state `s` from alive to crashed —
-    /// the sharded runtime's hook for externally drawn massive failures
-    /// (state totals and the density denominator are unchanged: crashed
-    /// processes remember their state).
-    pub(super) fn crash_counts(&mut self, hits: &[u64]) {
-        debug_assert_eq!(hits.len(), self.counts_alive.len());
-        for ((alive, crashed), &hit) in self
-            .counts_alive
-            .iter_mut()
-            .zip(self.counts_crashed.iter_mut())
-            .zip(hits)
-        {
-            debug_assert!(hit <= *alive, "cannot crash more than are alive");
-            *alive -= hit;
-            *crashed += hit;
-        }
-        self.alive_n -= hits.iter().sum::<u64>();
-    }
-
-    /// Moves `hits[s]` processes of each state `s` from crashed back to
-    /// alive (remembered-state recovery) — the sharded runtime's hook for
-    /// externally drawn recovery injections. `rejoin` optionally resets
-    /// recovering processes into one state instead.
-    pub(super) fn recover_counts(&mut self, hits: &[u64], rejoin: Option<StateId>) {
-        debug_assert_eq!(hits.len(), self.counts_crashed.len());
-        for (s, &hit) in hits.iter().enumerate() {
-            if hit == 0 {
-                continue;
-            }
-            debug_assert!(hit <= self.counts_crashed[s]);
-            self.counts_crashed[s] -= hit;
-            match rejoin {
-                Some(r) => {
-                    let r = r.index();
-                    self.counts_alive[r] += hit;
-                    self.counts[s] -= hit;
-                    self.counts[r] += hit;
-                }
-                None => self.counts_alive[s] += hit,
-            }
-        }
-        self.alive_n += hits.iter().sum::<u64>();
+        self.n_f = self.split_column().0.rebase(counts_alive) as f64;
     }
 
     /// Detaches the adversary injection point (hybrid handoff: the strategy
@@ -526,15 +608,13 @@ impl BatchedState {
         self.injector.take()
     }
 
-    /// Re-attaches an adversary injection point after a handoff (or detaches
-    /// it with `None` — the sharded runtime drives injections from its
-    /// master state, not per shard).
+    /// Re-attaches an adversary injection point after a handoff.
     pub(super) fn set_injector(&mut self, injector: Option<InjectionPoint>) {
         self.injector = injector;
     }
 
-    /// The injections applied in the most recent period (the sharded
-    /// runtime's delegate mode surfaces its single shard's records).
+    /// The injections applied in the most recent period (the continuous-time
+    /// runtimes surface them from the state their boundary hooks run on).
     pub(super) fn injection_records(&self) -> &[InjectionRecord] {
         inject::records_of(&self.injector)
     }
@@ -703,73 +783,47 @@ impl BatchedRuntime {
         // Scheduled massive failures: hypergeometric split across states.
         // The schedule is walked only on a period it names.
         let scheduled = if state.schedule_due() {
-            state.scenario.failure_schedule().events()
+            state.scenario.failure_schedule().events().len()
         } else {
-            &[]
+            0
         };
-        for (p, event) in scheduled {
+        for i in 0..scheduled {
+            let (p, event) = &state.scenario.failure_schedule().events()[i];
             if *p != period {
                 continue;
             }
-            match event {
+            match *event {
                 FailureEvent::MassiveFailure { fraction } => {
-                    if !(0.0..=1.0).contains(fraction) {
+                    if !(0.0..=1.0).contains(&fraction) {
                         return Err(CoreError::InvalidProbability {
                             context: "massive failure fraction".into(),
-                            value: *fraction,
+                            value: fraction,
                         });
                     }
-                    let k = (fraction * state.alive_n as f64).floor() as u64;
-                    crash_hypergeometric(
-                        &mut state.rng,
-                        &mut state.counts_alive,
-                        &mut state.counts_crashed,
-                        &mut state.hits,
-                        state.alive_n,
-                        k,
-                    );
-                    state.alive_n -= k;
+                    state.crash_uniform((fraction * state.alive_n as f64).floor() as u64);
                 }
                 FailureEvent::Crash(_) | FailureEvent::Recover(_) => {
                     unreachable!("init rejects per-id failure schedules")
                 }
             }
         }
-        // Probabilistic crash/recovery: per-state binomial draws.
+        // Probabilistic crash/recovery: per-state binomial draws. A state's
+        // draw reads only its own count, so drawing every state before
+        // moving anyone consumes the stream as moving state by state would.
         let model = *state.scenario.failure_model();
         if model.crash_prob() > 0.0 {
-            for s in 0..state.counts_alive.len() {
-                let crashed = state
-                    .rng
-                    .binomial(state.counts_alive[s], model.crash_prob());
-                state.counts_alive[s] -= crashed;
-                state.counts_crashed[s] += crashed;
-                state.alive_n -= crashed;
+            for (hit, &alive) in state.hits.iter_mut().zip(&state.counts_alive) {
+                *hit = state.rng.binomial(alive, model.crash_prob());
             }
+            let (mut column, hits) = state.split_column();
+            column.crash(hits);
         }
         if model.recover_prob() > 0.0 {
-            for s in 0..state.counts_crashed.len() {
-                let recovered = state
-                    .rng
-                    .binomial(state.counts_crashed[s], model.recover_prob());
-                if recovered == 0 {
-                    continue;
-                }
-                state.counts_crashed[s] -= recovered;
-                state.alive_n += recovered;
-                match self.config.rejoin_state {
-                    // Rejoiners are reset: they change state, so the total
-                    // counts move too.
-                    Some(rejoin) => {
-                        let r = rejoin.index();
-                        state.counts_alive[r] += recovered;
-                        state.counts[s] -= recovered;
-                        state.counts[r] += recovered;
-                    }
-                    // Otherwise they come back in their remembered state.
-                    None => state.counts_alive[s] += recovered,
-                }
+            for (hit, &crashed) in state.hits.iter_mut().zip(&state.counts_crashed) {
+                *hit = state.rng.binomial(crashed, model.recover_prob());
             }
+            let (mut column, hits) = state.split_column();
+            column.recover(hits, self.config.rejoin_state);
         }
         Ok(())
     }
@@ -795,15 +849,7 @@ impl BatchedRuntime {
             let victims = match injection {
                 Injection::CrashUniform { fraction } => {
                     let k = inject::victim_count(fraction, state.alive_n);
-                    crash_hypergeometric(
-                        &mut state.rng,
-                        &mut state.counts_alive,
-                        &mut state.counts_crashed,
-                        &mut state.hits,
-                        state.alive_n,
-                        k,
-                    );
-                    state.alive_n -= k;
+                    state.crash_uniform(k);
                     k
                 }
                 Injection::CrashState { state: s, fraction } => {
@@ -821,23 +867,23 @@ impl BatchedRuntime {
                     // the victims are exchangeable within one state, so no
                     // randomness is needed at count level.
                     let k = inject::victim_count(fraction, state.counts_alive[s]);
-                    state.counts_alive[s] -= k;
-                    state.counts_crashed[s] += k;
-                    state.alive_n -= k;
+                    state.hits.fill(0);
+                    state.hits[s] = k;
+                    let (mut column, hits) = state.split_column();
+                    column.crash(hits);
                     k
                 }
                 Injection::RecoverUniform { fraction } => {
                     let crashed_total: u64 = state.counts_crashed.iter().sum();
                     let k = inject::victim_count(fraction, crashed_total);
                     if k > 0 {
-                        let mut hits = std::mem::take(&mut state.hits);
                         state.rng.multivariate_hypergeometric_into(
                             &state.counts_crashed,
                             k,
-                            &mut hits,
+                            &mut state.hits,
                         );
-                        state.recover_counts(&hits, self.config.rejoin_state);
-                        state.hits = hits;
+                        let (mut column, hits) = state.split_column();
+                        column.recover(hits, self.config.rejoin_state);
                     }
                     k
                 }
@@ -867,8 +913,14 @@ impl BatchedRuntime {
     /// the draws still come state by state, action by action, multinomial
     /// last, so each stream is consumed exactly as a run on its own would
     /// consume it. A column with nobody in the state draws nothing.
+    ///
+    /// `n_f[r]` is column `r`'s density denominator: [`Shared`] for columns
+    /// of one population size, a per-column slice for shards.
     #[inline(always)]
-    fn advance(&self, cols: Columns<'_>, n_f: f64, contact_ok: f64) {
+    fn advance<D>(&self, cols: Columns<'_>, n_f: &D, contact_ok: f64)
+    where
+        D: std::ops::Index<usize, Output = f64> + ?Sized,
+    {
         let Columns {
             rngs,
             counts,
@@ -923,7 +975,7 @@ impl BatchedRuntime {
                         width: w,
                         r,
                     };
-                    let fire = super::fire_probability(action, &column, n_f, contact_ok);
+                    let fire = super::fire_probability(action, &column, n_f[r], contact_ok);
                     // Push/token actions convert members of another state:
                     // a binomial tally over `trials` independent attempts.
                     let (trials, success) = match action {
@@ -945,7 +997,7 @@ impl BatchedRuntime {
                             // fold `survive` into the per-draw probability.
                             // Each surviving executor's samples convert
                             // alive members of target_state.
-                            let per_draw = (column[target_state.index()] as f64 / n_f)
+                            let per_draw = (column[target_state.index()] as f64 / n_f[r])
                                 * prob
                                 * contact_ok
                                 * survive[r];
@@ -1011,7 +1063,7 @@ impl BatchedRuntime {
             *count = alive + crashed;
         }
         debug_assert!(
-            (0..w).all(|r| counts.iter().skip(r).step_by(w).sum::<u64>() as f64 == n_f),
+            (0..w).all(|r| counts.iter().skip(r).step_by(w).sum::<u64>() as f64 == n_f[r]),
             "a batched period must conserve the population of every column"
         );
     }
@@ -1036,12 +1088,11 @@ impl BatchedRuntime {
         );
         let lane = self.init(scenario, initial)?;
         let w = seeds.len();
-        let widen = |column: &[u64]| -> Vec<u64> {
-            column
-                .iter()
-                .flat_map(|&count| std::iter::repeat(count).take(w))
-                .collect()
-        };
+        let counts_alive = lane
+            .counts_alive
+            .iter()
+            .flat_map(|&count| std::iter::repeat(count).take(w))
+            .collect();
         let mut seeded = scenario.clone();
         let mut rngs = Vec::with_capacity(w);
         let mut injectors = Vec::with_capacity(w);
@@ -1050,36 +1101,70 @@ impl BatchedRuntime {
             rngs.push(seeded.build_rng());
             injectors.push(InjectionPoint::from_scenario(&seeded));
         }
+        Ok(self.block_of_columns(lane, counts_alive, rngs, injectors))
+    }
+
+    /// Builds a start-of-run [`ColumnBlock`] whose column `r` holds column
+    /// `r` of the row-major `states × W` alive-count matrix, with nobody
+    /// crashed, draws from `rngs[r]` and answers to adversary `injectors[r]`.
+    /// `lane` supplies the scenario the boundary hooks apply to every column,
+    /// and the period.
+    pub(super) fn block_of_columns(
+        &self,
+        lane: BatchedState,
+        counts_alive: Vec<u64>,
+        rngs: Vec<Rng>,
+        injectors: Vec<Option<InjectionPoint>>,
+    ) -> ColumnBlock {
+        let w = rngs.len();
         let num_states = self.protocol.num_states();
-        let edges = self.plan.edges.len();
+        debug_assert_eq!(counts_alive.len(), num_states * w);
+        debug_assert_eq!(injectors.len(), w);
         let cells = self.plan.max_buckets + 1;
-        Ok(ColumnBlock {
-            rngs,
-            injectors,
-            alive_n: vec![lane.alive_n; w],
-            counts: widen(&lane.counts),
-            counts_alive: widen(&lane.counts_alive),
-            counts_crashed: widen(&lane.counts_crashed),
+        ColumnBlock {
+            alive_n: (0..w)
+                .map(|r| counts_alive.iter().skip(r).step_by(w).sum())
+                .collect(),
+            counts: counts_alive.clone(),
+            counts_alive,
+            counts_crashed: vec![0; num_states * w],
             start: vec![0; num_states * w],
             stayed: vec![0; num_states * w],
-            tallies: vec![0; edges * w],
+            tallies: vec![0; self.plan.edges.len() * w],
             pending: vec![0; self.plan.conversion_edges.len() * w],
             weights: Vec::with_capacity(cells * w),
             draws: vec![0; cells],
             survive: vec![1.0; w],
             messages: vec![0.0; w],
+            rngs,
+            injectors,
             lane,
-        })
+        }
     }
 
-    /// Advances every column of the block by one period: the boundary hooks
-    /// column by column on the periods that carry an event, then one call of
-    /// the period kernel.
+    /// Advances every column of a block of seeds by one period: the
+    /// [`step_columns`](Self::step_columns) of columns that share the lane's
+    /// density denominator.
     ///
     /// # Errors
     ///
     /// Same as [`step`](Runtime::step).
     pub(super) fn step_block(&self, block: &mut ColumnBlock) -> Result<()> {
+        let n_f = Shared(block.lane.n_f);
+        self.step_columns(block, &n_f)
+    }
+
+    /// Advances every column of the block by one period: the boundary hooks
+    /// column by column on the periods that carry an event, then one call of
+    /// the period kernel over the columns' density denominators `n_f`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`step`](Runtime::step).
+    pub(super) fn step_columns<D>(&self, block: &mut ColumnBlock, n_f: &D) -> Result<()>
+    where
+        D: std::ops::Index<usize, Output = f64> + ?Sized,
+    {
         let adversary = block.injectors.iter().any(Option::is_some);
         if block.lane.boundary_due(adversary) {
             for r in 0..block.width() {
@@ -1107,39 +1192,29 @@ impl BatchedRuntime {
                 survive: &mut block.survive,
                 messages: &mut block.messages,
             },
-            block.lane.n_f,
+            n_f,
             contact_ok,
         );
         block.lane.period += 1;
         Ok(())
     }
-}
 
-/// Crashes `k` uniformly random alive processes: the per-state hit counts
-/// follow a multivariate hypergeometric distribution, drawn into the `hits`
-/// scratch.
-///
-/// Delegates to [`Rng::multivariate_hypergeometric_into`], whose
-/// sequential-conditional walk consumes the PRNG stream exactly like the
-/// hand-rolled loop this used to be — seeded runs stay bit-identical.
-fn crash_hypergeometric(
-    rng: &mut Rng,
-    counts_alive: &mut [u64],
-    counts_crashed: &mut [u64],
-    hits: &mut [u64],
-    alive_total: u64,
-    k: u64,
-) {
-    debug_assert_eq!(counts_alive.iter().sum::<u64>(), alive_total);
-    debug_assert!(k <= alive_total, "cannot crash more than are alive");
-    rng.multivariate_hypergeometric_into(counts_alive, k, hits);
-    for ((alive, crashed), &hit) in counts_alive
-        .iter_mut()
-        .zip(counts_crashed.iter_mut())
-        .zip(hits.iter())
-    {
-        *alive -= hit;
-        *crashed += hit;
+    /// Renders an `edges × width` tally matrix, summed over its columns, into
+    /// the sparse `(from, to, count)` list observers see — from-major, since
+    /// the plan's edges are sorted.
+    pub(super) fn render_transitions(
+        &self,
+        tallies: &[u64],
+        width: usize,
+        out: &mut Vec<(StateId, StateId, u64)>,
+    ) {
+        out.clear();
+        for (&(from, to), row) in self.plan.edges.iter().zip(tallies.chunks_exact(width)) {
+            let moved = row.iter().sum();
+            if moved > 0 {
+                out.push((from, to, moved));
+            }
+        }
     }
 }
 
@@ -1208,15 +1283,10 @@ impl Runtime for BatchedRuntime {
                 survive: std::slice::from_mut(&mut survive),
                 messages: std::slice::from_mut(&mut messages),
             },
-            state.n_f,
+            &Shared(state.n_f),
             contact_ok,
         );
-        state.transitions.clear();
-        for (&(from, to), &moved) in self.plan.edges.iter().zip(&state.tallies) {
-            if moved > 0 {
-                state.transitions.push((from, to, moved));
-            }
-        }
+        self.render_transitions(&state.tallies, 1, &mut state.transitions);
         state.messages = messages.round() as u64;
         state.period += 1;
         Ok(self.events(state))
@@ -1231,19 +1301,17 @@ impl Runtime for BatchedRuntime {
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{AgentRuntime, CountsRecorder, Ensemble, ResilienceReport, Simulation};
     use netsim::adversary::{ObliviousSchedule, TargetLargestState};
     use netsim::FailureModel;
     use odekit::system::EquationSystemBuilder;
 
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
+    impl BatchedState {
+        /// The sparse transition tallies of the last executed period.
+        fn last_transitions(&self) -> &[(StateId, StateId, u64)] {
+            &self.transitions
+        }
     }
 
     #[test]
@@ -2030,6 +2098,34 @@ mod tests {
                 .flat_map(|part| block_trajectories(&runtime, &scenario, &initial, part, false))
                 .collect();
             assert_eq!(cut, whole, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_shared_denominator_and_a_slice_of_equal_ones_are_one_kernel() {
+        // Seeds step over the scalar instantiation of the kernel, shards
+        // over the per-column one. Given W copies of the same value, the two
+        // must agree on every matrix and leave every PRNG at one position.
+        let n = 100_000;
+        let runtime = BatchedRuntime::new(figure1_protocol())
+            .with_config(RunConfig::rejoining_to(StateId::new(0)));
+        let scenario = hostile(Scenario::new(n, 20).unwrap());
+        let initial = InitialStates::counts(&[10_000, 80_000, 10_000]);
+        let seeds: Vec<u64> = (40..47).collect();
+        let mut shared = runtime.init_block(&scenario, &initial, &seeds).unwrap();
+        let mut sliced = shared.clone();
+        let n_f = vec![n as f64; seeds.len()];
+        let view = |b: &ColumnBlock| {
+            let matrices = [&b.counts, &b.counts_alive, &b.counts_crashed, &b.tallies];
+            (matrices.map(Vec::clone), b.messages.clone())
+        };
+        for period in 0..20 {
+            runtime.step_block(&mut shared).unwrap();
+            runtime.step_columns(&mut sliced, &n_f[..]).unwrap();
+            assert_eq!(view(&shared), view(&sliced), "period {period}");
+        }
+        for (a, b) in shared.rngs.iter_mut().zip(&mut sliced.rngs) {
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

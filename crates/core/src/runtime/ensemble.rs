@@ -701,18 +701,7 @@ impl EnsembleResult {
 mod tests {
     use super::super::{AgentRuntime, AggregateRuntime};
     use super::*;
-    use crate::mapping::ProtocolCompiler;
-    use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
+    use crate::runtime::fixtures::epidemic_protocol;
 
     #[test]
     fn ensemble_aggregates_mean_and_std_over_seeds() {

@@ -429,18 +429,9 @@ impl Runtime for HybridRuntime {
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Ensemble, Simulation};
     use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     #[test]
     fn crosses_the_handoff_in_both_directions() {

@@ -12,10 +12,10 @@
 //!   binomial/multinomial draws — O(actions) arithmetic plus one draw per
 //!   distinct transition edge per period, independent of N, while still
 //!   modelling exchangeable failures; its period kernel is written over
-//!   `states × W` column blocks (one seed and one PRNG per column, column
-//!   loop innermost), so a single run is the `W = 1` case and an
-//!   [`Ensemble`] advances 64 seeds per sweep, each bit-for-bit the run of
-//!   its seed —
+//!   `states × W` column blocks (one PRNG per column, column loop
+//!   innermost), so a single run is the `W = 1` case, an [`Ensemble`]
+//!   advances 64 seeds per sweep, each bit-for-bit the run of its seed,
+//!   and a [`ShardedRuntime`] advances its S shards as one block —
 //!   [`HybridRuntime`] batches while every per-state count is large and
 //!   hands off losslessly to per-process execution when any count runs
 //!   small (extinction, tie-breaking, post-failure recovery), and
@@ -608,6 +608,25 @@ pub(crate) fn render_sparse_transitions(
                 count,
             ));
         }
+    }
+}
+
+/// Protocols the runtime test modules share.
+#[cfg(test)]
+mod fixtures {
+    use crate::mapping::ProtocolCompiler;
+    use crate::state_machine::Protocol;
+    use odekit::system::EquationSystemBuilder;
+
+    /// The epidemic `x' = −xy, y' = xy`, compiled with the defaults.
+    pub(super) fn epidemic_protocol() -> Protocol {
+        let sys = EquationSystemBuilder::new()
+            .vars(["x", "y"])
+            .term("x", -1.0, &[("x", 1), ("y", 1)])
+            .term("y", 1.0, &[("x", 1), ("y", 1)])
+            .build()
+            .unwrap();
+        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
     }
 }
 

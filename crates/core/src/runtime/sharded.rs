@@ -10,6 +10,15 @@
 //! and the well-mixed limit is recovered as the migration probability
 //! approaches 1.
 //!
+//! # Shards are the columns of one block
+//!
+//! [`BatchedRuntime`] writes its period kernel once, over `states × W`
+//! blocks of columns. A sharded run is one such block of width `S`: column
+//! `j` is shard `j`, with its own PRNG and its own density denominator (the
+//! shard's current population), and each period advances every shard in a
+//! single kernel call. Observers see the block's row sums — counts, alive
+//! counts and transitions over all shards — plus the per-shard alive counts.
+//!
 //! # The exchange, by exchangeability
 //!
 //! Within a shard every alive process is exchangeable, so the *set* of
@@ -17,7 +26,10 @@
 //! population: its split across protocol states is a multivariate
 //! hypergeometric draw — the same argument the batched runtime uses for
 //! massive failures and the hybrid runtime uses for its mid-run handoff.
-//! Each period boundary therefore costs O(S · states) count-level draws:
+//! Each period boundary therefore costs O(S · states) count-level draws from
+//! one master PRNG, which reads the shards' columns of the block, draws, and
+//! writes the columns back in place, refreshing each rewritten column's alive
+//! total and density denominator:
 //!
 //! 1. **Emigration.** For each non-partitioned shard, the emigrant count is
 //!    binomial(alive, migration) and is split across states by a
@@ -43,30 +55,23 @@
 //!
 //! # Fidelity and the S = 1 contract
 //!
-//! Shards are advanced by [`BatchedRuntime`] states — not hybrid ones —
-//! because migration changes shard populations every period, which a
-//! fixed-id membership cannot represent. Small shard populations stay
-//! trustworthy anyway: every sampler used here walks an exact inverse CDF
-//! below [`netsim::stochastic::NORMAL_APPROX_CUTOFF`], so boundary
-//! probabilities (extinction, an empty shard) are preserved. A run with one
-//! shard and no shard-targeted events delegates wholesale to the batched
-//! path — same scenario, same seed stream — and is **bit-for-bit identical**
-//! to [`BatchedRuntime`]; the property tests pin this.
-//!
-//! # Threads
-//!
-//! [`ShardedRuntime::with_parallel`] steps shards on scoped worker threads.
-//! Per-shard work is O(actions) arithmetic plus one draw per distinct
-//! transition edge, regardless of N, so parallelism only pays when that
-//! inner work is heavy (many states) or cores are plentiful; the default is
-//! sequential stepping, which also keeps single-core CI benches honest.
+//! Shards are batched columns — not hybrid ones — because migration changes
+//! shard populations every period, which a fixed-id membership cannot
+//! represent. Small shard populations stay trustworthy anyway: every sampler
+//! used here walks an exact inverse CDF below
+//! [`netsim::stochastic::NORMAL_APPROX_CUTOFF`], so boundary probabilities
+//! (extinction, an empty shard) are preserved. A run with one shard and no
+//! shard-targeted events is a width-1 block whose boundary hooks apply the
+//! full scenario (failure schedule and adversary included) and whose column
+//! draws from the seed stream [`BatchedRuntime`] builds: it is
+//! **bit-for-bit identical** to [`BatchedRuntime`]; the property tests pin
+//! this.
 
+use super::batched::{ColumnBlock, ColumnMut};
 use super::inject::{self, InjectionPoint};
 use super::observer::default_observers;
 use super::simulation::drive;
-use super::{
-    BatchedRuntime, BatchedState, InitialStates, PeriodEvents, RunConfig, RunResult, Runtime,
-};
+use super::{BatchedRuntime, InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -106,46 +111,49 @@ use netsim::{FailureEvent, Rng, Scenario};
 #[derive(Debug, Clone)]
 pub struct ShardedRuntime {
     inner: BatchedRuntime,
-    parallel: bool,
 }
 
-/// The mutable execution state of a [`ShardedRuntime`] run: one
-/// [`BatchedState`] per shard, the master PRNG driving exchange and
+/// The mutable execution state of a [`ShardedRuntime`] run: the shards as
+/// the columns of one batched block, the master PRNG driving exchange and
 /// shard-targeted events, and the aggregated views observers consume.
 #[derive(Debug, Clone)]
 pub struct ShardedState {
-    shards: Vec<BatchedState>,
+    /// Column `j` is shard `j`. The block's boundary hooks apply what every
+    /// shard runs on its own: losses and the crash/recovery model — and, for
+    /// a single shard without shard events, the whole scenario.
+    block: ColumnBlock,
+    /// Per shard: the density denominator, its population (alive and
+    /// crashed), which only migration changes.
+    n_f: Vec<f64>,
     /// Drives every cross-shard draw (exchange, global and shard-targeted
-    /// failures, uniform placement); per-shard PRNGs are forked separately
-    /// so shard streams never interleave with exchange streams.
+    /// failures, injections, uniform placement); per-shard PRNGs are forked
+    /// separately so shard streams never interleave with exchange streams.
     master_rng: Rng,
     scenario: Scenario,
-    /// `true` when the run is a single shard with no shard-targeted events:
-    /// the shard holds the full scenario and the exact seed stream of
-    /// [`BatchedRuntime`], making the run bit-for-bit identical to it.
-    delegate: bool,
     migration: f64,
-    period: u64,
+    /// The global massive failures the master draws, as `(period,
+    /// fraction)` sorted by period (empty when a single shard's hooks apply
+    /// the schedule themselves).
+    global_failures: Vec<(u64, f64)>,
     /// The scenario's adversary, driven at the master level so one strategy
-    /// instance sees the whole sharded population (`None` in delegate mode —
-    /// there the single shard's own injection point applies it, keeping the
-    /// bit-for-bit contract with [`BatchedRuntime`]).
+    /// sees the whole population (`None` where a single shard's hooks apply
+    /// it).
     injector: Option<InjectionPoint>,
     // Aggregated views, refreshed after every step.
     counts: Vec<u64>,
     counts_alive: Vec<u64>,
     alive_n: u64,
     messages: u64,
-    transitions_dense: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     shard_alive: Vec<Vec<u64>>,
     // Scratch buffers reused every period.
-    scratch_alive: Vec<Vec<u64>>,
-    scratch_hits: Vec<u64>,
+    hits: Vec<u64>,
     pool: Vec<u64>,
     weights: Vec<f64>,
     dest_draws: Vec<u64>,
     open: Vec<usize>,
+    /// The `S × states` cells of a draw over the whole population,
+    /// shard-major (`[j * states + s]`).
     flat_cells: Vec<u64>,
     flat_hits: Vec<u64>,
 }
@@ -153,7 +161,7 @@ pub struct ShardedState {
 impl ShardedState {
     /// The next period to execute (also the number of periods executed).
     pub fn period(&self) -> u64 {
-        self.period
+        self.block.period()
     }
 
     /// Per-shard alive counts (`[shard][state]`) at the current snapshot.
@@ -163,52 +171,81 @@ impl ShardedState {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.block.width()
     }
 
     fn num_states(&self) -> usize {
         self.counts.len()
     }
 
-    fn refresh_aggregates(&mut self) {
-        let num_states = self.num_states();
-        self.counts.fill(0);
-        self.counts_alive.fill(0);
-        self.transitions_dense.fill(0);
-        self.transitions.clear();
-        self.messages = 0;
-        for (j, shard) in self.shards.iter().enumerate() {
-            for (s, (&alive, &total)) in shard
-                .alive_counts()
-                .iter()
-                .zip(shard.total_counts())
-                .enumerate()
-            {
-                self.counts_alive[s] += alive;
-                self.counts[s] += total;
-                self.shard_alive[j][s] = alive;
-            }
-            self.messages += shard.last_messages();
-            for &(from, to, count) in shard.last_transitions() {
-                self.transitions_dense[from.index() * num_states + to.index()] += count;
+    /// Refreshes every aggregated view from the block: row sums of its
+    /// counts and of the last period's transition tallies, the per-shard
+    /// alive counts, and the messages each shard would have reported.
+    fn refresh_views(&mut self, inner: &BatchedRuntime) {
+        let w = self.block.width();
+        let rows = self.block.counts(false).chunks_exact(w);
+        for (total, row) in self.counts.iter_mut().zip(rows) {
+            *total = row.iter().sum();
+        }
+        let rows = self.block.counts(true).chunks_exact(w);
+        for (s, (total, row)) in self.counts_alive.iter_mut().zip(rows).enumerate() {
+            *total = row.iter().sum();
+            for (shard, &alive) in self.shard_alive.iter_mut().zip(row) {
+                shard[s] = alive;
             }
         }
         self.alive_n = self.counts_alive.iter().sum();
-        super::render_sparse_transitions(
-            &self.transitions_dense,
-            num_states,
-            &mut self.transitions,
-        );
+        self.messages = self.block.messages().iter().map(|m| m.round() as u64).sum();
+        inner.render_transitions(self.block.tallies(), w, &mut self.transitions);
+    }
+
+    /// Copies the `(shard, state)` cells that `keep` selects from a
+    /// `states × S` matrix of the block into [`Self::flat_cells`],
+    /// shard-major, zeroes the others and returns the total kept. Empty
+    /// cells draw nothing, so a draw over the flattened cells consumes the
+    /// master PRNG exactly as a draw over the kept cells alone would.
+    fn flatten(
+        &mut self,
+        matrix: fn(&ColumnBlock) -> &[u64],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> u64 {
+        let states = self.num_states();
+        let w = self.block.width();
+        for (s, row) in matrix(&self.block).chunks_exact(w).enumerate() {
+            for (j, &count) in row.iter().enumerate() {
+                self.flat_cells[j * states + s] = if keep(j, s) { count } else { 0 };
+            }
+        }
+        self.flat_cells.iter().sum()
+    }
+
+    /// Draws `k` uniform victims over [`Self::flat_cells`] from the master
+    /// PRNG and hands each shard its share.
+    fn strike_flat(&mut self, k: u64, mut apply: impl FnMut(&mut ColumnMut<'_>, &[u64])) {
+        self.master_rng
+            .multivariate_hypergeometric_into(&self.flat_cells, k, &mut self.flat_hits);
+        let states = self.num_states();
+        for (j, hits) in self.flat_hits.chunks_exact(states).enumerate() {
+            apply(&mut self.block.column(j), hits);
+        }
+    }
+
+    /// Crashes `fraction` of the alive processes in the `(shard, state)`
+    /// cells `keep` selects, as one uniform draw from the master PRNG, and
+    /// returns how many.
+    fn crash_where(&mut self, fraction: f64, keep: impl Fn(usize, usize) -> bool) -> u64 {
+        let alive = self.flatten(|block| block.counts(true), keep);
+        let k = inject::victim_count(fraction, alive);
+        self.strike_flat(k, |shard, hits| shard.crash(hits));
+        k
     }
 }
 
 impl ShardedRuntime {
-    /// Creates a sharded runtime with the default [`RunConfig`] and
-    /// sequential shard stepping.
+    /// Creates a sharded runtime with the default [`RunConfig`].
     pub fn new(protocol: Protocol) -> Self {
         ShardedRuntime {
             inner: BatchedRuntime::new(protocol),
-            parallel: false,
         }
     }
 
@@ -218,19 +255,7 @@ impl ShardedRuntime {
     pub fn with_config(self, config: RunConfig) -> Self {
         ShardedRuntime {
             inner: self.inner.with_config(config),
-            parallel: self.parallel,
         }
-    }
-
-    /// Steps shards on scoped worker threads instead of sequentially.
-    ///
-    /// Per-shard work is independent of the shard population, so this pays
-    /// only for protocols with heavy per-period work on multi-core hosts;
-    /// results are identical either way (each shard owns its PRNG).
-    #[must_use]
-    pub fn with_parallel(mut self) -> Self {
-        self.parallel = true;
-        self
     }
 
     /// The protocol being executed.
@@ -255,7 +280,7 @@ impl ShardedRuntime {
 
     fn events<'s>(&self, state: &'s ShardedState) -> PeriodEvents<'s> {
         PeriodEvents {
-            period: state.period,
+            period: state.period(),
             counts: &state.counts,
             transitions: &state.transitions,
             messages: state.messages,
@@ -264,97 +289,45 @@ impl ShardedRuntime {
             membership: None,
             shard_counts_alive: Some(&state.shard_alive),
             transport: None,
-            injections: if state.delegate {
-                state.shards[0].injection_records()
-            } else {
-                inject::records_of(&state.injector)
+            injections: match &state.injector {
+                Some(master) => master.records(),
+                None => state.block.injection_records(0),
             },
             virtual_time: None,
         }
     }
 
-    /// Splits the resolved initial counts across shards according to the
-    /// placement policy. Blocks fill shards to capacity in state order (the
-    /// minority state lands in the last shard); Uniform scatters each state
-    /// with a uniform multinomial draw from the master PRNG.
-    fn place(
-        &self,
-        counts: &[u64],
-        num_shards: usize,
-        placement: Placement,
-        master: &mut Rng,
-    ) -> Vec<Vec<u64>> {
-        let num_states = counts.len();
-        let mut alloc = vec![vec![0u64; num_states]; num_shards];
-        match placement {
-            Placement::Blocks => {
-                let n: u64 = counts.iter().sum();
-                let base = n / num_shards as u64;
-                let rem = (n % num_shards as u64) as usize;
-                let capacity = |j: usize| base + u64::from(j < rem);
-                let mut shard = 0usize;
-                let mut room = capacity(0);
-                for (s, &count) in counts.iter().enumerate() {
-                    let mut left = count;
-                    while left > 0 {
-                        while room == 0 {
-                            shard += 1;
-                            room = capacity(shard);
-                        }
-                        let take = left.min(room);
-                        alloc[shard][s] += take;
-                        room -= take;
-                        left -= take;
-                    }
-                }
-            }
-            Placement::Uniform => {
-                let weights = vec![1.0 / num_shards as f64; num_shards];
-                let mut draws = vec![0u64; num_shards];
-                for (s, &count) in counts.iter().enumerate() {
-                    master.multinomial_into(count, &weights, &mut draws);
-                    for (j, &d) in draws.iter().enumerate() {
-                        alloc[j][s] = d;
-                    }
-                }
-            }
-        }
-        alloc
-    }
-
-    /// The per-period migration exchange (general mode only): emigrants
-    /// leave each open shard as a binomial of its alive population, split
-    /// across states hypergeometrically, then scatter uniformly over the
-    /// open shards.
+    /// The per-period migration exchange: emigrants leave each open shard as
+    /// a binomial of its alive population, split across states
+    /// hypergeometrically, then scatter uniformly over the open shards.
     fn exchange(&self, state: &mut ShardedState) {
-        if state.migration <= 0.0 || state.shards.len() < 2 {
+        let w = state.block.width();
+        if state.migration <= 0.0 || w < 2 {
             return;
         }
-        let period = state.period;
+        let period = state.period();
+        let scenario = &state.scenario;
         state.open.clear();
-        for j in 0..state.shards.len() {
-            if !state.scenario.is_shard_partitioned(j, period) {
-                state.open.push(j);
-            }
-        }
+        state
+            .open
+            .extend((0..w).filter(|&j| !scenario.is_shard_partitioned(j, period)));
         if state.open.len() < 2 {
             return;
         }
-        let num_states = state.num_states();
+        let states = state.num_states();
+        state.flatten(|block| block.counts(true), |_, _| true);
         state.pool.fill(0);
         for &j in &state.open {
-            let alive_total = state.shards[j].alive_total();
-            let emigrants = state.master_rng.binomial(alive_total, state.migration);
-            state.master_rng.multivariate_hypergeometric_into(
-                state.shards[j].alive_counts(),
-                emigrants,
-                &mut state.scratch_hits[..num_states],
-            );
-            state.scratch_alive[j].copy_from_slice(state.shards[j].alive_counts());
-            for s in 0..num_states {
-                let hit = state.scratch_hits[s];
-                state.scratch_alive[j][s] -= hit;
-                state.pool[s] += hit;
+            let cells = &mut state.flat_cells[j * states..(j + 1) * states];
+            let emigrants = state
+                .master_rng
+                .binomial(cells.iter().sum(), state.migration);
+            state
+                .master_rng
+                .multivariate_hypergeometric_into(cells, emigrants, &mut state.hits);
+            for ((cell, pooled), &hit) in cells.iter_mut().zip(&mut state.pool).zip(&state.hits) {
+                *cell -= hit;
+                *pooled += hit;
             }
         }
         // Immigration: each emigrant lands in a uniformly random open shard
@@ -362,7 +335,7 @@ impl ShardedRuntime {
         let open_count = state.open.len();
         state.weights.clear();
         state.weights.resize(open_count, 1.0 / open_count as f64);
-        for s in 0..num_states {
+        for s in 0..states {
             if state.pool[s] == 0 {
                 continue;
             }
@@ -371,85 +344,57 @@ impl ShardedRuntime {
                 &state.weights,
                 &mut state.dest_draws[..open_count],
             );
-            for (idx, &j) in state.open.iter().enumerate() {
-                state.scratch_alive[j][s] += state.dest_draws[idx];
+            for (&j, &arrived) in state.open.iter().zip(&state.dest_draws) {
+                state.flat_cells[j * states + s] += arrived;
             }
         }
         for &j in &state.open {
-            state.shards[j].rebase_alive(&state.scratch_alive[j]);
+            let cells = &state.flat_cells[j * states..(j + 1) * states];
+            state.n_f[j] = state.block.column(j).rebase(cells) as f64;
         }
     }
 
-    /// Applies this period's global massive failures (general mode only):
-    /// one multivariate hypergeometric draw over all `S × states` alive
-    /// cells, so the victims are a uniform subset of the whole population —
-    /// exactly the semantics the batched runtime gives a single group.
+    /// Applies this period's global massive failures: one multivariate
+    /// hypergeometric draw over all `S × states` alive cells, so the victims
+    /// are a uniform subset of the whole population — exactly the semantics
+    /// the batched runtime gives a single group.
     fn apply_global_failures(&self, state: &mut ShardedState) -> Result<()> {
-        let period = state.period;
-        let num_states = state.num_states();
-        for (p, event) in state.scenario.failure_schedule().events() {
-            if *p != period {
-                continue;
+        let period = state.period();
+        let first = state.global_failures.partition_point(|&(p, _)| p < period);
+        for i in first..state.global_failures.len() {
+            let (p, fraction) = state.global_failures[i];
+            if p > period {
+                break;
             }
-            match event {
-                FailureEvent::MassiveFailure { fraction } => {
-                    if !(0.0..=1.0).contains(fraction) {
-                        return Err(CoreError::InvalidProbability {
-                            context: "massive failure fraction".into(),
-                            value: *fraction,
-                        });
-                    }
-                    for (j, shard) in state.shards.iter().enumerate() {
-                        state.flat_cells[j * num_states..(j + 1) * num_states]
-                            .copy_from_slice(shard.alive_counts());
-                    }
-                    let total_alive: u64 = state.flat_cells.iter().sum();
-                    let k = (fraction * total_alive as f64).floor() as u64;
-                    state.master_rng.multivariate_hypergeometric_into(
-                        &state.flat_cells,
-                        k,
-                        &mut state.flat_hits,
-                    );
-                    for (j, shard) in state.shards.iter_mut().enumerate() {
-                        shard.crash_counts(&state.flat_hits[j * num_states..(j + 1) * num_states]);
-                    }
-                }
-                FailureEvent::Crash(_) | FailureEvent::Recover(_) => {
-                    unreachable!("init rejects per-id failure schedules")
-                }
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(CoreError::InvalidProbability {
+                    context: "massive failure fraction".into(),
+                    value: fraction,
+                });
             }
+            state.crash_where(fraction, |_, _| true);
         }
         Ok(())
     }
 
-    /// Applies this period's shard-targeted massive failures (general mode
-    /// only): the draw is confined to the target shard's alive cells.
+    /// Applies this period's shard-targeted massive failures: the draw is
+    /// confined to the target shard's alive cells.
     fn apply_shard_failures(&self, state: &mut ShardedState) {
-        let period = state.period;
-        let num_states = state.num_states();
+        let period = state.period();
         for i in 0..state.scenario.shard_failures().len() {
             let failure = state.scenario.shard_failures()[i];
-            if failure.period != period {
-                continue;
+            if failure.period == period {
+                state.crash_where(failure.fraction, |j, _| j == failure.shard);
             }
-            let j = failure.shard;
-            let alive_total = state.shards[j].alive_total();
-            let k = (failure.fraction * alive_total as f64).floor() as u64;
-            state.master_rng.multivariate_hypergeometric_into(
-                state.shards[j].alive_counts(),
-                k,
-                &mut state.scratch_hits[..num_states],
-            );
-            state.shards[j].crash_counts(&state.scratch_hits[..num_states]);
         }
     }
 
     /// Shows the adversary (if any) the live per-shard alive counts and
-    /// applies the injections it emits from the master PRNG (general mode
-    /// only): uniform and state-targeted crashes draw multivariate
-    /// hypergeometrics over the flattened `S × states` alive cells — the
-    /// same exchangeable semantics the scheduled global events use — while
-    /// shard-targeted crashes confine the draw to one shard.
+    /// applies the injections it emits from the master PRNG: uniform and
+    /// state-targeted crashes draw multivariate hypergeometrics over the
+    /// `S × states` alive cells — the same exchangeable semantics the
+    /// scheduled global events use — while shard-targeted crashes confine
+    /// the draw to one shard.
     fn apply_injections(&self, state: &mut ShardedState) -> Result<()> {
         let Some(mut injector) = state.injector.take() else {
             return Ok(());
@@ -465,46 +410,22 @@ impl ShardedRuntime {
         injector: &mut InjectionPoint,
     ) -> Result<()> {
         let num_states = state.num_states();
-        let num_shards = state.shards.len();
-        // Fresh post-event alive view: the cached aggregates are refreshed
-        // only after the protocol step, so recompute from the shards.
-        for (j, shard) in state.shards.iter().enumerate() {
-            state.scratch_alive[j].copy_from_slice(shard.alive_counts());
-        }
-        let mut counts_alive = vec![0u64; num_states];
-        for shard in &state.scratch_alive {
-            for (s, &c) in shard.iter().enumerate() {
-                counts_alive[s] += c;
-            }
-        }
-        let alive: u64 = counts_alive.iter().sum();
+        let num_shards = state.block.width();
+        let period = state.period();
+        // The adversary sees the post-event population: the views are
+        // otherwise refreshed only after the protocol step.
+        state.refresh_views(&self.inner);
         let planned = injector.plan(&AdversaryView {
-            period: state.period,
-            counts_alive: &counts_alive,
-            alive,
-            shard_counts_alive: Some(&state.scratch_alive),
+            period,
+            counts_alive: &state.counts_alive,
+            alive: state.alive_n,
+            shard_counts_alive: Some(&state.shard_alive),
             transport: None,
             segments_alive: None,
         })?;
         for injection in planned {
             let victims = match injection {
-                Injection::CrashUniform { fraction } => {
-                    for (j, shard) in state.shards.iter().enumerate() {
-                        state.flat_cells[j * num_states..(j + 1) * num_states]
-                            .copy_from_slice(shard.alive_counts());
-                    }
-                    let total: u64 = state.flat_cells.iter().sum();
-                    let k = inject::victim_count(fraction, total);
-                    state.master_rng.multivariate_hypergeometric_into(
-                        &state.flat_cells,
-                        k,
-                        &mut state.flat_hits,
-                    );
-                    for (j, shard) in state.shards.iter_mut().enumerate() {
-                        shard.crash_counts(&state.flat_hits[j * num_states..(j + 1) * num_states]);
-                    }
-                    k
-                }
+                Injection::CrashUniform { fraction } => state.crash_where(fraction, |_, _| true),
                 Injection::CrashState { state: s, fraction } => {
                     if s >= num_states {
                         return Err(CoreError::InvalidConfig {
@@ -516,26 +437,8 @@ impl ShardedRuntime {
                         });
                     }
                     // Victims are exchangeable within the state but spread
-                    // over shards: split the kill across shards by a
-                    // hypergeometric draw over that state's per-shard cells.
-                    let cells: Vec<u64> = state
-                        .shards
-                        .iter()
-                        .map(|shard| shard.alive_counts()[s])
-                        .collect();
-                    let total: u64 = cells.iter().sum();
-                    let k = inject::victim_count(fraction, total);
-                    state.master_rng.multivariate_hypergeometric_into(
-                        &cells,
-                        k,
-                        &mut state.dest_draws[..num_shards],
-                    );
-                    for (j, shard) in state.shards.iter_mut().enumerate() {
-                        state.scratch_hits[..num_states].fill(0);
-                        state.scratch_hits[s] = state.dest_draws[j];
-                        shard.crash_counts(&state.scratch_hits[..num_states]);
-                    }
-                    k
+                    // over shards: one draw over that state's cells.
+                    state.crash_where(fraction, |_, cell_state| cell_state == s)
                 }
                 Injection::CrashShard { shard: j, fraction } => {
                     if j >= num_shards {
@@ -547,35 +450,13 @@ impl ShardedRuntime {
                             ),
                         });
                     }
-                    let alive_total = state.shards[j].alive_total();
-                    let k = inject::victim_count(fraction, alive_total);
-                    state.master_rng.multivariate_hypergeometric_into(
-                        state.shards[j].alive_counts(),
-                        k,
-                        &mut state.scratch_hits[..num_states],
-                    );
-                    state.shards[j].crash_counts(&state.scratch_hits[..num_states]);
-                    k
+                    state.crash_where(fraction, |shard, _| shard == j)
                 }
                 Injection::RecoverUniform { fraction } => {
-                    for (j, shard) in state.shards.iter().enumerate() {
-                        state.flat_cells[j * num_states..(j + 1) * num_states]
-                            .copy_from_slice(shard.crashed_counts());
-                    }
-                    let total: u64 = state.flat_cells.iter().sum();
-                    let k = inject::victim_count(fraction, total);
-                    state.master_rng.multivariate_hypergeometric_into(
-                        &state.flat_cells,
-                        k,
-                        &mut state.flat_hits,
-                    );
+                    let crashed = state.flatten(ColumnBlock::crashed_counts, |_, _| true);
+                    let k = inject::victim_count(fraction, crashed);
                     let rejoin = self.inner.rejoin_state();
-                    for (j, shard) in state.shards.iter_mut().enumerate() {
-                        shard.recover_counts(
-                            &state.flat_hits[j * num_states..(j + 1) * num_states],
-                            rejoin,
-                        );
-                    }
+                    state.strike_flat(k, |shard, hits| shard.recover(hits, rejoin));
                     k
                 }
                 // `Injection` is non_exhaustive: unknown future injections
@@ -584,10 +465,49 @@ impl ShardedRuntime {
                     return Err(inject::unsupported_injection("sharded", &unsupported));
                 }
             };
-            injector.record(state.period, injection, victims);
+            injector.record(period, injection, victims);
         }
         Ok(())
     }
+}
+
+/// Splits the resolved initial counts across shards according to the
+/// placement policy, as a row-major `states × S` matrix. Blocks fill shards
+/// to capacity in state order (the minority state lands in the last shard);
+/// Uniform scatters each state with a uniform multinomial draw from the
+/// master PRNG.
+fn place(counts: &[u64], num_shards: usize, placement: Placement, master: &mut Rng) -> Vec<u64> {
+    let mut alloc = vec![0u64; counts.len() * num_shards];
+    match placement {
+        Placement::Blocks => {
+            let n: u64 = counts.iter().sum();
+            let base = n / num_shards as u64;
+            let rem = (n % num_shards as u64) as usize;
+            let capacity = |j: usize| base + u64::from(j < rem);
+            let mut shard = 0usize;
+            let mut room = capacity(0);
+            for (s, &count) in counts.iter().enumerate() {
+                let mut left = count;
+                while left > 0 {
+                    while room == 0 {
+                        shard += 1;
+                        room = capacity(shard);
+                    }
+                    let take = left.min(room);
+                    alloc[s * num_shards + shard] += take;
+                    room -= take;
+                    left -= take;
+                }
+            }
+        }
+        Placement::Uniform => {
+            let weights = vec![1.0 / num_shards as f64; num_shards];
+            for (row, &count) in alloc.chunks_exact_mut(num_shards).zip(counts) {
+                master.multinomial_into(count, &weights, row);
+            }
+        }
+    }
+    alloc
 }
 
 impl Runtime for ShardedRuntime {
@@ -621,121 +541,91 @@ impl Runtime for ShardedRuntime {
                 reason: format!("{num_shards} shards cannot partition a group of {n} processes"),
             });
         }
-        for failure in scenario.shard_failures() {
-            if failure.shard >= num_shards {
-                return Err(CoreError::InvalidConfig {
-                    name: "scenario",
-                    reason: format!(
-                        "shard failure targets shard {} but the topology has {} shard(s)",
-                        failure.shard, num_shards
-                    ),
-                });
-            }
-        }
-        for partition in scenario.shard_partitions() {
-            if partition.shard >= num_shards {
-                return Err(CoreError::InvalidConfig {
-                    name: "scenario",
-                    reason: format!(
-                        "shard partition targets shard {} but the topology has {} shard(s)",
-                        partition.shard, num_shards
-                    ),
-                });
-            }
+        let failures = scenario.shard_failures().iter();
+        let partitions = scenario.shard_partitions().iter();
+        let mut targets = (failures.map(|f| ("failure", f.shard)))
+            .chain(partitions.map(|p| ("partition", p.shard)));
+        if let Some((event, shard)) = targets.find(|&(_, shard)| shard >= num_shards) {
+            return Err(CoreError::InvalidConfig {
+                name: "scenario",
+                reason: format!(
+                    "shard {event} targets shard {shard} but the topology has {num_shards} shard(s)"
+                ),
+            });
         }
         let num_states = self.protocol().num_states();
         let counts = initial.resolve(num_states, n)?;
-        let delegate = num_shards == 1 && !scenario.has_shard_events();
         let migration = scenario
             .topology()
             .shard_config()
             .map_or(0.0, |config| config.migration());
 
-        let (shards, master_rng) = if delegate {
-            // The single shard carries the full scenario (failure schedule
-            // included) and the exact PRNG BatchedRuntime::init would build:
-            // the run is bit-for-bit the batched run. The master PRNG is
-            // never drawn from in this mode.
-            let shard = self.inner.state_from_counts(
-                scenario,
-                counts.clone(),
-                vec![0; num_states],
-                0,
-                scenario.build_rng(),
-            );
-            (vec![shard], scenario.build_rng())
-        } else {
-            let mut root = scenario.build_rng();
-            let mut master = root.fork(0);
-            let placement = scenario
-                .topology()
-                .shard_config()
-                .map_or(Placement::Blocks, |config| config.placement());
-            let alloc = self.place(&counts, num_shards, placement, &mut master);
-            let mut shards = Vec::with_capacity(num_shards);
-            for (j, shard_counts) in alloc.into_iter().enumerate() {
-                let shard_n: u64 = shard_counts.iter().sum();
-                // Per-shard scenarios keep the exchangeable iid environment
-                // (loss, failure model, clock) but drop the failure schedule:
-                // global massive failures span shards, so the outer layer
-                // draws them. Scenario sizes must be positive, so an
-                // initially empty shard gets a placeholder population that is
-                // immediately rebased away.
-                let shard_scenario = Scenario::new(shard_n.max(1) as usize, scenario.periods())?
+        let placement = scenario
+            .topology()
+            .shard_config()
+            .map_or(Placement::Blocks, |config| config.placement());
+        let mut root = scenario.build_rng();
+        let mut master_rng = root.fork(0);
+        let columns = place(&counts, num_shards, placement, &mut master_rng);
+        let (hooks, rngs, global_failures, injector) =
+            if num_shards == 1 && !scenario.has_shard_events() {
+                // One shard without shard events is the batched run, bit for
+                // bit: its hooks apply the full scenario (failure schedule
+                // and adversary included) and its column draws the exact
+                // stream BatchedRuntime::init builds. The master PRNG is
+                // never drawn from.
+                (
+                    scenario.clone(),
+                    vec![scenario.build_rng()],
+                    Vec::new(),
+                    None,
+                )
+            } else {
+                let rngs = (1..=num_shards as u64).map(|j| root.fork(j)).collect();
+                // Every shard applies the exchangeable iid environment
+                // (loss, failure model) on its own; global massive failures
+                // and the adversary span shards, so the master draws them.
+                let local = Scenario::new(n as usize, scenario.periods())?
                     .with_loss(*scenario.loss())
                     .with_failure_model(*scenario.failure_model())
                     .with_clock(*scenario.clock());
-                let rng = root.fork(j as u64 + 1);
-                let shard = if shard_n > 0 {
-                    self.inner.state_from_counts(
-                        &shard_scenario,
-                        shard_counts,
-                        vec![0; num_states],
-                        0,
-                        rng,
-                    )
-                } else {
-                    let mut placeholder = vec![0u64; num_states];
-                    placeholder[0] = 1;
-                    let mut empty = self.inner.state_from_counts(
-                        &shard_scenario,
-                        placeholder,
-                        vec![0; num_states],
-                        0,
-                        rng,
-                    );
-                    empty.rebase_alive(&shard_counts);
-                    empty
-                };
-                shards.push(shard);
-            }
-            (shards, master)
-        };
+                // Per-id events were rejected above.
+                let events = scenario.failure_schedule().events().iter();
+                let mut global_failures: Vec<(u64, f64)> = (events)
+                    .filter_map(|(period, event)| match event {
+                        FailureEvent::MassiveFailure { fraction } => Some((*period, *fraction)),
+                        _ => None,
+                    })
+                    .collect();
+                // Stable: failures sharing a period strike in schedule order.
+                global_failures.sort_by_key(|&(period, _)| period);
+                let injector = InjectionPoint::from_scenario(scenario);
+                (local, rngs, global_failures, injector)
+            };
+        // The lane's own PRNG is parked whenever a column is swapped in.
+        let zeros = vec![0; num_states];
+        let lane = (self.inner).state_from_counts(&hooks, counts, zeros, 0, Rng::seed_from(0));
+        let injectors = vec![InjectionPoint::from_scenario(&hooks); num_shards];
+        let n_f = (0..num_shards)
+            .map(|j| columns.iter().skip(j).step_by(num_shards).sum::<u64>() as f64)
+            .collect();
+        let block = self.inner.block_of_columns(lane, columns, rngs, injectors);
 
         let mut state = ShardedState {
-            shards,
+            block,
+            n_f,
             master_rng,
-            // In delegate mode the single shard carries the full scenario and
-            // therefore its own injection point; a master-level one would
-            // apply every injection twice.
-            injector: if delegate {
-                None
-            } else {
-                InjectionPoint::from_scenario(scenario)
-            },
             scenario: scenario.clone(),
-            delegate,
             migration,
-            period: 0,
+            global_failures,
+            injector,
             counts: vec![0; num_states],
             counts_alive: vec![0; num_states],
             alive_n: 0,
             messages: 0,
-            transitions_dense: vec![0; num_states * num_states],
             transitions: Vec::new(),
             shard_alive: vec![vec![0; num_states]; num_shards],
-            scratch_alive: vec![vec![0; num_states]; num_shards],
-            scratch_hits: vec![0; num_states],
+            hits: vec![0; num_states],
             pool: vec![0; num_states],
             weights: Vec::with_capacity(num_shards),
             dest_draws: vec![0; num_shards],
@@ -743,41 +633,26 @@ impl Runtime for ShardedRuntime {
             flat_cells: vec![0; num_shards * num_states],
             flat_hits: vec![0; num_shards * num_states],
         };
-        state.refresh_aggregates();
+        state.refresh_views(&self.inner);
         Ok(state)
     }
 
     fn step<'s>(&self, state: &'s mut ShardedState) -> Result<PeriodEvents<'s>> {
-        if !state.delegate {
-            // Period-boundary order: migration first (processes move, then
-            // experience the period's events where they land), then global
-            // and shard-targeted failures, then adversary injections (which
-            // observe the post-event counts), then the protocol period.
-            self.exchange(state);
-            self.apply_global_failures(state)?;
-            self.apply_shard_failures(state);
-            self.apply_injections(state)?;
-        }
-        if self.parallel && state.shards.len() > 1 {
-            let inner = &self.inner;
-            let mut results: Vec<Result<()>> = state.shards.iter().map(|_| Ok(())).collect();
-            std::thread::scope(|scope| {
-                for (shard, slot) in state.shards.iter_mut().zip(results.iter_mut()) {
-                    scope.spawn(move || *slot = inner.step(shard).map(|_| ()));
-                }
-            });
-            results.into_iter().collect::<Result<()>>()?;
-        } else {
-            for shard in &mut state.shards {
-                self.inner.step(shard)?;
-            }
-        }
-        state.period += 1;
-        state.refresh_aggregates();
+        // Period-boundary order: migration first (processes move, then
+        // experience the period's events where they land), then global and
+        // shard-targeted failures, then adversary injections (which observe
+        // the post-event counts), then every shard's own hooks and the
+        // protocol period, one kernel call over all shards.
+        self.exchange(state);
+        self.apply_global_failures(state)?;
+        self.apply_shard_failures(state);
+        self.apply_injections(state)?;
+        self.inner.step_columns(&mut state.block, &state.n_f[..])?;
+        state.refresh_views(&self.inner);
         debug_assert_eq!(
             state.counts.iter().sum::<u64>(),
             state.scenario.group_size() as u64,
-            "a sharded period (exchange, failures and every shard kernel) must conserve the population"
+            "a sharded period (exchange, failures and the shard kernel) must conserve the population"
         );
         Ok(self.events(state))
     }
@@ -790,20 +665,9 @@ impl Runtime for ShardedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, ShardCountsRecorder, Simulation};
     use netsim::topology::{ShardConfig, Topology};
-    use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     #[test]
     fn single_shard_delegates_bit_for_bit() {
@@ -868,21 +732,74 @@ mod tests {
     }
 
     #[test]
-    fn full_mixing_with_parallel_stepping_matches_sequential() {
-        let protocol = epidemic_protocol();
-        let scenario = Scenario::new(100_000, 30)
+    fn every_shard_is_a_run_over_its_own_population() {
+        // Without migration shard j is the batched run of its own counts on
+        // the PRNG forked for it, under its own density denominator. Uniform
+        // placement makes the shards unequal, so a denominator shared across
+        // them would move every trajectory; the shard failure makes alive
+        // and total counts differ, so must the denominator (the total).
+        let (n, periods, shards, failed) = (40_000u64, 30, 4, 1);
+        let uniform = ShardConfig::new(shards, 0.0).unwrap();
+        let scenario = Scenario::new(n as usize, periods)
             .unwrap()
-            .with_topology(Topology::sharded(4, 1.0).unwrap())
-            .with_seed(9);
-        let initial = InitialStates::counts(&[99_900, 100]);
-        let sequential = ShardedRuntime::new(protocol.clone())
-            .run(&scenario, &initial)
+            .with_topology(Topology::Sharded(
+                uniform.with_placement(Placement::Uniform),
+            ))
+            .with_shard_massive_failure(6, failed, 0.5)
+            .unwrap()
+            .with_seed(17);
+        let initial = [n - 4_000, 4_000];
+        let runtime = ShardedRuntime::new(epidemic_protocol());
+        let mut state = runtime
+            .init(&scenario, &InitialStates::counts(&initial))
             .unwrap();
-        let parallel = ShardedRuntime::new(protocol)
-            .with_parallel()
-            .run(&scenario, &initial)
-            .unwrap();
-        assert_eq!(sequential, parallel);
+        let column = |matrix: &[u64], j: usize| -> Vec<u64> {
+            matrix.iter().skip(j).step_by(shards).copied().collect()
+        };
+
+        // At migration 0 the master draws the placement and, at the
+        // failure, the victims; nothing else.
+        let mut root = scenario.build_rng();
+        let mut master = root.fork(0);
+        let columns = place(&initial, shards, Placement::Uniform, &mut master);
+        let mut references: Vec<ColumnBlock> = (0..shards)
+            .map(|j| {
+                let counts = column(&columns, j);
+                let own = Scenario::new(counts.iter().sum::<u64>() as usize, periods).unwrap();
+                let zeros = vec![0; 2];
+                let lane = (runtime.inner).state_from_counts(
+                    &own,
+                    counts.clone(),
+                    zeros,
+                    0,
+                    own.build_rng(),
+                );
+                let rng = root.fork(j as u64 + 1);
+                (runtime.inner).block_of_columns(lane, counts, vec![rng], vec![None])
+            })
+            .collect();
+        let size = |block: &ColumnBlock| block.counts(false).iter().sum::<u64>();
+        assert_ne!(size(&references[0]), size(&references[1]));
+
+        let mut hits = [0; 2];
+        for period in 0..periods {
+            if period == 6 {
+                let reference = &mut references[failed];
+                let k = inject::victim_count(0.5, reference.counts(true).iter().sum());
+                master.multivariate_hypergeometric_into(reference.counts(true), k, &mut hits);
+                reference.column(0).crash(&hits);
+            }
+            runtime.step(&mut state).unwrap();
+            for (j, reference) in references.iter_mut().enumerate() {
+                runtime.inner.step_block(reference).unwrap();
+                for alive_only in [false, true] {
+                    let shard = column(state.block.counts(alive_only), j);
+                    let expected = reference.counts(alive_only);
+                    assert_eq!(shard, expected, "shard {j}, period {period}");
+                }
+            }
+        }
+        assert!(references[failed].crashed_counts().iter().sum::<u64>() > 0);
     }
 
     #[test]

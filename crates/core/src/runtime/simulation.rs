@@ -439,18 +439,7 @@ mod tests {
         AgentRuntime, AggregateRuntime, CountsRecorder, PeriodEvents, TransitionRecorder,
     };
     use super::*;
-    use crate::mapping::ProtocolCompiler;
-    use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
+    use crate::runtime::fixtures::epidemic_protocol;
 
     #[test]
     fn missing_scenario_or_initial_is_an_error() {

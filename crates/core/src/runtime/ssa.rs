@@ -461,18 +461,9 @@ impl Runtime for SsaRuntime {
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Observer, Simulation};
     use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     fn decay_protocol() -> Protocol {
         let sys = EquationSystemBuilder::new()

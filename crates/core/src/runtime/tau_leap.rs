@@ -405,19 +405,8 @@ impl Runtime for TauLeapRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ProtocolCompiler;
+    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::SsaRuntime;
-    use odekit::system::EquationSystemBuilder;
-
-    fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     #[test]
     fn epidemic_saturates_and_conserves_counts() {

@@ -958,6 +958,143 @@ fn sharded_blocks_placement_conserves_the_endemic_population() {
     }
 }
 
+/// What a sharded stream pin records of one run with the standard recording
+/// set: the final counts, the messages of the whole run and the sum of every
+/// transition series.
+fn sharded_fingerprint(
+    runtime: &ShardedRuntime,
+    scenario: Scenario,
+    initial: &[u64],
+) -> (Vec<u64>, u64, u64) {
+    let run = runtime
+        .run(&scenario, &InitialStates::counts(initial))
+        .unwrap();
+    let total = |recorder: &MetricsRecorder, name: &str| -> u64 {
+        let series = recorder.series(name).unwrap();
+        series.iter().map(|&(_, v)| v as u64).sum()
+    };
+    let counts = run.final_counts().expect("counts recorded");
+    let transitions = run
+        .transitions
+        .series_names()
+        .into_iter()
+        .map(|name| total(&run.transitions, name))
+        .sum();
+    (
+        counts.iter().map(|&c| c as u64).collect(),
+        total(&run.metrics, "messages"),
+        transitions,
+    )
+}
+
+/// Four sharded runs whose draws cover every path a shard's counts take
+/// between kernels — the per-shard crash/recovery model with a rejoin state,
+/// block placement with global, shard-targeted and partition events, each
+/// adversary injection the sharded tier applies at master level, and the
+/// 64-shard shape of the `sharded_partition` benchmark workload. Recorded
+/// before the shards became the columns of one block; the draws and their
+/// order did not move with it.
+#[test]
+fn sharded_stream_is_pinned_on_every_boundary_path() {
+    let epidemic = ProtocolCompiler::new("epidemic")
+        .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+        .unwrap();
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let lv = LvParams::new().protocol().unwrap();
+    let uniform = |shards: usize, migration: f64| {
+        Topology::Sharded(
+            ShardConfig::new(shards, migration)
+                .unwrap()
+                .with_placement(Placement::Uniform),
+        )
+    };
+
+    // S = 4, crash/recovery in every shard, recoveries rejoin as receptive.
+    let n = 400_000;
+    let receptive = endemic.require_state("receptive").unwrap();
+    let rejoining =
+        ShardedRuntime::new(endemic.clone()).with_config(RunConfig::rejoining_to(receptive));
+    let scenario = Scenario::new(n, 80)
+        .unwrap()
+        .with_topology(uniform(4, 0.05))
+        .with_failure_model(netsim::FailureModel::new(0.01, 0.05).unwrap())
+        .with_seed(41);
+    assert_eq!(
+        sharded_fingerprint(
+            &rejoining,
+            scenario,
+            &figure1_endemic().equilibrium_counts(n as u64)
+        ),
+        (vec![10_641, 64_011, 325_348], 8_888_417, 1_052_293)
+    );
+
+    // S = 8, block placement, a global massive failure, a shard failure and
+    // a partition window.
+    let scenario = Scenario::new(1_000_000, 60)
+        .unwrap()
+        .with_topology(Topology::sharded(8, 0.02).unwrap())
+        .with_massive_failure(12, 0.3)
+        .unwrap()
+        .with_shard_massive_failure(20, 2, 0.5)
+        .unwrap()
+        .with_shard_partition(5, 10, 40)
+        .unwrap()
+        .with_seed(42);
+    assert_eq!(
+        sharded_fingerprint(&ShardedRuntime::new(lv), scenario, &[550_000, 450_000, 0]),
+        (vec![484_908, 381_414, 133_678], 47_630_103, 271_360)
+    );
+
+    // S = 4, an adversary crashing a state, then a shard, then recovering.
+    let adversary = ObliviousSchedule::new()
+        .inject_at(
+            6,
+            Injection::CrashState {
+                state: 1,
+                fraction: 0.3,
+            },
+        )
+        .unwrap()
+        .inject_at(
+            9,
+            Injection::CrashShard {
+                shard: 2,
+                fraction: 0.5,
+            },
+        )
+        .unwrap()
+        .inject_at(14, Injection::RecoverUniform { fraction: 0.6 })
+        .unwrap();
+    let scenario = Scenario::new(400_000, 30)
+        .unwrap()
+        .with_topology(uniform(4, 0.1))
+        .with_adversary(adversary)
+        .with_seed(43);
+    assert_eq!(
+        sharded_fingerprint(&ShardedRuntime::new(epidemic), scenario, &[396_000, 4_000]),
+        (vec![1_001, 398_999], 2_624_599, 394_999)
+    );
+
+    // The sharded_partition workload's shape at N = 10⁶.
+    let n = 1_000_000;
+    let scenario = Scenario::new(n, 500)
+        .unwrap()
+        .with_topology(uniform(64, 0.01))
+        .with_shard_massive_failure(100, 3, 0.5)
+        .unwrap()
+        .with_shard_partition(7, 200, 300)
+        .unwrap()
+        .with_seed(44);
+    assert_eq!(
+        sharded_fingerprint(
+            &ShardedRuntime::new(endemic),
+            scenario,
+            &figure1_endemic().equilibrium_counts(n as u64)
+        ),
+        (vec![27_671, 88_187, 884_142], 105_971_399, 13_173_645)
+    );
+}
+
 /// The same overdraft used to hand the hybrid runtime more processes than
 /// the group has at its count→membership handoff (an out-of-bounds panic):
 /// an endemic outbreak from ten stashers overshoots, the receptives drain
