@@ -2,9 +2,9 @@
 
 use super::inject::{self, InjectionPoint};
 use super::observer::default_observers;
+use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -28,8 +28,8 @@ use netsim::{Group, ProcessId, Rng, Scenario};
 /// symmetric and memoryless across periods, so the visiting order has no
 /// statistically visible effect at the group sizes used in the experiments.
 ///
-/// The per-period loop is allocation-free: the action lists are flattened
-/// into a dispatch table when the runtime is built, alive-only counts are
+/// The per-period loop is allocation-free: it dispatches on the flat action
+/// table of the plan compiled when the runtime is built, alive-only counts are
 /// maintained incrementally as transitions and failures happen (no O(N)
 /// rescans), and while nobody has crashed the liveness probes are skipped
 /// entirely.
@@ -56,195 +56,8 @@ use netsim::{Group, ProcessId, Rng, Scenario};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AgentRuntime {
-    protocol: Protocol,
+    plan: ProtocolPlan,
     config: RunConfig,
-    compiled: CompiledProtocol,
-}
-
-/// The protocol's action lists flattened into a dense dispatch table, built
-/// once when the runtime is constructed so the per-period loop touches only
-/// flat arrays (no nested `Vec<Vec<Action>>` walks, no per-action
-/// recomputation of message counts).
-#[derive(Debug, Clone)]
-struct CompiledProtocol {
-    /// All actions of all states, flattened; `meta[s]` delimits state `s`.
-    actions: Vec<CompiledAction>,
-    /// Per-state action range and full per-period message bill.
-    meta: Vec<StateMeta>,
-    /// `messages_tail[idx]` is the message bill of the actions *after* `idx`
-    /// within its state — subtracted when a process moves on action `idx`
-    /// (it never reaches the rest), so the hot loop pays one add per process
-    /// instead of one per action.
-    messages_tail: Vec<u64>,
-    /// Flattened `required` state lists referenced by Sample/Tokenize.
-    required: Vec<u32>,
-    /// `true` if any action consults the per-state member lists at runtime
-    /// (tokenize consumers pick a concrete member); drives the lazy list
-    /// maintenance in [`Membership`].
-    needs_member_lists: bool,
-}
-
-/// Per-state slice of the dispatch table.
-#[derive(Debug, Clone, Copy)]
-struct StateMeta {
-    start: u32,
-    end: u32,
-    /// Σ messages_per_period over the state's actions.
-    messages: u64,
-}
-
-/// One action with its fields unpacked to dense indices.
-#[derive(Debug, Clone, Copy)]
-enum CompiledAction {
-    Flip {
-        /// `1 / ln(1 − prob)`, precomputed for geometric-run sampling: a
-        /// `Flip`'s heads probability is a compile-time constant (it never
-        /// depends on counts), so its iid coin stream factorizes exactly into
-        /// geometric runs of tails — the runtime keeps one "tails left"
-        /// counter per flip action and pays one log-draw per (rare) heads
-        /// instead of one RNG draw per encounter. `-0.0` encodes "always
-        /// heads" (prob ≥ 1), `NEG_INFINITY` encodes "never" (prob ≤ 0).
-        geo_scale: f64,
-        to: u32,
-    },
-    Sample {
-        req_start: u32,
-        req_end: u32,
-        prob: f64,
-        to: u32,
-    },
-    SampleAny {
-        target: u32,
-        samples: u32,
-        prob: f64,
-        to: u32,
-    },
-    PushSample {
-        target: u32,
-        samples: u32,
-        prob: f64,
-        to: u32,
-    },
-    Tokenize {
-        req_start: u32,
-        req_end: u32,
-        prob: f64,
-        token_state: u32,
-        to: u32,
-    },
-}
-
-impl CompiledProtocol {
-    fn compile(protocol: &Protocol) -> Self {
-        let mut actions = Vec::new();
-        let mut per_action_messages: Vec<u64> = Vec::new();
-        let mut meta = Vec::with_capacity(protocol.num_states());
-        let mut required = Vec::new();
-        let flatten_required = |required: &mut Vec<u32>, list: &[StateId]| {
-            let start = required.len() as u32;
-            required.extend(list.iter().map(|s| s.index() as u32));
-            (start, required.len() as u32)
-        };
-        for state in 0..protocol.num_states() {
-            let start = actions.len() as u32;
-            for action in protocol.actions(StateId::new(state)) {
-                per_action_messages.push(u64::from(action.messages_per_period()));
-                actions.push(match action {
-                    Action::Flip { prob, to } => CompiledAction::Flip {
-                        geo_scale: if *prob <= 0.0 {
-                            // ln(u)·(−∞) = +∞ → the counter never reaches 0.
-                            f64::NEG_INFINITY
-                        } else {
-                            // prob ≥ 1 gives 1/ln(0) = −0.0: every run of
-                            // tails has length 0, i.e. always heads.
-                            1.0 / (1.0 - prob).ln()
-                        },
-                        to: to.index() as u32,
-                    },
-                    Action::Sample {
-                        required: req,
-                        prob,
-                        to,
-                    } => {
-                        let (req_start, req_end) = flatten_required(&mut required, req);
-                        CompiledAction::Sample {
-                            req_start,
-                            req_end,
-                            prob: *prob,
-                            to: to.index() as u32,
-                        }
-                    }
-                    Action::SampleAny {
-                        target_state,
-                        samples,
-                        prob,
-                        to,
-                    } => CompiledAction::SampleAny {
-                        target: target_state.index() as u32,
-                        samples: *samples,
-                        prob: *prob,
-                        to: to.index() as u32,
-                    },
-                    Action::PushSample {
-                        target_state,
-                        samples,
-                        prob,
-                        to,
-                    } => CompiledAction::PushSample {
-                        target: target_state.index() as u32,
-                        samples: *samples,
-                        prob: *prob,
-                        to: to.index() as u32,
-                    },
-                    Action::Tokenize {
-                        required: req,
-                        prob,
-                        token_state,
-                        to,
-                    } => {
-                        let (req_start, req_end) = flatten_required(&mut required, req);
-                        CompiledAction::Tokenize {
-                            req_start,
-                            req_end,
-                            prob: *prob,
-                            token_state: token_state.index() as u32,
-                            to: to.index() as u32,
-                        }
-                    }
-                });
-            }
-            meta.push(StateMeta {
-                start,
-                end: actions.len() as u32,
-                messages: per_action_messages[start as usize..].iter().sum(),
-            });
-        }
-        // Suffix message bills within each state's range.
-        let mut messages_tail = vec![0u64; actions.len()];
-        for m in &meta {
-            let mut tail = 0u64;
-            for idx in (m.start as usize..m.end as usize).rev() {
-                messages_tail[idx] = tail;
-                tail += per_action_messages[idx];
-            }
-        }
-        // Tokenize consumers and push victims pick concrete members through
-        // the lists; protocols without those actions (epidemic, LV) skip the
-        // whole positional bookkeeping.
-        let needs_member_lists = actions.iter().any(|a| {
-            matches!(
-                a,
-                CompiledAction::Tokenize { .. } | CompiledAction::PushSample { .. }
-            )
-        });
-        CompiledProtocol {
-            actions,
-            meta,
-            messages_tail,
-            required,
-            needs_member_lists,
-        }
-    }
 }
 
 /// The mutable execution state of an [`AgentRuntime`] run: the scenario
@@ -257,17 +70,17 @@ pub struct AgentState {
     group: Group,
     members: Membership,
     /// Per-flip-action "tails left before the next heads" counters (indexed
-    /// like the compiled action table; non-flip slots stay 0 and unused).
-    /// See [`CompiledAction::Flip`]: decrementing a counter per encounter is
+    /// like the plan's action table; non-flip slots stay 0 and unused).
+    /// See [`PlanAction::Flip`]: decrementing a counter per encounter is
     /// distribution-identical to drawing the coin per encounter.
     flip_skips: Vec<u64>,
     period: u64,
     /// Whether the scenario can ever change liveness; when `false` the
     /// per-period environment step and all liveness probes are skipped.
     has_liveness_events: bool,
-    /// Dense `from * num_states + to` transition counts for the period that
-    /// just executed, plus the sparse rendering handed to observers.
-    transitions_dense: Vec<u64>,
+    /// Per plan edge: the processes that crossed it in the period that just
+    /// executed, plus the sparse rendering handed to observers.
+    tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     messages: u64,
     /// The scenario's adversary, forked for this run (absent for
@@ -324,13 +137,11 @@ impl AgentState {
 
 impl AgentRuntime {
     /// Creates a runtime for the given protocol with the default
-    /// [`RunConfig`], pre-compiling the action dispatch table.
+    /// [`RunConfig`], compiling the protocol's plan.
     pub fn new(protocol: Protocol) -> Self {
-        let compiled = CompiledProtocol::compile(&protocol);
         AgentRuntime {
-            protocol,
+            plan: ProtocolPlan::new(protocol),
             config: RunConfig::default(),
-            compiled,
         }
     }
 
@@ -343,7 +154,7 @@ impl AgentRuntime {
 
     /// The protocol being executed.
     pub fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     /// Runs the protocol under the given scenario and initial state
@@ -378,20 +189,6 @@ impl AgentRuntime {
             .to_vec())
     }
 
-    /// Seeds every flip action's geometric "tails left" counter from `rng`
-    /// (shared by [`init`](Runtime::init) and the hybrid runtime's
-    /// counts→membership handoff).
-    fn seed_flip_skips(&self, rng: &mut Rng) -> Vec<u64> {
-        self.compiled
-            .actions
-            .iter()
-            .map(|a| match a {
-                CompiledAction::Flip { geo_scale, .. } => draw_geometric(rng, *geo_scale),
-                _ => 0,
-            })
-            .collect()
-    }
-
     /// Builds a mid-run [`AgentState`] from per-state alive/crashed counts —
     /// the counts→membership direction of the hybrid runtime's handoff.
     ///
@@ -418,7 +215,6 @@ impl AgentRuntime {
         mut rng: Rng,
     ) -> AgentState {
         let n = scenario.group_size();
-        let num_states = self.protocol.num_states();
         debug_assert_eq!(
             counts_alive.iter().sum::<u64>() + counts_crashed.iter().sum::<u64>(),
             n as u64,
@@ -446,22 +242,31 @@ impl AgentRuntime {
             }
             *label >>= 1;
         }
-        let flip_skips = self.seed_flip_skips(&mut rng);
+        self.state(scenario, assignment, group, period, rng)
+    }
+
+    /// The run state at `period` of a group whose per-process states are
+    /// `assignment`: every flip action's geometric tails counter is seeded
+    /// from `rng` after whatever it already drew.
+    fn state(
+        &self,
+        scenario: &Scenario,
+        assignment: Vec<u32>,
+        group: Group,
+        period: u64,
+        mut rng: Rng,
+    ) -> AgentState {
+        let with_lists = self.plan.needs_member_lists();
         AgentState {
-            members: Membership::new(
-                num_states,
-                assignment,
-                &group,
-                self.compiled.needs_member_lists,
-            ),
+            flip_skips: self.plan.seed_flip_skips(&mut rng),
+            members: Membership::new(self.plan.num_states(), assignment, &group, with_lists),
             group,
             rng,
-            flip_skips,
             has_liveness_events: scenario.has_liveness_events(),
             injector: InjectionPoint::from_scenario(scenario),
             scenario: scenario.clone(),
             period,
-            transitions_dense: vec![0; num_states * num_states],
+            tallies: vec![0; self.plan.edges.len()],
             transitions: Vec::new(),
             messages: 0,
         }
@@ -538,12 +343,12 @@ impl AgentRuntime {
                 Ok(down.len() as u64)
             }
             Injection::CrashState { state: s, fraction } => {
-                if s >= self.protocol.num_states() {
+                if s >= self.plan.num_states() {
                     return Err(CoreError::InvalidConfig {
                         name: "adversary",
                         reason: format!(
                             "injection targets state {s}, but the protocol has only {} states",
-                            self.protocol.num_states()
+                            self.plan.num_states()
                         ),
                     });
                 }
@@ -588,32 +393,24 @@ impl AgentRuntime {
     }
 }
 
-/// Draws the length of the next run of tails for a flip with precomputed
-/// `geo_scale = 1 / ln(1 − prob)`: `⌊ln(1 − u) · geo_scale⌋`, the geometric
-/// inverse-CDF (one uniform, one log).
-#[inline]
-fn draw_geometric(rng: &mut Rng, geo_scale: f64) -> u64 {
-    let ln1mu = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE).ln();
-    (ln1mu * geo_scale) as u64
-}
-
-/// Applies the transition `p: from -> to` and counts it in the dense buffer.
-/// Every transitioning process is alive (executors, push targets and token
-/// consumers are all liveness-checked), so the alive counts move too.
+/// Applies the transition `p: from -> to` and tallies it on the plan edge
+/// slot `edge` of the action that caused it. Every transitioning process is
+/// alive (executors, push targets and token consumers are all
+/// liveness-checked), so the alive counts move too.
 #[inline]
 fn transition(
     p: usize,
     from: usize,
     to: usize,
+    edge: u32,
     members: &mut Membership,
-    transitions: &mut [u64],
-    num_states: usize,
+    tallies: &mut [u64],
 ) {
     if from == to {
         return;
     }
     members.force_state_alive(p, to);
-    transitions[from * num_states + to] += 1;
+    tallies[edge as usize] += 1;
 }
 
 impl Runtime for AgentRuntime {
@@ -624,15 +421,15 @@ impl Runtime for AgentRuntime {
     }
 
     fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AgentState> {
-        self.protocol.validate()?;
+        self.plan.protocol().validate()?;
         super::reject_sharded(scenario, "agent")?;
         super::reject_transport(scenario, "agent")?;
         let n = scenario.group_size();
-        let num_states = self.protocol.num_states();
+        let num_states = self.plan.num_states();
         let counts_spec = initial.resolve(num_states, n as u64)?;
 
         let mut rng = scenario.build_rng();
@@ -645,41 +442,18 @@ impl Runtime for AgentRuntime {
             assignment.extend(std::iter::repeat(state as u32).take(*count as usize));
         }
         rng.shuffle(&mut assignment);
-
-        // Seed every flip action's geometric tails counter.
-        let flip_skips = self.seed_flip_skips(&mut rng);
-
-        Ok(AgentState {
-            rng,
-            flip_skips,
-            members: Membership::new(
-                num_states,
-                assignment,
-                &group,
-                self.compiled.needs_member_lists,
-            ),
-            group,
-            has_liveness_events: scenario.has_liveness_events(),
-            injector: InjectionPoint::from_scenario(scenario),
-            scenario: scenario.clone(),
-            period: 0,
-            transitions_dense: vec![0; num_states * num_states],
-            transitions: Vec::new(),
-            messages: 0,
-        })
+        Ok(self.state(scenario, assignment, group, 0, rng))
     }
 
     fn step<'s>(&self, state: &'s mut AgentState) -> Result<PeriodEvents<'s>> {
         let period = state.period;
         let n = state.scenario.group_size();
         let inv_n = 1.0 / n as f64;
-        let num_states = self.protocol.num_states();
         // Per-contact failure probability; `Rng::chance` consumes no
         // randomness when it is zero, so the reliable path stays draw-free.
         let contact_fail = state.scenario.loss().effective_contact_failure(1);
         let contact_ok = 1.0 - contact_fail;
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
+        state.tallies.fill(0);
         state.messages = 0;
 
         // 1. Environment events (skipped outright for failure-free
@@ -713,74 +487,65 @@ impl Runtime for AgentRuntime {
             ref mut rng,
             ref group,
             ref mut members,
-            ref mut transitions_dense,
+            ref mut tallies,
             ref mut messages,
             ref mut flip_skips,
             ..
         } = *state;
+        let plan = &self.plan;
         for p in 0..n {
             let process_state = members.state_of(p);
-            let meta = self.compiled.meta[process_state];
-            if meta.start == meta.end || (check_alive && !group.is_alive_unchecked(p)) {
+            let span = plan.spans[process_state];
+            if span.start == span.end || (check_alive && !group.is_alive_unchecked(p)) {
                 continue;
             }
             // Bill the whole action list up front; a process that moves early
             // refunds the unreached tail below.
-            *messages += meta.messages;
-            // `idx` indexes three parallel tables (actions, flip_skips,
-            // messages_tail), so a range loop is the clearest form.
+            *messages += span.messages;
+            // `idx` indexes the plan's parallel tables (actions, edge slots,
+            // messages_tail) and flip_skips, so a range loop is the clearest
+            // form.
             #[allow(clippy::needless_range_loop)]
-            for idx in meta.start as usize..meta.end as usize {
+            for idx in span.start as usize..span.end as usize {
                 // Flip — the dominant action in the paper's protocols — is
                 // handled inline so the sweep loop stays a handful of
                 // instructions; everything else goes through the out-of-line
                 // slow path, keeping the hot loop's code footprint tiny.
-                let moved =
-                    if let CompiledAction::Flip { geo_scale, to } = self.compiled.actions[idx] {
-                        let skip = &mut flip_skips[idx];
-                        if *skip == 0 {
-                            *skip = draw_geometric(rng, geo_scale);
-                            transition(
-                                p,
-                                process_state,
-                                to as usize,
-                                members,
-                                transitions_dense,
-                                num_states,
-                            );
-                            true
-                        } else {
-                            *skip -= 1;
-                            false
-                        }
+                let moved = if let PlanAction::Flip { geo_scale, to, .. } = plan.actions[idx] {
+                    let skip = &mut flip_skips[idx];
+                    if *skip == 0 {
+                        *skip = draw_geometric(rng, geo_scale);
+                        let edge = plan.moves[idx].slot;
+                        transition(p, process_state, to as usize, edge, members, tallies);
+                        true
                     } else {
-                        self.execute_compiled(
-                            idx,
-                            p,
-                            process_state,
-                            inv_n,
-                            num_states,
-                            contact_ok,
-                            contact_fail,
-                            members,
-                            group,
-                            rng,
-                            transitions_dense,
-                        )
-                    };
+                        *skip -= 1;
+                        false
+                    }
+                } else {
+                    self.execute_compiled(
+                        idx,
+                        p,
+                        process_state,
+                        inv_n,
+                        contact_ok,
+                        contact_fail,
+                        members,
+                        group,
+                        rng,
+                        tallies,
+                    )
+                };
                 if moved {
-                    *messages -= self.compiled.messages_tail[idx];
+                    *messages -= plan.messages_tail[idx];
                     break;
                 }
             }
         }
 
-        // 3. Render the dense transition counts sparsely for observers.
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            self.protocol.num_states(),
-            &mut state.transitions,
-        );
+        // 3. Render the edge tallies for observers.
+        self.plan
+            .render_transitions(&state.tallies, 1, &mut state.transitions);
 
         state.period = period + 1;
         Ok(self.events(state))
@@ -792,7 +557,7 @@ impl Runtime for AgentRuntime {
 }
 
 impl AgentRuntime {
-    /// Executes one compiled action for process `p` (currently in `state`).
+    /// Executes one plan action for process `p` (currently in `state`).
     /// Returns `true` if the process itself transitioned.
     ///
     /// Contacts use **count-assisted sampling**: drawing a uniform member of
@@ -817,37 +582,39 @@ impl AgentRuntime {
         p: usize,
         state: usize,
         inv_n: f64,
-        num_states: usize,
         contact_ok: f64,
         contact_fail: f64,
         members: &mut Membership,
         group: &Group,
         rng: &mut Rng,
-        transitions: &mut [u64],
+        tallies: &mut [u64],
     ) -> bool {
-        match self.compiled.actions[idx] {
-            CompiledAction::Flip { .. } => {
+        let plan = &self.plan;
+        // Read only when something moves: most executions move no one.
+        let edge = || plan.moves[idx].slot;
+        match plan.actions[idx] {
+            PlanAction::Flip { .. } => {
                 // The sweep loop in `step` handles Flip inline (its only
                 // call site filters it out); one canonical implementation
                 // lives there.
                 unreachable!("Flip is handled inline in the sweep loop")
             }
-            CompiledAction::Sample {
+            PlanAction::Sample {
                 req_start,
                 req_end,
                 prob,
                 to,
             } => {
                 let mut fire = prob;
-                for &wanted in &self.compiled.required[req_start as usize..req_end as usize] {
+                for &wanted in &plan.required[req_start as usize..req_end as usize] {
                     fire *= members.counts_alive[wanted as usize] as f64 * inv_n * contact_ok;
                 }
                 if rng.chance(fire) {
-                    transition(p, state, to as usize, members, transitions, num_states);
+                    transition(p, state, to as usize, edge(), members, tallies);
                     return true;
                 }
             }
-            CompiledAction::SampleAny {
+            PlanAction::SampleAny {
                 target,
                 samples,
                 prob,
@@ -860,11 +627,11 @@ impl AgentRuntime {
                     prob * (1.0 - (1.0 - hit).powi(samples as i32))
                 };
                 if rng.chance(fire) {
-                    transition(p, state, to as usize, members, transitions, num_states);
+                    transition(p, state, to as usize, edge(), members, tallies);
                     return true;
                 }
             }
-            CompiledAction::PushSample {
+            PlanAction::PushSample {
                 target,
                 samples,
                 prob,
@@ -903,14 +670,14 @@ impl AgentRuntime {
                     // Uniform among the valid victims via rejection on p.
                     while let Some(victim) = members.random_alive_in_state(t, group, rng) {
                         if victim != p {
-                            transition(victim, t, to as usize, members, transitions, num_states);
+                            transition(victim, t, to as usize, edge(), members, tallies);
                             break;
                         }
                     }
                     remaining -= j;
                 }
             }
-            CompiledAction::Tokenize {
+            PlanAction::Tokenize {
                 req_start,
                 req_end,
                 prob,
@@ -918,7 +685,7 @@ impl AgentRuntime {
                 to,
             } => {
                 let mut fire = prob;
-                for &wanted in &self.compiled.required[req_start as usize..req_end as usize] {
+                for &wanted in &plan.required[req_start as usize..req_end as usize] {
                     fire *= members.counts_alive[wanted as usize] as f64 * inv_n * contact_ok;
                 }
                 if rng.chance(fire) {
@@ -933,9 +700,9 @@ impl AgentRuntime {
                                 consumer,
                                 token_state as usize,
                                 to as usize,
+                                edge(),
                                 members,
-                                transitions,
-                                num_states,
+                                tallies,
                             );
                         }
                     }

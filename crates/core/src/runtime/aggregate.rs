@@ -1,13 +1,12 @@
 //! The count-based (aggregate) protocol runtime.
 
 use super::observer::default_observers;
+use super::plan::{PlanAction, ProtocolPlan};
 use super::simulation::drive_periods;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::stochastic::{binomial, multinomial};
 use netsim::{LossConfig, Rng, Scenario};
 
 /// Executes a protocol tracking only the number of processes in each state.
@@ -15,9 +14,14 @@ use netsim::{LossConfig, Rng, Scenario};
 /// Each period, for every state and in action order, the runtime computes the
 /// per-process probability of each transition from the **start-of-period
 /// counts** and draws the number of movers from the corresponding
-/// binomial/multinomial distribution; all transitions are applied at the end
-/// of the period (a synchronous-update approximation of the asynchronous
-/// agent runtime). The approximation error vanishes as the per-period
+/// binomial/multinomial distribution — one multinomial cell per self-moving
+/// action — and all transitions are applied at the end of the period (a
+/// synchronous-update approximation of the asynchronous agent runtime).
+/// Push/token conversions are drawn in action order and land after every
+/// state's self-move draw, on members of their target state that did not
+/// move themselves, so the population is conserved exactly (the
+/// [`BatchedRuntime`](super::BatchedRuntime) rule). The approximation error
+/// vanishes as the per-period
 /// transition probabilities shrink, and tests verify that agent and aggregate
 /// runs agree within sampling noise on the paper's parameter settings.
 ///
@@ -35,13 +39,14 @@ use netsim::{LossConfig, Rng, Scenario};
 /// fraction below 1.0 (contacts aimed at the dead fraction are fruitless).
 #[derive(Debug, Clone)]
 pub struct AggregateRuntime {
-    protocol: Protocol,
+    plan: ProtocolPlan,
     loss: Option<LossConfig>,
     alive_fraction: f64,
 }
 
 /// The mutable execution state of an [`AggregateRuntime`] run: per-state
-/// counts, the PRNG and the current period's event buffers.
+/// counts, the PRNG, the current period's event buffers and reusable
+/// scratch, so the per-period step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct AggregateState {
     n_f: f64,
@@ -50,9 +55,18 @@ pub struct AggregateState {
     rng: Rng,
     loss: LossConfig,
     period: u64,
-    transitions_dense: Vec<u64>,
+    /// Per plan edge: the processes that crossed it this period.
+    tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     messages: u64,
+    // Scratch buffers reused every period.
+    start: Vec<u64>,
+    /// Per state: the start-of-period members that have not left it yet.
+    stayed: Vec<u64>,
+    /// Per conversion row: the conversions its push/token action drew.
+    pending: Vec<u64>,
+    weights: Vec<f64>,
+    draws: Vec<u64>,
 }
 
 impl AggregateState {
@@ -67,7 +81,7 @@ impl AggregateRuntime {
     /// reliable unless a scenario drives the run and specifies losses.
     pub fn new(protocol: Protocol) -> Self {
         AggregateRuntime {
-            protocol,
+            plan: ProtocolPlan::new(protocol),
             loss: None,
             alive_fraction: 1.0,
         }
@@ -100,7 +114,7 @@ impl AggregateRuntime {
 
     /// The protocol being executed.
     pub fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     /// Runs the protocol for `periods` periods on a maximal group of `n`
@@ -134,8 +148,8 @@ impl AggregateRuntime {
         seed: u64,
         loss: LossConfig,
     ) -> Result<AggregateState> {
-        self.protocol.validate()?;
-        let num_states = self.protocol.num_states();
+        self.plan.protocol().validate()?;
+        let num_states = self.plan.num_states();
         let alive_n = (n as f64 * self.alive_fraction).round() as u64;
         let counts = initial.resolve(num_states, alive_n)?;
         Ok(AggregateState {
@@ -145,9 +159,14 @@ impl AggregateRuntime {
             rng: Rng::seed_from(seed),
             loss,
             period: 0,
-            transitions_dense: vec![0; num_states * num_states],
+            tallies: vec![0; self.plan.edges.len()],
             transitions: Vec::new(),
             messages: 0,
+            start: vec![0; num_states],
+            stayed: vec![0; num_states],
+            pending: vec![0; self.plan.conversion_edges.len()],
+            weights: Vec::new(),
+            draws: Vec::new(),
         })
     }
 
@@ -178,7 +197,7 @@ impl Runtime for AggregateRuntime {
     }
 
     fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AggregateState> {
@@ -206,16 +225,24 @@ impl Runtime for AggregateRuntime {
     }
 
     fn step<'s>(&self, state: &'s mut AggregateState) -> Result<PeriodEvents<'s>> {
-        let num_states = self.protocol.num_states();
-        let period = state.period;
+        let plan = &self.plan;
         let n_f = state.n_f;
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
-        state.messages = 0;
-
         let contact_ok = 1.0 - state.loss.effective_contact_failure(1);
-        let start: Vec<u64> = state.counts.clone();
-        let mut delta = vec![0i64; num_states];
+        let AggregateState {
+            ref mut rng,
+            ref mut counts,
+            ref mut tallies,
+            ref mut start,
+            ref mut stayed,
+            ref mut pending,
+            ref mut weights,
+            ref mut draws,
+            ..
+        } = *state;
+        start.copy_from_slice(counts);
+        stayed.copy_from_slice(counts);
+        tallies.fill(0);
+        pending.fill(0);
         // Expected messages, matching the agent runtime's accounting: a
         // process pays for an action only if it has not already moved on an
         // earlier action this period (including the action that moves it).
@@ -225,104 +252,75 @@ impl Runtime for AggregateRuntime {
             if k_s == 0 {
                 continue;
             }
-            let actions = self.protocol.actions(StateId::new(s));
-            if actions.is_empty() {
-                continue;
-            }
             // Per-process probabilities of each *self-moving* outcome, in
-            // action order; push/token actions affect other states and are
-            // handled separately below.
-            let mut outcome_probs: Vec<(usize, f64)> = Vec::new(); // (dest, prob)
+            // action order; push/token actions affect other states and fill
+            // their conversion rows instead.
+            weights.clear();
             let mut survive = 1.0; // probability of not having moved yet
-            for action in actions {
-                messages_f += k_s as f64 * survive * f64::from(action.messages_per_period());
-                let fire = super::fire_probability(action, &start, n_f, contact_ok);
-                match action {
-                    Action::Flip { to, .. }
-                    | Action::Sample { to, .. }
-                    | Action::SampleAny { to, .. } => {
-                        outcome_probs.push((to.index(), survive * fire));
+            for a in plan.range(s) {
+                messages_f += k_s as f64 * survive * f64::from(plan.messages[a]);
+                let fire = plan.fire_probability(a, |s| start[s], n_f, contact_ok);
+                let row = plan.draw_slots[a] as usize;
+                match plan.actions[a] {
+                    PlanAction::Flip { .. }
+                    | PlanAction::Sample { .. }
+                    | PlanAction::SampleAny { .. } => {
+                        weights.push(survive * fire);
                         survive *= 1.0 - fire;
                     }
-                    Action::PushSample {
-                        target_state,
+                    PlanAction::PushSample {
+                        target,
                         samples,
                         prob,
-                        to,
+                        ..
                     } => {
                         // Executors do not move themselves, but only those no
                         // earlier self-moving action already moved reach this
                         // action — fold `survive` into the per-draw
                         // probability. Each surviving executor's samples
-                        // convert alive members of target_state.
-                        let per_draw = (start[target_state.index()] as f64 / n_f)
-                            * prob
-                            * contact_ok
-                            * survive;
-                        let draws = k_s.saturating_mul(u64::from(*samples));
-                        let converted = binomial(&mut state.rng, draws, per_draw)
-                            .min(start[target_state.index()]);
-                        if converted > 0 {
-                            delta[target_state.index()] -= converted as i64;
-                            delta[to.index()] += converted as i64;
-                            state.transitions_dense
-                                [target_state.index() * num_states + to.index()] += converted;
-                        }
+                        // convert alive members of the target state.
+                        let per_draw =
+                            (start[target as usize] as f64 / n_f) * prob * contact_ok * survive;
+                        let trials = k_s.saturating_mul(u64::from(samples));
+                        pending[row] = rng.binomial(trials, per_draw);
                     }
-                    Action::Tokenize {
-                        token_state, to, ..
-                    } => {
-                        // Only executors that have not moved on an earlier
-                        // action reach this one (probability `survive`).
-                        let fired = binomial(&mut state.rng, k_s, survive * fire);
-                        let consumed = fired.min(start[token_state.index()]);
-                        if consumed > 0 {
-                            delta[token_state.index()] -= consumed as i64;
-                            delta[to.index()] += consumed as i64;
-                            state.transitions_dense
-                                [token_state.index() * num_states + to.index()] += consumed;
-                        }
+                    // Only executors that have not moved on an earlier
+                    // action reach this one (probability `survive`).
+                    PlanAction::Tokenize { .. } => {
+                        pending[row] = rng.binomial(k_s, survive * fire);
                     }
                 }
             }
 
-            if !outcome_probs.is_empty() {
+            if !weights.is_empty() {
                 // Multinomial draw over (outcome_1, ..., outcome_m, stay).
-                let mut weights: Vec<f64> = outcome_probs.iter().map(|(_, p)| *p).collect();
                 let stay = (1.0 - weights.iter().sum::<f64>()).max(0.0);
                 weights.push(stay);
-                let draws = multinomial(&mut state.rng, k_s, &weights);
-                for ((dest, _), &moved) in outcome_probs.iter().zip(&draws) {
-                    if moved > 0 {
-                        delta[s] -= moved as i64;
-                        delta[*dest] += moved as i64;
-                        state.transitions_dense[s * num_states + dest] += moved;
-                    }
+                draws.resize(weights.len(), 0);
+                rng.multinomial_into(k_s, weights, draws);
+                let movers = plan.range(s).filter(|&a| plan.actions[a].moves_self());
+                let mut left = 0;
+                for (a, &moved) in movers.zip(&*draws) {
+                    tallies[plan.moves[a].slot as usize] += moved;
+                    left += moved;
                 }
+                stayed[s] = k_s - left;
             }
         }
 
-        // Apply the deltas with saturation (clamping can only be triggered
-        // by the push/token approximations racing each other in the same
-        // period, which is statistically negligible).
-        for (c, d) in state.counts.iter_mut().zip(&delta) {
-            let new = *c as i64 + d;
-            *c = new.max(0) as u64;
-        }
+        // Conversions land after every self-move draw, on members that
+        // stayed; then everything moves along its edge.
+        plan.land_conversions(pending, stayed, tallies, 1);
+        plan.move_along_edges(tallies, counts, 1);
         debug_assert_eq!(
-            state.counts.iter().sum::<u64>(),
+            counts.iter().sum::<u64>(),
             state.alive_n,
             "an aggregate period must conserve the population"
         );
 
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            num_states,
-            &mut state.transitions,
-        );
-
+        plan.render_transitions(&state.tallies, 1, &mut state.transitions);
         state.messages = messages_f.round() as u64;
-        state.period = period + 1;
+        state.period += 1;
         Ok(self.events(state))
     }
 
@@ -334,6 +332,7 @@ impl Runtime for AggregateRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::mapping::ProtocolCompiler;
     use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::AgentRuntime;
@@ -496,6 +495,38 @@ mod tests {
             last[1]
         );
         assert!(result.total_transitions("b", "c") > 400.0);
+    }
+
+    #[test]
+    fn conversions_land_only_on_processes_that_stayed() {
+        // Every b flips to c on its own, and the pushers aim at b as well:
+        // a conversion capped at the start-of-period b count took the b's a
+        // second time (a period read [500, 0, 985]). Conversions land on the
+        // members of b that did not move themselves — none here.
+        let mut protocol = Protocol::new("push", vec!["a".into(), "b".into(), "c".into()]).unwrap();
+        let [a, b, c] = [0, 1, 2].map(StateId::new);
+        protocol
+            .add_action(b, Action::Flip { prob: 1.0, to: c })
+            .unwrap();
+        protocol
+            .add_action(
+                a,
+                Action::PushSample {
+                    target_state: b,
+                    samples: 2,
+                    prob: 1.0,
+                    to: c,
+                },
+            )
+            .unwrap();
+        let runtime = AggregateRuntime::new(protocol);
+        let scenario = Scenario::new(1_000, 1).unwrap().with_seed(3);
+        let mut state = runtime
+            .init(&scenario, &InitialStates::counts(&[500, 500, 0]))
+            .unwrap();
+        let events = runtime.step(&mut state).unwrap();
+        assert_eq!(events.counts, &[500, 0, 500]);
+        assert_eq!(events.transitions, &[(b, c, 500)]);
     }
 
     #[test]

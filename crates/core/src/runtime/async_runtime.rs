@@ -55,9 +55,9 @@
 
 use super::inject::{self, InjectionPoint};
 use super::observer::{default_observers, TransportProbe};
+use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -104,140 +104,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AsyncRuntime {
-    protocol: Protocol,
+    plan: ProtocolPlan,
     config: RunConfig,
-    compiled: Compiled,
-}
-
-/// The protocol's action lists flattened for the event loop (the agent
-/// runtime's dispatch-table idea, with per-chain progress instead of a
-/// per-period sweep).
-#[derive(Debug, Clone)]
-struct Compiled {
-    actions: Vec<CAction>,
-    /// `(start, end)` action range per state.
-    meta: Vec<(u32, u32)>,
-    /// Flattened `required` state lists referenced by Sample/Tokenize.
-    required: Vec<u32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CAction {
-    Flip {
-        /// `1 / ln(1 − prob)` for geometric-run sampling (see the agent
-        /// runtime's `CompiledAction::Flip`).
-        geo_scale: f64,
-        to: u32,
-    },
-    Sample {
-        req_start: u32,
-        req_end: u32,
-        prob: f64,
-        to: u32,
-    },
-    SampleAny {
-        target: u32,
-        samples: u32,
-        prob: f64,
-        to: u32,
-    },
-    Push {
-        target: u32,
-        samples: u32,
-        prob: f64,
-        to: u32,
-    },
-    Tokenize {
-        req_start: u32,
-        req_end: u32,
-        prob: f64,
-        token_state: u32,
-        to: u32,
-    },
-}
-
-impl Compiled {
-    fn compile(protocol: &Protocol) -> Self {
-        let mut actions = Vec::new();
-        let mut meta = Vec::with_capacity(protocol.num_states());
-        let mut required = Vec::new();
-        let flatten = |required: &mut Vec<u32>, list: &[StateId]| {
-            let start = required.len() as u32;
-            required.extend(list.iter().map(|s| s.index() as u32));
-            (start, required.len() as u32)
-        };
-        for state in 0..protocol.num_states() {
-            let start = actions.len() as u32;
-            for action in protocol.actions(StateId::new(state)) {
-                actions.push(match action {
-                    Action::Flip { prob, to } => CAction::Flip {
-                        geo_scale: if *prob <= 0.0 {
-                            f64::NEG_INFINITY
-                        } else {
-                            1.0 / (1.0 - prob).ln()
-                        },
-                        to: to.index() as u32,
-                    },
-                    Action::Sample {
-                        required: req,
-                        prob,
-                        to,
-                    } => {
-                        let (req_start, req_end) = flatten(&mut required, req);
-                        CAction::Sample {
-                            req_start,
-                            req_end,
-                            prob: *prob,
-                            to: to.index() as u32,
-                        }
-                    }
-                    Action::SampleAny {
-                        target_state,
-                        samples,
-                        prob,
-                        to,
-                    } => CAction::SampleAny {
-                        target: target_state.index() as u32,
-                        samples: *samples,
-                        prob: *prob,
-                        to: to.index() as u32,
-                    },
-                    Action::PushSample {
-                        target_state,
-                        samples,
-                        prob,
-                        to,
-                    } => CAction::Push {
-                        target: target_state.index() as u32,
-                        samples: *samples,
-                        prob: *prob,
-                        to: to.index() as u32,
-                    },
-                    Action::Tokenize {
-                        required: req,
-                        prob,
-                        token_state,
-                        to,
-                    } => {
-                        let (req_start, req_end) = flatten(&mut required, req);
-                        CAction::Tokenize {
-                            req_start,
-                            req_end,
-                            prob: *prob,
-                            token_state: token_state.index() as u32,
-                            to: to.index() as u32,
-                        }
-                    }
-                });
-            }
-            meta.push((start, actions.len() as u32));
-        }
-        Compiled {
-            actions,
-            meta,
-            required,
-        }
-    }
 }
 
 /// Where a process's current chain is suspended, waiting for one in-flight
@@ -411,7 +279,8 @@ pub struct AsyncState {
     period_secs: f64,
     has_liveness_events: bool,
     messages: u64,
-    transitions_dense: Vec<u64>,
+    /// Per plan edge: the processes that crossed it this period.
+    tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     probe: TransportProbe,
     /// The scenario's adversary, forked for this run (absent for
@@ -454,19 +323,18 @@ struct Ctx<'a> {
     chain_id: &'a [u32],
     chain_origin: &'a mut [u32],
     flip_skips: &'a mut [u64],
-    transitions_dense: &'a mut [u64],
+    tallies: &'a mut [u64],
     messages: &'a mut u64,
     n: usize,
-    num_states: usize,
     contact_fail: f64,
     check_alive: bool,
     period: u64,
 }
 
 impl Ctx<'_> {
-    /// Moves the alive process `p` to `to`, maintaining counts and the dense
-    /// transition buffer.
-    fn move_alive(&mut self, p: usize, to: usize) {
+    /// Moves the alive process `p` to `to`, maintaining counts and the tally
+    /// of the plan edge slot `edge` (the edge of the action that moved it).
+    fn move_alive(&mut self, p: usize, to: usize, edge: u32) {
         let from = self.states[p] as usize;
         if from == to {
             return;
@@ -476,7 +344,7 @@ impl Ctx<'_> {
         self.counts_alive[from] -= 1;
         self.counts_alive[to] += 1;
         self.states[p] = to as u32;
-        self.transitions_dense[from * self.num_states + to] += 1;
+        self.tallies[edge as usize] += 1;
     }
 
     fn is_alive(&self, p: usize) -> bool {
@@ -520,22 +388,13 @@ impl Ctx<'_> {
     }
 }
 
-/// Geometric inverse-CDF with precomputed `geo_scale = 1 / ln(1 − prob)`.
-#[inline]
-fn draw_geometric(rng: &mut Rng, geo_scale: f64) -> u64 {
-    let ln1mu = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE).ln();
-    (ln1mu * geo_scale) as u64
-}
-
 impl AsyncRuntime {
     /// Creates a runtime for the given protocol with the default
     /// [`RunConfig`].
     pub fn new(protocol: Protocol) -> Self {
-        let compiled = Compiled::compile(&protocol);
         AsyncRuntime {
-            protocol,
+            plan: ProtocolPlan::new(protocol),
             config: RunConfig::default(),
-            compiled,
         }
     }
 
@@ -548,7 +407,7 @@ impl AsyncRuntime {
 
     /// The protocol being executed.
     pub fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     /// Runs the protocol under the given scenario with the standard
@@ -650,12 +509,12 @@ impl AsyncRuntime {
                 Ok(down.len() as u64)
             }
             Injection::CrashState { state: s, fraction } => {
-                if s >= self.protocol.num_states() {
+                if s >= self.plan.num_states() {
                     return Err(CoreError::InvalidConfig {
                         name: "adversary",
                         reason: format!(
                             "injection targets state {s}, but the protocol has only {} states",
-                            self.protocol.num_states()
+                            self.plan.num_states()
                         ),
                     });
                 }
@@ -798,21 +657,22 @@ impl AsyncRuntime {
     /// or list exhaustion ends the chain.
     fn advance_chain(&self, ctx: &mut Ctx<'_>, p: usize, start_idx: usize, now: f64) {
         let origin = ctx.chain_origin[p] as usize;
-        let (_, end) = self.compiled.meta[origin];
+        let end = self.plan.spans[origin].end as usize;
         let mut idx = start_idx;
-        while idx < end as usize {
-            match self.compiled.actions[idx] {
-                CAction::Flip { geo_scale, to } => {
+        while idx < end {
+            let edge = self.plan.moves[idx].slot;
+            match self.plan.actions[idx] {
+                PlanAction::Flip { geo_scale, to, .. } => {
                     let skip = &mut ctx.flip_skips[idx];
                     if *skip == 0 {
                         *skip = draw_geometric(ctx.rng, geo_scale);
-                        ctx.move_alive(p, to as usize);
+                        ctx.move_alive(p, to as usize, edge);
                         ctx.pending[p] = Phase::Idle;
                         return;
                     }
                     *skip -= 1;
                 }
-                CAction::Sample {
+                PlanAction::Sample {
                     req_start,
                     req_end,
                     prob,
@@ -821,7 +681,7 @@ impl AsyncRuntime {
                     if req_start == req_end {
                         // Contact-free sample degenerates to a coin.
                         if ctx.rng.chance(prob) {
-                            ctx.move_alive(p, to as usize);
+                            ctx.move_alive(p, to as usize, edge);
                             ctx.pending[p] = Phase::Idle;
                             return;
                         }
@@ -834,7 +694,7 @@ impl AsyncRuntime {
                         return;
                     }
                 }
-                CAction::SampleAny { samples, .. } => {
+                PlanAction::SampleAny { samples, .. } => {
                     ctx.pending[p] = Phase::SampleAny {
                         idx: idx as u32,
                         remaining: samples.max(1),
@@ -842,7 +702,7 @@ impl AsyncRuntime {
                     ctx.send_probe(p, KIND_PROBE, idx, now);
                     return;
                 }
-                CAction::Push { samples, .. } => {
+                PlanAction::PushSample { samples, .. } => {
                     ctx.pending[p] = Phase::Push {
                         idx: idx as u32,
                         remaining: samples.max(1),
@@ -850,7 +710,7 @@ impl AsyncRuntime {
                     ctx.send_probe(p, KIND_PUSH, idx, now);
                     return;
                 }
-                CAction::Tokenize {
+                PlanAction::Tokenize {
                     req_start,
                     req_end,
                     prob,
@@ -927,16 +787,16 @@ impl AsyncRuntime {
         match phase {
             Phase::Idle => unreachable!("filtered above"),
             Phase::Sample { idx, req_pos } => {
-                let CAction::Sample {
+                let PlanAction::Sample {
                     req_start,
                     req_end,
                     prob,
                     to,
-                } = self.compiled.actions[idx as usize]
+                } = self.plan.actions[idx as usize]
                 else {
                     unreachable!("phase points at a Sample action");
                 };
-                let wanted = self.compiled.required[(req_start + req_pos) as usize];
+                let wanted = self.plan.required[(req_start + req_pos) as usize];
                 if contact && ctx.states[dst] == wanted {
                     if req_start + req_pos + 1 < req_end {
                         ctx.pending[p] = Phase::Sample {
@@ -947,7 +807,7 @@ impl AsyncRuntime {
                         return;
                     }
                     if ctx.rng.chance(prob) {
-                        ctx.move_alive(p, to as usize);
+                        ctx.move_alive(p, to as usize, self.plan.moves[idx as usize].slot);
                         ctx.pending[p] = Phase::Idle;
                         return;
                     }
@@ -955,9 +815,9 @@ impl AsyncRuntime {
                 self.advance_chain(ctx, p, idx as usize + 1, now);
             }
             Phase::SampleAny { idx, remaining } => {
-                let CAction::SampleAny {
+                let PlanAction::SampleAny {
                     target, prob, to, ..
-                } = self.compiled.actions[idx as usize]
+                } = self.plan.actions[idx as usize]
                 else {
                     unreachable!("phase points at a SampleAny action");
                 };
@@ -966,7 +826,7 @@ impl AsyncRuntime {
                     // action (fire probability prob·(1−(1−hit)^k), matching
                     // the agent runtime's collapsed form).
                     if ctx.rng.chance(prob) {
-                        ctx.move_alive(p, to as usize);
+                        ctx.move_alive(p, to as usize, self.plan.moves[idx as usize].slot);
                         ctx.pending[p] = Phase::Idle;
                         return;
                     }
@@ -981,16 +841,16 @@ impl AsyncRuntime {
                 self.advance_chain(ctx, p, idx as usize + 1, now);
             }
             Phase::Push { idx, remaining } => {
-                let CAction::Push {
+                let PlanAction::PushSample {
                     target, prob, to, ..
-                } = self.compiled.actions[idx as usize]
+                } = self.plan.actions[idx as usize]
                 else {
-                    unreachable!("phase points at a Push action");
+                    unreachable!("phase points at a PushSample action");
                 };
                 // The executor is not a valid victim; a self-addressed
                 // probe is a miss (per-probe hit probability avail/N).
                 if contact && dst != p && ctx.states[dst] == target && ctx.rng.chance(prob) {
-                    ctx.move_alive(dst, to as usize);
+                    ctx.move_alive(dst, to as usize, self.plan.moves[idx as usize].slot);
                 }
                 if remaining > 1 {
                     ctx.pending[p] = Phase::Push {
@@ -1003,18 +863,17 @@ impl AsyncRuntime {
                 self.advance_chain(ctx, p, idx as usize + 1, now);
             }
             Phase::TokenFire { idx, req_pos } => {
-                let CAction::Tokenize {
+                let PlanAction::Tokenize {
                     req_start,
                     req_end,
                     prob,
                     token_state,
                     ..
-                } = self.compiled.actions[idx as usize]
+                } = self.plan.actions[idx as usize]
                 else {
                     unreachable!("phase points at a Tokenize action");
                 };
-                if contact
-                    && ctx.states[dst] == self.compiled.required[(req_start + req_pos) as usize]
+                if contact && ctx.states[dst] == self.plan.required[(req_start + req_pos) as usize]
                 {
                     if req_start + req_pos + 1 < req_end {
                         ctx.pending[p] = Phase::TokenFire {
@@ -1033,9 +892,9 @@ impl AsyncRuntime {
                 self.advance_chain(ctx, p, idx as usize + 1, now);
             }
             Phase::TokenSend { idx } => {
-                let CAction::Tokenize {
+                let PlanAction::Tokenize {
                     token_state, to, ..
-                } = self.compiled.actions[idx as usize]
+                } = self.plan.actions[idx as usize]
                 else {
                     unreachable!("phase points at a Tokenize action");
                 };
@@ -1043,7 +902,7 @@ impl AsyncRuntime {
                 // the token state; either way the executor's list continues
                 // (Tokenize never moves the executor).
                 if contact && ctx.states[dst] == token_state {
-                    ctx.move_alive(dst, to as usize);
+                    ctx.move_alive(dst, to as usize, self.plan.moves[idx as usize].slot);
                 }
                 self.advance_chain(ctx, p, idx as usize + 1, now);
             }
@@ -1059,14 +918,14 @@ impl Runtime for AsyncRuntime {
     }
 
     fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AsyncState> {
-        self.protocol.validate()?;
+        self.plan.protocol().validate()?;
         super::reject_sharded(scenario, "async")?;
         let n = scenario.group_size();
-        let num_states = self.protocol.num_states();
+        let num_states = self.plan.num_states();
         let counts = initial.resolve(num_states, n as u64)?;
         let transport_config = scenario
             .transport()
@@ -1105,15 +964,7 @@ impl Runtime for AsyncRuntime {
                 .total_cmp(&offsets[b as usize])
                 .then(a.cmp(&b))
         });
-        let flip_skips = self
-            .compiled
-            .actions
-            .iter()
-            .map(|a| match a {
-                CAction::Flip { geo_scale, .. } => draw_geometric(&mut rng, *geo_scale),
-                _ => 0,
-            })
-            .collect();
+        let flip_skips = self.plan.seed_flip_skips(&mut rng);
 
         Ok(AsyncState {
             transport: RunTransport::build(transport_config, n)?,
@@ -1133,7 +984,7 @@ impl Runtime for AsyncRuntime {
             has_liveness_events: scenario.has_liveness_events(),
             scenario: scenario.clone(),
             messages: 0,
-            transitions_dense: vec![0; num_states * num_states],
+            tallies: vec![0; self.plan.edges.len()],
             transitions: Vec::new(),
             probe: TransportProbe::default(),
             injector: InjectionPoint::from_scenario(scenario),
@@ -1146,8 +997,7 @@ impl Runtime for AsyncRuntime {
         let t0 = period as f64 * state.period_secs;
         let t1 = t0 + state.period_secs;
         let n = state.scenario.group_size();
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
+        state.tallies.fill(0);
         state.messages = 0;
 
         // 0. Supervised worker restarts that have come due fire first, so a
@@ -1205,7 +1055,7 @@ impl Runtime for AsyncRuntime {
             ref chain_id,
             ref mut chain_origin,
             ref mut flip_skips,
-            ref mut transitions_dense,
+            ref mut tallies,
             ref mut messages,
             ref scenario,
             ..
@@ -1221,10 +1071,9 @@ impl Runtime for AsyncRuntime {
             chain_id,
             chain_origin,
             flip_skips,
-            transitions_dense,
+            tallies,
             messages,
             n,
-            num_states: self.protocol.num_states(),
             contact_fail: scenario.loss().effective_contact_failure(1),
             check_alive,
             period,
@@ -1249,18 +1098,15 @@ impl Runtime for AsyncRuntime {
                 // process skips this period's attempt.
                 if ctx.pending[p] == Phase::Idle && ctx.is_alive(p) {
                     ctx.chain_origin[p] = ctx.states[p];
-                    let (start, _) = self.compiled.meta[ctx.states[p] as usize];
+                    let start = self.plan.spans[ctx.states[p] as usize].start;
                     self.advance_chain(&mut ctx, p, start as usize, t0 + offsets[p]);
                 }
             }
         }
 
         // 3. Render transitions and snapshot the transport.
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            self.protocol.num_states(),
-            &mut state.transitions,
-        );
+        self.plan
+            .render_transitions(&state.tallies, 1, &mut state.transitions);
         let stats = state.transport.stats();
         state.probe = TransportProbe {
             queue_depth: state.transport.queue_depth() as u64,

@@ -2,9 +2,9 @@
 
 use super::inject::{self, InjectionPoint};
 use super::observer::default_observers;
+use super::plan::{PlanAction, ProtocolPlan};
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -77,7 +77,7 @@ use netsim::{FailureEvent, Rng, Scenario};
 /// scenario ([`Ensemble`](super::Ensemble) advances 64 at a time) or the
 /// shards of one population ([`ShardedRuntime`](super::ShardedRuntime)
 /// advances all `S` at once); either way they share the protocol, the
-/// compiled edge plan and everything that is constant per action. The
+/// compiled plan and everything that is constant per action. The
 /// density denominator is per column — a shard's population changes at
 /// every exchange — but it is a type parameter of the kernel, so seeds and
 /// single runs, which share one, compile to a scalar.
@@ -129,123 +129,12 @@ use netsim::{FailureEvent, Rng, Scenario};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchedRuntime {
-    protocol: Protocol,
+    plan: ProtocolPlan,
     config: RunConfig,
-    plan: EdgePlan,
     /// A seed whose column panics when its block is built — how the
     /// ensemble tests exercise per-block panic isolation.
     #[cfg(test)]
     poisoned_seed: Option<u64>,
-}
-
-/// The protocol's transition structure, compiled once per runtime: which
-/// multinomial bucket every self-moving action feeds, and which
-/// `(from, to)` edge slot every bucket and every push/token conversion is
-/// tallied on. Actions and buckets are flattened in state order.
-#[derive(Debug, Clone)]
-struct EdgePlan {
-    /// Per action: the bucket (within its state's multinomial) a self-moving
-    /// action accumulates its weight into, or the edge slot a push/token
-    /// action's conversions are tallied on.
-    action_slots: Vec<u32>,
-    /// State `s` owns `action_slots[action_start[s]..action_start[s + 1]]`.
-    action_start: Vec<u32>,
-    /// Per bucket: the edge slot of `(state, destination)`. Buckets are in
-    /// order of the destination's first appearance in the action list.
-    bucket_edges: Vec<u32>,
-    /// State `s` owns `bucket_edges[bucket_start[s]..bucket_start[s + 1]]`.
-    bucket_start: Vec<u32>,
-    /// Per push/token action, in state-then-action order: the edge slot its
-    /// conversions are tallied on (the action's own slot, listed again so
-    /// the conversions of a period form one dense matrix).
-    conversion_edges: Vec<u32>,
-    /// State `s` owns conversion rows `conversion_start[s]..`.
-    conversion_start: Vec<u32>,
-    /// Edge slot → `(from, to)`, sorted, so the rendered transition list is
-    /// from-major like a dense `states²` scan would produce.
-    edges: Vec<(StateId, StateId)>,
-    /// The most buckets any one state draws over ("stay" not included).
-    max_buckets: usize,
-}
-
-impl EdgePlan {
-    /// One pass over the action lists to collect the distinct edges, one to
-    /// assign slots.
-    fn compile(protocol: &Protocol) -> Self {
-        let num_states = protocol.num_states();
-        let edge_of = |s: usize, action: &Action| {
-            let from = match action {
-                Action::PushSample { target_state, .. } => *target_state,
-                Action::Tokenize { token_state, .. } => *token_state,
-                _ => StateId::new(s),
-            };
-            (from, action.destination())
-        };
-        let mut edges: Vec<(StateId, StateId)> = (0..num_states)
-            .flat_map(|s| {
-                protocol
-                    .actions(StateId::new(s))
-                    .iter()
-                    .map(move |action| edge_of(s, action))
-            })
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-
-        let mut plan = EdgePlan {
-            action_slots: Vec::new(),
-            action_start: Vec::with_capacity(num_states + 1),
-            bucket_edges: Vec::new(),
-            bucket_start: Vec::with_capacity(num_states + 1),
-            conversion_edges: Vec::new(),
-            conversion_start: Vec::with_capacity(num_states),
-            edges,
-            max_buckets: 0,
-        };
-        const NO_BUCKET: u32 = u32::MAX;
-        let mut bucket_of = vec![NO_BUCKET; num_states];
-        for s in 0..num_states {
-            plan.action_start.push(plan.action_slots.len() as u32);
-            plan.bucket_start.push(plan.bucket_edges.len() as u32);
-            plan.conversion_start
-                .push(plan.conversion_edges.len() as u32);
-            let first_bucket = plan.bucket_edges.len();
-            for action in protocol.actions(StateId::new(s)) {
-                let edge = plan
-                    .edges
-                    .binary_search(&edge_of(s, action))
-                    .expect("every action's edge was collected") as u32;
-                if action.moves_self() {
-                    let dest = action.destination().index();
-                    if bucket_of[dest] == NO_BUCKET {
-                        bucket_of[dest] = (plan.bucket_edges.len() - first_bucket) as u32;
-                        plan.bucket_edges.push(edge);
-                    }
-                    plan.action_slots.push(bucket_of[dest]);
-                } else {
-                    plan.action_slots.push(edge);
-                    plan.conversion_edges.push(edge);
-                }
-            }
-            for &edge in &plan.bucket_edges[first_bucket..] {
-                bucket_of[plan.edges[edge as usize].1.index()] = NO_BUCKET;
-            }
-            plan.max_buckets = plan.max_buckets.max(plan.bucket_edges.len() - first_bucket);
-        }
-        plan.action_start.push(plan.action_slots.len() as u32);
-        plan.bucket_start.push(plan.bucket_edges.len() as u32);
-        plan
-    }
-
-    /// The slots of state `s`'s actions, parallel to `protocol.actions(s)`.
-    fn action_slots(&self, s: usize) -> &[u32] {
-        &self.action_slots[self.action_start[s] as usize..self.action_start[s + 1] as usize]
-    }
-
-    /// The edge slots of state `s`'s multinomial buckets.
-    fn bucket_edges(&self, s: usize) -> &[u32] {
-        &self.bucket_edges[self.bucket_start[s] as usize..self.bucket_start[s + 1] as usize]
-    }
 }
 
 /// The mutable execution state of a [`BatchedRuntime`] run: per-state alive
@@ -278,8 +167,8 @@ pub struct BatchedState {
     stayed: Vec<u64>,
     /// Per edge slot: processes that crossed the edge this period.
     tallies: Vec<u64>,
-    /// Per push/token action ([`EdgePlan::conversion_edges`]): the
-    /// conversions it drew this period.
+    /// Per conversion row (push/token action): the conversions it drew
+    /// this period.
     pending: Vec<u64>,
     weights: Vec<f64>,
     draws: Vec<u64>,
@@ -314,23 +203,6 @@ struct Columns<'a> {
     survive: &'a mut [f64],
     /// Per column: expected messages of the period.
     messages: &'a mut [f64],
-}
-
-/// Column `r` of a row-major `states × width` count matrix, indexable by
-/// state like the plain count vector [`fire_probability`](super::fire_probability)
-/// reads.
-struct Column<'a> {
-    matrix: &'a [u64],
-    width: usize,
-    r: usize,
-}
-
-impl std::ops::Index<usize> for Column<'_> {
-    type Output = u64;
-
-    fn index(&self, state: usize) -> &u64 {
-        &self.matrix[state * self.width + self.r]
-    }
 }
 
 /// The density denominator of columns that share one population size: a
@@ -464,7 +336,7 @@ impl ColumnBlock {
     }
 
     /// The row-major `edges × width` matrix of the last period's transition
-    /// tallies, edges in [`BatchedRuntime::render_transitions`] order.
+    /// tallies, one row per edge of the runtime's plan.
     pub(super) fn tallies(&self) -> &[u64] {
         &self.tallies
     }
@@ -647,11 +519,9 @@ impl BatchedState {
 impl BatchedRuntime {
     /// Creates a batched runtime with the default [`RunConfig`].
     pub fn new(protocol: Protocol) -> Self {
-        let plan = EdgePlan::compile(&protocol);
         BatchedRuntime {
-            protocol,
+            plan: ProtocolPlan::new(protocol),
             config: RunConfig::default(),
-            plan,
             #[cfg(test)]
             poisoned_seed: None,
         }
@@ -674,7 +544,13 @@ impl BatchedRuntime {
 
     /// The protocol being executed.
     pub fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
+    }
+
+    /// The compiled plan the kernel executes (the continuous-time and
+    /// sharded tiers built on this runtime read it too).
+    pub(super) fn plan(&self) -> &ProtocolPlan {
+        &self.plan
     }
 
     /// The configured rejoin state (the sharded runtime applies recovery
@@ -730,7 +606,7 @@ impl BatchedRuntime {
         period: u64,
         rng: Rng,
     ) -> BatchedState {
-        let num_states = self.protocol.num_states();
+        let num_states = self.plan.num_states();
         let n = scenario.group_size() as u64;
         let alive_n: u64 = counts_alive.iter().sum();
         debug_assert_eq!(
@@ -907,7 +783,7 @@ impl BatchedRuntime {
     ///
     /// The loops run state → action → column, column innermost: whatever
     /// depends only on the protocol (the action's kind and constants, its
-    /// [`EdgePlan`] slot, `contact_ok`) is read once per action, and the
+    /// plan slots, `contact_ok`) is read once per action, and the
     /// matrices are walked along their rows. Reordering *across* columns is
     /// free because no column ever reads another's PRNG; *within* a column
     /// the draws still come state by state, action by action, multinomial
@@ -945,8 +821,9 @@ impl BatchedRuntime {
         // earlier action this period (including the action that moves it).
         messages.fill(0.0);
 
-        for s in 0..self.protocol.num_states() {
-            let actions = self.protocol.actions(StateId::new(s));
+        let plan = &self.plan;
+        for s in 0..plan.num_states() {
+            let actions = plan.range(s);
             let row = s * w;
             if actions.is_empty() || start[row..row + w].iter().all(|&k| k == 0) {
                 continue;
@@ -955,37 +832,35 @@ impl BatchedRuntime {
             // destination: every self-moving action adds its first-move-wins
             // weight to its destination's bucket. Push/token actions affect
             // other states and are drawn separately.
-            let bucket_edges = self.plan.bucket_edges(s);
+            let bucket_edges = plan.bucket_edges(s);
             let buckets = bucket_edges.len();
             let cells = buckets + 1; // the buckets, then "stay"
             weights.clear();
             weights.resize(cells * w, 0.0);
             survive.fill(1.0); // probability of not having moved yet
-            let mut conversion = self.plan.conversion_start[s] as usize;
-            for (action, &slot) in actions.iter().zip(self.plan.action_slots(s)) {
-                let cost = f64::from(action.messages_per_period());
+            for a in actions {
+                let slot = plan.draw_slots[a] as usize;
+                let cost = f64::from(plan.messages[a]);
                 for r in 0..w {
                     let k_s = start[row + r];
                     if k_s == 0 {
                         continue;
                     }
                     messages[r] += k_s as f64 * survive[r] * cost;
-                    let column = Column {
-                        matrix: start,
-                        width: w,
-                        r,
-                    };
-                    let fire = super::fire_probability(action, &column, n_f[r], contact_ok);
+                    let count = |s: usize| start[s * w + r];
+                    let fire = plan.fire_probability(a, count, n_f[r], contact_ok);
                     // Push/token actions convert members of another state:
                     // a binomial tally over `trials` independent attempts.
-                    let (trials, success) = match action {
-                        Action::Flip { .. } | Action::Sample { .. } | Action::SampleAny { .. } => {
-                            weights[r * cells + slot as usize] += survive[r] * fire;
+                    let (trials, success) = match plan.actions[a] {
+                        PlanAction::Flip { .. }
+                        | PlanAction::Sample { .. }
+                        | PlanAction::SampleAny { .. } => {
+                            weights[r * cells + slot] += survive[r] * fire;
                             survive[r] *= 1.0 - fire;
                             continue;
                         }
-                        Action::PushSample {
-                            target_state,
+                        PlanAction::PushSample {
+                            target,
                             samples,
                             prob,
                             ..
@@ -996,22 +871,19 @@ impl BatchedRuntime {
                             // runtime breaks out of the list on a move) —
                             // fold `survive` into the per-draw probability.
                             // Each surviving executor's samples convert
-                            // alive members of target_state.
-                            let per_draw = (column[target_state.index()] as f64 / n_f[r])
+                            // alive members of the target state.
+                            let per_draw = (count(target as usize) as f64 / n_f[r])
                                 * prob
                                 * contact_ok
                                 * survive[r];
-                            (k_s.saturating_mul(u64::from(*samples)), per_draw)
+                            (k_s.saturating_mul(u64::from(samples)), per_draw)
                         }
                         // Each executor reaches this action only if it has
                         // not moved on an earlier action (probability
                         // `survive`, independent of the token draw).
-                        Action::Tokenize { .. } => (k_s, survive[r] * fire),
+                        PlanAction::Tokenize { .. } => (k_s, survive[r] * fire),
                     };
-                    pending[conversion * w + r] = rngs[r].binomial(trials, success);
-                }
-                if !action.moves_self() {
-                    conversion += 1;
+                    pending[slot * w + r] = rngs[r].binomial(trials, success);
                 }
             }
 
@@ -1035,30 +907,10 @@ impl BatchedRuntime {
             }
         }
 
-        // Conversions take members of their target state that did not move
-        // themselves, in the order they were drawn, so a process leaves its
-        // state at most once per period.
-        let conversion_edges = self.plan.conversion_edges.iter();
-        for (&edge, drawn) in conversion_edges.zip(pending.chunks_exact(w)) {
-            let target = self.plan.edges[edge as usize].0.index();
-            let left = &mut stayed[target * w..(target + 1) * w];
-            let tally = &mut tallies[edge as usize * w..(edge as usize + 1) * w];
-            for ((&drawn, left), tally) in drawn.iter().zip(left).zip(tally) {
-                let converted = drawn.min(*left);
-                *left -= converted;
-                *tally += converted;
-            }
-        }
-
-        // Move the tallies along their edges (a state's outflow never
-        // exceeds its start-of-period population, so the unsigned updates
-        // cannot underflow in any order) and refresh the totals.
-        for (&(from, to), moved) in self.plan.edges.iter().zip(tallies.chunks_exact(w)) {
-            for (r, &moved) in moved.iter().enumerate() {
-                counts_alive[from.index() * w + r] -= moved;
-                counts_alive[to.index() * w + r] += moved;
-            }
-        }
+        // Conversions land after every self-move draw, then everything moves
+        // along its edge and the totals are refreshed.
+        plan.land_conversions(pending, stayed, tallies, w);
+        plan.move_along_edges(tallies, counts_alive, w);
         for ((count, alive), crashed) in counts.iter_mut().zip(&*counts_alive).zip(counts_crashed) {
             *count = alive + crashed;
         }
@@ -1117,7 +969,7 @@ impl BatchedRuntime {
         injectors: Vec<Option<InjectionPoint>>,
     ) -> ColumnBlock {
         let w = rngs.len();
-        let num_states = self.protocol.num_states();
+        let num_states = self.plan.num_states();
         debug_assert_eq!(counts_alive.len(), num_states * w);
         debug_assert_eq!(injectors.len(), w);
         let cells = self.plan.max_buckets + 1;
@@ -1198,24 +1050,6 @@ impl BatchedRuntime {
         block.lane.period += 1;
         Ok(())
     }
-
-    /// Renders an `edges × width` tally matrix, summed over its columns, into
-    /// the sparse `(from, to, count)` list observers see — from-major, since
-    /// the plan's edges are sorted.
-    pub(super) fn render_transitions(
-        &self,
-        tallies: &[u64],
-        width: usize,
-        out: &mut Vec<(StateId, StateId, u64)>,
-    ) {
-        out.clear();
-        for (&(from, to), row) in self.plan.edges.iter().zip(tallies.chunks_exact(width)) {
-            let moved = row.iter().sum();
-            if moved > 0 {
-                out.push((from, to, moved));
-            }
-        }
-    }
 }
 
 impl Runtime for BatchedRuntime {
@@ -1226,11 +1060,11 @@ impl Runtime for BatchedRuntime {
     }
 
     fn protocol(&self) -> &Protocol {
-        &self.protocol
+        self.plan.protocol()
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<BatchedState> {
-        self.protocol.validate()?;
+        self.plan.protocol().validate()?;
         if !scenario.count_level_compatible() {
             return Err(CoreError::InvalidConfig {
                 name: "scenario",
@@ -1244,7 +1078,7 @@ impl Runtime for BatchedRuntime {
         }
         super::reject_sharded(scenario, "batched")?;
         super::reject_transport(scenario, "batched")?;
-        let num_states = self.protocol.num_states();
+        let num_states = self.plan.num_states();
         let n = scenario.group_size() as u64;
         let counts = initial.resolve(num_states, n)?;
         Ok(self.state_from_counts(
@@ -1286,7 +1120,8 @@ impl Runtime for BatchedRuntime {
             &Shared(state.n_f),
             contact_ok,
         );
-        self.render_transitions(&state.tallies, 1, &mut state.transitions);
+        self.plan
+            .render_transitions(&state.tallies, 1, &mut state.transitions);
         state.messages = messages.round() as u64;
         state.period += 1;
         Ok(self.events(state))
@@ -1300,8 +1135,9 @@ impl Runtime for BatchedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::epidemic_protocol;
+    use crate::runtime::fixtures::{epidemic_protocol, figure1_protocol, plurality_protocol};
     use crate::runtime::{AgentRuntime, CountsRecorder, Ensemble, ResilienceReport, Simulation};
     use netsim::adversary::{ObliviousSchedule, TargetLargestState};
     use netsim::FailureModel;
@@ -1702,115 +1538,15 @@ mod tests {
         assert_eq!(state.counts.iter().sum::<u64>(), 10_000);
     }
 
-    /// Competitive exclusion among `k` proposals plus an undecided state `z`
-    /// (what `dpde_protocols::lv::multi` compiles): each proposal state gets
-    /// `k − 1` actions that all lead to `z`.
-    fn plurality_protocol(k: usize) -> Protocol {
-        let names: Vec<String> = (0..k)
-            .map(|i| format!("x{i}"))
-            .chain(["z".into()])
-            .collect();
-        let mut builder = EquationSystemBuilder::new().vars(names.clone());
-        for i in 0..k {
-            let xi = names[i].as_str();
-            builder = builder.term(xi, 3.0, &[(xi, 1), ("z", 1)]);
-            builder = builder.term("z", -3.0, &[(xi, 1), ("z", 1)]);
-            for xj in names.iter().take(k).filter(|xj| xj.as_str() != xi) {
-                builder = builder.term(xi, -3.0, &[(xi, 1), (xj, 1)]);
-                builder = builder.term("z", 3.0, &[(xi, 1), (xj, 1)]);
-            }
-        }
-        ProtocolCompiler::new("plurality")
-            .with_normalizing_constant(0.01)
-            .compile(&builder.build().unwrap())
-            .unwrap()
-    }
-
-    /// The endemic protocol of the paper's Figure 1 with the push action
-    /// (b = 2, γ = 0.1, α = 0.01), as `dpde_protocols::endemic` builds it.
-    fn figure1_protocol() -> Protocol {
-        let mut protocol = Protocol::new(
-            "endemic-figure1",
-            vec!["receptive".into(), "stash".into(), "averse".into()],
-        )
-        .unwrap();
-        let [receptive, stash, averse] = [0, 1, 2].map(StateId::new);
-        let flip = |prob, to| Action::Flip { prob, to };
-        protocol.add_action(stash, flip(0.1, averse)).unwrap();
-        protocol.add_action(averse, flip(0.01, receptive)).unwrap();
-        protocol
-            .add_action(
-                receptive,
-                Action::SampleAny {
-                    target_state: stash,
-                    samples: 2,
-                    prob: 1.0,
-                    to: stash,
-                },
-            )
-            .unwrap();
-        protocol
-            .add_action(
-                stash,
-                Action::PushSample {
-                    target_state: receptive,
-                    samples: 2,
-                    prob: 1.0,
-                    to: stash,
-                },
-            )
-            .unwrap();
-        protocol
-    }
-
     #[test]
-    fn edge_plan_merges_actions_that_share_a_destination() {
-        // Plurality-32: 32 proposal states with 31 actions into z each, and z
-        // with one action into every proposal — 1024 actions, 64 edges.
-        let protocol = plurality_protocol(32);
-        let plan = EdgePlan::compile(&protocol);
-        assert_eq!(protocol.num_actions(), 1024);
-        assert_eq!(plan.action_slots.len(), 1024);
-        assert_eq!(plan.bucket_edges.len(), 64);
-        assert_eq!(plan.edges.len(), 64);
-        assert_eq!(plan.max_buckets, 32);
-        let z = protocol.require_state("z").unwrap();
-        for s in 0..32 {
-            assert_eq!(plan.action_slots(s), &[0; 31][..]);
-            let &[edge] = plan.bucket_edges(s) else {
-                panic!("state {s} has more than one bucket");
-            };
-            assert_eq!(plan.edges[edge as usize], (StateId::new(s), z));
-        }
-        assert_eq!(plan.bucket_edges(32).len(), 32);
-        assert!(plan.edges.windows(2).all(|w| w[0] < w[1]));
-
-        // Figure 1: four actions, three buckets; the push conversion shares
-        // the receptive→stash edge with the receptives' own move.
-        let protocol = figure1_protocol();
-        let plan = EdgePlan::compile(&protocol);
-        assert_eq!(protocol.num_actions(), 4);
-        assert_eq!(plan.bucket_edges.len(), 3);
-        assert_eq!(plan.edges.len(), 3);
-        let [receptive, stash] = [0, 1].map(StateId::new);
-        let push_slot = plan.action_slots(stash.index())[1] as usize;
-        assert_eq!(plan.edges[push_slot], (receptive, stash));
-        assert_eq!(plan.bucket_edges(receptive.index()), &[push_slot as u32]);
-    }
-
-    #[test]
-    fn edge_plan_merges_non_adjacent_repeats() {
+    fn non_adjacent_repeats_share_one_bucket() {
         let mut protocol = Protocol::new("abc", vec!["a".into(), "b".into(), "c".into()]).unwrap();
-        let [a, b, c] = [0, 1, 2].map(StateId::new);
+        let [b, c] = [1, 2].map(StateId::new);
         for to in [b, c, b] {
             protocol
-                .add_action(a, Action::Flip { prob: 0.1, to })
+                .add_action(StateId::new(0), Action::Flip { prob: 0.1, to })
                 .unwrap();
         }
-        let plan = EdgePlan::compile(&protocol);
-        assert_eq!(plan.action_slots(0), &[0, 1, 0]);
-        assert_eq!(plan.bucket_edges(0).len(), 2);
-        assert_eq!(plan.edges, vec![(a, b), (a, c)]);
         // b is reached first with 0.1, then by the 0.9 · 0.9 that passed
         // both earlier coins: its bucket holds 0.1 + 0.081.
         let runtime = BatchedRuntime::new(protocol);
@@ -1829,29 +1565,30 @@ mod tests {
     /// The kernel this module's bucket merge replaced, kept as the test
     /// oracle: one multinomial cell per self-moving action. Returns state
     /// `s`'s `(destination, first-move-wins weight)` cells in action order.
-    fn per_action_weights(protocol: &Protocol, s: usize, start: &[u64]) -> Vec<(usize, f64)> {
+    fn per_action_weights(plan: &ProtocolPlan, s: usize, start: &[u64]) -> Vec<(usize, f64)> {
         let n_f = start.iter().sum::<u64>() as f64;
         let mut survive = 1.0;
-        protocol
-            .actions(StateId::new(s))
-            .iter()
-            .map(|action| {
-                assert!(action.moves_self(), "the oracle covers self-moving actions");
-                let fire = crate::runtime::fire_probability(action, start, n_f, 1.0);
+        plan.range(s)
+            .map(|a| {
+                assert!(
+                    plan.actions[a].moves_self(),
+                    "the oracle covers self-moving actions"
+                );
+                let fire = plan.fire_probability(a, |s| start[s], n_f, 1.0);
                 let weight = survive * fire;
                 survive *= 1.0 - fire;
-                (action.destination().index(), weight)
+                (plan.edge(a).1, weight)
             })
             .collect()
     }
 
     /// One period of the per-action oracle: draws every state's cells and
     /// sums them into dense `from * states + to` tallies.
-    fn per_action_period(protocol: &Protocol, start: &[u64], rng: &mut Rng) -> Vec<u64> {
+    fn per_action_period(plan: &ProtocolPlan, start: &[u64], rng: &mut Rng) -> Vec<u64> {
         let num_states = start.len();
         let mut tallies = vec![0u64; num_states * num_states];
         for s in 0..num_states {
-            let cells = per_action_weights(protocol, s, start);
+            let cells = per_action_weights(plan, s, start);
             let mut weights: Vec<f64> = cells.iter().map(|&(_, w)| w).collect();
             weights.push((1.0 - weights.iter().sum::<f64>()).max(0.0));
             let draws = rng.multinomial(start[s], &weights);
@@ -1885,7 +1622,7 @@ mod tests {
             runtime.step(&mut state).unwrap();
             let bucket_edges = runtime.plan.bucket_edges(s);
             assert_eq!(state.weights.len(), bucket_edges.len() + 1);
-            let cells = per_action_weights(&protocol, s, &start);
+            let cells = per_action_weights(&runtime.plan, s, &start);
             for (&edge, &weight) in bucket_edges.iter().zip(&state.weights) {
                 let dest = runtime.plan.edges[edge as usize].1.index();
                 let summed: f64 = cells
@@ -1910,10 +1647,9 @@ mod tests {
         // of 128 · 6.8e-6 ≈ 1e-3 (and the seeds are fixed).
         const SEEDS: u64 = 4_000;
         const Z: f64 = 4.5;
-        let protocol = plurality_protocol(32);
         let start: Vec<u64> = (0..33).map(|i| 50_000 + 3_000 * i).collect();
         let n: u64 = start.iter().sum();
-        let runtime = BatchedRuntime::new(protocol.clone());
+        let runtime = BatchedRuntime::new(plurality_protocol(32));
         let mut kernel = vec![netsim::OnlineStats::new(); 33 * 33];
         let mut oracle = kernel.clone();
         for seed in 0..SEEDS {
@@ -1927,7 +1663,7 @@ mod tests {
                 tallies[from.index() * 33 + to.index()] = moved;
             }
             let mut rng = Rng::seed_from(seed ^ 0x5eed_0ac1e);
-            let reference = per_action_period(&protocol, &start, &mut rng);
+            let reference = per_action_period(&runtime.plan, &start, &mut rng);
             for (cell, (&k, &r)) in tallies.iter().zip(&reference).enumerate() {
                 kernel[cell].push(k as f64);
                 oracle[cell].push(r as f64);
@@ -1966,7 +1702,7 @@ mod tests {
         // the object themselves in the same period: capping the push at the
         // start-of-period receptives alone counted each of them twice and
         // the period ended with 1 009 999 processes.
-        let runtime = BatchedRuntime::new(figure1_protocol());
+        let runtime = BatchedRuntime::new(figure1_protocol(true));
         let scenario = Scenario::new(1_000_000, 1).unwrap().with_seed(1);
         let mut state = runtime
             .init(&scenario, &InitialStates::counts(&[10_000, 990_000, 0]))
@@ -2022,7 +1758,7 @@ mod tests {
         } else {
             CountsRecorder::new()
         };
-        Simulation::of(runtime.protocol.clone())
+        Simulation::of(runtime.protocol().clone())
             .scenario(scenario.clone().with_seed(seed))
             .initial(initial.clone())
             .observe(recorder)
@@ -2056,7 +1792,7 @@ mod tests {
             .collect();
         let cases: [(Protocol, Vec<u64>); 4] = [
             (epidemic_protocol(), vec![n - 50, 50]),
-            (figure1_protocol(), vec![20_000, 150_000, 30_000]),
+            (figure1_protocol(true), vec![20_000, 150_000, 30_000]),
             (plurality_protocol(2), vec![110_000, 90_000, 0]),
             (plurality_protocol(8), plurality8),
         ];
@@ -2087,7 +1823,7 @@ mod tests {
 
     #[test]
     fn a_column_does_not_depend_on_the_width_of_its_block() {
-        let runtime = BatchedRuntime::new(figure1_protocol());
+        let runtime = BatchedRuntime::new(figure1_protocol(true));
         let scenario = hostile(Scenario::new(100_000, 20).unwrap());
         let initial = InitialStates::counts(&[10_000, 80_000, 10_000]);
         let seeds: Vec<u64> = (100..110).collect();
@@ -2107,7 +1843,7 @@ mod tests {
         // over the per-column one. Given W copies of the same value, the two
         // must agree on every matrix and leave every PRNG at one position.
         let n = 100_000;
-        let runtime = BatchedRuntime::new(figure1_protocol())
+        let runtime = BatchedRuntime::new(figure1_protocol(true))
             .with_config(RunConfig::rejoining_to(StateId::new(0)));
         let scenario = hostile(Scenario::new(n, 20).unwrap());
         let initial = InitialStates::counts(&[10_000, 80_000, 10_000]);
@@ -2155,7 +1891,7 @@ mod tests {
     #[ignore = "10⁶ seeds: run with --release (CI does)"]
     fn million_column_ensemble_streams_in_bounded_memory() {
         let n = 1_000_000u64;
-        let result = Ensemble::of(figure1_protocol())
+        let result = Ensemble::of(figure1_protocol(true))
             .scenario(Scenario::new(n as usize, 20).unwrap())
             .initial(InitialStates::counts(&[100_000, 800_000, 100_000]))
             .seed_range(0..1_000_000)

@@ -15,7 +15,7 @@
 //!   `run_sweep`, and [`run_auto`](Ensemble::run_auto) on the batched tier)
 //!   advance a *block* of 64 consecutive seeds at a time as one
 //!   `states × 64` count matrix through the column kernel of
-//!   [`BatchedRuntime`]: the protocol, its compiled edge plan and the
+//!   [`BatchedRuntime`]: the protocol, its compiled plan and the
 //!   scenario are shared by the block, every column owns the PRNG its seed
 //!   would get on its own, and each period's counts go straight into the
 //!   block's accumulators. No trajectory is ever stored: memory is

@@ -2,13 +2,13 @@
 //! per-process when any state runs small.
 
 use super::observer::default_observers;
+use super::plan::PlanAction;
 use super::simulation::drive;
 use super::{
     AgentRuntime, AgentState, BatchedRuntime, BatchedState, InitialStates, PeriodEvents, RunConfig,
     RunResult, Runtime,
 };
-use crate::action::Action;
-use crate::state_machine::{Protocol, StateId};
+use crate::state_machine::Protocol;
 use crate::Result;
 use netsim::Scenario;
 
@@ -255,37 +255,33 @@ impl HybridRuntime {
                 live[rejoin.index()] = true;
             }
         }
-        let protocol = self.protocol();
+        let plan = self.batched.plan();
+        let all_live = |live: &[bool], start: u32, end: u32| {
+            (plan.required[start as usize..end as usize].iter()).all(|&r| live[r as usize])
+        };
         loop {
             let mut changed = false;
             for s in 0..live.len() {
                 if !live[s] {
                     continue;
                 }
-                for action in protocol.actions(StateId::new(s)) {
-                    let (possible, dest) = match action {
-                        Action::Flip { to, .. } => (true, *to),
-                        Action::Sample { required, to, .. } => {
-                            (required.iter().all(|r| live[r.index()]), *to)
-                        }
-                        Action::SampleAny {
-                            target_state, to, ..
-                        }
-                        | Action::PushSample {
-                            target_state, to, ..
-                        } => (live[target_state.index()], *to),
-                        Action::Tokenize {
-                            required,
-                            token_state,
-                            to,
-                            ..
-                        } => (
-                            required.iter().all(|r| live[r.index()]) && live[token_state.index()],
-                            *to,
-                        ),
-                    };
-                    if possible && !live[dest.index()] {
-                        live[dest.index()] = true;
+                for a in plan.range(s) {
+                    // A push or token moves members of its edge's source,
+                    // which must be live too.
+                    let (from, dest) = plan.edge(a);
+                    let possible = live[from]
+                        && match plan.actions[a] {
+                            PlanAction::Sample {
+                                req_start, req_end, ..
+                            }
+                            | PlanAction::Tokenize {
+                                req_start, req_end, ..
+                            } => all_live(live, req_start, req_end),
+                            PlanAction::SampleAny { target, .. } => live[target as usize],
+                            PlanAction::Flip { .. } | PlanAction::PushSample { .. } => true,
+                        };
+                    if possible && !live[dest] {
+                        live[dest] = true;
                         changed = true;
                     }
                 }

@@ -6,7 +6,12 @@
 //!
 //! * **Runtimes** — the [`Runtime`] trait exposes an incremental step
 //!   interface (`init` → repeated `step`) over a
-//!   [`Scenario`]. Four fidelities are provided:
+//!   [`Scenario`]. Every runtime compiles its protocol once, at
+//!   construction, into the same crate-private plan: the actions flattened
+//!   in state order with their firing probabilities, hazards and message
+//!   bills, and the sorted `(from, to)` edge table every tier tallies its
+//!   moves on — so all of them read one transition structure and report
+//!   transitions in one order. Eight runtimes are provided.
 //!   [`AgentRuntime`] keeps one state per process (failures, churn, host
 //!   identity), [`BatchedRuntime`] advances whole state-count vectors with
 //!   binomial/multinomial draws — O(actions) arithmetic plus one draw per
@@ -20,11 +25,13 @@
 //!   hands off losslessly to per-process execution when any count runs
 //!   small (extinction, tie-breaking, post-failure recovery), and
 //!   [`AggregateRuntime`] is the scenario-free mean-field sampler for
-//!   failure-free sweeps. Two continuous-time fidelities complement them:
-//!   [`SsaRuntime`] executes every reaction individually at exponentially
-//!   distributed virtual times (exact Gillespie sampling), and
-//!   [`TauLeapRuntime`] advances the same event clock in Poisson-batched
-//!   leaps under a per-leap error bound. Drivers and tests are generic over
+//!   failure-free sweeps. [`AsyncRuntime`] turns every contact into a
+//!   queued message over a virtual-time transport. Two continuous-time
+//!   fidelities complement them: [`SsaRuntime`] executes every reaction
+//!   individually at exponentially distributed virtual times (exact
+//!   Gillespie sampling), and [`TauLeapRuntime`] advances the same event
+//!   clock in Poisson-batched leaps under a per-leap error bound. Drivers
+//!   and tests are generic over
 //!   the trait, so the same experiment can be replayed at any fidelity (or
 //!   let [`Simulation::run_auto`] pick one — see [`FidelityTier`] and
 //!   [`ErrorBudget`]).
@@ -48,6 +55,7 @@ mod ensemble;
 mod hybrid;
 mod inject;
 mod observer;
+mod plan;
 mod sharded;
 mod simulation;
 mod ssa;
@@ -82,9 +90,11 @@ use odekit::integrate::Trajectory;
 /// builds the start-of-run state from a scenario and an initial distribution,
 /// and every `step` executes one protocol period, returning the
 /// [`PeriodEvents`] observers consume. Drivers ([`Simulation`], [`Ensemble`])
-/// and tests are generic over this trait, so the same experiment runs at
-/// per-process fidelity ([`AgentRuntime`]) or count-level fidelity
-/// ([`AggregateRuntime`]) without changing driver code. A runtime owns its
+/// and tests are generic over this trait, so the same experiment runs per
+/// process ([`AgentRuntime`]), per message ([`AsyncRuntime`]), per count
+/// vector ([`BatchedRuntime`]) or per reaction ([`SsaRuntime`]) without
+/// changing driver code; every runtime executes the one plan its
+/// constructor compiles from the protocol. A runtime owns its
 /// protocol (`'static`), which is what lets [`Ensemble`] recognise
 /// [`BatchedRuntime`] and hand it whole blocks of seeds.
 pub trait Runtime: Sized + Send + Sync + 'static {
@@ -544,78 +554,12 @@ pub(crate) fn edge_name(protocol: &Protocol, from: StateId, to: StateId) -> Stri
     format!("{}->{}", protocol.state_name(from), protocol.state_name(to))
 }
 
-/// Per-process probability that an action's firing condition holds this
-/// period (excluding who it moves), given start-of-period target populations
-/// `counts` over a maximal group of `n` processes. Shared by the count-level
-/// runtimes ([`BatchedRuntime`], [`AggregateRuntime`]): a sampled contact
-/// hits a wanted target with probability `counts[target] / n`, degraded by
-/// the per-contact success rate `contact_ok`
-/// (`1 − LossConfig::effective_contact_failure(1)`, which callers hoist out
-/// of their action loops). `counts` is anything indexable by state: a count
-/// vector, or one column of the batched kernel's `states × W` matrix.
-pub(crate) fn fire_probability<C>(
-    action: &crate::action::Action,
-    counts: &C,
-    n: f64,
-    contact_ok: f64,
-) -> f64
-where
-    C: std::ops::Index<usize, Output = u64> + ?Sized,
-{
-    use crate::action::Action;
-    match action {
-        Action::Flip { prob, .. } => *prob,
-        Action::Sample { required, prob, .. } => {
-            let mut p = *prob;
-            for r in required {
-                p *= (counts[r.index()] as f64 / n) * contact_ok;
-            }
-            p
-        }
-        Action::SampleAny {
-            target_state,
-            samples,
-            prob,
-            ..
-        } => {
-            let hit = (counts[target_state.index()] as f64 / n) * contact_ok;
-            prob * (1.0 - (1.0 - hit).powi(*samples as i32))
-        }
-        Action::PushSample { .. } => 0.0,
-        Action::Tokenize { required, prob, .. } => {
-            let mut p = *prob;
-            for r in required {
-                p *= (counts[r.index()] as f64 / n) * contact_ok;
-            }
-            p
-        }
-    }
-}
-
-/// Renders a dense `from * num_states + to` transition-count buffer into the
-/// sparse `(from, to, count)` list handed to observers (shared by the
-/// runtimes' `step` implementations).
-pub(crate) fn render_sparse_transitions(
-    dense: &[u64],
-    num_states: usize,
-    out: &mut Vec<(StateId, StateId, u64)>,
-) {
-    for (idx, &count) in dense.iter().enumerate() {
-        if count > 0 {
-            out.push((
-                StateId::new(idx / num_states),
-                StateId::new(idx % num_states),
-                count,
-            ));
-        }
-    }
-}
-
 /// Protocols the runtime test modules share.
 #[cfg(test)]
 mod fixtures {
+    use crate::action::Action;
     use crate::mapping::ProtocolCompiler;
-    use crate::state_machine::Protocol;
+    use crate::state_machine::{Protocol, StateId};
     use odekit::system::EquationSystemBuilder;
 
     /// The epidemic `x' = −xy, y' = xy`, compiled with the defaults.
@@ -628,23 +572,96 @@ mod fixtures {
             .unwrap();
         ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
     }
+
+    /// The endemic protocol of the paper's Figure 1 (b = 2, γ = 0.1,
+    /// α = 0.01), with or without the stashers' push action, as
+    /// `dpde_protocols::endemic` builds it.
+    pub(super) fn figure1_protocol(push: bool) -> Protocol {
+        let mut protocol = Protocol::new(
+            "endemic-figure1",
+            vec!["receptive".into(), "stash".into(), "averse".into()],
+        )
+        .unwrap();
+        let [receptive, stash, averse] = [0, 1, 2].map(StateId::new);
+        let flip = |prob, to| Action::Flip { prob, to };
+        protocol.add_action(stash, flip(0.1, averse)).unwrap();
+        protocol.add_action(averse, flip(0.01, receptive)).unwrap();
+        let samples = if push { 2 } else { 4 };
+        protocol
+            .add_action(
+                receptive,
+                Action::SampleAny {
+                    target_state: stash,
+                    samples,
+                    prob: 1.0,
+                    to: stash,
+                },
+            )
+            .unwrap();
+        if push {
+            protocol
+                .add_action(
+                    stash,
+                    Action::PushSample {
+                        target_state: receptive,
+                        samples: 2,
+                        prob: 1.0,
+                        to: stash,
+                    },
+                )
+                .unwrap();
+        }
+        protocol
+    }
+
+    /// Competitive exclusion among `k` proposals plus an undecided state `z`
+    /// (what `dpde_protocols::lv::multi` compiles; `k = 2` is the paper's LV
+    /// protocol): each proposal state gets `k − 1` actions that all lead to
+    /// `z`.
+    pub(super) fn plurality_protocol(k: usize) -> Protocol {
+        let names: Vec<String> = (0..k)
+            .map(|i| format!("x{i}"))
+            .chain(["z".into()])
+            .collect();
+        let mut builder = EquationSystemBuilder::new().vars(names.clone());
+        for i in 0..k {
+            let xi = names[i].as_str();
+            builder = builder.term(xi, 3.0, &[(xi, 1), ("z", 1)]);
+            builder = builder.term("z", -3.0, &[(xi, 1), ("z", 1)]);
+            for xj in names.iter().take(k).filter(|xj| xj.as_str() != xi) {
+                builder = builder.term(xi, -3.0, &[(xi, 1), (xj, 1)]);
+                builder = builder.term("z", 3.0, &[(xi, 1), (xj, 1)]);
+            }
+        }
+        ProtocolCompiler::new("plurality")
+            .with_normalizing_constant(0.01)
+            .compile(&builder.build().unwrap())
+            .unwrap()
+    }
+
+    /// "Recruitment by committee" with a way back: an (x, y) pair recruits
+    /// an undecided z into x through a token hosted by x, and x decays back
+    /// into z.
+    pub(super) fn token_protocol() -> Protocol {
+        let sys = EquationSystemBuilder::new()
+            .vars(["x", "y", "z"])
+            .term("x", 0.5, &[("x", 1), ("y", 1)])
+            .term("z", -0.5, &[("x", 1), ("y", 1)])
+            .term("x", -0.1, &[("x", 1)])
+            .term("z", 0.1, &[("x", 1)])
+            .build()
+            .unwrap();
+        ProtocolCompiler::new("token")
+            .with_normalizing_constant(0.5)
+            .compile(&sys)
+            .unwrap()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fixtures::epidemic_protocol as protocol;
     use super::*;
-    use crate::mapping::ProtocolCompiler;
-    use odekit::system::EquationSystemBuilder;
-
-    fn protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
 
     #[test]
     fn initial_states_counts_validation() {

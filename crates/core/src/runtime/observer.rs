@@ -646,18 +646,7 @@ pub(crate) fn default_observers() -> Vec<Box<dyn Observer>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ProtocolCompiler;
-    use odekit::system::EquationSystemBuilder;
-
-    fn protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
+    use crate::runtime::fixtures::epidemic_protocol as protocol;
 
     fn events<'a>(
         period: u64,

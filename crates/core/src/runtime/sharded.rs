@@ -196,7 +196,9 @@ impl ShardedState {
         }
         self.alive_n = self.counts_alive.iter().sum();
         self.messages = self.block.messages().iter().map(|m| m.round() as u64).sum();
-        inner.render_transitions(self.block.tallies(), w, &mut self.transitions);
+        inner
+            .plan()
+            .render_transitions(self.block.tallies(), w, &mut self.transitions);
     }
 
     /// Copies the `(shard, state)` cells that `keep` selects from a

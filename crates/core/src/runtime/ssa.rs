@@ -24,9 +24,10 @@
 //!
 //! # Channels
 //!
-//! Each `(state, action)` pair becomes one reaction channel with propensity
-//! `a` (per second) and a one-process effect, evaluated against the current
-//! alive counts `x` over the maximal group of `n` processes:
+//! Each action of the runtime's compiled plan is one reaction channel, in
+//! the plan's state-then-action order, with propensity `a` (per second) and
+//! a one-process effect along the action's plan edge, evaluated against the
+//! current alive counts `x` over the maximal group of `n` processes:
 //!
 //! * **self-moving actions** (`Flip`, `Sample`, `SampleAny`):
 //!   `a = x[s] · h(fire_probability) / T`, moving one process `s → to`;
@@ -69,13 +70,13 @@
 
 use super::batched::{BatchedRuntime, BatchedState};
 use super::observer::default_observers;
+use super::plan::ProtocolPlan;
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::action::Action;
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::Scenario;
+use netsim::{Rng, Scenario};
 
 /// Executes a protocol as an exact continuous-time jump process (Gillespie's
 /// stochastic simulation algorithm in next-reaction form) — every reaction
@@ -104,13 +105,12 @@ pub struct SsaRuntime {
     batched: BatchedRuntime,
 }
 
-/// The mutable execution state of an [`SsaRuntime`] run: the shared
-/// count-level state (counts, PRNG, injection point) plus the per-channel
-/// next-reaction bookkeeping.
+/// The mutable execution state of an [`SsaRuntime`] run: the event window
+/// both continuous-time tiers share, plus the per-channel next-reaction
+/// bookkeeping (one channel per plan action).
 #[derive(Debug, Clone)]
 pub struct SsaState {
-    pub(super) inner: BatchedState,
-    channels: Vec<Channel>,
+    window: Window,
     /// Internal clocks `T_c`: integrated propensity per channel.
     clocks: Vec<f64>,
     /// Unit-exponential thresholds `P_c`: each channel fires when its
@@ -118,160 +118,170 @@ pub struct SsaState {
     thresholds: Vec<f64>,
     /// Scratch: propensities of the current event iteration.
     propensities: Vec<f64>,
+}
+
+/// What both continuous-time tiers carry from one period boundary to the
+/// next: the count-level state the batched runtime's boundary hooks run on,
+/// the working counts the event clock moves, and the period's edge tallies.
+#[derive(Debug, Clone)]
+pub(super) struct Window {
+    inner: BatchedState,
     /// Working copy of the alive counts while the event clock runs.
-    x: Vec<u64>,
-    transitions_dense: Vec<u64>,
+    pub(super) x: Vec<u64>,
+    /// Per plan edge: the firings along it this period.
+    pub(super) tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     messages: u64,
 }
 
-/// The per-period hazard embedding a synchronized firing probability `q`:
-/// a Poisson process with this hazard fires at least once per period with
-/// probability exactly `q` (clamped near `q = 1` to keep the rate finite).
-pub(super) fn hazard(q: f64) -> f64 {
-    -(1.0 - q).max(1e-12).ln()
+/// The constants of one period's event clock.
+pub(super) struct Clock {
+    /// The density denominator (population size) contacts sample from.
+    n: f64,
+    /// The per-contact success rate (`1 − LossConfig::effective_contact_failure(1)`).
+    contact_ok: f64,
+    pub(super) period_secs: f64,
 }
 
-/// One reaction channel: an executor state, the compiled action driving the
-/// channel's propensity, and the one-process effect `from → to` a firing
-/// applies. Shared with the tau-leap runtime, which leaps over the same
-/// channel set.
-#[derive(Debug, Clone)]
-pub(super) struct Channel {
-    /// Executor state `s` (the propensity scales with `x[s]`).
-    pub(super) state: usize,
-    /// State a firing decrements.
-    pub(super) from: usize,
-    /// State a firing increments.
-    pub(super) to: usize,
-    action: Action,
-    /// `hazard(prob)` of a `Flip` channel — a compile-time constant, so its
-    /// `ln` is taken once at [`build_channels`], not per event. Zero (and
-    /// unread) for every other action.
-    flip_hazard: f64,
-}
-
-impl Channel {
-    /// The channel's propensity (events per second of virtual time) against
-    /// the current alive counts `x` over a maximal group of `n` processes.
-    /// `contact_ok` is the per-contact success rate
-    /// (`1 − LossConfig::effective_contact_failure(1)`), which both
-    /// continuous runtimes hoist to once per period.
-    pub(super) fn propensity(&self, x: &[u64], n: f64, contact_ok: f64, period_secs: f64) -> f64 {
-        let k = x[self.state] as f64;
-        if k == 0.0 {
-            return 0.0;
-        }
-        match &self.action {
-            Action::Flip { .. } => k * self.flip_hazard / period_secs,
-            Action::PushSample {
-                target_state,
-                samples,
-                prob,
-                ..
-            } => {
-                let per_draw = (x[target_state.index()] as f64 / n) * prob * contact_ok;
-                k * f64::from(*samples) * hazard(per_draw) / period_secs
-            }
-            Action::Tokenize { token_state, .. } => {
-                if x[token_state.index()] == 0 {
-                    return 0.0;
-                }
-                k * hazard(super::fire_probability(&self.action, x, n, contact_ok)) / period_secs
-            }
-            _ => k * hazard(super::fire_probability(&self.action, x, n, contact_ok)) / period_secs,
-        }
-    }
-
-    /// Applies one firing: move one process `from → to` and tally the edge.
-    /// Only called when the propensity is positive, which guarantees the
-    /// decremented pool is non-empty.
-    pub(super) fn apply(&self, x: &mut [u64], dense: &mut [u64], num_states: usize) {
-        debug_assert!(x[self.from] > 0, "firing channel with an empty pool");
-        x[self.from] -= 1;
-        x[self.to] += 1;
-        dense[self.from * num_states + self.to] += 1;
-    }
-}
-
-/// Builds the channel list: one channel per `(state, action)` pair, in
-/// state-then-action order (the order fixes the PRNG consumption sequence).
-pub(super) fn build_channels(protocol: &Protocol) -> Vec<Channel> {
-    let mut channels = Vec::new();
-    for s in 0..protocol.num_states() {
-        for action in protocol.actions(StateId::new(s)) {
-            let (from, to) = match action {
-                Action::Flip { to, .. }
-                | Action::Sample { to, .. }
-                | Action::SampleAny { to, .. } => (s, to.index()),
-                Action::PushSample {
-                    target_state, to, ..
-                } => (target_state.index(), to.index()),
-                Action::Tokenize {
-                    token_state, to, ..
-                } => (token_state.index(), to.index()),
-            };
-            let flip_hazard = match action {
-                Action::Flip { prob, .. } => hazard(*prob),
-                _ => 0.0,
-            };
-            channels.push(Channel {
-                state: s,
-                from,
-                to,
-                action: action.clone(),
-                flip_hazard,
+// The per-period helpers are forced inline: a period without events costs a
+// few tens of nanoseconds, so a call boundary around each would show.
+impl Window {
+    /// Validates a scenario for a continuous-time count-level runtime
+    /// (`runtime_name` is what errors report) and builds the start-of-run
+    /// window.
+    pub(super) fn init(
+        batched: &BatchedRuntime,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        runtime_name: &str,
+    ) -> Result<Self> {
+        let plan = batched.plan();
+        plan.protocol().validate()?;
+        if !scenario.count_level_compatible() {
+            return Err(CoreError::InvalidConfig {
+                name: "scenario",
+                reason: format!(
+                    "the {runtime_name} runtime models only exchangeable environments \
+                     (massive failures, probabilistic failure models, losses); \
+                     per-id failure schedules and churn traces need host identity \
+                     — use AgentRuntime (or Simulation::run_auto, which picks the \
+                     right fidelity automatically)"
+                ),
             });
         }
-    }
-    channels
-}
-
-/// The synchronized tiers' expected-message accounting evaluated at the
-/// given counts: a process pays for an action only if no earlier self-moving
-/// action in its state's list already moved it this period. Shared by the
-/// continuous-time runtimes (message tallies are an accounting fiction at
-/// count level, kept comparable across every tier).
-pub(super) fn expected_messages(
-    protocol: &Protocol,
-    counts_alive: &[u64],
-    n: f64,
-    contact_ok: f64,
-) -> f64 {
-    let mut messages = 0.0f64;
-    for (s, &k_s) in counts_alive.iter().enumerate() {
-        if k_s == 0 {
-            continue;
-        }
-        let mut survive = 1.0;
-        for action in protocol.actions(StateId::new(s)) {
-            messages += k_s as f64 * survive * f64::from(action.messages_per_period());
-            if action.moves_self() {
-                survive *= 1.0 - super::fire_probability(action, counts_alive, n, contact_ok);
-            }
-        }
-    }
-    messages
-}
-
-/// Validates a scenario for a continuous-time count-level runtime (shared
-/// with the tau-leap runtime, which differs only in the name it reports).
-pub(super) fn validate_continuous(scenario: &Scenario, runtime_name: &str) -> Result<()> {
-    if !scenario.count_level_compatible() {
-        return Err(CoreError::InvalidConfig {
-            name: "scenario",
-            reason: format!(
-                "the {runtime_name} runtime models only exchangeable environments \
-                 (massive failures, probabilistic failure models, losses); \
-                 per-id failure schedules and churn traces need host identity \
-                 — use AgentRuntime (or Simulation::run_auto, which picks the \
-                 right fidelity automatically)"
+        super::reject_sharded(scenario, runtime_name)?;
+        super::reject_transport(scenario, runtime_name)?;
+        let num_states = plan.num_states();
+        let counts = initial.resolve(num_states, scenario.group_size() as u64)?;
+        Ok(Window {
+            inner: batched.state_from_counts(
+                scenario,
+                counts,
+                vec![0; num_states],
+                0,
+                scenario.build_rng(),
             ),
-        });
+            x: Vec::with_capacity(num_states),
+            tallies: vec![0; plan.edges.len()],
+            transitions: Vec::new(),
+            messages: 0,
+        })
     }
-    super::reject_sharded(scenario, runtime_name)?;
-    super::reject_transport(scenario, runtime_name)?;
-    Ok(())
+
+    /// The run's single PRNG stream.
+    pub(super) fn rng(&mut self) -> &mut Rng {
+        self.inner.rng_mut()
+    }
+
+    /// Applies this boundary's failure and injection hooks — the identical
+    /// count-level draws as the batched tier, in the identical order — and
+    /// opens the next period's event clock over the alive counts. Message
+    /// tallies reuse the synchronized tiers' expected-message accounting at
+    /// these start-of-period counts.
+    #[inline(always)]
+    pub(super) fn open(&mut self, batched: &BatchedRuntime) -> Result<Clock> {
+        self.tallies.fill(0);
+        batched.apply_failures(&mut self.inner)?;
+        batched.apply_injections(&mut self.inner)?;
+        self.x.clear();
+        self.x.extend_from_slice(self.inner.alive_counts());
+        let scenario = self.inner.scenario();
+        let clock = Clock {
+            n: self.inner.density_n(),
+            contact_ok: 1.0 - scenario.loss().effective_contact_failure(1),
+            period_secs: scenario.clock().period_secs(),
+        };
+        let messages = batched
+            .plan()
+            .expected_messages(&self.x, clock.n, clock.contact_ok);
+        self.messages = messages.round() as u64;
+        Ok(clock)
+    }
+
+    /// Fills `out` with every channel's propensity (events per second of
+    /// virtual time) against the working counts, and returns their sum.
+    #[inline(always)]
+    pub(super) fn propensities(&self, plan: &ProtocolPlan, clock: &Clock, out: &mut [f64]) -> f64 {
+        let mut total = 0.0;
+        for ((c, m), out) in plan.moves.iter().enumerate().zip(out) {
+            let k = self.x[m.state as usize] as f64;
+            *out = if k == 0.0 {
+                0.0
+            } else {
+                plan.hazard_rate(c, k, &self.x, clock.n, clock.contact_ok) / clock.period_secs
+            };
+            total += *out;
+        }
+        total
+    }
+
+    /// Applies `k` firings of channel `c`: moves `k` processes along its
+    /// plan edge and tallies the edge. The caller guarantees the pool holds
+    /// them (an SSA event has a positive propensity; a leap is capped).
+    pub(super) fn fire(&mut self, plan: &ProtocolPlan, c: usize, k: u64) {
+        let m = plan.moves[c];
+        debug_assert!(
+            self.x[m.from as usize] >= k,
+            "firing channel with an empty pool"
+        );
+        self.x[m.from as usize] -= k;
+        self.x[m.to as usize] += k;
+        self.tallies[m.slot as usize] += k;
+    }
+
+    /// Commits the boundary counts back into the shared state, advances the
+    /// period and renders the period's transitions.
+    #[inline(always)]
+    pub(super) fn close(&mut self, plan: &ProtocolPlan) {
+        self.inner.rebase_alive(&self.x);
+        debug_assert_eq!(
+            self.inner.total_counts().iter().sum::<u64>(),
+            self.inner.scenario().group_size() as u64,
+            "a continuous-time period must conserve the population"
+        );
+        let next = self.inner.period() + 1;
+        self.inner.set_period(next);
+        plan.render_transitions(&self.tallies, 1, &mut self.transitions);
+    }
+
+    /// The events view of the window at its current boundary.
+    #[inline(always)]
+    pub(super) fn events(&self) -> PeriodEvents<'_> {
+        let inner = &self.inner;
+        PeriodEvents {
+            period: inner.period(),
+            counts: inner.total_counts(),
+            transitions: &self.transitions,
+            messages: self.messages,
+            alive: inner.alive_total(),
+            counts_alive: Some(inner.alive_counts()),
+            membership: None,
+            shard_counts_alive: None,
+            transport: None,
+            injections: inner.injection_records(),
+            virtual_time: Some(inner.scenario().clock().period_to_secs(inner.period())),
+        }
+    }
 }
 
 impl SsaRuntime {
@@ -303,28 +313,6 @@ impl SsaRuntime {
     pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
         drive(self, scenario, initial, &mut default_observers())
     }
-
-    fn events<'s>(&self, state: &'s SsaState) -> PeriodEvents<'s> {
-        PeriodEvents {
-            period: state.inner.period(),
-            counts: state.inner.total_counts(),
-            transitions: &state.transitions,
-            messages: state.messages,
-            alive: state.inner.alive_total(),
-            counts_alive: Some(state.inner.alive_counts()),
-            membership: None,
-            shard_counts_alive: None,
-            transport: None,
-            injections: state.inner.injection_records(),
-            virtual_time: Some(
-                state
-                    .inner
-                    .scenario()
-                    .clock()
-                    .period_to_secs(state.inner.period()),
-            ),
-        }
-    }
 }
 
 impl Runtime for SsaRuntime {
@@ -341,64 +329,30 @@ impl Runtime for SsaRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<SsaState> {
-        let protocol = self.batched.protocol();
-        protocol.validate()?;
-        validate_continuous(scenario, "SSA")?;
-        let num_states = protocol.num_states();
-        let n = scenario.group_size() as u64;
-        let counts = initial.resolve(num_states, n)?;
-        let channels = build_channels(protocol);
-        let mut inner = self.batched.state_from_counts(
-            scenario,
-            counts,
-            vec![0; num_states],
-            0,
-            scenario.build_rng(),
-        );
+        let mut window = Window::init(&self.batched, scenario, initial, "SSA")?;
         // One Exp(1) threshold per channel, drawn in channel order from the
         // run's single PRNG stream.
-        let thresholds: Vec<f64> = (0..channels.len())
-            .map(|_| inner.rng_mut().exponential(1.0))
+        let channels = self.batched.plan().actions.len();
+        let thresholds: Vec<f64> = (0..channels)
+            .map(|_| window.rng().exponential(1.0))
             .collect();
         Ok(SsaState {
-            clocks: vec![0.0; channels.len()],
-            propensities: vec![0.0; channels.len()],
+            window,
+            clocks: vec![0.0; channels],
+            propensities: vec![0.0; channels],
             thresholds,
-            channels,
-            x: Vec::with_capacity(num_states),
-            transitions_dense: vec![0; num_states * num_states],
-            transitions: Vec::new(),
-            messages: 0,
-            inner,
         })
     }
 
     fn step<'s>(&self, state: &'s mut SsaState) -> Result<PeriodEvents<'s>> {
-        let num_states = self.protocol().num_states();
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
+        let plan = self.batched.plan();
+        let clock = state.window.open(&self.batched)?;
+        let period_secs = clock.period_secs;
 
-        // 1. Boundary hooks: the identical count-level failure/injection
-        // draws as the batched tier, in the identical order.
-        self.batched.apply_failures(&mut state.inner)?;
-        self.batched.apply_injections(&mut state.inner)?;
-
-        // 2. The event clock, from this boundary to the next.
-        state.x.clear();
-        state.x.extend_from_slice(state.inner.alive_counts());
-        let n_f = state.inner.density_n();
-        let contact_ok = 1.0 - state.inner.scenario().loss().effective_contact_failure(1);
-        let period_secs = state.inner.scenario().clock().period_secs();
-        let messages_f = expected_messages(self.protocol(), &state.x, n_f, contact_ok);
-
+        // The event clock, from this boundary to the next.
         let mut t = 0.0f64;
         loop {
-            let mut total = 0.0;
-            for c in 0..state.channels.len() {
-                let a = state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
-                state.propensities[c] = a;
-                total += a;
-            }
+            let total = (state.window).propensities(plan, &clock, &mut state.propensities);
             if total <= 0.0 {
                 // Absorbing configuration: no internal time accrues.
                 break;
@@ -406,7 +360,7 @@ impl Runtime for SsaRuntime {
             // Next reaction: the channel whose threshold is reached first.
             let mut best = f64::INFINITY;
             let mut winner = usize::MAX;
-            for c in 0..state.channels.len() {
+            for c in 0..state.propensities.len() {
                 let a = state.propensities[c];
                 if a <= 0.0 {
                     continue;
@@ -420,46 +374,33 @@ impl Runtime for SsaRuntime {
             if winner == usize::MAX || t + best >= period_secs {
                 // Advance every internal clock to the boundary and stop.
                 let dt = period_secs - t;
-                for c in 0..state.channels.len() {
+                for c in 0..state.propensities.len() {
                     state.clocks[c] += state.propensities[c] * dt;
                 }
                 break;
             }
             t += best;
-            for c in 0..state.channels.len() {
+            for c in 0..state.propensities.len() {
                 state.clocks[c] += state.propensities[c] * best;
             }
-            state.channels[winner].apply(&mut state.x, &mut state.transitions_dense, num_states);
+            state.window.fire(plan, winner, 1);
             // Only the firing channel consumes randomness.
-            state.thresholds[winner] += state.inner.rng_mut().exponential(1.0);
+            state.thresholds[winner] += state.window.rng().exponential(1.0);
         }
 
-        // 3. Commit boundary counts back into the shared state.
-        state.inner.rebase_alive(&state.x);
-        debug_assert_eq!(
-            state.inner.total_counts().iter().sum::<u64>(),
-            state.inner.scenario().group_size() as u64,
-            "an SSA period must conserve the population"
-        );
-        let next = state.inner.period() + 1;
-        state.inner.set_period(next);
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            num_states,
-            &mut state.transitions,
-        );
-        state.messages = messages_f.round() as u64;
-        Ok(self.events(state))
+        state.window.close(plan);
+        Ok(state.window.events())
     }
 
     fn snapshot<'s>(&self, state: &'s SsaState) -> PeriodEvents<'s> {
-        self.events(state)
+        state.window.events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::mapping::ProtocolCompiler;
     use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Observer, Simulation};

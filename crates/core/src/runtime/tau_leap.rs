@@ -34,12 +34,12 @@
 //! set per run by [`ErrorBudget::Bounded`](super::ErrorBudget) through
 //! [`RunConfig::tau_epsilon`].
 
-use super::batched::{BatchedRuntime, BatchedState};
+use super::batched::BatchedRuntime;
 use super::observer::default_observers;
 use super::simulation::drive;
-use super::ssa::{build_channels, expected_messages, validate_continuous, Channel};
+use super::ssa::{Clock, Window};
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime, SMALL_COUNT_THRESHOLD};
-use crate::state_machine::{Protocol, StateId};
+use crate::state_machine::Protocol;
 use crate::Result;
 use netsim::Scenario;
 
@@ -84,19 +84,14 @@ pub struct TauLeapRuntime {
 /// The mutable execution state of a [`TauLeapRuntime`] run.
 #[derive(Debug, Clone)]
 pub struct TauLeapState {
-    inner: BatchedState,
-    channels: Vec<Channel>,
-    /// Scratch: propensities of the current leap iteration.
+    window: Window,
+    /// Scratch: propensities of the current leap iteration, one per plan
+    /// action (the SSA's channels).
     propensities: Vec<f64>,
-    /// Working copy of the alive counts while the event clock runs.
-    x: Vec<u64>,
     /// Scratch: per-state expected drift `μ_i = Σ_c a_c ν_ci`.
     mu: Vec<f64>,
     /// Scratch: per-state event variance `σ²_i = Σ_c a_c ν²_ci`.
     sigma2: Vec<f64>,
-    transitions_dense: Vec<u64>,
-    transitions: Vec<(StateId, StateId, u64)>,
-    messages: u64,
     exact_steps: u64,
     leaps: u64,
 }
@@ -163,53 +158,25 @@ impl TauLeapRuntime {
         drive(self, scenario, initial, &mut default_observers())
     }
 
-    fn events<'s>(&self, state: &'s TauLeapState) -> PeriodEvents<'s> {
-        PeriodEvents {
-            period: state.inner.period(),
-            counts: state.inner.total_counts(),
-            transitions: &state.transitions,
-            messages: state.messages,
-            alive: state.inner.alive_total(),
-            counts_alive: Some(state.inner.alive_counts()),
-            membership: None,
-            shard_counts_alive: None,
-            transport: None,
-            injections: state.inner.injection_records(),
-            virtual_time: Some(
-                state
-                    .inner
-                    .scenario()
-                    .clock()
-                    .period_to_secs(state.inner.period()),
-            ),
-        }
-    }
-
     /// Executes up to [`EXACT_BURST_STEPS`] direct-method SSA steps from
     /// virtual time `t`, returning the new time (capped at the period
-    /// boundary `period_secs`). Propensities in `state.propensities` are
-    /// current on entry and are refreshed after every applied event.
-    fn exact_burst(
-        &self,
-        state: &mut TauLeapState,
-        mut t: f64,
-        period_secs: f64,
-        contact_ok: f64,
-    ) -> f64 {
-        let num_states = self.protocol().num_states();
-        let n_f = state.inner.density_n();
+    /// boundary). Propensities in `state.propensities` are current on entry
+    /// and are refreshed after every applied event.
+    fn exact_burst(&self, state: &mut TauLeapState, mut t: f64, clock: &Clock) -> f64 {
+        let plan = self.batched.plan();
+        let period_secs = clock.period_secs;
         for _ in 0..EXACT_BURST_STEPS {
             let total: f64 = state.propensities.iter().sum();
             if total <= 0.0 {
                 return period_secs;
             }
-            let wait = state.inner.rng_mut().exponential(1.0 / total);
+            let wait = state.window.rng().exponential(1.0 / total);
             if t + wait >= period_secs {
                 return period_secs;
             }
             t += wait;
             // Direct method: pick the firing channel by propensity mass.
-            let mut u = state.inner.rng_mut().next_f64() * total;
+            let mut u = state.window.rng().next_f64() * total;
             let mut winner = state.propensities.len() - 1;
             for (c, &a) in state.propensities.iter().enumerate() {
                 if a <= 0.0 {
@@ -221,12 +188,9 @@ impl TauLeapRuntime {
                 }
                 u -= a;
             }
-            state.channels[winner].apply(&mut state.x, &mut state.transitions_dense, num_states);
+            state.window.fire(plan, winner, 1);
             state.exact_steps += 1;
-            for c in 0..state.channels.len() {
-                state.propensities[c] =
-                    state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
-            }
+            (state.window).propensities(plan, clock, &mut state.propensities);
         }
         t
     }
@@ -258,73 +222,37 @@ impl Runtime for TauLeapRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<TauLeapState> {
-        let protocol = self.batched.protocol();
-        protocol.validate()?;
-        validate_continuous(scenario, "tau-leap")?;
-        let num_states = protocol.num_states();
-        let n = scenario.group_size() as u64;
-        let counts = initial.resolve(num_states, n)?;
-        let channels = build_channels(protocol);
-        let inner = self.batched.state_from_counts(
-            scenario,
-            counts,
-            vec![0; num_states],
-            0,
-            scenario.build_rng(),
-        );
+        let num_states = self.batched.plan().num_states();
         Ok(TauLeapState {
-            propensities: vec![0.0; channels.len()],
-            channels,
-            x: Vec::with_capacity(num_states),
+            window: Window::init(&self.batched, scenario, initial, "tau-leap")?,
+            propensities: vec![0.0; self.batched.plan().actions.len()],
             mu: vec![0.0; num_states],
             sigma2: vec![0.0; num_states],
-            transitions_dense: vec![0; num_states * num_states],
-            transitions: Vec::new(),
-            messages: 0,
             exact_steps: 0,
             leaps: 0,
-            inner,
         })
     }
 
     fn step<'s>(&self, state: &'s mut TauLeapState) -> Result<PeriodEvents<'s>> {
-        let num_states = self.protocol().num_states();
-        state.transitions_dense.fill(0);
-        state.transitions.clear();
+        let plan = self.batched.plan();
+        let clock = state.window.open(&self.batched)?;
+        let period_secs = clock.period_secs;
 
-        // 1. Boundary hooks: identical count-level draws to the batched tier.
-        self.batched.apply_failures(&mut state.inner)?;
-        self.batched.apply_injections(&mut state.inner)?;
-
-        // 2. Leap from this boundary to the next.
-        state.x.clear();
-        state.x.extend_from_slice(state.inner.alive_counts());
-        let n_f = state.inner.density_n();
-        let contact_ok = 1.0 - state.inner.scenario().loss().effective_contact_failure(1);
-        let period_secs = state.inner.scenario().clock().period_secs();
-        let messages_f = expected_messages(self.protocol(), &state.x, n_f, contact_ok);
-
+        // Leap from this boundary to the next.
         let mut t = 0.0f64;
         while t < period_secs {
-            let mut total = 0.0;
-            for c in 0..state.channels.len() {
-                let a = state.channels[c].propensity(&state.x, n_f, contact_ok, period_secs);
-                state.propensities[c] = a;
-                total += a;
-            }
+            let total = (state.window).propensities(plan, &clock, &mut state.propensities);
             if total <= 0.0 {
                 break;
             }
 
             // Small-count guard: an active channel draining a small pool
             // must be resolved exactly.
-            let small = state
-                .channels
-                .iter()
-                .zip(&state.propensities)
-                .any(|(ch, &a)| a > 0.0 && state.x[ch.from] < SMALL_COUNT_THRESHOLD);
+            let x = &state.window.x;
+            let small = (state.propensities.iter().enumerate())
+                .any(|(c, &a)| a > 0.0 && x[plan.edge(c).0] < SMALL_COUNT_THRESHOLD);
             if small {
-                t = self.exact_burst(state, t, period_secs, contact_ok);
+                t = self.exact_burst(state, t, &clock);
                 continue;
             }
 
@@ -332,18 +260,19 @@ impl Runtime for TauLeapRuntime {
             // expected drift and fluctuation over the leap by max(ε·x_i, 1).
             state.mu.fill(0.0);
             state.sigma2.fill(0.0);
-            for (ch, &a) in state.channels.iter().zip(&state.propensities) {
-                if a <= 0.0 || ch.from == ch.to {
+            for (c, &a) in state.propensities.iter().enumerate() {
+                let (from, to) = plan.edge(c);
+                if a <= 0.0 || from == to {
                     continue;
                 }
-                state.mu[ch.from] -= a;
-                state.mu[ch.to] += a;
-                state.sigma2[ch.from] += a;
-                state.sigma2[ch.to] += a;
+                state.mu[from] -= a;
+                state.mu[to] += a;
+                state.sigma2[from] += a;
+                state.sigma2[to] += a;
             }
             let mut tau = period_secs - t;
-            for i in 0..num_states {
-                let bound = (self.epsilon * state.x[i] as f64).max(1.0);
+            for (i, &count) in x.iter().enumerate() {
+                let bound = (self.epsilon * count as f64).max(1.0);
                 if state.mu[i] != 0.0 {
                     tau = tau.min(bound / state.mu[i].abs());
                 }
@@ -355,50 +284,33 @@ impl Runtime for TauLeapRuntime {
             // Unprofitable leap: a handful of exact events is cheaper and
             // exact.
             if tau * total < MIN_EVENTS_PER_LEAP && tau < period_secs - t {
-                t = self.exact_burst(state, t, period_secs, contact_ok);
+                t = self.exact_burst(state, t, &clock);
                 continue;
             }
 
             // Poisson-fire every channel over the leap, capped by the pool
             // each firing drains at application time (the same caps the
             // batched tier applies to its binomial draws).
-            for c in 0..state.channels.len() {
-                let a = state.propensities[c];
+            for (c, &a) in state.propensities.iter().enumerate() {
                 if a <= 0.0 {
                     continue;
                 }
-                let ch = &state.channels[c];
-                let k = state.inner.rng_mut().poisson(a * tau).min(state.x[ch.from]);
+                let pool = state.window.x[plan.edge(c).0];
+                let k = state.window.rng().poisson(a * tau).min(pool);
                 if k > 0 {
-                    state.x[ch.from] -= k;
-                    state.x[ch.to] += k;
-                    state.transitions_dense[ch.from * num_states + ch.to] += k;
+                    state.window.fire(plan, c, k);
                 }
             }
             state.leaps += 1;
             t += tau;
         }
 
-        // 3. Commit boundary counts back into the shared state.
-        state.inner.rebase_alive(&state.x);
-        debug_assert_eq!(
-            state.inner.total_counts().iter().sum::<u64>(),
-            state.inner.scenario().group_size() as u64,
-            "a tau-leap period must conserve the population"
-        );
-        let next = state.inner.period() + 1;
-        state.inner.set_period(next);
-        super::render_sparse_transitions(
-            &state.transitions_dense,
-            num_states,
-            &mut state.transitions,
-        );
-        state.messages = messages_f.round() as u64;
-        Ok(self.events(state))
+        state.window.close(plan);
+        Ok(state.window.events())
     }
 
     fn snapshot<'s>(&self, state: &'s TauLeapState) -> PeriodEvents<'s> {
-        self.events(state)
+        state.window.events()
     }
 }
 
@@ -458,7 +370,7 @@ mod tests {
                 runtime.step(&mut state).unwrap();
             }
             (
-                state.inner.alive_counts().to_vec(),
+                runtime.snapshot(&state).counts.to_vec(),
                 state.exact_steps(),
                 state.leaps(),
             )

@@ -40,10 +40,11 @@ impl fmt::Display for StateId {
 /// A synthesized protocol: a probabilistic state machine with one state per
 /// equation-system variable and periodic actions attached to each state.
 ///
-/// A `Protocol` is pure data — it can be executed by the
-/// [`AgentRuntime`](crate::runtime::AgentRuntime) (one state per process) or
-/// the [`AggregateRuntime`](crate::runtime::AggregateRuntime) (state counts
-/// only), rendered for documentation, or inspected for message complexity.
+/// A `Protocol` is pure data — it can be executed by any of the
+/// [`runtime`](crate::runtime) tiers (each compiles it once into the same
+/// flat plan of actions and transition edges, then runs per process, per
+/// message, per count vector or per reaction), rendered for documentation,
+/// or inspected for message complexity.
 ///
 /// The `time_scale` records the normalizing constant `p`: one protocol period
 /// advances the source differential equations by `p` time units, which is how
@@ -139,6 +140,12 @@ impl Protocol {
     /// Panics if the id is out of range.
     pub fn actions(&self, state: StateId) -> &[Action] {
         &self.actions[state.index()]
+    }
+
+    /// Every state's action list, in state order (what the runtimes' plan
+    /// flattens).
+    pub(crate) fn action_lists(&self) -> &[Vec<Action>] {
+        &self.actions
     }
 
     /// Attaches an action to a state.

@@ -958,16 +958,18 @@ fn sharded_blocks_placement_conserves_the_endemic_population() {
     }
 }
 
-/// What a sharded stream pin records of one run with the standard recording
-/// set: the final counts, the messages of the whole run and the sum of every
+/// What a stream pin records of one run with the standard recording set: the
+/// final counts, the messages of the whole run and the sum of every
 /// transition series.
-fn sharded_fingerprint(
-    runtime: &ShardedRuntime,
+fn fingerprint<R: Runtime>(
+    runtime: &R,
     scenario: Scenario,
     initial: &[u64],
 ) -> (Vec<u64>, u64, u64) {
-    let run = runtime
-        .run(&scenario, &InitialStates::counts(initial))
+    let run = Simulation::of(runtime.protocol().clone())
+        .scenario(scenario)
+        .initial(InitialStates::counts(initial))
+        .run_on(runtime)
         .unwrap();
     let total = |recorder: &MetricsRecorder, name: &str| -> u64 {
         let series = recorder.series(name).unwrap();
@@ -1020,7 +1022,7 @@ fn sharded_stream_is_pinned_on_every_boundary_path() {
         .with_failure_model(netsim::FailureModel::new(0.01, 0.05).unwrap())
         .with_seed(41);
     assert_eq!(
-        sharded_fingerprint(
+        fingerprint(
             &rejoining,
             scenario,
             &figure1_endemic().equilibrium_counts(n as u64)
@@ -1041,7 +1043,7 @@ fn sharded_stream_is_pinned_on_every_boundary_path() {
         .unwrap()
         .with_seed(42);
     assert_eq!(
-        sharded_fingerprint(&ShardedRuntime::new(lv), scenario, &[550_000, 450_000, 0]),
+        fingerprint(&ShardedRuntime::new(lv), scenario, &[550_000, 450_000, 0]),
         (vec![484_908, 381_414, 133_678], 47_630_103, 271_360)
     );
 
@@ -1071,7 +1073,7 @@ fn sharded_stream_is_pinned_on_every_boundary_path() {
         .with_adversary(adversary)
         .with_seed(43);
     assert_eq!(
-        sharded_fingerprint(&ShardedRuntime::new(epidemic), scenario, &[396_000, 4_000]),
+        fingerprint(&ShardedRuntime::new(epidemic), scenario, &[396_000, 4_000]),
         (vec![1_001, 398_999], 2_624_599, 394_999)
     );
 
@@ -1086,12 +1088,201 @@ fn sharded_stream_is_pinned_on_every_boundary_path() {
         .unwrap()
         .with_seed(44);
     assert_eq!(
-        sharded_fingerprint(
+        fingerprint(
             &ShardedRuntime::new(endemic),
             scenario,
             &figure1_endemic().equilibrium_counts(n as u64)
         ),
         (vec![27_671, 88_187, 884_142], 105_971_399, 13_173_645)
+    );
+}
+
+/// "Recruitment by committee" with a way back: an (x, y) pair recruits an
+/// undecided z into x through a token hosted by x, and x decays back into z.
+fn token_protocol() -> Protocol {
+    let sys = EquationSystemBuilder::new()
+        .vars(["x", "y", "z"])
+        .term("x", 0.5, &[("x", 1), ("y", 1)])
+        .term("z", -0.5, &[("x", 1), ("y", 1)])
+        .term("x", -0.1, &[("x", 1)])
+        .term("z", 0.1, &[("x", 1)])
+        .build()
+        .unwrap();
+    ProtocolCompiler::new("token")
+        .with_normalizing_constant(0.5)
+        .compile(&sys)
+        .unwrap()
+}
+
+/// A lossy in-process transport: exponential latency, 1 % drops, four
+/// segments and a window in which segments 0 and 3 cannot talk.
+fn lossy_links(scenario: Scenario) -> Scenario {
+    let link = LinkModel::new(LatencyModel::Exponential { mean: 180.0 }, 0.01).unwrap();
+    let transport = TransportConfig::new(link)
+        .with_segments(4)
+        .unwrap()
+        .with_partition(0, 3, 10, 15)
+        .unwrap();
+    scenario.with_transport(transport).unwrap()
+}
+
+/// The per-process tiers' streams, recorded before the runtimes read one
+/// compiled protocol plan: a Figure-1 push protocol, and a `Tokenize`
+/// protocol under crash/recovery whose recoveries rejoin as undecided.
+#[test]
+fn agent_stream_is_pinned() {
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let n = 4_000;
+    let scenario = Scenario::new(n, 120).unwrap().with_seed(51);
+    assert_eq!(
+        fingerprint(
+            &AgentRuntime::new(endemic),
+            scenario,
+            &figure1_endemic().equilibrium_counts(n as u64)
+        ),
+        (vec![104, 352, 3_544], 100_378, 12_613)
+    );
+
+    let token = token_protocol();
+    let z = token.require_state("z").unwrap();
+    let scenario = Scenario::new(3_000, 80)
+        .unwrap()
+        .with_failure_model(netsim::FailureModel::new(0.02, 0.1).unwrap())
+        .with_seed(52);
+    assert_eq!(
+        fingerprint(
+            &AgentRuntime::new(token).with_config(RunConfig::rejoining_to(z)),
+            scenario,
+            &[900, 900, 1_200]
+        ),
+        (vec![57, 209, 2_734], 64_880, 3_278)
+    );
+}
+
+/// The async tier in process over lossy exponential links with segments and
+/// a partition window, on the epidemic, the Figure-1 push protocol and the
+/// `Tokenize` protocol.
+#[test]
+fn async_stream_is_pinned() {
+    let epidemic = ProtocolCompiler::new("epidemic")
+        .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+        .unwrap();
+    let scenario = lossy_links(Scenario::new(2_000, 30).unwrap().with_seed(53));
+    assert_eq!(
+        fingerprint(&AsyncRuntime::new(epidemic), scenario, &[1_990, 10]),
+        (vec![0, 2_000], 10_785, 1_990)
+    );
+
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let scenario = lossy_links(Scenario::new(2_000, 40).unwrap().with_seed(54));
+    assert_eq!(
+        fingerprint(
+            &AsyncRuntime::new(endemic),
+            scenario,
+            &figure1_endemic().equilibrium_counts(2_000)
+        ),
+        (vec![62, 236, 1_702], 14_573, 2_074)
+    );
+
+    let scenario = lossy_links(Scenario::new(2_000, 30).unwrap().with_seed(55));
+    assert_eq!(
+        fingerprint(
+            &AsyncRuntime::new(token_protocol()),
+            scenario,
+            &[600, 600, 800]
+        ),
+        (vec![862, 600, 538], 18_782, 2_000)
+    );
+}
+
+/// The exact continuous-time tier on push channels (Figure 1) and on a
+/// token channel gated on its consumer pool.
+#[test]
+fn ssa_stream_is_pinned() {
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let scenario = Scenario::new(3_000, 60).unwrap().with_seed(56);
+    assert_eq!(
+        fingerprint(
+            &SsaRuntime::new(endemic),
+            scenario,
+            &figure1_endemic().equilibrium_counts(3_000)
+        ),
+        (vec![80, 261, 2_659], 36_346, 4_804)
+    );
+
+    let scenario = Scenario::new(1_000, 40).unwrap().with_seed(57);
+    assert_eq!(
+        fingerprint(
+            &SsaRuntime::new(token_protocol()),
+            scenario,
+            &[300, 300, 400]
+        ),
+        (vec![697, 300, 3], 38_240, 2_431)
+    );
+}
+
+/// Tau-leaping from a small seed, so the run takes both exact bursts and
+/// Poisson leaps, and on the Figure-1 push channels.
+#[test]
+fn tau_leap_stream_is_pinned() {
+    let epidemic = ProtocolCompiler::new("epidemic")
+        .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+        .unwrap();
+    let runtime = TauLeapRuntime::new(epidemic);
+    let scenario = Scenario::new(50_000, 40).unwrap().with_seed(58);
+    let initial = [49_990, 10];
+    let mut state = runtime
+        .init(&scenario, &InitialStates::counts(&initial))
+        .unwrap();
+    for _ in 0..scenario.periods() {
+        runtime.step(&mut state).unwrap();
+    }
+    assert!(state.leaps() > 0 && state.exact_steps() > 0);
+    assert_eq!(
+        fingerprint(&runtime, scenario, &initial),
+        (vec![0, 50_000], 426_143, 49_990)
+    );
+
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let scenario = Scenario::new(100_000, 30).unwrap().with_seed(59);
+    assert_eq!(
+        fingerprint(
+            &TauLeapRuntime::new(endemic),
+            scenario,
+            &figure1_endemic().equilibrium_counts(100_000)
+        ),
+        (vec![2_386, 8_753, 88_861], 619_159, 81_309)
+    );
+}
+
+/// The aggregate tier with a dead fraction and losses, on inputs where no
+/// push or token conversion can outnumber the members that stayed.
+#[test]
+fn aggregate_stream_is_pinned() {
+    let loss = LossConfig::new(0.1, 0.05).unwrap();
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let runtime = AggregateRuntime::new(endemic)
+        .with_alive_fraction(0.8)
+        .unwrap()
+        .with_loss(loss);
+    let scenario = Scenario::new(100_000, 100).unwrap().with_seed(60);
+    assert_eq!(
+        fingerprint(
+            &runtime,
+            scenario,
+            &figure1_endemic().equilibrium_counts(80_000)
+        ),
+        (vec![3_186, 6_984, 69_830], 1_865_774, 208_245)
+    );
+
+    let runtime = AggregateRuntime::new(token_protocol())
+        .with_alive_fraction(0.9)
+        .unwrap()
+        .with_loss(loss);
+    let scenario = Scenario::new(50_000, 40).unwrap().with_seed(61);
+    assert_eq!(
+        fingerprint(&runtime, scenario, &[15_000, 15_000, 15_000]),
+        (vec![23_094, 15_000, 6_906], 1_414_329, 82_550)
     );
 }
 
