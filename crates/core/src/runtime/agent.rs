@@ -1,21 +1,20 @@
 //! The per-process (agent-based) protocol runtime.
 
-use super::inject::{self, InjectionPoint};
+use super::environment::{Bookkeeping, Environment, Processes};
 use super::observer::default_observers;
 use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::adversary::{AdversaryView, Injection};
 use netsim::{Group, ProcessId, Rng, Scenario};
 
 /// Executes a protocol with one explicit state per process.
 ///
 /// Every protocol period the runtime
 ///
-/// 1. applies the scenario's failure and churn events for that period,
+/// 1. applies the environment's events for that period (scheduled failures,
+///    crash/recovery, churn, adversary injections),
 /// 2. lets every alive process execute the actions of its current state (in
 ///    order, stopping after the first action that makes the process itself
 ///    transition), sampling contacts uniformly from the **maximal**
@@ -60,13 +59,15 @@ pub struct AgentRuntime {
     config: RunConfig,
 }
 
-/// The mutable execution state of an [`AgentRuntime`] run: the scenario
-/// clock, the process group, per-process states and the current period's
-/// event buffers.
+/// The mutable execution state of an [`AgentRuntime`] run: the
+/// environment, the process group, per-process states and the current
+/// period's event buffers.
 #[derive(Debug, Clone)]
 pub struct AgentState {
-    scenario: Scenario,
-    rng: Rng,
+    pub(super) env: Environment,
+    /// Per-contact failure probability of the scenario's losses.
+    contact_fail: f64,
+    pub(super) rng: Rng,
     group: Group,
     members: Membership,
     /// Per-flip-action "tails left before the next heads" counters (indexed
@@ -75,17 +76,11 @@ pub struct AgentState {
     /// distribution-identical to drawing the coin per encounter.
     flip_skips: Vec<u64>,
     period: u64,
-    /// Whether the scenario can ever change liveness; when `false` the
-    /// per-period environment step and all liveness probes are skipped.
-    has_liveness_events: bool,
     /// Per plan edge: the processes that crossed it in the period that just
     /// executed, plus the sparse rendering handed to observers.
     tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     messages: u64,
-    /// The scenario's adversary, forked for this run (absent for
-    /// adversary-free scenarios).
-    injector: Option<InjectionPoint>,
 }
 
 impl AgentState {
@@ -104,34 +99,6 @@ impl AgentState {
     /// their state).
     pub(super) fn total_counts(&self) -> &[u64] {
         self.members.counts()
-    }
-
-    /// Per-state crashed counts (total minus alive; crashed processes
-    /// remember their state).
-    pub(super) fn crashed_counts(&self) -> Vec<u64> {
-        self.members
-            .counts()
-            .iter()
-            .zip(self.members.counts_alive())
-            .map(|(total, alive)| total - alive)
-            .collect()
-    }
-
-    /// A copy of the PRNG at its current position, so a handoff continues
-    /// the same stream.
-    pub(super) fn rng_clone(&self) -> Rng {
-        self.rng.clone()
-    }
-
-    /// Detaches the adversary injection point (hybrid handoff: the strategy
-    /// state must survive the fidelity switch).
-    pub(super) fn take_injector(&mut self) -> Option<InjectionPoint> {
-        self.injector.take()
-    }
-
-    /// Re-attaches an adversary injection point after a handoff.
-    pub(super) fn set_injector(&mut self, injector: Option<InjectionPoint>) {
-        self.injector = injector;
     }
 }
 
@@ -262,9 +229,8 @@ impl AgentRuntime {
             members: Membership::new(self.plan.num_states(), assignment, &group, with_lists),
             group,
             rng,
-            has_liveness_events: scenario.has_liveness_events(),
-            injector: InjectionPoint::from_scenario(scenario),
-            scenario: scenario.clone(),
+            env: Environment::new(scenario, scenario.seed(), &self.config),
+            contact_fail: scenario.loss().effective_contact_failure(1),
             period,
             tallies: vec![0; self.plan.edges.len()],
             transitions: Vec::new(),
@@ -286,109 +252,8 @@ impl AgentRuntime {
             }),
             shard_counts_alive: None,
             transport: None,
-            injections: inject::records_of(&state.injector),
+            injections: state.env.records(),
             virtual_time: None,
-        }
-    }
-
-    /// Shows the adversary (if any) the live alive counts and applies the
-    /// injections it emits with per-id victim selection: a `CrashUniform`
-    /// consumes the run's main PRNG stream exactly like a scheduled massive
-    /// failure of the same fraction, and targeted injections pick uniform
-    /// victims among the alive members of the targeted state.
-    fn apply_injections(&self, state: &mut AgentState) -> Result<()> {
-        let Some(mut injector) = state.injector.take() else {
-            return Ok(());
-        };
-        let view = AdversaryView {
-            period: state.period,
-            counts_alive: state.members.counts_alive(),
-            alive: state.group.alive_count() as u64,
-            shard_counts_alive: None,
-            transport: None,
-            segments_alive: None,
-        };
-        let planned = match injector.plan(&view) {
-            Ok(planned) => planned,
-            Err(e) => {
-                state.injector = Some(injector);
-                return Err(e);
-            }
-        };
-        for injection in planned {
-            match self.apply_one_injection(state, injection) {
-                Ok(victims) => injector.record(state.period, injection, victims),
-                Err(e) => {
-                    state.injector = Some(injector);
-                    return Err(e);
-                }
-            }
-        }
-        state.injector = Some(injector);
-        Ok(())
-    }
-
-    /// Applies one validated injection to the per-id run state, returning the
-    /// number of affected processes.
-    fn apply_one_injection(&self, state: &mut AgentState, injection: Injection) -> Result<u64> {
-        match injection {
-            Injection::CrashUniform { fraction } => {
-                // Bit-identical to the scheduled massive-failure path.
-                let down = state
-                    .group
-                    .crash_random_fraction(&mut state.rng, fraction)?;
-                for id in &down {
-                    state.members.on_crash(id.index());
-                }
-                Ok(down.len() as u64)
-            }
-            Injection::CrashState { state: s, fraction } => {
-                if s >= self.plan.num_states() {
-                    return Err(CoreError::InvalidConfig {
-                        name: "adversary",
-                        reason: format!(
-                            "injection targets state {s}, but the protocol has only {} states",
-                            self.plan.num_states()
-                        ),
-                    });
-                }
-                let pool: Vec<usize> = (0..state.scenario.group_size())
-                    .filter(|&p| {
-                        state.members.state_of(p) == s && state.group.is_alive_unchecked(p)
-                    })
-                    .collect();
-                let k = inject::victim_count(fraction, pool.len() as u64) as usize;
-                let chosen =
-                    netsim::stochastic::sample_without_replacement(&mut state.rng, pool.len(), k);
-                for idx in chosen {
-                    let p = pool[idx];
-                    let changed = state.group.crash(ProcessId(p))?;
-                    debug_assert!(changed);
-                    state.members.on_crash(p);
-                }
-                Ok(k as u64)
-            }
-            Injection::RecoverUniform { fraction } => {
-                let pool: Vec<usize> = (0..state.scenario.group_size())
-                    .filter(|&p| !state.group.is_alive_unchecked(p))
-                    .collect();
-                let k = inject::victim_count(fraction, pool.len() as u64) as usize;
-                let chosen =
-                    netsim::stochastic::sample_without_replacement(&mut state.rng, pool.len(), k);
-                for idx in chosen {
-                    let p = pool[idx];
-                    let changed = state.group.recover(ProcessId(p))?;
-                    debug_assert!(changed);
-                    state.members.on_recover(p);
-                    if let Some(rejoin) = self.config.rejoin_state {
-                        state.members.force_state_alive(p, rejoin.index());
-                    }
-                }
-                Ok(k as u64)
-            }
-            // `Injection` is non_exhaustive: shard-targeted (and any future)
-            // injections are rejected explicitly rather than silently skipped.
-            unsupported => Err(inject::unsupported_injection("agent", &unsupported)),
         }
     }
 }
@@ -447,37 +312,22 @@ impl Runtime for AgentRuntime {
 
     fn step<'s>(&self, state: &'s mut AgentState) -> Result<PeriodEvents<'s>> {
         let period = state.period;
-        let n = state.scenario.group_size();
+        let n = state.group.size();
         let inv_n = 1.0 / n as f64;
-        // Per-contact failure probability; `Rng::chance` consumes no
-        // randomness when it is zero, so the reliable path stays draw-free.
-        let contact_fail = state.scenario.loss().effective_contact_failure(1);
+        // `Rng::chance` consumes no randomness when the failure probability
+        // is zero, so the reliable path stays draw-free.
+        let contact_fail = state.contact_fail;
         let contact_ok = 1.0 - contact_fail;
         state.tallies.fill(0);
         state.messages = 0;
 
-        // 1. Environment events (skipped outright for failure-free
-        //    scenarios). `down`/`up` contain only genuine liveness changes,
-        //    which keeps the incremental alive counts exact.
-        if state.has_liveness_events {
-            let (down, up) =
-                state
-                    .scenario
-                    .apply_period_events(period, &mut state.group, &mut state.rng)?;
-            for id in &down {
-                state.members.on_crash(id.index());
-            }
-            for id in &up {
-                state.members.on_recover(id.index());
-            }
-            if let Some(rejoin) = self.config.rejoin_state {
-                for id in up {
-                    state.members.force_state_alive(id.index(), rejoin.index());
-                }
-            }
-        }
-        // Adversary injections observe the post-event state.
-        self.apply_injections(state)?;
+        // 1. The environment at the period boundary. Only genuine liveness
+        //    changes are booked, which keeps the incremental alive counts
+        //    exact.
+        let (group, rng, book) = (&mut state.group, &mut state.rng, &mut state.members);
+        state
+            .env
+            .boundary(period, &mut Processes { group, rng, book })?;
 
         // 2. Protocol actions. Liveness is invariant during the action loop
         //    (environment events only happen at period boundaries), so one
@@ -807,17 +657,8 @@ impl Membership {
         }
     }
 
-    fn state_of(&self, p: usize) -> usize {
-        self.state[p] as usize
-    }
-
     fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Per-state counts over alive processes only, maintained incrementally.
-    fn counts_alive(&self) -> &[u64] {
-        &self.counts_alive
     }
 
     /// Records that the (alive) process `p` crashed.
@@ -908,6 +749,32 @@ impl Membership {
             .map(|&p| p as usize)
             .filter(|&p| group.is_alive_unchecked(p))
             .nth(k)
+    }
+}
+
+/// The agent tier books a crash or recovery in its incremental alive counts;
+/// a rejoining process moves to the rejoin state.
+impl Bookkeeping for Membership {
+    const RUNTIME: &'static str = "agent";
+
+    /// Per-state counts over alive processes only, maintained incrementally.
+    fn counts_alive(&self) -> &[u64] {
+        &self.counts_alive
+    }
+
+    fn state_of(&self, p: usize) -> usize {
+        self.state[p] as usize
+    }
+
+    fn crashed(&mut self, p: usize) {
+        self.on_crash(p);
+    }
+
+    fn recovered(&mut self, p: usize, rejoin: Option<StateId>) {
+        self.on_recover(p);
+        if let Some(to) = rejoin {
+            self.force_state_alive(p, to.index());
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! The count-based (aggregate) protocol runtime.
 
+use super::environment;
 use super::observer::default_observers;
 use super::plan::{PlanAction, ProtocolPlan};
 use super::simulation::drive_periods;
@@ -201,14 +202,10 @@ impl Runtime for AggregateRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AggregateState> {
-        // Failure and churn need host identity; silently dropping them would
-        // make a fidelity swap produce wrong results, so reject loudly.
-        if !scenario.failure_schedule().is_empty()
-            || !scenario.churn_events().is_empty()
-            || scenario.failure_model().crash_prob() > 0.0
-            || scenario.failure_model().recover_prob() > 0.0
-            || scenario.adversary().is_some()
-        {
+        // The aggregate runtime has no environment: silently dropping one
+        // (failures, churn, a partial hour-0 availability, an adversary)
+        // would make a fidelity swap produce wrong results, so reject loudly.
+        if environment::is_hostile(scenario) {
             return Err(CoreError::InvalidConfig {
                 name: "scenario",
                 reason: "the aggregate runtime does not model failures, churn \
@@ -596,6 +593,28 @@ mod tests {
         assert!(runtime
             .init(&Scenario::new(100, 10).unwrap(), &initial)
             .is_ok());
+    }
+
+    #[test]
+    fn hour_zero_downtime_of_a_churn_trace_is_rejected() {
+        // Host 1 is down for the whole trace: it spreads to no churn events,
+        // so only the trace's hour-0 availability says so. Running it as
+        // alive would be the silent drop the rejection exists to prevent.
+        let trace = netsim::ChurnTrace::from_availability(vec![vec![true, false, true]; 4]);
+        let mut rng = netsim::Rng::seed_from(1);
+        let scenario = Scenario::new(3, 10)
+            .unwrap()
+            .with_churn_trace(&trace.unwrap(), &mut rng)
+            .unwrap();
+        assert!(scenario.churn_events().is_empty());
+        let runtime = AggregateRuntime::new(epidemic_protocol());
+        assert!(matches!(
+            runtime.init(&scenario, &InitialStates::counts(&[2, 1])),
+            Err(CoreError::InvalidConfig {
+                name: "scenario",
+                ..
+            })
+        ));
     }
 
     #[test]

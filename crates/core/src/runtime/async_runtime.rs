@@ -53,7 +53,7 @@
 //! [`PeriodEvents::membership`] is `None` — per-process identity exists
 //! internally, but the membership view belongs to the agent runtime.
 
-use super::inject::{self, InjectionPoint};
+use super::environment::{Bookkeeping, Environment, Processes};
 use super::observer::{default_observers, TransportProbe};
 use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
 use super::simulation::drive;
@@ -61,7 +61,7 @@ use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::adversary::{AdversaryView, Injection, TransportGauges};
+use netsim::adversary::{AdversaryView, TransportGauges};
 use netsim::transport::{
     Delivery, InProcTransport, Transport, TransportBackend, TransportConfig, TransportStats,
     UdsTransport,
@@ -240,7 +240,7 @@ impl Transport for RunTransport {
     }
 }
 
-/// A worker restart scheduled by [`Injection::KillWorker`] under
+/// A worker restart scheduled by an `Injection::KillWorker` under
 /// supervision: at period `due` the listed victims — the segment members
 /// that were alive at the kill's period boundary, with the states the
 /// boundary checkpoint recorded for them — rejoin the group.
@@ -255,41 +255,28 @@ struct PendingRestore {
 /// The mutable execution state of an [`AsyncRuntime`] run.
 #[derive(Debug)]
 pub struct AsyncState {
-    scenario: Scenario,
+    env: Environment,
+    /// Per-contact failure probability of the scenario's losses.
+    contact_fail: f64,
     rng: Rng,
-    transport: RunTransport,
     group: Group,
-    /// Current protocol state per process.
-    states: Vec<u32>,
-    counts: Vec<u64>,
-    counts_alive: Vec<u64>,
+    book: Book,
     /// Per-process wake offset within a period, in `[0, period_secs)`.
     offsets: Vec<f64>,
     /// Process ids sorted by wake offset — the deterministic wake order,
     /// computed once (offsets never change).
     wake_order: Vec<u32>,
-    pending: Vec<Phase>,
-    /// Per-process chain generation (bumped on crash, embedded in payloads).
-    chain_id: Vec<u32>,
     /// The state whose action list the current chain is executing.
     chain_origin: Vec<u32>,
     /// Per-flip-action geometric "tails left" counters.
     flip_skips: Vec<u64>,
     period: u64,
     period_secs: f64,
-    has_liveness_events: bool,
     messages: u64,
     /// Per plan edge: the processes that crossed it this period.
     tallies: Vec<u64>,
     transitions: Vec<(StateId, StateId, u64)>,
     probe: TransportProbe,
-    /// The scenario's adversary, forked for this run (absent for
-    /// adversary-free scenarios). Uniquely here the adversary's view carries
-    /// live transport gauges alongside the counts.
-    injector: Option<InjectionPoint>,
-    /// Worker restarts scheduled by supervised [`Injection::KillWorker`]s,
-    /// applied at their due period boundary before anything else.
-    pending_restores: Vec<PendingRestore>,
 }
 
 impl AsyncState {
@@ -300,14 +287,14 @@ impl AsyncState {
 
     /// The current protocol state of each process (index = process id).
     pub fn process_states(&self) -> &[u32] {
-        &self.states
+        &self.book.states
     }
 
     /// A cloneable, thread-safe handle onto the transport's live statistics
     /// (queue depth, per-link counters, latency windows) — readable while
     /// the run executes.
     pub fn transport_stats(&self) -> Arc<TransportStats> {
-        self.transport.stats()
+        self.book.transport.stats()
     }
 }
 
@@ -388,6 +375,130 @@ impl Ctx<'_> {
     }
 }
 
+/// What a crash, recovery or worker kill touches: the per-process states
+/// and chains, the transport whose workers host the processes, and the
+/// restarts supervision has scheduled. A crash kills the process's chain; a
+/// worker kill parks a whole segment until supervision restores it.
+#[derive(Debug)]
+struct Book {
+    /// Current protocol state per process.
+    states: Vec<u32>,
+    counts: Vec<u64>,
+    counts_alive: Vec<u64>,
+    pending: Vec<Phase>,
+    /// Per-process chain generation (bumped on crash, embedded in payloads).
+    chain_id: Vec<u32>,
+    transport: RunTransport,
+    /// Worker restarts scheduled by supervised worker kills, applied at
+    /// their due period boundary before anything else.
+    restores: Vec<PendingRestore>,
+}
+
+impl Book {
+    /// Applies every supervised worker restart that has come due: the
+    /// worker respawns (a generation-bumped process on the socket backend)
+    /// and its kill victims rejoin with the states the kill-time
+    /// period-boundary checkpoint recorded — unless something else (e.g. a
+    /// `RecoverUniform`) already brought them back.
+    fn restore_due(&mut self, group: &mut Group, period: u64) -> Result<()> {
+        while let Some(i) = self.restores.iter().position(|r| r.due <= period) {
+            let restore = self.restores.remove(i);
+            self.transport.revive_segment(restore.segment)?;
+            for (p, state) in restore.victims {
+                if group.recover(ProcessId(p as usize))? {
+                    self.recovered(p as usize, Some(StateId::new(state as usize)));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Bookkeeping for Book {
+    const RUNTIME: &'static str = "async";
+
+    fn counts_alive(&self) -> &[u64] {
+        &self.counts_alive
+    }
+
+    fn state_of(&self, p: usize) -> usize {
+        self.states[p] as usize
+    }
+
+    fn crashed(&mut self, p: usize) {
+        self.counts_alive[self.states[p] as usize] -= 1;
+        self.chain_id[p] = self.chain_id[p].wrapping_add(1);
+        self.pending[p] = Phase::Idle;
+    }
+
+    fn recovered(&mut self, p: usize, rejoin: Option<StateId>) {
+        if let Some(to) = rejoin {
+            self.counts[self.states[p] as usize] -= 1;
+            self.counts[to.index()] += 1;
+            self.states[p] = to.index() as u32;
+        }
+        self.counts_alive[self.states[p] as usize] += 1;
+    }
+
+    /// Uniquely here the view carries the live transport gauges and the
+    /// per-segment alive counts worker-striking adversaries target (the same
+    /// counts on either backend).
+    fn view<R>(&self, group: &Group, period: u64, plan: impl FnOnce(&AdversaryView<'_>) -> R) -> R {
+        let stats = self.transport.stats();
+        let config = self.transport.config();
+        let n = group.size();
+        let mut segments_alive = vec![0u64; config.segments()];
+        for p in (0..n).filter(|&p| group.is_alive_unchecked(p)) {
+            segments_alive[config.segment_of(p, n)] += 1;
+        }
+        plan(&AdversaryView {
+            period,
+            counts_alive: &self.counts_alive,
+            alive: group.alive_count() as u64,
+            shard_counts_alive: None,
+            transport: Some(TransportGauges {
+                queue_depth: self.transport.queue_depth() as u64,
+                sent: stats.sent(),
+                delivered: stats.delivered(),
+                dropped: stats.dropped(),
+            }),
+            segments_alive: Some(&segments_alive),
+        })
+    }
+
+    /// The victims are the segment's alive members. Their states have not
+    /// changed since the period boundary (the event loop has not run yet),
+    /// so the list doubles as the checkpoint a supervised restart recovers
+    /// from. On the socket backend the kill is a real SIGKILL; either way
+    /// the segment's in-flight traffic is now garbage, which the generation
+    /// bumps discard on arrival.
+    fn kill_worker(&mut self, group: &mut Group, segment: usize, period: u64) -> Result<u64> {
+        let n = group.size();
+        let config = self.transport.config();
+        let victims: Vec<(u32, u32)> = (0..n)
+            .filter(|&p| config.segment_of(p, n) == segment && group.is_alive_unchecked(p))
+            .map(|p| (p as u32, self.states[p]))
+            .collect();
+        for &(p, _) in &victims {
+            group.crash(ProcessId(p as usize))?;
+            self.crashed(p as usize);
+        }
+        self.transport.kill_segment(segment);
+        let count = victims.len() as u64;
+        if let Some(delay) = self.transport.config().supervision() {
+            // `due <= period` fires at a boundary, so a zero delay means
+            // "restart at the next period".
+            let due = period + delay;
+            self.restores.push(PendingRestore {
+                due,
+                segment,
+                victims,
+            });
+        }
+        Ok(count)
+    }
+}
+
 impl AsyncRuntime {
     /// Creates a runtime for the given protocol with the default
     /// [`RunConfig`].
@@ -425,230 +536,17 @@ impl AsyncRuntime {
     fn events<'s>(&self, state: &'s AsyncState) -> PeriodEvents<'s> {
         PeriodEvents {
             period: state.period,
-            counts: &state.counts,
+            counts: &state.book.counts,
             transitions: &state.transitions,
             messages: state.messages,
             alive: state.group.alive_count() as u64,
-            counts_alive: Some(&state.counts_alive),
+            counts_alive: Some(&state.book.counts_alive),
             membership: None,
             shard_counts_alive: None,
             transport: Some(state.probe),
-            injections: inject::records_of(&state.injector),
+            injections: state.env.records(),
             virtual_time: None,
         }
-    }
-
-    fn apply_injections(&self, state: &mut AsyncState) -> Result<()> {
-        let Some(mut injector) = state.injector.take() else {
-            return Ok(());
-        };
-        let stats = state.transport.stats();
-        // Per-segment alive counts give worker-striking adversaries their
-        // targeting signal (the same counts on either backend).
-        let segments_alive: Vec<u64> = {
-            let config = state.transport.config();
-            let n = state.scenario.group_size();
-            let mut per_segment = vec![0u64; config.segments()];
-            for p in 0..n {
-                if state.group.is_alive_unchecked(p) {
-                    per_segment[config.segment_of(p, n)] += 1;
-                }
-            }
-            per_segment
-        };
-        let view = AdversaryView {
-            period: state.period,
-            counts_alive: &state.counts_alive,
-            alive: state.group.alive_count() as u64,
-            shard_counts_alive: None,
-            transport: Some(TransportGauges {
-                queue_depth: state.transport.queue_depth() as u64,
-                sent: stats.sent(),
-                delivered: stats.delivered(),
-                dropped: stats.dropped(),
-            }),
-            segments_alive: Some(&segments_alive),
-        };
-        let planned = match injector.plan(&view) {
-            Ok(planned) => planned,
-            Err(e) => {
-                state.injector = Some(injector);
-                return Err(e);
-            }
-        };
-        for injection in planned {
-            match self.apply_one_injection(state, injection) {
-                Ok(victims) => injector.record(state.period, injection, victims),
-                Err(e) => {
-                    state.injector = Some(injector);
-                    return Err(e);
-                }
-            }
-        }
-        state.injector = Some(injector);
-        Ok(())
-    }
-
-    /// Applies one validated injection to the per-id run state, returning the
-    /// number of affected processes. Crashes invalidate the victim's chain
-    /// exactly like a scheduled crash: the generation counter bumps so
-    /// in-flight responses are discarded on arrival.
-    fn apply_one_injection(&self, state: &mut AsyncState, injection: Injection) -> Result<u64> {
-        match injection {
-            Injection::CrashUniform { fraction } => {
-                // Bit-identical to the scheduled massive-failure path.
-                let down = state
-                    .group
-                    .crash_random_fraction(&mut state.rng, fraction)?;
-                for id in &down {
-                    let p = id.index();
-                    state.counts_alive[state.states[p] as usize] -= 1;
-                    state.chain_id[p] = state.chain_id[p].wrapping_add(1);
-                    state.pending[p] = Phase::Idle;
-                }
-                Ok(down.len() as u64)
-            }
-            Injection::CrashState { state: s, fraction } => {
-                if s >= self.plan.num_states() {
-                    return Err(CoreError::InvalidConfig {
-                        name: "adversary",
-                        reason: format!(
-                            "injection targets state {s}, but the protocol has only {} states",
-                            self.plan.num_states()
-                        ),
-                    });
-                }
-                let pool: Vec<usize> = (0..state.scenario.group_size())
-                    .filter(|&p| state.states[p] as usize == s && state.group.is_alive_unchecked(p))
-                    .collect();
-                let k = inject::victim_count(fraction, pool.len() as u64) as usize;
-                let chosen =
-                    netsim::stochastic::sample_without_replacement(&mut state.rng, pool.len(), k);
-                for idx in chosen {
-                    let p = pool[idx];
-                    let changed = state.group.crash(ProcessId(p))?;
-                    debug_assert!(changed);
-                    state.counts_alive[state.states[p] as usize] -= 1;
-                    state.chain_id[p] = state.chain_id[p].wrapping_add(1);
-                    state.pending[p] = Phase::Idle;
-                }
-                Ok(k as u64)
-            }
-            Injection::RecoverUniform { fraction } => {
-                let pool: Vec<usize> = (0..state.scenario.group_size())
-                    .filter(|&p| !state.group.is_alive_unchecked(p))
-                    .collect();
-                let k = inject::victim_count(fraction, pool.len() as u64) as usize;
-                let chosen =
-                    netsim::stochastic::sample_without_replacement(&mut state.rng, pool.len(), k);
-                for idx in chosen {
-                    let p = pool[idx];
-                    let changed = state.group.recover(ProcessId(p))?;
-                    debug_assert!(changed);
-                    if let Some(rejoin) = self.config.rejoin_state {
-                        let from = state.states[p] as usize;
-                        if from != rejoin.index() {
-                            state.counts[from] -= 1;
-                            state.counts[rejoin.index()] += 1;
-                            state.states[p] = rejoin.index() as u32;
-                        }
-                    }
-                    state.counts_alive[state.states[p] as usize] += 1;
-                }
-                Ok(k as u64)
-            }
-            Injection::KillWorker { segment } => {
-                let n = state.scenario.group_size();
-                let segments = state.transport.config().segments();
-                if segment >= segments {
-                    return Err(CoreError::InvalidConfig {
-                        name: "adversary",
-                        reason: format!(
-                            "injection kills worker {segment}, but the transport has only \
-                             {segments} segments"
-                        ),
-                    });
-                }
-                // The victims are the segment's currently-alive members.
-                // Their states have not changed since the period boundary
-                // (the event loop has not run yet), so this list doubles as
-                // the period-boundary checkpoint a supervised restart
-                // recovers from.
-                let victims: Vec<(u32, u32)> = {
-                    let config = state.transport.config();
-                    (0..n)
-                        .filter(|&p| {
-                            config.segment_of(p, n) == segment && state.group.is_alive_unchecked(p)
-                        })
-                        .map(|p| (p as u32, state.states[p]))
-                        .collect()
-                };
-                for &(p, _) in &victims {
-                    let p = p as usize;
-                    let changed = state.group.crash(ProcessId(p))?;
-                    debug_assert!(changed);
-                    state.counts_alive[state.states[p] as usize] -= 1;
-                    state.chain_id[p] = state.chain_id[p].wrapping_add(1);
-                    state.pending[p] = Phase::Idle;
-                }
-                // On the socket backend this is a real SIGKILL; either way
-                // the segment's in-flight traffic is now garbage (the
-                // generation bumps above discard any stale responses).
-                state.transport.kill_segment(segment);
-                let count = victims.len() as u64;
-                if let Some(delay) = state.transport.config().supervision() {
-                    // `due <= period` fires at a boundary, so a zero delay
-                    // means "restart at the next period".
-                    state.pending_restores.push(PendingRestore {
-                        due: state.period + delay,
-                        segment,
-                        victims,
-                    });
-                }
-                Ok(count)
-            }
-            // `Injection` is non_exhaustive: shard-targeted (and any future)
-            // injections are rejected explicitly rather than silently skipped.
-            unsupported => Err(inject::unsupported_injection("async", &unsupported)),
-        }
-    }
-
-    /// Applies every pending supervised worker restart that has come due:
-    /// the worker respawns (a generation-bumped process on the socket
-    /// backend) and its kill victims rejoin with the states the kill-time
-    /// period-boundary checkpoint recorded — unless something else (e.g. a
-    /// `RecoverUniform`) already brought them back.
-    fn apply_due_restores(&self, state: &mut AsyncState) -> Result<()> {
-        if state.pending_restores.is_empty() {
-            return Ok(());
-        }
-        let period = state.period;
-        let mut i = 0;
-        while i < state.pending_restores.len() {
-            if state.pending_restores[i].due > period {
-                i += 1;
-                continue;
-            }
-            let restore = state.pending_restores.remove(i);
-            state.transport.revive_segment(restore.segment)?;
-            for (p, chk_state) in restore.victims {
-                let p = p as usize;
-                if state.group.is_alive_unchecked(p) {
-                    continue;
-                }
-                let changed = state.group.recover(ProcessId(p))?;
-                debug_assert!(changed);
-                let from = state.states[p] as usize;
-                let to = chk_state as usize;
-                if from != to {
-                    state.counts[from] -= 1;
-                    state.counts[to] += 1;
-                    state.states[p] = chk_state;
-                }
-                state.counts_alive[to] += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Walks `p`'s action list (for its chain-origin state) from `start_idx`
@@ -967,28 +865,29 @@ impl Runtime for AsyncRuntime {
         let flip_skips = self.plan.seed_flip_skips(&mut rng);
 
         Ok(AsyncState {
-            transport: RunTransport::build(transport_config, n)?,
+            book: Book {
+                states,
+                counts,
+                counts_alive,
+                pending: vec![Phase::Idle; n],
+                chain_id: vec![0; n],
+                transport: RunTransport::build(transport_config, n)?,
+                restores: Vec::new(),
+            },
             rng,
             group,
-            states,
-            counts,
-            counts_alive,
             offsets,
             wake_order,
-            pending: vec![Phase::Idle; n],
-            chain_id: vec![0; n],
             chain_origin: vec![0; n],
             flip_skips,
             period: 0,
             period_secs,
-            has_liveness_events: scenario.has_liveness_events(),
-            scenario: scenario.clone(),
+            env: Environment::new(scenario, scenario.seed(), &self.config),
+            contact_fail: scenario.loss().effective_contact_failure(1),
             messages: 0,
             tallies: vec![0; self.plan.edges.len()],
             transitions: Vec::new(),
             probe: TransportProbe::default(),
-            injector: InjectionPoint::from_scenario(scenario),
-            pending_restores: Vec::new(),
         })
     }
 
@@ -996,45 +895,20 @@ impl Runtime for AsyncRuntime {
         let period = state.period;
         let t0 = period as f64 * state.period_secs;
         let t1 = t0 + state.period_secs;
-        let n = state.scenario.group_size();
+        let n = state.book.states.len();
         state.tallies.fill(0);
         state.messages = 0;
 
-        // 0. Supervised worker restarts that have come due fire first, so a
-        //    restored segment participates in this period's events.
-        self.apply_due_restores(state)?;
-
-        // 1. Environment events at the period boundary. A crash kills the
-        //    process's chain and bumps its generation so in-flight responses
-        //    are discarded on arrival.
-        if state.has_liveness_events {
-            let (down, up) =
-                state
-                    .scenario
-                    .apply_period_events(period, &mut state.group, &mut state.rng)?;
-            for id in &down {
-                let p = id.index();
-                state.counts_alive[state.states[p] as usize] -= 1;
-                state.chain_id[p] = state.chain_id[p].wrapping_add(1);
-                state.pending[p] = Phase::Idle;
-            }
-            for id in up {
-                let p = id.index();
-                if let Some(rejoin) = self.config.rejoin_state {
-                    let from = state.states[p] as usize;
-                    if from != rejoin.index() {
-                        state.counts[from] -= 1;
-                        state.counts[rejoin.index()] += 1;
-                        state.states[p] = rejoin.index() as u32;
-                    }
-                }
-                state.counts_alive[state.states[p] as usize] += 1;
-            }
-        }
-
-        // Adversary injections observe the post-event state, including the
-        // live transport gauges (carry-over queue depth from prior periods).
-        self.apply_injections(state)?;
+        // 1. The environment at the period boundary, after the supervised
+        //    worker restarts that have come due (so a restored segment takes
+        //    part in this period's events). A crash kills the process's chain
+        //    and bumps its generation so in-flight responses are discarded on
+        //    arrival; the adversary's view carries the live transport gauges.
+        state.book.restore_due(&mut state.group, period)?;
+        let (group, rng, book) = (&mut state.group, &mut state.rng, &mut state.book);
+        state
+            .env
+            .boundary(period, &mut Processes { group, rng, book })?;
 
         // 2. The event loop: interleave process wakes and message
         //    deliveries in virtual-time order (messages first on ties, in
@@ -1044,37 +918,32 @@ impl Runtime for AsyncRuntime {
         let check_alive = !state.group.all_alive();
         let AsyncState {
             ref mut rng,
-            ref mut transport,
             ref group,
-            ref mut states,
-            ref mut counts,
-            ref mut counts_alive,
+            ref mut book,
             ref offsets,
             ref wake_order,
-            ref mut pending,
-            ref chain_id,
             ref mut chain_origin,
             ref mut flip_skips,
             ref mut tallies,
             ref mut messages,
-            ref scenario,
+            contact_fail,
             ..
         } = *state;
         let mut ctx = Ctx {
             rng,
-            transport,
+            transport: &mut book.transport,
             group,
-            states,
-            counts,
-            counts_alive,
-            pending,
-            chain_id,
+            states: &mut book.states,
+            counts: &mut book.counts,
+            counts_alive: &mut book.counts_alive,
+            pending: &mut book.pending,
+            chain_id: &book.chain_id,
             chain_origin,
             flip_skips,
             tallies,
             messages,
             n,
-            contact_fail: scenario.loss().effective_contact_failure(1),
+            contact_fail,
             check_alive,
             period,
         };
@@ -1107,9 +976,9 @@ impl Runtime for AsyncRuntime {
         // 3. Render transitions and snapshot the transport.
         self.plan
             .render_transitions(&state.tallies, 1, &mut state.transitions);
-        let stats = state.transport.stats();
+        let stats = state.book.transport.stats();
         state.probe = TransportProbe {
-            queue_depth: state.transport.queue_depth() as u64,
+            queue_depth: state.book.transport.queue_depth() as u64,
             sent: stats.sent(),
             delivered: stats.delivered(),
             dropped: stats.dropped(),

@@ -1,6 +1,6 @@
 //! The count-batched stochastic protocol runtime.
 
-use super::inject::{self, InjectionPoint};
+use super::environment::{victim_count, Environment, Population, Strike, Target};
 use super::observer::default_observers;
 use super::plan::{PlanAction, ProtocolPlan};
 use super::simulation::drive;
@@ -8,8 +8,8 @@ use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::adversary::{AdversaryView, Injection, InjectionRecord};
-use netsim::{FailureEvent, Rng, Scenario};
+use netsim::adversary::AdversaryView;
+use netsim::{FailureModel, Rng, Scenario};
 
 /// Executes a protocol by advancing whole state-count vectors, sampling the
 /// *number* of processes taking each transition per period instead of
@@ -85,21 +85,25 @@ use netsim::{FailureEvent, Rng, Scenario};
 /// which share nothing; within a column the order is still state by state,
 /// action by action, multinomial last, so column `r` consumes its stream
 /// draw for draw as a run on its own would and ends every period with the
-/// same counts. Scheduled failures, the crash/recovery model and adversary
-/// injections are applied by the single-run hooks, one column at a time,
-/// and only on the periods that carry an event.
+/// same counts. At each period boundary every column's own environment acts
+/// on a view of that column (its strided cells and its PRNG), so the failure
+/// and injection arithmetic is written once for single runs, seeds and
+/// shards; a period with nothing due costs the block one check.
 ///
 /// # Environment support
 ///
 /// Unlike [`AggregateRuntime`](super::AggregateRuntime) (which rejects every
 /// failure-carrying scenario), the batched runtime models all *exchangeable*
-/// environment events at count level:
+/// environment events at count level, through the same environment layer
+/// every runtime applies at its period boundaries:
 ///
 /// * **massive failures** — crashing a uniform fraction of the alive
 ///   processes splits across states as a multivariate hypergeometric draw;
 /// * **probabilistic failure models** — per-period crash/recovery become
 ///   per-state binomial draws, with crashed processes remembering their state
 ///   (or rejoining into [`RunConfig::rejoin_state`]);
+/// * **adversary injections** — uniform and state-targeted crashes and
+///   uniform recoveries, with the victims drawn the same way;
 /// * **message/connection loss** — folded into the firing probabilities.
 ///
 /// Only environments that name *specific* processes (per-id failure
@@ -142,37 +146,37 @@ pub struct BatchedRuntime {
 /// per-period step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BatchedState {
-    scenario: Scenario,
-    rng: Rng,
-    n_f: f64,
-    alive_n: u64,
+    pub(super) scenario: Scenario,
+    pub(super) rng: Rng,
+    /// The density denominator (total population as `f64`), i.e. the `n` in
+    /// "sample a uniform member of this group".
+    pub(super) n_f: f64,
+    pub(super) alive_n: u64,
     /// Total processes per state (alive + crashed; crashed processes remember
     /// their state, mirroring the agent runtime's frozen membership).
-    counts: Vec<u64>,
+    pub(super) counts: Vec<u64>,
     /// Alive processes per state — what the protocol actions act on.
-    counts_alive: Vec<u64>,
+    pub(super) counts_alive: Vec<u64>,
     /// Crashed processes per state — the pool recoveries draw from.
-    counts_crashed: Vec<u64>,
-    period: u64,
-    messages: u64,
-    transitions: Vec<(StateId, StateId, u64)>,
-    injector: Option<InjectionPoint>,
-    /// The periods the failure schedule names, sorted — so a period boundary
-    /// knows without a scan whether any scheduled event is due.
-    event_periods: Vec<u64>,
+    pub(super) counts_crashed: Vec<u64>,
+    pub(super) period: u64,
+    pub(super) messages: u64,
+    pub(super) transitions: Vec<(StateId, StateId, u64)>,
+    pub(super) env: Environment,
+    /// Per edge slot: processes that crossed the edge this period.
+    pub(super) tallies: Vec<u64>,
     // Scratch buffers reused every period.
     start: Vec<u64>,
     /// Per state: the start-of-period members that have not left it yet this
     /// period — what a push/token conversion can still take.
     stayed: Vec<u64>,
-    /// Per edge slot: processes that crossed the edge this period.
-    tallies: Vec<u64>,
     /// Per conversion row (push/token action): the conversions it drew
     /// this period.
     pending: Vec<u64>,
     weights: Vec<f64>,
     draws: Vec<u64>,
-    /// Per-state victim split of a uniform crash or recovery.
+    /// Per-state scratch of the boundary (see [`ColumnMut`]).
+    pool: Vec<u64>,
     hits: Vec<u64>,
 }
 
@@ -220,68 +224,166 @@ impl std::ops::Index<usize> for Shared {
     }
 }
 
-/// One run's counts seen through row-major `states × width` matrices: a
-/// [`BatchedState`]'s own vectors at width 1, or column `r` of a
-/// [`ColumnBlock`]. Crashes, recoveries and rebases are written once, here,
-/// for both.
+/// Consecutive columns of row-major `states × width` count matrices — a
+/// [`BatchedState`]'s own vectors at width 1, one column of a
+/// [`ColumnBlock`], or all of a sharded run's — with the PRNG their strikes
+/// draw from: the population the environment acts on at count level.
+/// Crashes, recoveries and rebases are written once, here, for all of them.
 pub(super) struct ColumnMut<'a> {
     counts: &'a mut [u64],
     counts_alive: &'a mut [u64],
     counts_crashed: &'a mut [u64],
-    alive_n: &'a mut u64,
+    /// Per column of the view: its alive total.
+    alive_n: &'a mut [u64],
     width: usize,
-    r: usize,
+    /// The view's first column.
+    first: usize,
+    rng: &'a mut Rng,
+    /// The view's alive (or crashed) cells, gathered column-major
+    /// (`[j * states + s]`) as the samplers and the adversary read them.
+    pool: &'a mut [u64],
+    /// The victims of one draw over `pool`.
+    hits: &'a mut [u64],
 }
 
 impl ColumnMut<'_> {
-    /// Moves `hits[s]` processes of each state `s` from alive to crashed.
-    /// State totals and the density denominator are unchanged: crashed
-    /// processes remember their state.
+    /// The cell of state `s` in the view's column `j`.
+    fn cell(&self, j: usize, s: usize) -> usize {
+        s * self.width + self.first + j
+    }
+
+    /// Moves `hits[j * states + s]` processes of state `s` in column `j`
+    /// from alive to crashed. State totals and the density denominator are
+    /// unchanged: crashed processes remember their state.
     pub(super) fn crash(&mut self, hits: &[u64]) {
-        for (s, &hit) in hits.iter().enumerate() {
-            let cell = s * self.width + self.r;
-            debug_assert!(hit <= self.counts_alive[cell]);
-            self.counts_alive[cell] -= hit;
-            self.counts_crashed[cell] += hit;
-        }
-        *self.alive_n -= hits.iter().sum::<u64>();
-    }
-
-    /// Moves `hits[s]` processes of each state `s` from crashed back to
-    /// alive: into their remembered state, or all into `rejoin`.
-    pub(super) fn recover(&mut self, hits: &[u64], rejoin: Option<StateId>) {
-        for (s, &hit) in hits.iter().enumerate() {
-            let cell = s * self.width + self.r;
-            debug_assert!(hit <= self.counts_crashed[cell]);
-            self.counts_crashed[cell] -= hit;
-            match rejoin {
-                // Rejoiners are reset: they change state, so the totals
-                // move too.
-                Some(to) => {
-                    let to = to.index() * self.width + self.r;
-                    self.counts_alive[to] += hit;
-                    self.counts[cell] -= hit;
-                    self.counts[to] += hit;
-                }
-                None => self.counts_alive[cell] += hit,
+        let states = self.counts.len() / self.width;
+        for (j, hits) in hits.chunks_exact(states).enumerate() {
+            for (s, &hit) in hits.iter().enumerate() {
+                let cell = self.cell(j, s);
+                debug_assert!(hit <= self.counts_alive[cell]);
+                self.counts_alive[cell] -= hit;
+                self.counts_crashed[cell] += hit;
             }
+            self.alive_n[j] -= hits.iter().sum::<u64>();
         }
-        *self.alive_n += hits.iter().sum::<u64>();
     }
 
-    /// Replaces the alive counts (crashed counts are untouched), refreshes
-    /// the totals and returns the population, alive and crashed — the
-    /// density denominator of a group whose size just changed.
+    /// Moves `hits[j * states + s]` processes of state `s` in column `j`
+    /// from crashed back to alive: into their remembered state, or all into
+    /// `rejoin`.
+    fn recover(&mut self, hits: &[u64], rejoin: Option<StateId>) {
+        let states = self.counts.len() / self.width;
+        for (j, hits) in hits.chunks_exact(states).enumerate() {
+            for (s, &hit) in hits.iter().enumerate() {
+                let cell = self.cell(j, s);
+                debug_assert!(hit <= self.counts_crashed[cell]);
+                // Rejoiners are reset: they change state, so the totals move
+                // too.
+                let to = rejoin.map_or(cell, |to| self.cell(j, to.index()));
+                self.counts_crashed[cell] -= hit;
+                self.counts_alive[to] += hit;
+                self.counts[cell] -= hit;
+                self.counts[to] += hit;
+            }
+            self.alive_n[j] += hits.iter().sum::<u64>();
+        }
+    }
+
+    /// Replaces a single column's alive counts (crashed counts are
+    /// untouched), refreshes the totals and returns the population, alive
+    /// and crashed — the density denominator of a group whose size just
+    /// changed.
     pub(super) fn rebase(&mut self, counts_alive: &[u64]) -> u64 {
         let mut population = 0;
         for (s, &alive) in counts_alive.iter().enumerate() {
-            let cell = s * self.width + self.r;
+            let cell = self.cell(0, s);
             self.counts_alive[cell] = alive;
             self.counts[cell] = alive + self.counts_crashed[cell];
             population += self.counts[cell];
         }
-        *self.alive_n = counts_alive.iter().sum();
+        self.alive_n[0] = counts_alive.iter().sum();
         population
+    }
+
+    /// Gathers the alive (or crashed) cells `keep(j, s)` selects into
+    /// `pool`, zeroing the others, and returns their sum. Empty cells draw
+    /// nothing, so a draw over the pool consumes the PRNG exactly as a draw
+    /// over the kept cells alone would.
+    pub(super) fn gather(&mut self, crashed: bool, keep: impl Fn(usize, usize) -> bool) -> u64 {
+        let states = self.counts.len() / self.width;
+        let matrix: &[u64] = if crashed {
+            self.counts_crashed
+        } else {
+            self.counts_alive
+        };
+        for (i, slot) in self.pool.iter_mut().enumerate() {
+            let (j, s) = (i / states, i % states);
+            let cell = s * self.width + self.first + j;
+            *slot = if keep(j, s) { matrix[cell] } else { 0 };
+        }
+        self.pool.iter().sum()
+    }
+
+    /// Applies the victims drawn into `hits`.
+    fn apply(&mut self, strike: Strike) {
+        let hits = std::mem::take(&mut self.hits);
+        match strike {
+            Strike::Recover(rejoin) => self.recover(hits, rejoin),
+            Strike::Crash(_) => self.crash(hits),
+        }
+        self.hits = hits;
+    }
+}
+
+/// Victims are drawn exchangeably: a strike over the view's cells is one
+/// multivariate hypergeometric draw (on one column, a state-targeted crash
+/// is a count move the draw makes without randomness), the crash/recovery
+/// model one binomial per cell.
+impl Population for ColumnMut<'_> {
+    const RUNTIME: &'static str = "batched";
+
+    /// One column's view (the sharded master shows the adversary its own).
+    fn view<R>(&mut self, period: u64, plan: impl FnOnce(&AdversaryView<'_>) -> R) -> R {
+        self.gather(false, |_, _| true);
+        plan(&AdversaryView {
+            period,
+            counts_alive: self.pool,
+            alive: self.alive_n[0],
+            shard_counts_alive: None,
+            transport: None,
+            segments_alive: None,
+        })
+    }
+
+    fn strike(&mut self, strike: Strike, fraction: f64) -> Result<u64> {
+        let pool = self.gather(matches!(strike, Strike::Recover(_)), |j, s| match strike {
+            Strike::Crash(Target::State(state)) => s == state,
+            Strike::Crash(Target::Shard(shard)) => j == shard,
+            _ => true,
+        });
+        let k = victim_count(fraction, pool);
+        (self.rng).multivariate_hypergeometric_into(self.pool, k, self.hits);
+        self.apply(strike);
+        Ok(k)
+    }
+
+    fn failure_model(&mut self, model: &FailureModel, rejoin: Option<StateId>) -> Result<()> {
+        // A cell's draw reads only its own count, so drawing every cell
+        // before moving anyone consumes the stream as moving cell by cell
+        // would.
+        for (p, strike) in [
+            (model.crash_prob(), Strike::Crash(Target::All)),
+            (model.recover_prob(), Strike::Recover(rejoin)),
+        ] {
+            if p > 0.0 {
+                self.gather(matches!(strike, Strike::Recover(_)), |_, _| true);
+                for (hit, &count) in self.hits.iter_mut().zip(&*self.pool) {
+                    *hit = self.rng.binomial(count, p);
+                }
+                self.apply(strike);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -292,26 +394,31 @@ impl ColumnMut<'_> {
 /// shards of one [`ShardedRuntime`](super::ShardedRuntime) population.
 #[derive(Debug, Clone)]
 pub(super) struct ColumnBlock {
-    /// The width-1 state the boundary hooks run on, one column at a time
-    /// (failures, recoveries and injections exist once, for single runs);
-    /// also the block's scenario, period counter and, for seeds, their
-    /// shared density denominator.
-    lane: BatchedState,
+    /// The next period to execute.
+    pub(super) period: u64,
+    /// The density denominator the seeds share (shards pass their own).
+    n_f: f64,
+    contact_ok: f64,
     rngs: Vec<Rng>,
-    /// Per column: its adversary's strategy and decision stream.
-    injectors: Vec<Option<InjectionPoint>>,
+    /// Per column: its environment, with its own adversary.
+    pub(super) environments: Vec<Environment>,
     alive_n: Vec<u64>,
     counts: Vec<u64>,
     counts_alive: Vec<u64>,
     counts_crashed: Vec<u64>,
     start: Vec<u64>,
     stayed: Vec<u64>,
-    tallies: Vec<u64>,
+    /// The row-major `edges × width` matrix of the last period's transition
+    /// tallies, one row per edge of the runtime's plan.
+    pub(super) tallies: Vec<u64>,
     pending: Vec<u64>,
     weights: Vec<f64>,
     draws: Vec<u64>,
     survive: Vec<f64>,
-    messages: Vec<f64>,
+    /// Per column: the expected messages of the last period.
+    pub(super) messages: Vec<f64>,
+    pool: Vec<u64>,
+    hits: Vec<u64>,
 }
 
 impl ColumnBlock {
@@ -331,188 +438,77 @@ impl ColumnBlock {
     }
 
     /// The row-major `states × width` matrix of crashed processes.
+    #[cfg(test)]
     pub(super) fn crashed_counts(&self) -> &[u64] {
         &self.counts_crashed
     }
 
-    /// The row-major `edges × width` matrix of the last period's transition
-    /// tallies, one row per edge of the runtime's plan.
-    pub(super) fn tallies(&self) -> &[u64] {
-        &self.tallies
-    }
-
-    /// Per column: the expected messages of the last period.
-    pub(super) fn messages(&self) -> &[f64] {
-        &self.messages
-    }
-
-    /// The next period to execute.
-    pub(super) fn period(&self) -> u64 {
-        self.lane.period
-    }
-
-    /// The injections column `r`'s own adversary applied in the last period.
-    pub(super) fn injection_records(&self, r: usize) -> &[InjectionRecord] {
-        inject::records_of(&self.injectors[r])
-    }
-
-    /// Column `r`'s counts, for the crash, recovery and rebase arithmetic.
+    /// Column `r`, for the crash, recovery and rebase arithmetic.
     pub(super) fn column(&mut self, r: usize) -> ColumnMut<'_> {
+        self.split(r).1
+    }
+
+    /// Every column at once, striking with `rng` over the `width × states`
+    /// scratch `pool` and `hits`.
+    pub(super) fn all_columns<'a>(
+        &'a mut self,
+        rng: &'a mut Rng,
+        pool: &'a mut [u64],
+        hits: &'a mut [u64],
+    ) -> ColumnMut<'a> {
         ColumnMut {
             counts: &mut self.counts,
             counts_alive: &mut self.counts_alive,
             counts_crashed: &mut self.counts_crashed,
-            alive_n: &mut self.alive_n[r],
+            alive_n: &mut self.alive_n,
             width: self.rngs.len(),
-            r,
+            first: 0,
+            rng,
+            pool,
+            hits,
         }
     }
 
-    /// Exchanges column `r` with the lane. Called before the single-run
-    /// hooks it moves the column into the lane; called again after them it
-    /// moves the result back (in between, the column holds the lane's stale
-    /// values, which nothing reads).
-    fn swap_lane(&mut self, r: usize) {
-        let w = self.width();
-        let lane = &mut self.lane;
-        for (matrix, column) in [
-            (&mut self.counts, &mut lane.counts),
-            (&mut self.counts_alive, &mut lane.counts_alive),
-            (&mut self.counts_crashed, &mut lane.counts_crashed),
-        ] {
-            for (row, count) in matrix.chunks_exact_mut(w).zip(column) {
-                std::mem::swap(&mut row[r], count);
-            }
-        }
-        std::mem::swap(&mut self.alive_n[r], &mut lane.alive_n);
-        std::mem::swap(&mut self.rngs[r], &mut lane.rng);
-        std::mem::swap(&mut self.injectors[r], &mut lane.injector);
+    /// Column `r` beside its environment.
+    fn split(&mut self, r: usize) -> (&mut Environment, ColumnMut<'_>) {
+        let column = ColumnMut {
+            counts: &mut self.counts,
+            counts_alive: &mut self.counts_alive,
+            counts_crashed: &mut self.counts_crashed,
+            alive_n: std::slice::from_mut(&mut self.alive_n[r]),
+            width: self.rngs.len(),
+            first: r,
+            rng: &mut self.rngs[r],
+            pool: &mut self.pool,
+            hits: &mut self.hits,
+        };
+        (&mut self.environments[r], column)
     }
 }
 
 impl BatchedState {
-    /// Whether the boundary of the period about to run has anything to
-    /// apply: a scheduled event, an active crash/recovery model, or an
-    /// adversary that must be shown the counts. Depends on the scenario and
-    /// the period only, so one answer serves every column of a block.
-    fn boundary_due(&self, adversary: bool) -> bool {
-        let model = self.scenario.failure_model();
-        adversary || model.crash_prob() > 0.0 || model.recover_prob() > 0.0 || self.schedule_due()
-    }
-
-    /// Whether the failure schedule names the period about to run.
-    fn schedule_due(&self) -> bool {
-        self.event_periods.binary_search(&self.period).is_ok()
-    }
-
     /// The next period to execute (also the number of periods executed).
     pub fn period(&self) -> u64 {
         self.period
     }
 
-    /// Per-state alive counts (used by the hybrid runtime's handoff
-    /// decisions and the counts→membership handoff).
-    pub(super) fn alive_counts(&self) -> &[u64] {
-        &self.counts_alive
-    }
-
-    /// Per-state crashed counts.
-    pub(super) fn crashed_counts(&self) -> &[u64] {
-        &self.counts_crashed
-    }
-
-    /// Per-state total counts (alive + crashed).
-    pub(super) fn total_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// A copy of the PRNG at its current position, so a handoff continues
-    /// the same stream.
-    pub(super) fn rng_clone(&self) -> Rng {
-        self.rng.clone()
-    }
-
-    /// Total alive processes.
-    pub(super) fn alive_total(&self) -> u64 {
-        self.alive_n
-    }
-
-    /// The run's count vectors as the width-1 column the crash, recovery and
-    /// rebase arithmetic works on, with the victim scratch split off beside
-    /// it.
-    fn split_column(&mut self) -> (ColumnMut<'_>, &[u64]) {
-        let column = ColumnMut {
+    /// Applies the environment at the boundary of the period about to run
+    /// (the continuous-time runtimes' too, between their event windows) to
+    /// the run's count vectors, a width-1 column.
+    #[inline(always)]
+    pub(super) fn boundary(&mut self) -> Result<()> {
+        let mut column = ColumnMut {
             counts: &mut self.counts,
             counts_alive: &mut self.counts_alive,
             counts_crashed: &mut self.counts_crashed,
-            alive_n: &mut self.alive_n,
+            alive_n: std::slice::from_mut(&mut self.alive_n),
             width: 1,
-            r: 0,
+            first: 0,
+            rng: &mut self.rng,
+            pool: &mut self.pool,
+            hits: &mut self.hits,
         };
-        (column, &self.hits)
-    }
-
-    /// Crashes `k` uniformly random alive processes: the per-state victims
-    /// are one multivariate hypergeometric draw from the run's PRNG.
-    fn crash_uniform(&mut self, k: u64) {
-        debug_assert!(k <= self.alive_n, "cannot crash more than are alive");
-        self.rng
-            .multivariate_hypergeometric_into(&self.counts_alive, k, &mut self.hits);
-        let (mut column, hits) = self.split_column();
-        column.crash(hits);
-    }
-
-    /// Replaces the per-state alive counts (crashed counts are untouched) and
-    /// refreshes the derived totals — including the density denominator
-    /// `n_f`, which tracks the *current* population so firing probabilities
-    /// keep meaning "sample a uniform member of this group". The
-    /// continuous-time runtimes write their event-clock counts back through
-    /// it at every boundary. Scratch buffers are untouched (their sizes
-    /// depend only on the protocol).
-    pub(super) fn rebase_alive(&mut self, counts_alive: &[u64]) {
-        debug_assert_eq!(counts_alive.len(), self.counts_alive.len());
-        self.n_f = self.split_column().0.rebase(counts_alive) as f64;
-    }
-
-    /// Detaches the adversary injection point (hybrid handoff: the strategy
-    /// state must survive the fidelity switch).
-    pub(super) fn take_injector(&mut self) -> Option<InjectionPoint> {
-        self.injector.take()
-    }
-
-    /// Re-attaches an adversary injection point after a handoff.
-    pub(super) fn set_injector(&mut self, injector: Option<InjectionPoint>) {
-        self.injector = injector;
-    }
-
-    /// The injections applied in the most recent period (the continuous-time
-    /// runtimes surface them from the state their boundary hooks run on).
-    pub(super) fn injection_records(&self) -> &[InjectionRecord] {
-        inject::records_of(&self.injector)
-    }
-
-    /// Overwrites the period counter — the continuous-time runtimes advance
-    /// their event clocks outside the inner state and synchronize it at each
-    /// boundary so the shared failure/injection hooks fire on schedule.
-    pub(super) fn set_period(&mut self, period: u64) {
-        self.period = period;
-    }
-
-    /// Mutable access to the PRNG, for runtimes that draw event waits and
-    /// leap sizes from the same stream the boundary hooks consume.
-    pub(super) fn rng_mut(&mut self) -> &mut Rng {
-        &mut self.rng
-    }
-
-    /// The scenario this state was built against.
-    pub(super) fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The density denominator (total population as `f64`), i.e. the `n` in
-    /// "sample a uniform member of this group".
-    pub(super) fn density_n(&self) -> f64 {
-        self.n_f
+        self.env.boundary(self.period, &mut column)
     }
 }
 
@@ -553,10 +549,10 @@ impl BatchedRuntime {
         &self.plan
     }
 
-    /// The configured rejoin state (the sharded runtime applies recovery
-    /// injections at its master level with the inner runtime's semantics).
-    pub(super) fn rejoin_state(&self) -> Option<StateId> {
-        self.config.rejoin_state
+    /// The run configuration (the sharded runtime builds its master
+    /// environment from it).
+    pub(super) fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// Runs the protocol under the given scenario and initial state
@@ -575,7 +571,9 @@ impl BatchedRuntime {
         drive(self, scenario, initial, &mut default_observers())
     }
 
-    fn events<'s>(&self, state: &'s BatchedState) -> PeriodEvents<'s> {
+    /// What observers see of a state (the continuous-time tiers stamp it
+    /// with its virtual time).
+    pub(super) fn events<'s>(&self, state: &'s BatchedState) -> PeriodEvents<'s> {
         PeriodEvents {
             period: state.period,
             counts: &state.counts,
@@ -586,9 +584,38 @@ impl BatchedRuntime {
             membership: None,
             shard_counts_alive: None,
             transport: None,
-            injections: inject::records_of(&state.injector),
+            injections: state.env.records(),
             virtual_time: None,
         }
+    }
+
+    /// Validates a scenario for a count-level runtime on this plan
+    /// (`runtime_name` is what errors report) and builds the start-of-run
+    /// state: [`init`](Runtime::init), and the continuous-time tiers' too.
+    pub(super) fn start(
+        &self,
+        scenario: &Scenario,
+        initial: &InitialStates,
+        runtime_name: &str,
+    ) -> Result<BatchedState> {
+        self.plan.protocol().validate()?;
+        if !scenario.count_level_compatible() {
+            return Err(CoreError::InvalidConfig {
+                name: "scenario",
+                reason: format!(
+                    "the {runtime_name} runtime models only exchangeable environments \
+                     (massive failures, probabilistic failure models, losses); \
+                     per-id failure schedules and churn traces need host identity \
+                     — use AgentRuntime (or Simulation::run_auto, which picks the \
+                     right fidelity automatically)"
+                ),
+            });
+        }
+        super::reject_sharded(scenario, runtime_name)?;
+        super::reject_transport(scenario, runtime_name)?;
+        let counts = initial.resolve(self.plan.num_states(), scenario.group_size() as u64)?;
+        let crashed = vec![0; counts.len()];
+        Ok(self.state_from_counts(scenario, counts, crashed, 0, scenario.build_rng()))
     }
 
     /// Builds a mid-run [`BatchedState`] from per-state alive/crashed counts
@@ -621,14 +648,8 @@ impl BatchedRuntime {
             .collect();
         // Scratch sized once: one cell per bucket, plus "stay".
         let max_outcomes = self.plan.max_buckets + 1;
-        let mut event_periods: Vec<u64> = scenario
-            .failure_schedule()
-            .events()
-            .iter()
-            .map(|(period, _)| *period)
-            .collect();
-        event_periods.sort_unstable();
         BatchedState {
+            env: Environment::new(scenario, scenario.seed(), &self.config),
             scenario: scenario.clone(),
             rng,
             n_f: n as f64,
@@ -639,141 +660,15 @@ impl BatchedRuntime {
             period,
             messages: 0,
             transitions: Vec::with_capacity(self.plan.edges.len()),
-            injector: InjectionPoint::from_scenario(scenario),
-            event_periods,
             start: vec![0; num_states],
             stayed: vec![0; num_states],
             tallies: vec![0; self.plan.edges.len()],
             pending: vec![0; self.plan.conversion_edges.len()],
             weights: Vec::with_capacity(max_outcomes),
             draws: vec![0; max_outcomes],
+            pool: vec![0; num_states],
             hits: vec![0; num_states],
         }
-    }
-
-    /// Applies this period's exchangeable failure events at count level.
-    /// Shared with the continuous-time runtimes, which run the same boundary
-    /// hooks between their event windows.
-    pub(super) fn apply_failures(&self, state: &mut BatchedState) -> Result<()> {
-        let period = state.period;
-        // Scheduled massive failures: hypergeometric split across states.
-        // The schedule is walked only on a period it names.
-        let scheduled = if state.schedule_due() {
-            state.scenario.failure_schedule().events().len()
-        } else {
-            0
-        };
-        for i in 0..scheduled {
-            let (p, event) = &state.scenario.failure_schedule().events()[i];
-            if *p != period {
-                continue;
-            }
-            match *event {
-                FailureEvent::MassiveFailure { fraction } => {
-                    if !(0.0..=1.0).contains(&fraction) {
-                        return Err(CoreError::InvalidProbability {
-                            context: "massive failure fraction".into(),
-                            value: fraction,
-                        });
-                    }
-                    state.crash_uniform((fraction * state.alive_n as f64).floor() as u64);
-                }
-                FailureEvent::Crash(_) | FailureEvent::Recover(_) => {
-                    unreachable!("init rejects per-id failure schedules")
-                }
-            }
-        }
-        // Probabilistic crash/recovery: per-state binomial draws. A state's
-        // draw reads only its own count, so drawing every state before
-        // moving anyone consumes the stream as moving state by state would.
-        let model = *state.scenario.failure_model();
-        if model.crash_prob() > 0.0 {
-            for (hit, &alive) in state.hits.iter_mut().zip(&state.counts_alive) {
-                *hit = state.rng.binomial(alive, model.crash_prob());
-            }
-            let (mut column, hits) = state.split_column();
-            column.crash(hits);
-        }
-        if model.recover_prob() > 0.0 {
-            for (hit, &crashed) in state.hits.iter_mut().zip(&state.counts_crashed) {
-                *hit = state.rng.binomial(crashed, model.recover_prob());
-            }
-            let (mut column, hits) = state.split_column();
-            column.recover(hits, self.config.rejoin_state);
-        }
-        Ok(())
-    }
-
-    /// Shows the adversary (if any) the live counts and applies the
-    /// injections it emits, with the same exchangeable semantics as the
-    /// scheduled-event path: a `CrashUniform` consumes the run's main PRNG
-    /// stream exactly like a scheduled massive failure of the same fraction.
-    pub(super) fn apply_injections(&self, state: &mut BatchedState) -> Result<()> {
-        let Some(mut injector) = state.injector.take() else {
-            return Ok(());
-        };
-        let view = AdversaryView {
-            period: state.period,
-            counts_alive: &state.counts_alive,
-            alive: state.alive_n,
-            shard_counts_alive: None,
-            transport: None,
-            segments_alive: None,
-        };
-        let planned = injector.plan(&view)?;
-        for injection in planned {
-            let victims = match injection {
-                Injection::CrashUniform { fraction } => {
-                    let k = inject::victim_count(fraction, state.alive_n);
-                    state.crash_uniform(k);
-                    k
-                }
-                Injection::CrashState { state: s, fraction } => {
-                    if s >= state.counts_alive.len() {
-                        state.injector = Some(injector);
-                        return Err(CoreError::InvalidConfig {
-                            name: "adversary",
-                            reason: format!(
-                                "injection targets state {s}, but the protocol has only {} states",
-                                state.counts_alive.len()
-                            ),
-                        });
-                    }
-                    // A state-targeted crash is a deterministic count move:
-                    // the victims are exchangeable within one state, so no
-                    // randomness is needed at count level.
-                    let k = inject::victim_count(fraction, state.counts_alive[s]);
-                    state.hits.fill(0);
-                    state.hits[s] = k;
-                    let (mut column, hits) = state.split_column();
-                    column.crash(hits);
-                    k
-                }
-                Injection::RecoverUniform { fraction } => {
-                    let crashed_total: u64 = state.counts_crashed.iter().sum();
-                    let k = inject::victim_count(fraction, crashed_total);
-                    if k > 0 {
-                        state.rng.multivariate_hypergeometric_into(
-                            &state.counts_crashed,
-                            k,
-                            &mut state.hits,
-                        );
-                        let (mut column, hits) = state.split_column();
-                        column.recover(hits, self.config.rejoin_state);
-                    }
-                    k
-                }
-                // `Injection` is non_exhaustive: shard-targeted (and any
-                // future) injections are rejected rather than skipped.
-                unsupported => {
-                    state.injector = Some(injector);
-                    return Err(inject::unsupported_injection("batched", &unsupported));
-                }
-            };
-            injector.record(state.period, injection, victims);
-        }
-        state.injector = Some(injector);
-        Ok(())
     }
 }
 
@@ -938,42 +833,41 @@ impl BatchedRuntime {
             !self.poisoned_seed.is_some_and(|seed| seeds.contains(&seed)),
             "injected test panic"
         );
-        let lane = self.init(scenario, initial)?;
+        let counts = self.init(scenario, initial)?.counts_alive;
         let w = seeds.len();
-        let counts_alive = lane
-            .counts_alive
+        let counts_alive = counts
             .iter()
             .flat_map(|&count| std::iter::repeat(count).take(w))
             .collect();
-        let mut seeded = scenario.clone();
-        let mut rngs = Vec::with_capacity(w);
-        let mut injectors = Vec::with_capacity(w);
-        for &seed in seeds {
-            seeded = seeded.with_seed(seed);
-            rngs.push(seeded.build_rng());
-            injectors.push(InjectionPoint::from_scenario(&seeded));
-        }
-        Ok(self.block_of_columns(lane, counts_alive, rngs, injectors))
+        // `scenario.with_seed(seed).build_rng()`, without cloning the
+        // scenario per column.
+        let rngs = seeds.iter().map(|&seed| Rng::seed_from(seed)).collect();
+        let environments = (seeds.iter())
+            .map(|&seed| Environment::new(scenario, seed, &self.config))
+            .collect();
+        Ok(self.block_of_columns(scenario, counts_alive, rngs, environments))
     }
 
-    /// Builds a start-of-run [`ColumnBlock`] whose column `r` holds column
-    /// `r` of the row-major `states × W` alive-count matrix, with nobody
-    /// crashed, draws from `rngs[r]` and answers to adversary `injectors[r]`.
-    /// `lane` supplies the scenario the boundary hooks apply to every column,
-    /// and the period.
+    /// Builds a start-of-run [`ColumnBlock`] of `scenario` whose column `r`
+    /// holds column `r` of the row-major `states × W` alive-count matrix,
+    /// with nobody crashed, draws from `rngs[r]` and lives in
+    /// `environments[r]`.
     pub(super) fn block_of_columns(
         &self,
-        lane: BatchedState,
+        scenario: &Scenario,
         counts_alive: Vec<u64>,
         rngs: Vec<Rng>,
-        injectors: Vec<Option<InjectionPoint>>,
+        environments: Vec<Environment>,
     ) -> ColumnBlock {
         let w = rngs.len();
         let num_states = self.plan.num_states();
         debug_assert_eq!(counts_alive.len(), num_states * w);
-        debug_assert_eq!(injectors.len(), w);
+        debug_assert_eq!(environments.len(), w);
         let cells = self.plan.max_buckets + 1;
         ColumnBlock {
+            period: 0,
+            n_f: scenario.group_size() as f64,
+            contact_ok: 1.0 - scenario.loss().effective_contact_failure(1),
             alive_n: (0..w)
                 .map(|r| counts_alive.iter().skip(r).step_by(w).sum())
                 .collect(),
@@ -988,27 +882,28 @@ impl BatchedRuntime {
             draws: vec![0; cells],
             survive: vec![1.0; w],
             messages: vec![0.0; w],
+            pool: vec![0; num_states],
+            hits: vec![0; num_states],
             rngs,
-            injectors,
-            lane,
+            environments,
         }
     }
 
     /// Advances every column of a block of seeds by one period: the
-    /// [`step_columns`](Self::step_columns) of columns that share the lane's
-    /// density denominator.
+    /// [`step_columns`](Self::step_columns) of columns that share the
+    /// scenario's density denominator.
     ///
     /// # Errors
     ///
     /// Same as [`step`](Runtime::step).
     pub(super) fn step_block(&self, block: &mut ColumnBlock) -> Result<()> {
-        let n_f = Shared(block.lane.n_f);
+        let n_f = Shared(block.n_f);
         self.step_columns(block, &n_f)
     }
 
-    /// Advances every column of the block by one period: the boundary hooks
-    /// column by column on the periods that carry an event, then one call of
-    /// the period kernel over the columns' density denominators `n_f`.
+    /// Advances every column of the block by one period: each column's
+    /// environment at the boundary, then one call of the period kernel over
+    /// the columns' density denominators `n_f`.
     ///
     /// # Errors
     ///
@@ -1017,18 +912,15 @@ impl BatchedRuntime {
     where
         D: std::ops::Index<usize, Output = f64> + ?Sized,
     {
-        let adversary = block.injectors.iter().any(Option::is_some);
-        if block.lane.boundary_due(adversary) {
+        // Every column's environment comes from one scenario, so the first
+        // says for all of them whether this boundary has anything to apply.
+        let period = block.period;
+        if !block.environments[0].calm(period) {
             for r in 0..block.width() {
-                block.swap_lane(r);
-                let applied = self
-                    .apply_failures(&mut block.lane)
-                    .and_then(|()| self.apply_injections(&mut block.lane));
-                block.swap_lane(r);
-                applied?;
+                let (env, mut column) = block.split(r);
+                env.boundary(period, &mut column)?;
             }
         }
-        let contact_ok = 1.0 - block.lane.scenario.loss().effective_contact_failure(1);
         self.advance(
             Columns {
                 rngs: &mut block.rngs,
@@ -1045,9 +937,9 @@ impl BatchedRuntime {
                 messages: &mut block.messages,
             },
             n_f,
-            contact_ok,
+            block.contact_ok,
         );
-        block.lane.period += 1;
+        block.period += 1;
         Ok(())
     }
 }
@@ -1064,39 +956,12 @@ impl Runtime for BatchedRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<BatchedState> {
-        self.plan.protocol().validate()?;
-        if !scenario.count_level_compatible() {
-            return Err(CoreError::InvalidConfig {
-                name: "scenario",
-                reason: "the batched runtime models only exchangeable environments \
-                         (massive failures, probabilistic failure models, losses); \
-                         per-id failure schedules and churn traces need host \
-                         identity — use AgentRuntime (or Simulation::run_auto, \
-                         which picks the right fidelity automatically)"
-                    .into(),
-            });
-        }
-        super::reject_sharded(scenario, "batched")?;
-        super::reject_transport(scenario, "batched")?;
-        let num_states = self.plan.num_states();
-        let n = scenario.group_size() as u64;
-        let counts = initial.resolve(num_states, n)?;
-        Ok(self.state_from_counts(
-            scenario,
-            counts,
-            vec![0; num_states],
-            0,
-            scenario.build_rng(),
-        ))
+        self.start(scenario, initial, "batched")
     }
 
     fn step<'s>(&self, state: &'s mut BatchedState) -> Result<PeriodEvents<'s>> {
-        // 1. Environment events at count level, then adversary injections
-        // (which observe the post-event counts).
-        if state.boundary_due(state.injector.is_some()) {
-            self.apply_failures(state)?;
-            self.apply_injections(state)?;
-        }
+        // 1. The environment at the period boundary.
+        state.boundary()?;
 
         // 2. The protocol period: the width-1 instance of the column kernel.
         let contact_ok = 1.0 - state.scenario.loss().effective_contact_failure(1);
@@ -1140,7 +1005,7 @@ mod tests {
     use crate::runtime::fixtures::{epidemic_protocol, figure1_protocol, plurality_protocol};
     use crate::runtime::{AgentRuntime, CountsRecorder, Ensemble, ResilienceReport, Simulation};
     use netsim::adversary::{ObliviousSchedule, TargetLargestState};
-    use netsim::FailureModel;
+    use netsim::{FailureEvent, FailureModel};
     use odekit::system::EquationSystemBuilder;
 
     impl BatchedState {
@@ -1866,23 +1731,28 @@ mod tests {
     }
 
     #[test]
-    fn an_invalid_scheduled_fraction_fails_the_block_step() {
-        // The schedule is only read on the period it names.
-        let mut schedule = netsim::FailureSchedule::new();
-        schedule.add(2, FailureEvent::MassiveFailure { fraction: 1.5 });
+    fn the_schedule_is_read_only_on_the_period_it_names() {
+        // A massive failure at period 2 draws nothing before it: the
+        // boundaries of periods 0 and 1 leave every column's stream where it
+        // started (the inert protocol's kernel draws nothing either).
+        let protocol = Protocol::new("inert", vec!["x".into(), "y".into()]).unwrap();
         let scenario = Scenario::new(1_000, 5)
             .unwrap()
-            .with_failure_schedule(schedule)
+            .with_massive_failure(2, 0.5)
             .unwrap();
-        let runtime = BatchedRuntime::new(epidemic_protocol());
+        let runtime = BatchedRuntime::new(protocol);
         let initial = InitialStates::counts(&[900, 100]);
-        let mut block = runtime.init_block(&scenario, &initial, &[1, 2]).unwrap();
-        assert!(runtime.step_block(&mut block).is_ok());
-        assert!(runtime.step_block(&mut block).is_ok());
-        assert!(matches!(
-            runtime.step_block(&mut block),
-            Err(CoreError::InvalidProbability { .. })
-        ));
+        let seeds = [1, 2];
+        let mut block = runtime.init_block(&scenario, &initial, &seeds).unwrap();
+        for _ in 0..2 {
+            runtime.step_block(&mut block).unwrap();
+        }
+        for (rng, &seed) in block.rngs.iter().zip(&seeds) {
+            assert_eq!(rng.clone().next_u64(), Rng::seed_from(seed).next_u64());
+        }
+        assert_eq!(block.alive_n, [1_000, 1_000]);
+        runtime.step_block(&mut block).unwrap();
+        assert_eq!(block.alive_n, [500, 500]);
     }
 
     /// One million runs fold into per-block accumulators of a few hundred KB

@@ -1,6 +1,7 @@
 //! The hybrid fidelity runtime: count-batched while counts are large, exact
 //! per-process when any state runs small.
 
+use super::environment::Environment;
 use super::observer::default_observers;
 use super::plan::PlanAction;
 use super::simulation::drive;
@@ -151,6 +152,16 @@ enum Mode {
     // the enum small and handoffs are rare.
     Batched(Box<BatchedState>),
     Agent(Box<AgentState>),
+}
+
+impl Mode {
+    /// The run's environment, which outlives every fidelity switch.
+    fn env(&mut self) -> &mut Environment {
+        match self {
+            Mode::Batched(b) => &mut b.env,
+            Mode::Agent(a) => &mut a.env,
+        }
+    }
 }
 
 impl HybridState {
@@ -324,48 +335,39 @@ impl HybridRuntime {
         } = *state;
         let switched = match mode {
             Mode::Batched(b) => {
-                self.mark_live(b.alive_counts(), b.total_counts(), live);
-                self.needs_membership(b.alive_counts(), live).then(|| {
+                self.mark_live(&b.counts_alive, &b.counts, live);
+                self.needs_membership(&b.counts_alive, live).then(|| {
                     Mode::Agent(Box::new(self.agent.state_from_counts(
                         scenario,
-                        b.alive_counts(),
-                        b.crashed_counts(),
-                        b.period(),
-                        b.rng_clone(),
+                        &b.counts_alive,
+                        &b.counts_crashed,
+                        b.period,
+                        b.rng.clone(),
                     )))
                 })
             }
             Mode::Agent(a) => {
                 self.mark_live(a.alive_counts(), a.total_counts(), live);
                 self.can_batch(a.alive_counts(), live).then(|| {
+                    // Crashed processes remember their state.
+                    let totals = a.total_counts().iter().zip(a.alive_counts());
                     Mode::Batched(Box::new(self.batched.state_from_counts(
                         scenario,
                         a.alive_counts().to_vec(),
-                        a.crashed_counts(),
+                        totals.map(|(total, alive)| total - alive).collect(),
                         a.period(),
-                        a.rng_clone(),
+                        a.rng.clone(),
                     )))
                 })
             }
         };
         if let Some(mut mode) = switched {
-            // The adversary's strategy state (cascading hazard, strike
-            // counters, decision PRNG position) must survive the fidelity
-            // switch: hand the live injection point over instead of keeping
-            // the fresh fork `state_from_counts` installs.
-            let injector = match &mut state.mode {
-                Mode::Batched(b) => b.take_injector(),
-                Mode::Agent(a) => a.take_injector(),
-            };
-            match &mut mode {
-                Mode::Agent(a) => {
-                    a.set_injector(injector);
-                    state.to_membership += 1;
-                }
-                Mode::Batched(b) => {
-                    b.set_injector(injector);
-                    state.to_count_level += 1;
-                }
+            // The environment moves across the switch whole: the adversary's
+            // strategy state, decision stream and log carry on.
+            *mode.env() = std::mem::take(state.mode.env());
+            match mode {
+                Mode::Agent(_) => state.to_membership += 1,
+                Mode::Batched(_) => state.to_count_level += 1,
             }
             state.mode = mode;
         }

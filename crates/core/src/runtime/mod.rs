@@ -2,7 +2,7 @@
 //!
 //! # Architecture
 //!
-//! Execution is split into three orthogonal pieces:
+//! Execution is split into four orthogonal pieces:
 //!
 //! * **Runtimes** — the [`Runtime`] trait exposes an incremental step
 //!   interface (`init` → repeated `step`) over a
@@ -35,6 +35,10 @@
 //!   the trait, so the same experiment can be replayed at any fidelity (or
 //!   let [`Simulation::run_auto`] pick one — see [`FidelityTier`] and
 //!   [`ErrorBudget`]).
+//! * **The environment** — one crate-private layer applies the scenario's
+//!   scheduled failures, crash/recovery model and churn, then adversary
+//!   injections, at every period boundary of every runtime, to count
+//!   columns, a sharded run's whole population or per-process ids.
 //! * **Observers** — recording is opt-in: an [`Observer`] receives
 //!   [`PeriodEvents`] after every protocol period and folds whatever it
 //!   recorded into the final [`RunResult`]. Built-ins cover the standard
@@ -52,8 +56,8 @@ mod aggregate;
 mod async_runtime;
 mod batched;
 mod ensemble;
+mod environment;
 mod hybrid;
-mod inject;
 mod observer;
 mod plan;
 mod sharded;

@@ -61,23 +61,23 @@
 //! used here walks an exact inverse CDF below
 //! [`netsim::stochastic::NORMAL_APPROX_CUTOFF`], so boundary probabilities
 //! (extinction, an empty shard) are preserved. A run with one shard and no
-//! shard-targeted events is a width-1 block whose boundary hooks apply the
-//! full scenario (failure schedule and adversary included) and whose column
+//! shard-targeted events is a width-1 block whose column lives in the full
+//! scenario's environment (failure schedule and adversary included) and
 //! draws from the seed stream [`BatchedRuntime`] builds: it is
 //! **bit-for-bit identical** to [`BatchedRuntime`]; the property tests pin
 //! this.
 
-use super::batched::{ColumnBlock, ColumnMut};
-use super::inject::{self, InjectionPoint};
+use super::batched::ColumnBlock;
+use super::environment::{Environment, Population, Strike};
 use super::observer::default_observers;
 use super::simulation::drive;
 use super::{BatchedRuntime, InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
-use netsim::adversary::{AdversaryView, Injection};
+use netsim::adversary::AdversaryView;
 use netsim::topology::Placement;
-use netsim::{FailureEvent, Rng, Scenario};
+use netsim::{FailureModel, Rng, Scenario};
 
 /// Executes a protocol over a population split into `S` locally-mixed
 /// shards, each advanced at count level, with inter-shard migration drawn
@@ -114,31 +114,28 @@ pub struct ShardedRuntime {
 }
 
 /// The mutable execution state of a [`ShardedRuntime`] run: the shards as
-/// the columns of one batched block, the master PRNG driving exchange and
-/// shard-targeted events, and the aggregated views observers consume.
+/// the columns of one batched block, the master environment and PRNG
+/// driving exchange and cross-shard events, and the aggregated views
+/// observers consume.
 #[derive(Debug, Clone)]
 pub struct ShardedState {
-    /// Column `j` is shard `j`. The block's boundary hooks apply what every
-    /// shard runs on its own: losses and the crash/recovery model — and, for
-    /// a single shard without shard events, the whole scenario.
+    /// Column `j` is shard `j`. Every column's environment is what each
+    /// shard runs on its own: the crash/recovery model — or, for a single
+    /// shard without shard events, the whole scenario.
     block: ColumnBlock,
     /// Per shard: the density denominator, its population (alive and
     /// crashed), which only migration changes.
     n_f: Vec<f64>,
+    /// What spans shards: the scheduled global and shard-targeted failures
+    /// and the adversary, which sees the whole population (calm where a
+    /// single shard's column applies the whole scenario).
+    env: Environment,
     /// Drives every cross-shard draw (exchange, global and shard-targeted
     /// failures, injections, uniform placement); per-shard PRNGs are forked
     /// separately so shard streams never interleave with exchange streams.
     master_rng: Rng,
     scenario: Scenario,
     migration: f64,
-    /// The global massive failures the master draws, as `(period,
-    /// fraction)` sorted by period (empty when a single shard's hooks apply
-    /// the schedule themselves).
-    global_failures: Vec<(u64, f64)>,
-    /// The scenario's adversary, driven at the master level so one strategy
-    /// sees the whole population (`None` where a single shard's hooks apply
-    /// it).
-    injector: Option<InjectionPoint>,
     // Aggregated views, refreshed after every step.
     counts: Vec<u64>,
     counts_alive: Vec<u64>,
@@ -147,7 +144,6 @@ pub struct ShardedState {
     transitions: Vec<(StateId, StateId, u64)>,
     shard_alive: Vec<Vec<u64>>,
     // Scratch buffers reused every period.
-    hits: Vec<u64>,
     pool: Vec<u64>,
     weights: Vec<f64>,
     dest_draws: Vec<u64>,
@@ -161,7 +157,7 @@ pub struct ShardedState {
 impl ShardedState {
     /// The next period to execute (also the number of periods executed).
     pub fn period(&self) -> u64 {
-        self.block.period()
+        self.block.period
     }
 
     /// Per-shard alive counts (`[shard][state]`) at the current snapshot.
@@ -174,10 +170,6 @@ impl ShardedState {
         self.block.width()
     }
 
-    fn num_states(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Refreshes every aggregated view from the block: row sums of its
     /// counts and of the last period's transition tallies, the per-shard
     /// alive counts, and the messages each shard would have reported.
@@ -187,59 +179,62 @@ impl ShardedState {
         for (total, row) in self.counts.iter_mut().zip(rows) {
             *total = row.iter().sum();
         }
-        let rows = self.block.counts(true).chunks_exact(w);
-        for (s, (total, row)) in self.counts_alive.iter_mut().zip(rows).enumerate() {
-            *total = row.iter().sum();
-            for (shard, &alive) in self.shard_alive.iter_mut().zip(row) {
-                shard[s] = alive;
-            }
-        }
-        self.alive_n = self.counts_alive.iter().sum();
-        self.messages = self.block.messages().iter().map(|m| m.round() as u64).sum();
+        self.alive_n = sum_alive(&self.block, &mut self.counts_alive, &mut self.shard_alive);
+        self.messages = self.block.messages.iter().map(|m| m.round() as u64).sum();
         inner
             .plan()
-            .render_transitions(self.block.tallies(), w, &mut self.transitions);
+            .render_transitions(&self.block.tallies, w, &mut self.transitions);
     }
+}
 
-    /// Copies the `(shard, state)` cells that `keep` selects from a
-    /// `states × S` matrix of the block into [`Self::flat_cells`],
-    /// shard-major, zeroes the others and returns the total kept. Empty
-    /// cells draw nothing, so a draw over the flattened cells consumes the
-    /// master PRNG exactly as a draw over the kept cells alone would.
-    fn flatten(
-        &mut self,
-        matrix: fn(&ColumnBlock) -> &[u64],
-        keep: impl Fn(usize, usize) -> bool,
-    ) -> u64 {
-        let states = self.num_states();
-        let w = self.block.width();
-        for (s, row) in matrix(&self.block).chunks_exact(w).enumerate() {
-            for (j, &count) in row.iter().enumerate() {
-                self.flat_cells[j * states + s] = if keep(j, s) { count } else { 0 };
-            }
-        }
-        self.flat_cells.iter().sum()
-    }
-
-    /// Draws `k` uniform victims over [`Self::flat_cells`] from the master
-    /// PRNG and hands each shard its share.
-    fn strike_flat(&mut self, k: u64, mut apply: impl FnMut(&mut ColumnMut<'_>, &[u64])) {
-        self.master_rng
-            .multivariate_hypergeometric_into(&self.flat_cells, k, &mut self.flat_hits);
-        let states = self.num_states();
-        for (j, hits) in self.flat_hits.chunks_exact(states).enumerate() {
-            apply(&mut self.block.column(j), hits);
+/// Sums the block's alive counts over shards into `counts_alive`, copies
+/// each shard's into `shard_alive` and returns the alive total.
+fn sum_alive(block: &ColumnBlock, counts_alive: &mut [u64], shard_alive: &mut [Vec<u64>]) -> u64 {
+    let rows = block.counts(true).chunks_exact(block.width());
+    for (s, (total, row)) in counts_alive.iter_mut().zip(rows).enumerate() {
+        *total = row.iter().sum();
+        for (shard, &alive) in shard_alive.iter_mut().zip(row) {
+            shard[s] = alive;
         }
     }
+    counts_alive.iter().sum()
+}
 
-    /// Crashes `fraction` of the alive processes in the `(shard, state)`
-    /// cells `keep` selects, as one uniform draw from the master PRNG, and
-    /// returns how many.
-    fn crash_where(&mut self, fraction: f64, keep: impl Fn(usize, usize) -> bool) -> u64 {
-        let alive = self.flatten(|block| block.counts(true), keep);
-        let k = inject::victim_count(fraction, alive);
-        self.strike_flat(k, |shard, hits| shard.crash(hits));
-        k
+/// The whole population as the master PRNG strikes it: one draw over the
+/// `S × states` cells of the block, the cells a strike does not target
+/// zeroed — the exchangeable semantics the batched runtime gives a single
+/// group.
+struct Shards<'a> {
+    block: &'a mut ColumnBlock,
+    rng: &'a mut Rng,
+    cells: &'a mut [u64],
+    hits: &'a mut [u64],
+    /// The adversary's view: alive counts summed over shards, and per shard.
+    counts_alive: &'a mut [u64],
+    shard_alive: &'a mut [Vec<u64>],
+}
+
+impl Population for Shards<'_> {
+    const RUNTIME: &'static str = "sharded";
+
+    fn view<R>(&mut self, period: u64, plan: impl FnOnce(&AdversaryView<'_>) -> R) -> R {
+        let alive = sum_alive(self.block, self.counts_alive, self.shard_alive);
+        plan(&AdversaryView {
+            period,
+            counts_alive: self.counts_alive,
+            alive,
+            shard_counts_alive: Some(self.shard_alive),
+            transport: None,
+            segments_alive: None,
+        })
+    }
+
+    fn strike(&mut self, strike: Strike, fraction: f64) -> Result<u64> {
+        (self.block.all_columns(self.rng, self.cells, self.hits)).strike(strike, fraction)
+    }
+
+    fn failure_model(&mut self, _model: &FailureModel, _rejoin: Option<StateId>) -> Result<()> {
+        unreachable!("every shard runs the crash/recovery model on its own stream")
     }
 }
 
@@ -291,9 +286,11 @@ impl ShardedRuntime {
             membership: None,
             shard_counts_alive: Some(&state.shard_alive),
             transport: None,
-            injections: match &state.injector {
-                Some(master) => master.records(),
-                None => state.block.injection_records(0),
+            // The adversary lives in the master's environment, or in the
+            // single shard's.
+            injections: match state.env.records() {
+                [] => state.block.environments[0].records(),
+                master => master,
             },
             virtual_time: None,
         }
@@ -316,18 +313,22 @@ impl ShardedRuntime {
         if state.open.len() < 2 {
             return;
         }
-        let states = state.num_states();
-        state.flatten(|block| block.counts(true), |_, _| true);
+        let states = state.counts.len();
+        let (rng, hits) = (&mut state.master_rng, &mut state.flat_hits);
+        (state.block.all_columns(rng, &mut state.flat_cells, hits)).gather(false, |_, _| true);
         state.pool.fill(0);
         for &j in &state.open {
             let cells = &mut state.flat_cells[j * states..(j + 1) * states];
             let emigrants = state
                 .master_rng
                 .binomial(cells.iter().sum(), state.migration);
-            state
-                .master_rng
-                .multivariate_hypergeometric_into(cells, emigrants, &mut state.hits);
-            for ((cell, pooled), &hit) in cells.iter_mut().zip(&mut state.pool).zip(&state.hits) {
+            state.master_rng.multivariate_hypergeometric_into(
+                cells,
+                emigrants,
+                &mut state.flat_hits,
+            );
+            let hits = &state.flat_hits;
+            for ((cell, pooled), &hit) in cells.iter_mut().zip(&mut state.pool).zip(hits) {
                 *cell -= hit;
                 *pooled += hit;
             }
@@ -354,122 +355,6 @@ impl ShardedRuntime {
             let cells = &state.flat_cells[j * states..(j + 1) * states];
             state.n_f[j] = state.block.column(j).rebase(cells) as f64;
         }
-    }
-
-    /// Applies this period's global massive failures: one multivariate
-    /// hypergeometric draw over all `S × states` alive cells, so the victims
-    /// are a uniform subset of the whole population — exactly the semantics
-    /// the batched runtime gives a single group.
-    fn apply_global_failures(&self, state: &mut ShardedState) -> Result<()> {
-        let period = state.period();
-        let first = state.global_failures.partition_point(|&(p, _)| p < period);
-        for i in first..state.global_failures.len() {
-            let (p, fraction) = state.global_failures[i];
-            if p > period {
-                break;
-            }
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(CoreError::InvalidProbability {
-                    context: "massive failure fraction".into(),
-                    value: fraction,
-                });
-            }
-            state.crash_where(fraction, |_, _| true);
-        }
-        Ok(())
-    }
-
-    /// Applies this period's shard-targeted massive failures: the draw is
-    /// confined to the target shard's alive cells.
-    fn apply_shard_failures(&self, state: &mut ShardedState) {
-        let period = state.period();
-        for i in 0..state.scenario.shard_failures().len() {
-            let failure = state.scenario.shard_failures()[i];
-            if failure.period == period {
-                state.crash_where(failure.fraction, |j, _| j == failure.shard);
-            }
-        }
-    }
-
-    /// Shows the adversary (if any) the live per-shard alive counts and
-    /// applies the injections it emits from the master PRNG: uniform and
-    /// state-targeted crashes draw multivariate hypergeometrics over the
-    /// `S × states` alive cells — the same exchangeable semantics the
-    /// scheduled global events use — while shard-targeted crashes confine
-    /// the draw to one shard.
-    fn apply_injections(&self, state: &mut ShardedState) -> Result<()> {
-        let Some(mut injector) = state.injector.take() else {
-            return Ok(());
-        };
-        let result = self.drive_injections(state, &mut injector);
-        state.injector = Some(injector);
-        result
-    }
-
-    fn drive_injections(
-        &self,
-        state: &mut ShardedState,
-        injector: &mut InjectionPoint,
-    ) -> Result<()> {
-        let num_states = state.num_states();
-        let num_shards = state.block.width();
-        let period = state.period();
-        // The adversary sees the post-event population: the views are
-        // otherwise refreshed only after the protocol step.
-        state.refresh_views(&self.inner);
-        let planned = injector.plan(&AdversaryView {
-            period,
-            counts_alive: &state.counts_alive,
-            alive: state.alive_n,
-            shard_counts_alive: Some(&state.shard_alive),
-            transport: None,
-            segments_alive: None,
-        })?;
-        for injection in planned {
-            let victims = match injection {
-                Injection::CrashUniform { fraction } => state.crash_where(fraction, |_, _| true),
-                Injection::CrashState { state: s, fraction } => {
-                    if s >= num_states {
-                        return Err(CoreError::InvalidConfig {
-                            name: "adversary",
-                            reason: format!(
-                                "injection targets state {s}, but the protocol has only \
-                                 {num_states} states"
-                            ),
-                        });
-                    }
-                    // Victims are exchangeable within the state but spread
-                    // over shards: one draw over that state's cells.
-                    state.crash_where(fraction, |_, cell_state| cell_state == s)
-                }
-                Injection::CrashShard { shard: j, fraction } => {
-                    if j >= num_shards {
-                        return Err(CoreError::InvalidConfig {
-                            name: "adversary",
-                            reason: format!(
-                                "injection targets shard {j}, but the topology has only \
-                                 {num_shards} shard(s)"
-                            ),
-                        });
-                    }
-                    state.crash_where(fraction, |shard, _| shard == j)
-                }
-                Injection::RecoverUniform { fraction } => {
-                    let crashed = state.flatten(ColumnBlock::crashed_counts, |_, _| true);
-                    let k = inject::victim_count(fraction, crashed);
-                    let rejoin = self.inner.rejoin_state();
-                    state.strike_flat(k, |shard, hits| shard.recover(hits, rejoin));
-                    k
-                }
-                // `Injection` is non_exhaustive: unknown future injections
-                // are rejected rather than silently skipped.
-                unsupported => {
-                    return Err(inject::unsupported_injection("sharded", &unsupported));
-                }
-            };
-            injector.record(period, injection, victims);
-        }
-        Ok(())
     }
 }
 
@@ -569,65 +454,38 @@ impl Runtime for ShardedRuntime {
         let mut root = scenario.build_rng();
         let mut master_rng = root.fork(0);
         let columns = place(&counts, num_shards, placement, &mut master_rng);
-        let (hooks, rngs, global_failures, injector) =
-            if num_shards == 1 && !scenario.has_shard_events() {
-                // One shard without shard events is the batched run, bit for
-                // bit: its hooks apply the full scenario (failure schedule
-                // and adversary included) and its column draws the exact
-                // stream BatchedRuntime::init builds. The master PRNG is
-                // never drawn from.
-                (
-                    scenario.clone(),
-                    vec![scenario.build_rng()],
-                    Vec::new(),
-                    None,
-                )
-            } else {
-                let rngs = (1..=num_shards as u64).map(|j| root.fork(j)).collect();
-                // Every shard applies the exchangeable iid environment
-                // (loss, failure model) on its own; global massive failures
-                // and the adversary span shards, so the master draws them.
-                let local = Scenario::new(n as usize, scenario.periods())?
-                    .with_loss(*scenario.loss())
-                    .with_failure_model(*scenario.failure_model())
-                    .with_clock(*scenario.clock());
-                // Per-id events were rejected above.
-                let events = scenario.failure_schedule().events().iter();
-                let mut global_failures: Vec<(u64, f64)> = (events)
-                    .filter_map(|(period, event)| match event {
-                        FailureEvent::MassiveFailure { fraction } => Some((*period, *fraction)),
-                        _ => None,
-                    })
-                    .collect();
-                // Stable: failures sharing a period strike in schedule order.
-                global_failures.sort_by_key(|&(period, _)| period);
-                let injector = InjectionPoint::from_scenario(scenario);
-                (local, rngs, global_failures, injector)
-            };
-        // The lane's own PRNG is parked whenever a column is swapped in.
-        let zeros = vec![0; num_states];
-        let lane = (self.inner).state_from_counts(&hooks, counts, zeros, 0, Rng::seed_from(0));
-        let injectors = vec![InjectionPoint::from_scenario(&hooks); num_shards];
+        let env = Environment::new(scenario, scenario.seed(), self.inner.config());
+        let (env, shard_env, rngs) = if num_shards == 1 && !scenario.has_shard_events() {
+            // One shard without shard events is the batched run, bit for
+            // bit: its column lives in the whole environment (failure
+            // schedule and adversary included) and draws the exact stream
+            // BatchedRuntime::init builds. The master PRNG is never drawn
+            // from.
+            (Environment::default(), env, vec![scenario.build_rng()])
+        } else {
+            let (master, shard) = env.split_shards();
+            let rngs = (1..=num_shards as u64).map(|j| root.fork(j)).collect();
+            (master, shard, rngs)
+        };
         let n_f = (0..num_shards)
             .map(|j| columns.iter().skip(j).step_by(num_shards).sum::<u64>() as f64)
             .collect();
-        let block = self.inner.block_of_columns(lane, columns, rngs, injectors);
+        let environments = vec![shard_env; num_shards];
+        let block = (self.inner).block_of_columns(scenario, columns, rngs, environments);
 
         let mut state = ShardedState {
             block,
             n_f,
+            env,
             master_rng,
             scenario: scenario.clone(),
             migration,
-            global_failures,
-            injector,
             counts: vec![0; num_states],
             counts_alive: vec![0; num_states],
             alive_n: 0,
             messages: 0,
             transitions: Vec::new(),
             shard_alive: vec![vec![0; num_states]; num_shards],
-            hits: vec![0; num_states],
             pool: vec![0; num_states],
             weights: Vec::with_capacity(num_shards),
             dest_draws: vec![0; num_shards],
@@ -641,14 +499,22 @@ impl Runtime for ShardedRuntime {
 
     fn step<'s>(&self, state: &'s mut ShardedState) -> Result<PeriodEvents<'s>> {
         // Period-boundary order: migration first (processes move, then
-        // experience the period's events where they land), then global and
-        // shard-targeted failures, then adversary injections (which observe
-        // the post-event counts), then every shard's own hooks and the
-        // protocol period, one kernel call over all shards.
+        // experience the period's events where they land), then the master
+        // environment (global and shard-targeted failures, then adversary
+        // injections, which observe the post-event counts), then every
+        // shard's own environment and the protocol period, one kernel call
+        // over all shards.
         self.exchange(state);
-        self.apply_global_failures(state)?;
-        self.apply_shard_failures(state);
-        self.apply_injections(state)?;
+        let period = state.period();
+        let mut shards = Shards {
+            block: &mut state.block,
+            rng: &mut state.master_rng,
+            cells: &mut state.flat_cells,
+            hits: &mut state.flat_hits,
+            counts_alive: &mut state.counts_alive,
+            shard_alive: &mut state.shard_alive,
+        };
+        state.env.boundary(period, &mut shards)?;
         self.inner.step_columns(&mut state.block, &state.n_f[..])?;
         state.refresh_views(&self.inner);
         debug_assert_eq!(
@@ -667,9 +533,11 @@ impl Runtime for ShardedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::environment::victim_count;
     use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, ShardCountsRecorder, Simulation};
     use netsim::topology::{ShardConfig, Topology};
+    use netsim::FailureEvent;
 
     #[test]
     fn single_shard_delegates_bit_for_bit() {
@@ -768,16 +636,9 @@ mod tests {
             .map(|j| {
                 let counts = column(&columns, j);
                 let own = Scenario::new(counts.iter().sum::<u64>() as usize, periods).unwrap();
-                let zeros = vec![0; 2];
-                let lane = (runtime.inner).state_from_counts(
-                    &own,
-                    counts.clone(),
-                    zeros,
-                    0,
-                    own.build_rng(),
-                );
                 let rng = root.fork(j as u64 + 1);
-                (runtime.inner).block_of_columns(lane, counts, vec![rng], vec![None])
+                let calm = vec![Environment::default()];
+                (runtime.inner).block_of_columns(&own, counts, vec![rng], calm)
             })
             .collect();
         let size = |block: &ColumnBlock| block.counts(false).iter().sum::<u64>();
@@ -787,7 +648,7 @@ mod tests {
         for period in 0..periods {
             if period == 6 {
                 let reference = &mut references[failed];
-                let k = inject::victim_count(0.5, reference.counts(true).iter().sum());
+                let k = victim_count(0.5, reference.counts(true).iter().sum());
                 master.multivariate_hypergeometric_into(reference.counts(true), k, &mut hits);
                 reference.column(0).crash(&hits);
             }

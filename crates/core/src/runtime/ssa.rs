@@ -51,10 +51,11 @@
 //! # Period boundaries
 //!
 //! The event clock runs *between* period boundaries. At each boundary the
-//! runtime applies the scenario's exchangeable failure events and adversary
-//! injections through the batched runtime's own hooks — the identical
-//! count-level hypergeometric/binomial draws, in the identical order, so
-//! injection times land on the period clock by construction — and reports
+//! runtime applies the environment (scheduled failures, the crash/recovery
+//! model, adversary injections) to its count state exactly as the batched
+//! tier does — the identical hypergeometric/binomial draws, in the
+//! identical order, so injection times land on the period clock by
+//! construction — and reports
 //! boundary counts. The trajectory is piecewise-constant between events, so
 //! boundary counts are the *exact* interpolation of the continuous-time
 //! path at the boundary instant: recorders binning by period see the same
@@ -73,10 +74,9 @@ use super::observer::default_observers;
 use super::plan::ProtocolPlan;
 use super::simulation::drive;
 use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::error::CoreError;
-use crate::state_machine::{Protocol, StateId};
+use crate::state_machine::Protocol;
 use crate::Result;
-use netsim::{Rng, Scenario};
+use netsim::Scenario;
 
 /// Executes a protocol as an exact continuous-time jump process (Gillespie's
 /// stochastic simulation algorithm in next-reaction form) — every reaction
@@ -121,18 +121,10 @@ pub struct SsaState {
 }
 
 /// What both continuous-time tiers carry from one period boundary to the
-/// next: the count-level state the batched runtime's boundary hooks run on,
-/// the working counts the event clock moves, and the period's edge tallies.
-#[derive(Debug, Clone)]
-pub(super) struct Window {
-    inner: BatchedState,
-    /// Working copy of the alive counts while the event clock runs.
-    pub(super) x: Vec<u64>,
-    /// Per plan edge: the firings along it this period.
-    pub(super) tallies: Vec<u64>,
-    transitions: Vec<(StateId, StateId, u64)>,
-    messages: u64,
-}
+/// next is a batched state: the environment acts on its counts at each
+/// boundary, and between boundaries the event clock moves its alive counts
+/// and tallies its plan edges.
+pub(super) type Window = BatchedState;
 
 /// The constants of one period's event clock.
 pub(super) struct Clock {
@@ -146,89 +138,38 @@ pub(super) struct Clock {
 // The per-period helpers are forced inline: a period without events costs a
 // few tens of nanoseconds, so a call boundary around each would show.
 impl Window {
-    /// Validates a scenario for a continuous-time count-level runtime
-    /// (`runtime_name` is what errors report) and builds the start-of-run
-    /// window.
-    pub(super) fn init(
-        batched: &BatchedRuntime,
-        scenario: &Scenario,
-        initial: &InitialStates,
-        runtime_name: &str,
-    ) -> Result<Self> {
-        let plan = batched.plan();
-        plan.protocol().validate()?;
-        if !scenario.count_level_compatible() {
-            return Err(CoreError::InvalidConfig {
-                name: "scenario",
-                reason: format!(
-                    "the {runtime_name} runtime models only exchangeable environments \
-                     (massive failures, probabilistic failure models, losses); \
-                     per-id failure schedules and churn traces need host identity \
-                     — use AgentRuntime (or Simulation::run_auto, which picks the \
-                     right fidelity automatically)"
-                ),
-            });
-        }
-        super::reject_sharded(scenario, runtime_name)?;
-        super::reject_transport(scenario, runtime_name)?;
-        let num_states = plan.num_states();
-        let counts = initial.resolve(num_states, scenario.group_size() as u64)?;
-        Ok(Window {
-            inner: batched.state_from_counts(
-                scenario,
-                counts,
-                vec![0; num_states],
-                0,
-                scenario.build_rng(),
-            ),
-            x: Vec::with_capacity(num_states),
-            tallies: vec![0; plan.edges.len()],
-            transitions: Vec::new(),
-            messages: 0,
-        })
-    }
-
-    /// The run's single PRNG stream.
-    pub(super) fn rng(&mut self) -> &mut Rng {
-        self.inner.rng_mut()
-    }
-
-    /// Applies this boundary's failure and injection hooks — the identical
-    /// count-level draws as the batched tier, in the identical order — and
-    /// opens the next period's event clock over the alive counts. Message
-    /// tallies reuse the synchronized tiers' expected-message accounting at
-    /// these start-of-period counts.
+    /// Applies the environment at this boundary — the identical count-level
+    /// draws as the batched tier, in the identical order — and opens the
+    /// next period's event clock over the alive counts. Message tallies
+    /// reuse the synchronized tiers' expected-message accounting at these
+    /// start-of-period counts.
     #[inline(always)]
     pub(super) fn open(&mut self, batched: &BatchedRuntime) -> Result<Clock> {
         self.tallies.fill(0);
-        batched.apply_failures(&mut self.inner)?;
-        batched.apply_injections(&mut self.inner)?;
-        self.x.clear();
-        self.x.extend_from_slice(self.inner.alive_counts());
-        let scenario = self.inner.scenario();
+        self.boundary()?;
         let clock = Clock {
-            n: self.inner.density_n(),
-            contact_ok: 1.0 - scenario.loss().effective_contact_failure(1),
-            period_secs: scenario.clock().period_secs(),
+            n: self.n_f,
+            contact_ok: 1.0 - self.scenario.loss().effective_contact_failure(1),
+            period_secs: self.scenario.clock().period_secs(),
         };
-        let messages = batched
-            .plan()
-            .expected_messages(&self.x, clock.n, clock.contact_ok);
+        let messages =
+            (batched.plan()).expected_messages(&self.counts_alive, clock.n, clock.contact_ok);
         self.messages = messages.round() as u64;
         Ok(clock)
     }
 
     /// Fills `out` with every channel's propensity (events per second of
-    /// virtual time) against the working counts, and returns their sum.
+    /// virtual time) against the alive counts, and returns their sum.
     #[inline(always)]
     pub(super) fn propensities(&self, plan: &ProtocolPlan, clock: &Clock, out: &mut [f64]) -> f64 {
+        let x = &self.counts_alive;
         let mut total = 0.0;
         for ((c, m), out) in plan.moves.iter().enumerate().zip(out) {
-            let k = self.x[m.state as usize] as f64;
+            let k = x[m.state as usize] as f64;
             *out = if k == 0.0 {
                 0.0
             } else {
-                plan.hazard_rate(c, k, &self.x, clock.n, clock.contact_ok) / clock.period_secs
+                plan.hazard_rate(c, k, x, clock.n, clock.contact_ok) / clock.period_secs
             };
             total += *out;
         }
@@ -240,46 +181,39 @@ impl Window {
     /// them (an SSA event has a positive propensity; a leap is capped).
     pub(super) fn fire(&mut self, plan: &ProtocolPlan, c: usize, k: u64) {
         let m = plan.moves[c];
-        debug_assert!(
-            self.x[m.from as usize] >= k,
-            "firing channel with an empty pool"
-        );
-        self.x[m.from as usize] -= k;
-        self.x[m.to as usize] += k;
+        let x = &mut self.counts_alive;
+        debug_assert!(x[m.from as usize] >= k, "firing channel with an empty pool");
+        x[m.from as usize] -= k;
+        x[m.to as usize] += k;
         self.tallies[m.slot as usize] += k;
     }
 
-    /// Commits the boundary counts back into the shared state, advances the
-    /// period and renders the period's transitions.
+    /// Refreshes the totals the event clock left behind, advances the period
+    /// and renders the period's transitions.
     #[inline(always)]
     pub(super) fn close(&mut self, plan: &ProtocolPlan) {
-        self.inner.rebase_alive(&self.x);
+        let alive = self.counts_alive.iter().zip(&self.counts_crashed);
+        for (count, (alive, crashed)) in self.counts.iter_mut().zip(alive) {
+            *count = alive + crashed;
+        }
+        self.alive_n = self.counts_alive.iter().sum();
         debug_assert_eq!(
-            self.inner.total_counts().iter().sum::<u64>(),
-            self.inner.scenario().group_size() as u64,
+            self.counts.iter().sum::<u64>(),
+            self.scenario.group_size() as u64,
             "a continuous-time period must conserve the population"
         );
-        let next = self.inner.period() + 1;
-        self.inner.set_period(next);
+        self.period += 1;
         plan.render_transitions(&self.tallies, 1, &mut self.transitions);
     }
 
-    /// The events view of the window at its current boundary.
+    /// The events view of the window at its current boundary, stamped with
+    /// its virtual time.
     #[inline(always)]
-    pub(super) fn events(&self) -> PeriodEvents<'_> {
-        let inner = &self.inner;
+    pub(super) fn events(&self, batched: &BatchedRuntime) -> PeriodEvents<'_> {
+        let virtual_time = Some(self.scenario.clock().period_to_secs(self.period));
         PeriodEvents {
-            period: inner.period(),
-            counts: inner.total_counts(),
-            transitions: &self.transitions,
-            messages: self.messages,
-            alive: inner.alive_total(),
-            counts_alive: Some(inner.alive_counts()),
-            membership: None,
-            shard_counts_alive: None,
-            transport: None,
-            injections: inner.injection_records(),
-            virtual_time: Some(inner.scenario().clock().period_to_secs(inner.period())),
+            virtual_time,
+            ..batched.events(self)
         }
     }
 }
@@ -293,7 +227,7 @@ impl SsaRuntime {
     }
 
     /// Replaces the run configuration (rejoin semantics are applied by the
-    /// shared boundary hooks exactly as in the batched runtime).
+    /// environment exactly as in the batched runtime).
     #[must_use]
     pub fn with_config(self, config: RunConfig) -> Self {
         SsaRuntime {
@@ -329,13 +263,11 @@ impl Runtime for SsaRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<SsaState> {
-        let mut window = Window::init(&self.batched, scenario, initial, "SSA")?;
+        let mut window = self.batched.start(scenario, initial, "SSA")?;
         // One Exp(1) threshold per channel, drawn in channel order from the
         // run's single PRNG stream.
         let channels = self.batched.plan().actions.len();
-        let thresholds: Vec<f64> = (0..channels)
-            .map(|_| window.rng().exponential(1.0))
-            .collect();
+        let thresholds: Vec<f64> = (0..channels).map(|_| window.rng.exponential(1.0)).collect();
         Ok(SsaState {
             window,
             clocks: vec![0.0; channels],
@@ -385,15 +317,15 @@ impl Runtime for SsaRuntime {
             }
             state.window.fire(plan, winner, 1);
             // Only the firing channel consumes randomness.
-            state.thresholds[winner] += state.window.rng().exponential(1.0);
+            state.thresholds[winner] += state.window.rng.exponential(1.0);
         }
 
         state.window.close(plan);
-        Ok(state.window.events())
+        Ok(state.window.events(&self.batched))
     }
 
     fn snapshot<'s>(&self, state: &'s SsaState) -> PeriodEvents<'s> {
-        state.window.events()
+        state.window.events(&self.batched)
     }
 }
 
@@ -404,6 +336,7 @@ mod tests {
     use crate::mapping::ProtocolCompiler;
     use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Observer, Simulation};
+    use crate::state_machine::StateId;
     use odekit::system::EquationSystemBuilder;
 
     fn decay_protocol() -> Protocol {

@@ -25,8 +25,8 @@
 //! burst uses the memoryless direct method, so only the truncation of an
 //! in-flight wait at the boundary is approximated — an `O(ε)`-class error
 //! already covered by the leap bound). Boundary semantics are shared with
-//! the SSA tier: the batched runtime's failure/injection hooks run at each
-//! boundary with identical draws, boundary counts are the exact
+//! the SSA tier: the environment acts on the count state at each boundary
+//! with the batched tier's draws, boundary counts are the exact
 //! interpolation of the piecewise-constant path, and message tallies reuse
 //! the synchronized expected-message accounting.
 //!
@@ -135,7 +135,7 @@ impl TauLeapRuntime {
     }
 
     /// Replaces the run configuration (rejoin semantics are applied by the
-    /// shared boundary hooks exactly as in the batched runtime; a
+    /// environment exactly as in the batched runtime; a
     /// [`RunConfig::tau_epsilon`] override is honoured).
     #[must_use]
     pub fn with_config(self, config: RunConfig) -> Self {
@@ -170,13 +170,13 @@ impl TauLeapRuntime {
             if total <= 0.0 {
                 return period_secs;
             }
-            let wait = state.window.rng().exponential(1.0 / total);
+            let wait = state.window.rng.exponential(1.0 / total);
             if t + wait >= period_secs {
                 return period_secs;
             }
             t += wait;
             // Direct method: pick the firing channel by propensity mass.
-            let mut u = state.window.rng().next_f64() * total;
+            let mut u = state.window.rng.next_f64() * total;
             let mut winner = state.propensities.len() - 1;
             for (c, &a) in state.propensities.iter().enumerate() {
                 if a <= 0.0 {
@@ -224,7 +224,7 @@ impl Runtime for TauLeapRuntime {
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<TauLeapState> {
         let num_states = self.batched.plan().num_states();
         Ok(TauLeapState {
-            window: Window::init(&self.batched, scenario, initial, "tau-leap")?,
+            window: self.batched.start(scenario, initial, "tau-leap")?,
             propensities: vec![0.0; self.batched.plan().actions.len()],
             mu: vec![0.0; num_states],
             sigma2: vec![0.0; num_states],
@@ -248,7 +248,7 @@ impl Runtime for TauLeapRuntime {
 
             // Small-count guard: an active channel draining a small pool
             // must be resolved exactly.
-            let x = &state.window.x;
+            let x = &state.window.counts_alive;
             let small = (state.propensities.iter().enumerate())
                 .any(|(c, &a)| a > 0.0 && x[plan.edge(c).0] < SMALL_COUNT_THRESHOLD);
             if small {
@@ -295,8 +295,8 @@ impl Runtime for TauLeapRuntime {
                 if a <= 0.0 {
                     continue;
                 }
-                let pool = state.window.x[plan.edge(c).0];
-                let k = state.window.rng().poisson(a * tau).min(pool);
+                let pool = state.window.counts_alive[plan.edge(c).0];
+                let k = state.window.rng.poisson(a * tau).min(pool);
                 if k > 0 {
                     state.window.fire(plan, c, k);
                 }
@@ -306,11 +306,11 @@ impl Runtime for TauLeapRuntime {
         }
 
         state.window.close(plan);
-        Ok(state.window.events())
+        Ok(state.window.events(&self.batched))
     }
 
     fn snapshot<'s>(&self, state: &'s TauLeapState) -> PeriodEvents<'s> {
-        state.window.events()
+        state.window.events(&self.batched)
     }
 }
 

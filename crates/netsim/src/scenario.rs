@@ -176,10 +176,14 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns an error if any scheduled event lies at or beyond the run
-    /// horizon (it would never fire).
+    /// horizon (it would never fire), or if a massive failure's fraction lies
+    /// outside `[0, 1]`.
     pub fn with_failure_schedule(mut self, schedule: FailureSchedule) -> Result<Self> {
-        for (period, _) in schedule.events() {
+        for (period, event) in schedule.events() {
             self.check_horizon("failure_schedule", *period)?;
+            if let crate::failure::FailureEvent::MassiveFailure { fraction } = event {
+                crate::error::check_probability("fraction", *fraction)?;
+            }
         }
         self.failure_schedule = schedule;
         Ok(self)
@@ -432,9 +436,10 @@ impl Scenario {
     /// `true` if anything in this scenario can change process liveness:
     /// scheduled failure events (global or shard-targeted), a probabilistic
     /// crash/recovery model, churn events or a partial hour-0 availability.
-    /// An attached adversary is deliberately *not* counted: its injections
-    /// ride on a separate hook in every runtime's step path, so the
-    /// scheduled-event fast paths stay unchanged.
+    /// An attached adversary is deliberately *not* counted: whether it ever
+    /// strikes depends on what it sees at run time. A runtime that models no
+    /// environment at all must check both
+    /// (`has_liveness_events() || adversary().is_some()`).
     pub fn has_liveness_events(&self) -> bool {
         !self.failure_schedule.is_empty()
             || !self.shard_failures.is_empty()
@@ -720,6 +725,30 @@ mod tests {
         assert!(!asynchronous.has_liveness_events());
         assert!(asynchronous.count_level_compatible());
         assert!(!asynchronous.needs_sharding());
+    }
+
+    #[test]
+    fn scheduled_fractions_are_validated_at_build_time() {
+        // An out-of-range massive failure is rejected when the schedule is
+        // installed, not when its period comes round mid-run.
+        for fraction in [1.5, -0.1, f64::NAN] {
+            let mut schedule = FailureSchedule::new();
+            schedule.add(2, crate::failure::FailureEvent::MassiveFailure { fraction });
+            assert!(Scenario::new(1_000, 5)
+                .unwrap()
+                .with_failure_schedule(schedule)
+                .is_err());
+        }
+        let mut schedule = FailureSchedule::new();
+        schedule.add(
+            2,
+            crate::failure::FailureEvent::MassiveFailure { fraction: 1.0 },
+        );
+        schedule.add(3, crate::failure::FailureEvent::Crash(ProcessId(7)));
+        assert!(Scenario::new(1_000, 5)
+            .unwrap()
+            .with_failure_schedule(schedule)
+            .is_ok());
     }
 
     #[test]

@@ -1286,6 +1286,230 @@ fn aggregate_stream_is_pinned() {
     );
 }
 
+/// Every path the environment takes at a period boundary, on every tier that
+/// has one: scheduled massive failures, the crash/recovery model (with a
+/// rejoin state), churn, each adversary injection a tier applies, a
+/// supervised worker restore, a cascade whose strategy state crosses hybrid
+/// handoffs, and the block path of a count-batched ensemble. Recorded before
+/// the tiers' boundary code became one environment module.
+#[test]
+fn environment_stream_is_pinned() {
+    let epidemic = ProtocolCompiler::new("epidemic")
+        .compile(&parse_system("x' = -x*y\ny' = x*y", &[]).unwrap())
+        .unwrap();
+    let endemic = figure1_endemic().figure1_protocol().unwrap();
+    let receptive = endemic.require_state("receptive").unwrap();
+    let rejoining = RunConfig::rejoining_to(receptive);
+    let strike_and_heal = || {
+        ObliviousSchedule::new()
+            .inject_at(
+                6,
+                Injection::CrashState {
+                    state: 1,
+                    fraction: 0.4,
+                },
+            )
+            .unwrap()
+            .inject_at(12, Injection::RecoverUniform { fraction: 0.5 })
+            .unwrap()
+    };
+    let model = netsim::FailureModel::new(0.01, 0.05).unwrap();
+
+    // Batched: a scheduled massive failure; the crash/recovery model with a
+    // rejoin state; an oblivious state-targeted crash and a recovery.
+    let n = 200_000;
+    let equilibrium = figure1_endemic().equilibrium_counts(n as u64);
+    let batched = BatchedRuntime::new(endemic.clone());
+    let scenario = Scenario::new(n, 40)
+        .unwrap()
+        .with_massive_failure(15, 0.5)
+        .unwrap()
+        .with_seed(71);
+    assert_eq!(
+        fingerprint(&batched, scenario, &equilibrium),
+        (vec![8_462, 17_190, 174_348], 1_239_142, 138_336)
+    );
+    let scenario = Scenario::new(n, 40)
+        .unwrap()
+        .with_failure_model(model)
+        .with_seed(72);
+    assert_eq!(
+        fingerprint(
+            &BatchedRuntime::new(endemic.clone()).with_config(rejoining.clone()),
+            scenario,
+            &equilibrium
+        ),
+        (vec![5_467, 29_445, 165_088], 2_051_462, 246_781)
+    );
+    let scenario = Scenario::new(n, 30)
+        .unwrap()
+        .with_adversary(strike_and_heal())
+        .with_seed(73);
+    assert_eq!(
+        fingerprint(&batched, scenario, &equilibrium),
+        (vec![5_359, 21_060, 173_581], 1_226_448, 152_789)
+    );
+
+    // Agent: the same injections per id; a churn trace.
+    let agent = AgentRuntime::new(endemic.clone()).with_config(rejoining.clone());
+    let scenario = Scenario::new(3_000, 30)
+        .unwrap()
+        .with_adversary(strike_and_heal())
+        .with_seed(74);
+    assert_eq!(
+        fingerprint(
+            &agent,
+            scenario,
+            &figure1_endemic().equilibrium_counts(3_000)
+        ),
+        (vec![74, 306, 2_620], 18_102, 2_257)
+    );
+    let churn = SyntheticChurnConfig {
+        hosts: 2_000,
+        hours: 6,
+        mean_availability: 0.7,
+        churn_min: 0.1,
+        churn_max: 0.25,
+    };
+    let mut rng = Rng::seed_from(75);
+    let trace = churn.generate(&mut rng).unwrap();
+    let scenario = Scenario::new(2_000, 60)
+        .unwrap()
+        .with_churn_trace(&trace, &mut rng)
+        .unwrap()
+        .with_seed(76);
+    assert_eq!(
+        fingerprint(
+            &agent,
+            scenario,
+            &figure1_endemic().equilibrium_counts(2_000)
+        ),
+        (vec![57, 306, 1_637], 32_426, 3_675)
+    );
+
+    // Async in process: the failure model; a state-targeted crash and a
+    // recovery; a supervised worker kill and its restore.
+    let asynchronous = AsyncRuntime::new(endemic.clone()).with_config(rejoining);
+    let scenario = Scenario::new(2_000, 30)
+        .unwrap()
+        .with_failure_model(model)
+        .with_seed(77);
+    assert_eq!(
+        fingerprint(
+            &asynchronous,
+            scenario,
+            &figure1_endemic().equilibrium_counts(2_000)
+        ),
+        (vec![77, 244, 1_679], 13_980, 1_757)
+    );
+    let scenario = Scenario::new(2_000, 30)
+        .unwrap()
+        .with_adversary(strike_and_heal())
+        .with_seed(78);
+    assert_eq!(
+        fingerprint(
+            &asynchronous,
+            scenario,
+            &figure1_endemic().equilibrium_counts(2_000)
+        ),
+        (vec![69, 191, 1_740], 11_720, 1_452)
+    );
+    let supervised = TransportConfig::default()
+        .with_segments(4)
+        .unwrap()
+        .with_supervision(3);
+    let scenario = Scenario::new(400, 30)
+        .unwrap()
+        .with_transport(supervised)
+        .unwrap()
+        .with_adversary(ObliviousSchedule::new().kill_worker_at(5, 3).unwrap())
+        .with_seed(79);
+    assert_eq!(
+        fingerprint(&AsyncRuntime::new(epidemic.clone()), scenario, &[390, 10]),
+        (vec![0, 400], 1_440, 390)
+    );
+
+    // SSA and tau-leap: a massive failure plus an adversary.
+    let hostile = |n: usize, seed: u64| {
+        Scenario::new(n, 30)
+            .unwrap()
+            .with_massive_failure(8, 0.3)
+            .unwrap()
+            .with_adversary(strike_and_heal())
+            .with_seed(seed)
+    };
+    assert_eq!(
+        fingerprint(
+            &SsaRuntime::new(endemic.clone()),
+            hostile(3_000, 80),
+            &figure1_endemic().equilibrium_counts(3_000)
+        ),
+        (vec![91, 274, 2_635], 15_870, 1_973)
+    );
+    assert_eq!(
+        fingerprint(
+            &TauLeapRuntime::new(endemic.clone()),
+            hostile(100_000, 81),
+            &figure1_endemic().equilibrium_counts(100_000)
+        ),
+        (vec![2_922, 9_755, 87_323], 528_492, 67_331)
+    );
+
+    // Hybrid: a cascade sparked at count level, its hazard carried across
+    // the handoffs it causes.
+    let hybrid = HybridRuntime::new(epidemic.clone());
+    let cascade = Scenario::new(20_000, 40)
+        .unwrap()
+        .with_adversary(CascadingFailure::new(8, 0.3, 1.5, 0.5).unwrap())
+        .with_seed(82);
+    let initial = [19_900, 100];
+    let mut state = hybrid
+        .init(&cascade, &InitialStates::counts(&initial))
+        .unwrap();
+    for _ in 0..cascade.periods() {
+        hybrid.step(&mut state).unwrap();
+    }
+    assert_ne!(state.handoffs(), (0, 0));
+    assert_eq!(
+        fingerprint(&hybrid, cascade, &initial),
+        (vec![3_028, 16_972], 141_912, 16_872)
+    );
+
+    // The block path: every final-count row of a 70-seed ensemble, each row
+    // folded into one number (receptive · 1 000 003 + stash; the averse
+    // count is the rest of N).
+    let result = Ensemble::of(endemic)
+        .scenario(
+            Scenario::new(100_000, 25)
+                .unwrap()
+                .with_massive_failure(5, 0.2)
+                .unwrap()
+                .with_failure_model(model)
+                .with_adversary(strike_and_heal()),
+        )
+        .initial(InitialStates::counts(
+            &figure1_endemic().equilibrium_counts(100_000),
+        ))
+        .seed_range(900..970)
+        .run::<BatchedRuntime>()
+        .unwrap();
+    let rows: Vec<u64> = result
+        .final_counts
+        .iter()
+        .map(|row| row[0] as u64 * 1_000_003 + row[1] as u64)
+        .collect();
+    assert_eq!(rows.len(), 70);
+    assert_eq!(
+        (
+            rows[0],
+            rows[69],
+            rows.iter()
+                .fold(0u64, |h, &r| h.wrapping_mul(31).wrapping_add(r))
+        ),
+        (2_798_018_170, 2_815_018_011, 11_906_799_712_570_948_658)
+    );
+}
+
 /// The same overdraft used to hand the hybrid runtime more processes than
 /// the group has at its count→membership handoff (an out-of-bounds panic):
 /// an endemic outbreak from ten stashers overshoots, the receptives drain
