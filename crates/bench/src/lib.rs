@@ -4,8 +4,7 @@
 //! numerical claim has a binary in `src/bin/` that regenerates the
 //! corresponding series or table on stdout (CSV-ish, ready for plotting), plus
 //! a `== summary ==` section comparing the paper's reported values with the
-//! measured ones. The Criterion benches in `benches/` time the framework's
-//! components and scaled-down figure regenerations.
+//! measured ones. Timing lives in the separate `benchmark/` package, not here.
 //!
 //! All binaries accept `--scale <f>` (or the `DPDE_SCALE` environment
 //! variable) to rescale the group sizes and horizons by a factor: `< 1`
@@ -92,14 +91,6 @@ pub fn scale_from_args() -> f64 {
 /// Applies a scale factor to a paper-sized quantity, keeping a minimum.
 pub fn scaled(value: u64, scale: f64, min: u64) -> u64 {
     ((value as f64 * scale).round() as u64).max(min)
-}
-
-/// Prints a CSV header followed by rows.
-pub fn print_csv<R: AsRef<[String]>>(header: &[&str], rows: impl IntoIterator<Item = R>) {
-    println!("{}", header.join(","));
-    for row in rows {
-        println!("{}", row.as_ref().join(","));
-    }
 }
 
 /// Prints one paper-vs-measured comparison line.

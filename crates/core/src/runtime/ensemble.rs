@@ -253,13 +253,8 @@ impl Ensemble {
     }
 
     /// Runs the ensemble on the fastest fidelity that can serve it
-    /// ([`selected_tier`](Self::selected_tier)): the count-batched
-    /// [`BatchedRuntime`](super::BatchedRuntime) when the scenario's
-    /// environment is exchangeable ([`Scenario::count_level_compatible`])
-    /// and every initial population is large, the
-    /// [`HybridRuntime`](super::HybridRuntime) when the environment is
-    /// exchangeable but the runs start in the small-count regime, and the
-    /// per-process [`AgentRuntime`](super::AgentRuntime) otherwise.
+    /// ([`selected_tier`](Self::selected_tier)), chosen by the
+    /// [`FidelityTier`] policy.
     ///
     /// # Errors
     ///

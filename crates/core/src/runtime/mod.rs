@@ -136,6 +136,44 @@ pub trait Runtime: Sized + Send + Sync + 'static {
 
 /// The runtime fidelity the automatic selection
 /// ([`Simulation::run_auto`], [`Ensemble::run_auto`]) executes a run on.
+///
+/// The selection picks the fastest fidelity that can serve the run:
+///
+/// * a scenario with a [`TransportConfig`](netsim::TransportConfig) selects
+///   [`FidelityTier::Async`] — explicit link models (latency distributions,
+///   drops, partition windows) only exist at the message layer, so no
+///   period-synchronized runtime can serve them; this dominates every other
+///   criterion and is checked first;
+/// * a scenario with a sharded [`Topology`](netsim::Topology) or
+///   shard-targeted events selects [`FidelityTier::Sharded`] — sharding is
+///   count-level only, so it is checked first and membership observers are
+///   inert under it (exactly as under the batched tier);
+/// * an observer that needs per-process identity, a per-id failure schedule
+///   or a churn trace forces [`FidelityTier::Agent`];
+/// * otherwise the [`ErrorBudget`] arbitrates among the count-level
+///   fidelities: [`ErrorBudget::Exact`] selects [`FidelityTier::Ssa`] and
+///   [`ErrorBudget::Bounded`] selects [`FidelityTier::TauLeap`] — the
+///   continuous-time tiers serve any exchangeable count-level run,
+///   regardless of population sizes;
+/// * otherwise (the default [`ErrorBudget::Fast`]), if any resolved initial
+///   per-state count is below
+///   [`SMALL_COUNT_THRESHOLD`] the run starts in the small-count regime
+///   where mean-field batching is untrustworthy, so the
+///   [`FidelityTier::Hybrid`] tier serves it (count-batched whenever
+///   populations allow, per-process when they don't — and, once selected,
+///   the hybrid runtime also covers late-run small-count regimes);
+/// * otherwise [`FidelityTier::Batched`]. The selection is static: a run
+///   that starts with every population large is assumed to stay batchable,
+///   matching the batched tier's prior behaviour and cost. Callers that
+///   expect an initially-large run to decay into small-count dynamics
+///   (e.g. a long subcritical decay toward extinction) should run
+///   [`HybridRuntime`] explicitly via [`Simulation::run`].
+///
+/// A *missing* scenario is trivially exchangeable (no environment events at
+/// all), so it must select the batched tier — treating `None` as
+/// incompatible would silently fall back to the 10⁴×-slower agent runtime.
+/// Likewise a missing or unresolvable initial distribution simply skips the
+/// small-count refinement (the eventual `run` reports the real error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FidelityTier {
     /// Count-batched throughout ([`BatchedRuntime`]): exchangeable
@@ -202,8 +240,9 @@ pub enum ErrorBudget {
     /// Exact continuous-time sampling ([`FidelityTier::Ssa`]).
     Exact,
     /// Continuous-time leaping with per-leap relative error at most the
-    /// given `ε` ([`FidelityTier::TauLeap`]). Values are clamped to
-    /// `(0, 1)` at runtime construction.
+    /// given `ε` ([`FidelityTier::TauLeap`]). At runtime construction a
+    /// finite `ε` is clamped to `[1e-4, 0.5]` and a non-finite one is
+    /// replaced by [`DEFAULT_TAU_EPSILON`].
     Bounded(f64),
     /// The period-synchronized count-threshold policy — the historical
     /// default, unchanged bit-for-bit.
@@ -211,44 +250,8 @@ pub enum ErrorBudget {
     Fast,
 }
 
-/// Picks the fastest fidelity that can serve a run (the policy behind
-/// [`Simulation::run_auto`] and [`Ensemble::run_auto`]):
-///
-/// * a scenario with a [`TransportConfig`](netsim::TransportConfig) selects
-///   [`FidelityTier::Async`] — explicit link models (latency distributions,
-///   drops, partition windows) only exist at the message layer, so no
-///   period-synchronized runtime can serve them; this dominates every other
-///   criterion and is checked first;
-/// * a scenario with a sharded [`Topology`](netsim::Topology) or
-///   shard-targeted events selects [`FidelityTier::Sharded`] — sharding is
-///   count-level only, so it is checked first and membership observers are
-///   inert under it (exactly as under the batched tier);
-/// * an observer that needs per-process identity, a per-id failure schedule
-///   or a churn trace forces [`FidelityTier::Agent`];
-/// * otherwise the [`ErrorBudget`] arbitrates among the count-level
-///   fidelities: [`ErrorBudget::Exact`] selects [`FidelityTier::Ssa`] and
-///   [`ErrorBudget::Bounded`] selects [`FidelityTier::TauLeap`] — the
-///   continuous-time tiers serve any exchangeable count-level run,
-///   regardless of population sizes;
-/// * otherwise (the default [`ErrorBudget::Fast`]), if any resolved initial
-///   per-state count is below
-///   [`SMALL_COUNT_THRESHOLD`] the run starts in the small-count regime
-///   where mean-field batching is untrustworthy, so the
-///   [`FidelityTier::Hybrid`] tier serves it (count-batched whenever
-///   populations allow, per-process when they don't — and, once selected,
-///   the hybrid runtime also covers late-run small-count regimes);
-/// * otherwise [`FidelityTier::Batched`]. The selection is static: a run
-///   that starts with every population large is assumed to stay batchable,
-///   matching the batched tier's prior behaviour and cost. Callers that
-///   expect an initially-large run to decay into small-count dynamics
-///   (e.g. a long subcritical decay toward extinction) should run
-///   [`HybridRuntime`] explicitly via [`Simulation::run`].
-///
-/// A *missing* scenario is trivially exchangeable (no environment events at
-/// all), so it must select the batched tier — treating `None` as
-/// incompatible would silently fall back to the 10⁴×-slower agent runtime.
-/// Likewise a missing or unresolvable initial distribution simply skips the
-/// small-count refinement (the eventual `run` reports the real error).
+/// Picks the fastest fidelity that can serve a run, by the policy documented
+/// on [`FidelityTier`].
 pub(crate) fn auto_tier(
     protocol: &Protocol,
     scenario: Option<&Scenario>,

@@ -259,21 +259,9 @@ impl Simulation {
     }
 
     /// Executes the run on the fastest fidelity that can serve it
-    /// ([`selected_tier`](Self::selected_tier)): the count-batched
-    /// [`BatchedRuntime`](super::BatchedRuntime) — whose cost per period is
-    /// independent of the group size — when no attached observer needs
-    /// per-process identity ([`Observer::needs_membership`]) and the
-    /// scenario's environment is exchangeable
-    /// ([`Scenario::count_level_compatible`]); the
-    /// [`HybridRuntime`](super::HybridRuntime) when the environment is
-    /// exchangeable but the run starts (and may end) in the small-count
-    /// regime where mean-field batching is untrustworthy; the per-process
-    /// [`AgentRuntime`](super::AgentRuntime) otherwise. An
-    /// [`error_budget`](Self::error_budget) of [`ErrorBudget::Exact`] or
-    /// [`ErrorBudget::Bounded`] replaces the count-threshold arbitration
-    /// with the continuous-time tiers ([`SsaRuntime`](super::SsaRuntime),
-    /// [`TauLeapRuntime`](super::TauLeapRuntime)) — the bounded budget's
-    /// `ε` is threaded into the tau-leap runtime automatically.
+    /// ([`selected_tier`](Self::selected_tier)), chosen by the
+    /// [`FidelityTier`] policy; an [`ErrorBudget::Bounded`] budget's `ε` is
+    /// threaded into the tau-leap runtime automatically.
     ///
     /// # Errors
     ///

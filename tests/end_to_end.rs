@@ -149,6 +149,35 @@ fn endemic_replication_survives_massive_failure_and_matches_analysis() {
     );
 }
 
+/// The hybrid tier is as cheap as the batched one when every population is
+/// large: started at the endemic equilibrium at N = 10⁵ (≈ 2 500 receptives,
+/// the smallest population), it never leaves count level and never hands off.
+#[test]
+fn endemic_equilibrium_keeps_hybrid_at_count_level() {
+    use dpde::core::runtime::HybridFidelity;
+
+    let params = EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap();
+    let protocol = params.figure1_protocol().unwrap();
+    let scenario = Scenario::new(100_000, 30).unwrap().with_seed(7);
+    let runtime = HybridRuntime::new(protocol);
+    let mut state = runtime
+        .init(
+            &scenario,
+            &InitialStates::counts(&params.equilibrium_counts(100_000)),
+        )
+        .unwrap();
+    assert_eq!(state.fidelity(), HybridFidelity::CountLevel);
+    for period in 0..30 {
+        runtime.step(&mut state).unwrap();
+        assert_eq!(
+            state.fidelity(),
+            HybridFidelity::CountLevel,
+            "left count level at period {period}"
+        );
+    }
+    assert_eq!(state.handoffs(), (0, 0));
+}
+
 /// Churn from a synthetic Overnet-like trace (Figures 9 & 10 in miniature):
 /// the stasher population and flux stay stable under 10–25 % hourly churn.
 #[test]
