@@ -123,7 +123,7 @@ pub fn compare_to_system(
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::{AggregateRuntime, InitialStates};
+    use crate::runtime::{AggregateRuntime, InitialStates, Runtime};
     use odekit::system::EquationSystemBuilder;
 
     fn epidemic() -> EquationSystem {

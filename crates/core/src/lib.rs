@@ -27,7 +27,7 @@
 //! # Example: from equations to a running protocol
 //!
 //! ```
-//! use dpde_core::{ProtocolCompiler, runtime::{AggregateRuntime, InitialStates}};
+//! use dpde_core::{ProtocolCompiler, runtime::{AggregateRuntime, InitialStates, Runtime}};
 //! use dpde_core::equivalence::compare_to_system;
 //! use odekit::parse::parse_system;
 //!

@@ -1,10 +1,8 @@
 //! The per-process (agent-based) protocol runtime.
 
 use super::environment::{Bookkeeping, Environment, Processes};
-use super::observer::default_observers;
 use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
-use super::simulation::drive;
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
+use super::{InitialStates, Needs, PeriodEvents, RunConfig, Runtime};
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::{Group, ProcessId, Rng, Scenario};
@@ -36,7 +34,7 @@ use netsim::{Group, ProcessId, Rng, Scenario};
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{AgentRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{AgentRuntime, InitialStates, Runtime}};
 /// use netsim::Scenario;
 /// use odekit::EquationSystemBuilder;
 ///
@@ -103,59 +101,6 @@ impl AgentState {
 }
 
 impl AgentRuntime {
-    /// Creates a runtime for the given protocol with the default
-    /// [`RunConfig`], compiling the protocol's plan.
-    pub fn new(protocol: Protocol) -> Self {
-        AgentRuntime {
-            plan: ProtocolPlan::new(protocol),
-            config: RunConfig::default(),
-        }
-    }
-
-    /// Replaces the run configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.plan.protocol()
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set (counts, transitions,
-    /// alive counts, messages).
-    ///
-    /// For opt-in recording or custom observers use
-    /// [`Simulation`](super::Simulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution, invalid
-    /// protocol) and propagates scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
-    }
-
-    /// Convenience wrapper: run and return only the final per-state counts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_final_counts(
-        &self,
-        scenario: &Scenario,
-        initial: &InitialStates,
-    ) -> Result<Vec<f64>> {
-        Ok(self
-            .run(scenario, initial)?
-            .final_counts()
-            .expect("run records the initial configuration")
-            .to_vec())
-    }
-
     /// Builds a mid-run [`AgentState`] from per-state alive/crashed counts —
     /// the counts→membership direction of the hybrid runtime's handoff.
     ///
@@ -282,7 +227,10 @@ impl Runtime for AgentRuntime {
     type State = AgentState;
 
     fn build(protocol: Protocol, config: &RunConfig) -> Self {
-        AgentRuntime::new(protocol).with_config(config.clone())
+        AgentRuntime {
+            plan: ProtocolPlan::new(protocol),
+            config: config.clone(),
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -291,8 +239,7 @@ impl Runtime for AgentRuntime {
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AgentState> {
         self.plan.protocol().validate()?;
-        super::reject_sharded(scenario, "agent")?;
-        super::reject_transport(scenario, "agent")?;
+        Needs::of(scenario).check(super::AGENT)?;
         let n = scenario.group_size();
         let num_states = self.plan.num_states();
         let counts_spec = initial.resolve(num_states, n as u64)?;
@@ -928,7 +875,7 @@ mod tests {
             .with_failure_schedule(schedule)
             .unwrap()
             .with_seed(1);
-        let runtime = AgentRuntime::new(protocol).with_config(RunConfig::rejoining_to(y));
+        let runtime = AgentRuntime::build(protocol, &RunConfig::rejoining_to(y));
         // The only way a y can appear is via the rejoin rule.
         let result = runtime
             .run(&scenario, &InitialStates::counts(&[10, 0]))

@@ -1,10 +1,7 @@
 //! The count-based (aggregate) protocol runtime.
 
-use super::environment;
-use super::observer::default_observers;
 use super::plan::{PlanAction, ProtocolPlan};
-use super::simulation::drive_periods;
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
+use super::{InitialStates, Needs, PeriodEvents, RunConfig, RunResult, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -78,16 +75,6 @@ impl AggregateState {
 }
 
 impl AggregateRuntime {
-    /// Creates an aggregate runtime with a fully alive group. The network is
-    /// reliable unless a scenario drives the run and specifies losses.
-    pub fn new(protocol: Protocol) -> Self {
-        AggregateRuntime {
-            plan: ProtocolPlan::new(protocol),
-            loss: None,
-            alive_fraction: 1.0,
-        }
-    }
-
     /// Sets the message/connection loss configuration (overriding the
     /// scenario's, if any).
     #[must_use]
@@ -113,22 +100,18 @@ impl AggregateRuntime {
         Ok(self)
     }
 
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.plan.protocol()
-    }
-
     /// Runs the protocol for `periods` periods on a maximal group of `n`
     /// processes with the given initial distribution and PRNG seed, recording
     /// the standard set (counts, transitions, alive counts, messages).
     ///
-    /// For opt-in recording or scenario-driven runs use
+    /// It is the run of the failure-free `Scenario::new(n, periods)` at
+    /// `seed`; for opt-in recording or scenario-driven runs use
     /// [`Simulation`](super::Simulation).
     ///
     /// # Errors
     ///
     /// Returns configuration errors (mismatched initial distribution, invalid
-    /// protocol).
+    /// protocol, `n` or `periods` zero).
     pub fn run(
         &self,
         n: u64,
@@ -136,39 +119,8 @@ impl AggregateRuntime {
         initial: &InitialStates,
         seed: u64,
     ) -> Result<RunResult> {
-        let loss = self.loss.unwrap_or_else(LossConfig::reliable);
-        let mut state = self.init_raw(n, initial, seed, loss)?;
-        drive_periods(self, &mut state, periods, &mut default_observers())
-    }
-
-    /// Builds the start-of-run state without a scenario.
-    fn init_raw(
-        &self,
-        n: u64,
-        initial: &InitialStates,
-        seed: u64,
-        loss: LossConfig,
-    ) -> Result<AggregateState> {
-        self.plan.protocol().validate()?;
-        let num_states = self.plan.num_states();
-        let alive_n = (n as f64 * self.alive_fraction).round() as u64;
-        let counts = initial.resolve(num_states, alive_n)?;
-        Ok(AggregateState {
-            n_f: n as f64,
-            alive_n,
-            counts,
-            rng: Rng::seed_from(seed),
-            loss,
-            period: 0,
-            tallies: vec![0; self.plan.edges.len()],
-            transitions: Vec::new(),
-            messages: 0,
-            start: vec![0; num_states],
-            stayed: vec![0; num_states],
-            pending: vec![0; self.plan.conversion_edges.len()],
-            weights: Vec::new(),
-            draws: Vec::new(),
-        })
+        let scenario = Scenario::new(n as usize, periods)?.with_seed(seed);
+        Runtime::run(self, &scenario, initial)
     }
 
     fn events<'s>(&self, state: &'s AggregateState) -> PeriodEvents<'s> {
@@ -191,10 +143,16 @@ impl AggregateRuntime {
 impl Runtime for AggregateRuntime {
     type State = AggregateState;
 
+    /// A fully alive group; the network is the scenario's unless
+    /// [`with_loss`](AggregateRuntime::with_loss) overrides it.
     fn build(protocol: Protocol, _config: &RunConfig) -> Self {
         // The rejoin rule needs host identity and is a no-op here: the
         // aggregate runtime does not model failure events.
-        AggregateRuntime::new(protocol)
+        AggregateRuntime {
+            plan: ProtocolPlan::new(protocol),
+            loss: None,
+            alive_fraction: 1.0,
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -204,21 +162,30 @@ impl Runtime for AggregateRuntime {
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AggregateState> {
         // The aggregate runtime has no environment: silently dropping one
         // (failures, churn, a partial hour-0 availability, an adversary)
-        // would make a fidelity swap produce wrong results, so reject loudly.
-        if environment::is_hostile(scenario) {
-            return Err(CoreError::InvalidConfig {
-                name: "scenario",
-                reason: "the aggregate runtime does not model failures, churn \
-                         or adversaries; \
-                         use AgentRuntime for this scenario (or with_alive_fraction \
-                         for a constant dead fraction)"
-                    .into(),
-            });
-        }
-        super::reject_sharded(scenario, "aggregate")?;
-        super::reject_transport(scenario, "aggregate")?;
-        let loss = self.loss.unwrap_or(*scenario.loss());
-        self.init_raw(scenario.group_size() as u64, initial, scenario.seed(), loss)
+        // would make a fidelity swap produce wrong results, so reject loudly
+        // (with_alive_fraction models a constant dead fraction).
+        self.plan.protocol().validate()?;
+        Needs::of(scenario).check(super::AGGREGATE)?;
+        let n = scenario.group_size() as u64;
+        let num_states = self.plan.num_states();
+        let alive_n = (n as f64 * self.alive_fraction).round() as u64;
+        let counts = initial.resolve(num_states, alive_n)?;
+        Ok(AggregateState {
+            n_f: n as f64,
+            alive_n,
+            counts,
+            rng: Rng::seed_from(scenario.seed()),
+            loss: self.loss.unwrap_or(*scenario.loss()),
+            period: 0,
+            tallies: vec![0; self.plan.edges.len()],
+            transitions: Vec::new(),
+            messages: 0,
+            start: vec![0; num_states],
+            stayed: vec![0; num_states],
+            pending: vec![0; self.plan.conversion_edges.len()],
+            weights: Vec::new(),
+            draws: Vec::new(),
+        })
     }
 
     fn step<'s>(&self, state: &'s mut AggregateState) -> Result<PeriodEvents<'s>> {

@@ -54,10 +54,9 @@
 //! internally, but the membership view belongs to the agent runtime.
 
 use super::environment::{Bookkeeping, Environment, Processes};
-use super::observer::{default_observers, TransportProbe};
+use super::observer::TransportProbe;
 use super::plan::{draw_geometric, PlanAction, ProtocolPlan};
-use super::simulation::drive;
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
+use super::{InitialStates, Needs, PeriodEvents, RunConfig, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -81,7 +80,7 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{AsyncRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{AsyncRuntime, InitialStates, Runtime}};
 /// use netsim::transport::{LatencyModel, LinkModel, TransportConfig};
 /// use netsim::Scenario;
 /// use odekit::EquationSystemBuilder;
@@ -500,39 +499,6 @@ impl Bookkeeping for Book {
 }
 
 impl AsyncRuntime {
-    /// Creates a runtime for the given protocol with the default
-    /// [`RunConfig`].
-    pub fn new(protocol: Protocol) -> Self {
-        AsyncRuntime {
-            plan: ProtocolPlan::new(protocol),
-            config: RunConfig::default(),
-        }
-    }
-
-    /// Replaces the run configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.plan.protocol()
-    }
-
-    /// Runs the protocol under the given scenario with the standard
-    /// recording set; use [`Simulation`](super::Simulation) for opt-in
-    /// recording (e.g. [`LiveMetrics`](super::LiveMetrics)).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution,
-    /// invalid protocol or transport) and propagates scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
-    }
-
     fn events<'s>(&self, state: &'s AsyncState) -> PeriodEvents<'s> {
         PeriodEvents {
             period: state.period,
@@ -812,7 +778,10 @@ impl Runtime for AsyncRuntime {
     type State = AsyncState;
 
     fn build(protocol: Protocol, config: &RunConfig) -> Self {
-        AsyncRuntime::new(protocol).with_config(config.clone())
+        AsyncRuntime {
+            plan: ProtocolPlan::new(protocol),
+            config: config.clone(),
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -821,7 +790,7 @@ impl Runtime for AsyncRuntime {
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<AsyncState> {
         self.plan.protocol().validate()?;
-        super::reject_sharded(scenario, "async")?;
+        Needs::of(scenario).check(super::ASYNC)?;
         let n = scenario.group_size();
         let num_states = self.plan.num_states();
         let counts = initial.resolve(num_states, n as u64)?;

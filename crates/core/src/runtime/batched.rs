@@ -1,11 +1,8 @@
 //! The count-batched stochastic protocol runtime.
 
 use super::environment::{victim_count, Environment, Population, Strike, Target};
-use super::observer::default_observers;
 use super::plan::{PlanAction, ProtocolPlan};
-use super::simulation::drive;
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
-use crate::error::CoreError;
+use super::{InitialStates, Needs, PeriodEvents, RunConfig, Runtime, Serves};
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::adversary::AdversaryView;
@@ -115,7 +112,7 @@ use netsim::{FailureModel, Rng, Scenario};
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{BatchedRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{BatchedRuntime, InitialStates, Runtime}};
 /// use netsim::Scenario;
 /// use odekit::parse::parse_system;
 ///
@@ -513,34 +510,11 @@ impl BatchedState {
 }
 
 impl BatchedRuntime {
-    /// Creates a batched runtime with the default [`RunConfig`].
-    pub fn new(protocol: Protocol) -> Self {
-        BatchedRuntime {
-            plan: ProtocolPlan::new(protocol),
-            config: RunConfig::default(),
-            #[cfg(test)]
-            poisoned_seed: None,
-        }
-    }
-
     /// Makes every block that holds `seed` panic.
     #[cfg(test)]
     pub(super) fn poisoned(mut self, seed: u64) -> Self {
         self.poisoned_seed = Some(seed);
         self
-    }
-
-    /// Replaces the run configuration ([`RunConfig::rejoin_state`] steers
-    /// where recovering processes land).
-    #[must_use]
-    pub fn with_config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.plan.protocol()
     }
 
     /// The compiled plan the kernel executes (the continuous-time and
@@ -553,22 +527,6 @@ impl BatchedRuntime {
     /// environment from it).
     pub(super) fn config(&self) -> &RunConfig {
         &self.config
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set (counts, transitions,
-    /// alive counts, messages).
-    ///
-    /// For opt-in recording or custom observers use
-    /// [`Simulation`](super::Simulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution, invalid
-    /// protocol, a scenario that needs host identity) and propagates scenario
-    /// errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
     }
 
     /// What observers see of a state (the continuous-time tiers stamp it
@@ -589,30 +547,17 @@ impl BatchedRuntime {
         }
     }
 
-    /// Validates a scenario for a count-level runtime on this plan
-    /// (`runtime_name` is what errors report) and builds the start-of-run
-    /// state: [`init`](Runtime::init), and the continuous-time tiers' too.
+    /// Checks a scenario against the row of the count-level runtime `row`
+    /// on this plan and builds the start-of-run state:
+    /// [`init`](Runtime::init), and the continuous-time tiers' too.
     pub(super) fn start(
         &self,
         scenario: &Scenario,
         initial: &InitialStates,
-        runtime_name: &str,
+        row: Serves,
     ) -> Result<BatchedState> {
         self.plan.protocol().validate()?;
-        if !scenario.count_level_compatible() {
-            return Err(CoreError::InvalidConfig {
-                name: "scenario",
-                reason: format!(
-                    "the {runtime_name} runtime models only exchangeable environments \
-                     (massive failures, probabilistic failure models, losses); \
-                     per-id failure schedules and churn traces need host identity \
-                     — use AgentRuntime (or Simulation::run_auto, which picks the \
-                     right fidelity automatically)"
-                ),
-            });
-        }
-        super::reject_sharded(scenario, runtime_name)?;
-        super::reject_transport(scenario, runtime_name)?;
+        Needs::of(scenario).check(row)?;
         let counts = initial.resolve(self.plan.num_states(), scenario.group_size() as u64)?;
         let crashed = vec![0; counts.len()];
         Ok(self.state_from_counts(scenario, counts, crashed, 0, scenario.build_rng()))
@@ -948,7 +893,12 @@ impl Runtime for BatchedRuntime {
     type State = BatchedState;
 
     fn build(protocol: Protocol, config: &RunConfig) -> Self {
-        BatchedRuntime::new(protocol).with_config(config.clone())
+        BatchedRuntime {
+            plan: ProtocolPlan::new(protocol),
+            config: config.clone(),
+            #[cfg(test)]
+            poisoned_seed: None,
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -956,7 +906,7 @@ impl Runtime for BatchedRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<BatchedState> {
-        self.start(scenario, initial, "batched")
+        self.start(scenario, initial, super::BATCHED)
     }
 
     fn step<'s>(&self, state: &'s mut BatchedState) -> Result<PeriodEvents<'s>> {
@@ -995,12 +945,17 @@ impl Runtime for BatchedRuntime {
     fn snapshot<'s>(&self, state: &'s BatchedState) -> PeriodEvents<'s> {
         self.events(state)
     }
+
+    fn block_kernel(&self) -> Option<&BatchedRuntime> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::error::CoreError;
     use crate::mapping::ProtocolCompiler;
     use crate::runtime::fixtures::{epidemic_protocol, figure1_protocol, plurality_protocol};
     use crate::runtime::{AgentRuntime, CountsRecorder, Ensemble, ResilienceReport, Simulation};
@@ -1119,7 +1074,7 @@ mod tests {
             .unwrap()
             .with_failure_model(FailureModel::new(0.05, 0.2).unwrap())
             .with_seed(4);
-        let runtime = BatchedRuntime::new(protocol).with_config(RunConfig::rejoining_to(y));
+        let runtime = BatchedRuntime::build(protocol, &RunConfig::rejoining_to(y));
         let mut state = runtime
             .init(&scenario, &InitialStates::counts(&[10_000, 0]))
             .unwrap();
@@ -1667,8 +1622,7 @@ mod tests {
             let initial = InitialStates::counts(&initial);
             let name = protocol.name().to_string();
             let rejoin = StateId::new(0);
-            let runtime =
-                BatchedRuntime::new(protocol).with_config(RunConfig::rejoining_to(rejoin));
+            let runtime = BatchedRuntime::build(protocol, &RunConfig::rejoining_to(rejoin));
             let calm = Scenario::new(n as usize, 25).unwrap();
             for scenario in [calm.clone(), hostile(calm)] {
                 for alive_only in [false, true] {
@@ -1708,8 +1662,10 @@ mod tests {
         // over the per-column one. Given W copies of the same value, the two
         // must agree on every matrix and leave every PRNG at one position.
         let n = 100_000;
-        let runtime = BatchedRuntime::new(figure1_protocol(true))
-            .with_config(RunConfig::rejoining_to(StateId::new(0)));
+        let runtime = BatchedRuntime::build(
+            figure1_protocol(true),
+            &RunConfig::rejoining_to(StateId::new(0)),
+        );
         let scenario = hostile(Scenario::new(n, 20).unwrap());
         let initial = InitialStates::counts(&[10_000, 80_000, 10_000]);
         let seeds: Vec<u64> = (40..47).collect();

@@ -58,17 +58,15 @@
 //! ```
 
 use super::observer::CountsRecorder;
-use super::simulation::drive;
+use super::simulation::{dispatch, drive, run_spec_setters, OnTier, RunSpec};
 use super::{
-    auto_tier, BatchedRuntime, ErrorBudget, FidelityTier, InitialStates, Observer, RunConfig,
-    Runtime,
+    BatchedRuntime, ErrorBudget, FidelityTier, InitialStates, Observer, RunConfig, Runtime,
 };
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::{OnlineStats, Scenario, Topology};
 use odekit::integrate::Trajectory;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,12 +112,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// under many seeds (and optionally many scenarios), in parallel.
 #[derive(Debug, Clone)]
 pub struct Ensemble {
-    protocol: Protocol,
-    scenario: Option<Scenario>,
-    topology: Option<Topology>,
-    initial: Option<InitialStates>,
-    config: RunConfig,
-    budget: ErrorBudget,
+    spec: RunSpec,
     seeds: Vec<u64>,
     threads: Option<usize>,
     alive_only: bool,
@@ -130,66 +123,14 @@ impl Ensemble {
     /// `0..8` on all available cores.
     pub fn of(protocol: Protocol) -> Self {
         Ensemble {
-            protocol,
-            scenario: None,
-            topology: None,
-            initial: None,
-            config: RunConfig::default(),
-            budget: ErrorBudget::default(),
+            spec: RunSpec::new("Ensemble", protocol),
             seeds: (0..8).collect(),
             threads: None,
             alive_only: false,
         }
     }
 
-    /// Sets the scenario template; each run clones it and overrides the seed.
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Sets the population topology applied to every scenario in the
-    /// ensemble (including each entry of a [`run_sweep`](Self::run_sweep)
-    /// list), overriding the scenarios' own. A sharded topology makes
-    /// [`run_auto`](Self::run_auto) select the
-    /// [`ShardedRuntime`](super::ShardedRuntime) tier.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
-    /// Sets the initial state distribution shared by every run.
-    #[must_use]
-    pub fn initial(mut self, initial: InitialStates) -> Self {
-        self.initial = Some(initial);
-        self
-    }
-
-    /// Sets the state recovering processes rejoin into (see
-    /// [`RunConfig::rejoin_state`]).
-    #[must_use]
-    pub fn rejoin_state(mut self, state: StateId) -> Self {
-        self.config.rejoin_state = Some(state);
-        self
-    }
-
-    /// Replaces the whole run configuration.
-    #[must_use]
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the accuracy/cost trade-off [`run_auto`](Self::run_auto) honours
-    /// (see [`ErrorBudget`]). The default, [`ErrorBudget::Fast`], keeps the
-    /// historical count-threshold tier policy bit-for-bit.
-    #[must_use]
-    pub fn error_budget(mut self, budget: ErrorBudget) -> Self {
-        self.budget = budget;
-        self
-    }
+    run_spec_setters!();
 
     /// Sets an explicit seed list (one run per seed).
     #[must_use]
@@ -227,11 +168,14 @@ impl Ensemble {
     /// distribution or seed list is missing/empty, and propagates the first
     /// error any run reports.
     pub fn run<R: Runtime>(&self) -> Result<EnsembleResult> {
-        let scenario = self.scenario.as_ref().ok_or(CoreError::InvalidConfig {
-            name: "scenario",
-            reason: "Ensemble::scenario was not set".into(),
-        })?;
-        let mut results = self.run_sweep::<R>(std::slice::from_ref(scenario))?;
+        self.run_on(&R::build(self.spec.protocol.clone(), &self.spec.config))
+    }
+
+    /// [`run`](Self::run) on an already built runtime.
+    fn run_on<R: Runtime>(&self, runtime: &R) -> Result<EnsembleResult> {
+        let scenario = self.spec.scenario.as_ref();
+        let scenario = scenario.ok_or_else(|| self.spec.missing("scenario"))?;
+        let mut results = self.sweep_on(runtime, std::slice::from_ref(scenario), BLOCK_WIDTH)?;
         Ok(results.pop().expect("one result per scenario"))
     }
 
@@ -239,17 +183,7 @@ impl Ensemble {
     /// ensemble on (see [`FidelityTier`] for the policy; ensembles only record
     /// counts, so no observer ever needs host identity here).
     pub fn selected_tier(&self) -> FidelityTier {
-        let effective = match (&self.scenario, self.topology) {
-            (Some(scenario), Some(topology)) => Some(scenario.clone().with_topology(topology)),
-            _ => None,
-        };
-        auto_tier(
-            &self.protocol,
-            effective.as_ref().or(self.scenario.as_ref()),
-            self.initial.as_ref(),
-            false,
-            self.budget,
-        )
+        self.spec.tier(false)
     }
 
     /// Runs the ensemble on the fastest fidelity that can serve it
@@ -260,22 +194,7 @@ impl Ensemble {
     ///
     /// Same as [`run`](Self::run).
     pub fn run_auto(&self) -> Result<EnsembleResult> {
-        match self.selected_tier() {
-            FidelityTier::Batched => self.run::<super::BatchedRuntime>(),
-            FidelityTier::Hybrid => self.run::<super::HybridRuntime>(),
-            FidelityTier::Agent => self.run::<super::AgentRuntime>(),
-            FidelityTier::Sharded => self.run::<super::ShardedRuntime>(),
-            FidelityTier::Async => self.run::<super::AsyncRuntime>(),
-            FidelityTier::Ssa => self.run::<super::SsaRuntime>(),
-            FidelityTier::TauLeap => {
-                if let ErrorBudget::Bounded(epsilon) = self.budget {
-                    let mut bounded = self.clone();
-                    bounded.config.tau_epsilon = Some(epsilon);
-                    return bounded.run::<super::TauLeapRuntime>();
-                }
-                self.run::<super::TauLeapRuntime>()
-            }
-        }
+        dispatch(self, self.selected_tier())
     }
 
     /// Runs the full sweep — every scenario × every seed — sharing one worker
@@ -286,7 +205,7 @@ impl Ensemble {
     ///
     /// Same as [`run`](Self::run), plus an error for an empty scenario list.
     pub fn run_sweep<R: Runtime>(&self, scenarios: &[Scenario]) -> Result<Vec<EnsembleResult>> {
-        let runtime = R::build(self.protocol.clone(), &self.config);
+        let runtime = R::build(self.spec.protocol.clone(), &self.spec.config);
         self.sweep_on(&runtime, scenarios, BLOCK_WIDTH)
     }
 
@@ -311,16 +230,13 @@ impl Ensemble {
                 reason: "ensemble needs at least one seed".into(),
             });
         }
-        let initial = self.initial.as_ref().ok_or(CoreError::InvalidConfig {
-            name: "initial",
-            reason: "Ensemble::initial was not set".into(),
-        })?;
+        let initial = self.spec.initial()?;
 
         // The count-batched kernel advances whole blocks of seeds; every
         // other runtime takes them one at a time. Jobs are scenario-major
         // and in seed order, pulled off a shared counter by the workers and
         // merged in job order whatever order they finish in.
-        let batched = (runtime as &dyn Any).downcast_ref::<BatchedRuntime>();
+        let batched = runtime.block_kernel();
         let per_job = if batched.is_some() { block_width } else { 1 };
         let jobs: Vec<(usize, &[u64])> = (0..scenarios.len())
             .flat_map(|sc| self.seeds.chunks(per_job).map(move |seeds| (sc, seeds)))
@@ -355,10 +271,9 @@ impl Ensemble {
                         return;
                     }
                     let (sc, seeds) = jobs[job];
-                    let mut scenario = scenarios[sc].clone().with_seed(seeds[0]);
-                    if let Some(topology) = self.topology {
-                        scenario = scenario.with_topology(topology);
-                    }
+                    let scenario = self
+                        .spec
+                        .with_topology(scenarios[sc].clone().with_seed(seeds[0]));
                     let run = |seeds: &[u64]| match batched {
                         Some(batched) => self.fold_block(batched, &scenario, initial, seeds),
                         None => self.fold_run(runtime, &scenario, initial),
@@ -406,7 +321,7 @@ impl Ensemble {
                         .unwrap_or_default(),
                 });
             }
-            results.push(fold.finish(&self.protocol, failures, threads));
+            results.push(fold.finish(&self.spec.protocol, failures, threads));
         }
         Ok(results)
     }
@@ -424,7 +339,7 @@ impl Ensemble {
         } else {
             CountsRecorder::new()
         })];
-        let result = drive(runtime, scenario, initial, &mut observers)?;
+        let result = drive(runtime, scenario, initial, &mut observers, None)?;
         let mut fold = EnvelopeFold::default();
         fold.push_trajectory(scenario.seed(), &result.counts);
         Ok(fold)
@@ -448,6 +363,18 @@ impl Ensemble {
         }
         fold.push_finals(seeds, block.counts(self.alive_only));
         Ok(fold)
+    }
+}
+
+impl OnTier for &Ensemble {
+    type Output = Result<EnsembleResult>;
+
+    fn spec(&self) -> &RunSpec {
+        &self.spec
+    }
+
+    fn run<R: Runtime>(self, runtime: R) -> Result<EnsembleResult> {
+        self.run_on(&runtime)
     }
 }
 
@@ -987,7 +914,7 @@ mod tests {
     fn block_width_changes_nothing_but_the_last_ulp() {
         let ensemble = stormy_ensemble().seed_range(0..70).threads(2);
         let runtime = BatchedRuntime::new(epidemic_protocol());
-        let scenario = ensemble.scenario.clone().unwrap();
+        let scenario = ensemble.spec.scenario.clone().unwrap();
         let at = |width| {
             ensemble
                 .sweep_on(&runtime, std::slice::from_ref(&scenario), width)
@@ -1021,7 +948,7 @@ mod tests {
     fn single_seed_ensemble_is_the_scalar_run() {
         let ensemble = stormy_ensemble().seeds([77]);
         let run = super::super::Simulation::of(epidemic_protocol())
-            .scenario(ensemble.scenario.clone().unwrap().with_seed(77))
+            .scenario(ensemble.spec.scenario.clone().unwrap().with_seed(77))
             .initial(InitialStates::counts(&[49_000, 1_000]))
             .observe(CountsRecorder::new())
             .run::<BatchedRuntime>()
@@ -1035,7 +962,7 @@ mod tests {
     #[test]
     fn a_panicking_column_costs_only_its_own_seed() {
         let ensemble = stormy_ensemble().seed_range(0..128).threads(2);
-        let scenario = ensemble.scenario.clone().unwrap();
+        let scenario = ensemble.spec.scenario.clone().unwrap();
         let poisoned = BatchedRuntime::new(epidemic_protocol()).poisoned(17);
         let result = ensemble
             .sweep_on(&poisoned, std::slice::from_ref(&scenario), BLOCK_WIDTH)

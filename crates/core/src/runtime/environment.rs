@@ -71,12 +71,6 @@ pub(crate) struct Environment {
     log: Vec<InjectionRecord>,
 }
 
-/// Whether `scenario` has any environment: anything that can change
-/// liveness, or an adversary.
-pub(crate) fn is_hostile(scenario: &Scenario) -> bool {
-    scenario.has_liveness_events() || scenario.adversary().is_some()
-}
-
 /// `⌊fraction · population⌋`: how many processes a fractional strike hits.
 pub(crate) fn victim_count(fraction: f64, population: u64) -> u64 {
     ((fraction * population as f64).floor() as u64).min(population)

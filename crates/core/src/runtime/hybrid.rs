@@ -2,12 +2,10 @@
 //! per-process when any state runs small.
 
 use super::environment::Environment;
-use super::observer::default_observers;
 use super::plan::PlanAction;
-use super::simulation::drive;
 use super::{
-    AgentRuntime, AgentState, BatchedRuntime, BatchedState, InitialStates, PeriodEvents, RunConfig,
-    RunResult, Runtime,
+    AgentRuntime, AgentState, BatchedRuntime, BatchedState, InitialStates, Needs, PeriodEvents,
+    RunConfig, Runtime,
 };
 use crate::state_machine::Protocol;
 use crate::Result;
@@ -97,7 +95,7 @@ pub const SMALL_COUNT_THRESHOLD: u64 = netsim::stochastic::NORMAL_APPROX_CUTOFF 
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{HybridRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{HybridRuntime, InitialStates, Runtime}};
 /// use netsim::Scenario;
 /// use odekit::parse::parse_system;
 ///
@@ -117,7 +115,6 @@ pub const SMALL_COUNT_THRESHOLD: u64 = netsim::stochastic::NORMAL_APPROX_CUTOFF 
 pub struct HybridRuntime {
     agent: AgentRuntime,
     batched: BatchedRuntime,
-    config: RunConfig,
     threshold: u64,
 }
 
@@ -189,27 +186,6 @@ impl HybridState {
 }
 
 impl HybridRuntime {
-    /// Creates a hybrid runtime with the default [`RunConfig`] and the
-    /// default fidelity threshold ([`SMALL_COUNT_THRESHOLD`]).
-    pub fn new(protocol: Protocol) -> Self {
-        HybridRuntime {
-            agent: AgentRuntime::new(protocol.clone()),
-            batched: BatchedRuntime::new(protocol),
-            config: RunConfig::default(),
-            threshold: SMALL_COUNT_THRESHOLD,
-        }
-    }
-
-    /// Replaces the run configuration ([`RunConfig::rejoin_state`] steers
-    /// where recovering processes land, at both fidelities).
-    #[must_use]
-    pub fn with_config(mut self, config: RunConfig) -> Self {
-        self.agent = self.agent.with_config(config.clone());
-        self.batched = self.batched.with_config(config.clone());
-        self.config = config;
-        self
-    }
-
     /// Replaces the fidelity threshold: membership fidelity whenever any
     /// per-state alive count is below `threshold`, count level once every
     /// count reaches `2 × threshold`. `0` never leaves count level; a
@@ -223,26 +199,6 @@ impl HybridRuntime {
     /// The fidelity threshold in use.
     pub fn threshold(&self) -> u64 {
         self.threshold
-    }
-
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.agent.protocol()
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set (counts, transitions,
-    /// alive counts, messages).
-    ///
-    /// For opt-in recording or custom observers use
-    /// [`Simulation`](super::Simulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution, invalid
-    /// protocol) and propagates scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
     }
 
     /// Marks which states can ever hold processes again given the current
@@ -260,7 +216,7 @@ impl HybridRuntime {
         for (mark, &total) in live.iter_mut().zip(counts_total) {
             *mark = total > 0;
         }
-        if let Some(rejoin) = self.config.rejoin_state {
+        if let Some(rejoin) = self.batched.config().rejoin_state {
             let crashed_exist = counts_total.iter().sum::<u64>() > counts_alive.iter().sum::<u64>();
             if crashed_exist {
                 live[rejoin.index()] = true;
@@ -378,7 +334,11 @@ impl Runtime for HybridRuntime {
     type State = HybridState;
 
     fn build(protocol: Protocol, config: &RunConfig) -> Self {
-        HybridRuntime::new(protocol).with_config(config.clone())
+        HybridRuntime {
+            agent: AgentRuntime::build(protocol.clone(), config),
+            batched: BatchedRuntime::build(protocol, config),
+            threshold: SMALL_COUNT_THRESHOLD,
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -386,9 +346,9 @@ impl Runtime for HybridRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<HybridState> {
-        super::reject_sharded(scenario, "hybrid")?;
-        super::reject_transport(scenario, "hybrid")?;
-        let locked_membership = !scenario.count_level_compatible();
+        let needs = Needs::of(scenario);
+        needs.check(super::HYBRID)?;
+        let locked_membership = needs.has(Needs::HOST_IDENTITY);
         let counts = initial.resolve(self.protocol().num_states(), scenario.group_size() as u64)?;
         let mut live = vec![false; counts.len()];
         self.mark_live(&counts, &counts, &mut live);
@@ -673,7 +633,7 @@ mod tests {
             .unwrap()
             .with_failure_model(netsim::FailureModel::new(0.05, 0.2).unwrap())
             .with_seed(4);
-        let runtime = HybridRuntime::new(protocol).with_config(RunConfig::rejoining_to(y));
+        let runtime = HybridRuntime::build(protocol, &RunConfig::rejoining_to(y));
         let mut state = runtime
             .init(&scenario, &InitialStates::counts(&[10_000, 0]))
             .unwrap();

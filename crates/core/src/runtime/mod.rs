@@ -50,6 +50,10 @@
 //!   and [`Ensemble`] fans a seed range or scenario sweep across threads and
 //!   aggregates per-period mean/std envelopes into an [`EnsembleResult`],
 //!   merged in seed order so the result does not depend on the thread count.
+//!   Both hold one crate-private run spec that makes the one tier decision
+//!   and builds the tier's runtime, and every run steps through one loop,
+//!   the one [`Runtime::run`] uses. Which scenario needs each tier serves is
+//!   one crate-private table: every `init` checks it, the decision reads it.
 
 mod agent;
 mod aggregate;
@@ -85,6 +89,7 @@ use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::{MetricsRecorder, ProcessId, Scenario};
+use observer::default_observers;
 use odekit::integrate::Trajectory;
 
 /// A protocol execution engine with an incremental step interface.
@@ -98,9 +103,10 @@ use odekit::integrate::Trajectory;
 /// process ([`AgentRuntime`]), per message ([`AsyncRuntime`]), per count
 /// vector ([`BatchedRuntime`]) or per reaction ([`SsaRuntime`]) without
 /// changing driver code; every runtime executes the one plan its
-/// constructor compiles from the protocol. A runtime owns its
-/// protocol (`'static`), which is what lets [`Ensemble`] recognise
-/// [`BatchedRuntime`] and hand it whole blocks of seeds.
+/// constructor compiles from the protocol. A runtime owns its protocol
+/// (`'static`). Only [`BatchedRuntime`] has a column-block kernel
+/// ([`block_kernel`](Runtime::block_kernel)), which [`Ensemble`] hands whole
+/// blocks of seeds.
 pub trait Runtime: Sized + Send + Sync + 'static {
     /// The mutable per-run execution state.
     type State: Send;
@@ -109,6 +115,11 @@ pub trait Runtime: Sized + Send + Sync + 'static {
     /// (used by the generic drivers; runtime-specific knobs keep their
     /// dedicated builder methods).
     fn build(protocol: Protocol, config: &RunConfig) -> Self;
+
+    /// [`build`](Runtime::build) with the default [`RunConfig`].
+    fn new(protocol: Protocol) -> Self {
+        Self::build(protocol, &RunConfig::default())
+    }
 
     /// The protocol being executed.
     fn protocol(&self) -> &Protocol;
@@ -119,7 +130,8 @@ pub trait Runtime: Sized + Send + Sync + 'static {
     /// # Errors
     ///
     /// Returns configuration errors (invalid protocol, mismatched initial
-    /// distribution).
+    /// distribution, a scenario need this runtime does not serve — see
+    /// [`FidelityTier`]).
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<Self::State>;
 
     /// Executes one protocol period and returns the events it produced.
@@ -132,6 +144,25 @@ pub trait Runtime: Sized + Send + Sync + 'static {
     /// The events view of the current state without stepping — used by
     /// drivers to show observers the initial configuration (period 0).
     fn snapshot<'s>(&self, state: &'s Self::State) -> PeriodEvents<'s>;
+
+    /// Runs the protocol under `scenario` from `initial` with the standard
+    /// recording set (counts, transitions, alive counts, messages); use
+    /// [`Simulation`] for opt-in recording or custom observers.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`init`](Runtime::init) and [`step`](Runtime::step).
+    fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
+        simulation::drive(self, scenario, initial, &mut default_observers(), None)
+    }
+
+    /// The kernel that advances a whole block of seeds side by side, if this
+    /// runtime has one: [`BatchedRuntime`] returns itself, and [`Ensemble`]
+    /// then hands it 64 seeds at a time. Every other runtime runs seed by
+    /// seed.
+    fn block_kernel(&self) -> Option<&BatchedRuntime> {
+        None
+    }
 }
 
 /// The runtime fidelity the automatic selection
@@ -250,47 +281,110 @@ pub enum ErrorBudget {
     Fast,
 }
 
-/// Picks the fastest fidelity that can serve a run, by the policy documented
-/// on [`FidelityTier`].
-pub(crate) fn auto_tier(
-    protocol: &Protocol,
-    scenario: Option<&Scenario>,
-    initial: Option<&InitialStates>,
-    needs_membership: bool,
-    budget: ErrorBudget,
-) -> FidelityTier {
-    if scenario.is_some_and(Scenario::has_link_models) {
-        return FidelityTier::Async;
+/// What a run asks of the runtime that executes it: a set of the four
+/// needs below. The tier policy of [`FidelityTier`] reads them in this order,
+/// and every runtime's `init` checks the scenario's needs against its row of
+/// the table that follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Needs(u8);
+
+impl Needs {
+    pub(crate) const NONE: Needs = Needs(0);
+    /// Per-link latency, drops or partition windows: a transport model.
+    pub(crate) const LINK_MODELS: Needs = Needs(1);
+    /// A sharded topology or shard-targeted events.
+    pub(crate) const SHARDING: Needs = Needs(1 << 1);
+    /// Per-id failure events, a churn trace or an hour-0 availability (and,
+    /// for the tier policy, an observer that needs membership).
+    pub(crate) const HOST_IDENTITY: Needs = Needs(1 << 2);
+    /// Anything that can change liveness, or an adversary.
+    pub(crate) const ENVIRONMENT: Needs = Needs(1 << 3);
+
+    /// What an error calls each need, in bit order, and the runtime that
+    /// serves it.
+    const NAMED: [(&'static str, &'static str); 4] = [
+        (
+            "a transport model (link latency / drops / partitions)",
+            "AsyncRuntime",
+        ),
+        (
+            "a sharded topology (or shard-targeted events)",
+            "ShardedRuntime",
+        ),
+        (
+            "host identity (per-id failure schedules, churn traces)",
+            "AgentRuntime",
+        ),
+        (
+            "an environment (failures, churn, an adversary)",
+            "BatchedRuntime",
+        ),
+    ];
+
+    /// The needs of `scenario`.
+    pub(crate) fn of(scenario: &Scenario) -> Needs {
+        let environment = scenario.has_liveness_events() || scenario.adversary().is_some();
+        Needs(
+            u8::from(scenario.has_link_models())
+                | u8::from(scenario.needs_sharding()) << 1
+                | u8::from(!scenario.count_level_compatible()) << 2
+                | u8::from(environment) << 3,
+        )
     }
-    if scenario.is_some_and(Scenario::needs_sharding) {
-        return FidelityTier::Sharded;
+
+    pub(crate) const fn or(self, other: Needs) -> Needs {
+        Needs(self.0 | other.0)
     }
-    if needs_membership || !scenario.map_or(true, Scenario::count_level_compatible) {
-        return FidelityTier::Agent;
+
+    pub(crate) fn has(self, need: Needs) -> bool {
+        self.0 & need.0 != 0
     }
-    match budget {
-        ErrorBudget::Exact => return FidelityTier::Ssa,
-        ErrorBudget::Bounded(_) => return FidelityTier::TauLeap,
-        ErrorBudget::Fast => {}
-    }
-    let small_start = match (scenario, initial) {
-        (Some(sc), Some(init)) => init
-            .resolve(protocol.num_states(), sc.group_size() as u64)
-            .is_ok_and(|counts| counts.iter().any(|&k| k < SMALL_COUNT_THRESHOLD)),
-        _ => false,
-    };
-    if small_start {
-        FidelityTier::Hybrid
-    } else {
-        FidelityTier::Batched
+
+    /// `Ok` if the runtime of `row` serves every need; otherwise an error
+    /// that names the first unmet need and the runtime that serves it.
+    pub(crate) fn check(self, row: Serves) -> Result<()> {
+        let Serves(runtime, served) = row;
+        let unmet = self.0 & !served.0;
+        if unmet == 0 {
+            return Ok(());
+        }
+        let (what, serving) = Needs::NAMED[unmet.trailing_zeros() as usize];
+        Err(CoreError::InvalidConfig {
+            name: "scenario",
+            reason: format!(
+                "the scenario needs {what}, which the {runtime} runtime cannot \
+                 serve — use {serving} (or Simulation::run_auto, which selects \
+                 the tier that serves it)"
+            ),
+        })
     }
 }
+
+/// A row of the table below: a runtime, as errors name it, and the needs
+/// it serves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Serves(&'static str, Needs);
+
+// Which needs each runtime serves: one row per tier (README's "Failures"
+// row). The count-level tiers serve exchangeable environments; the tiers
+// that can hold per-process state serve host identity too.
+const ENV: Needs = Needs::ENVIRONMENT;
+const PER_PROCESS: Needs = Needs::HOST_IDENTITY.or(ENV);
+pub(crate) const BATCHED: Serves = Serves("batched", ENV);
+pub(crate) const HYBRID: Serves = Serves("hybrid", PER_PROCESS);
+pub(crate) const AGENT: Serves = Serves("agent", PER_PROCESS);
+pub(crate) const SHARDED: Serves = Serves("sharded", Needs::SHARDING.or(ENV));
+pub(crate) const ASYNC: Serves = Serves("async", Needs::LINK_MODELS.or(PER_PROCESS));
+pub(crate) const SSA: Serves = Serves("SSA", ENV);
+pub(crate) const TAU_LEAP: Serves = Serves("tau-leap", ENV);
+pub(crate) const AGGREGATE: Serves = Serves("aggregate", Needs::NONE);
 
 /// How the initial protocol states are assigned to processes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InitialStates {
-    /// Explicit number of processes per state (must sum to the group size in
-    /// the agent runtime; used verbatim by the aggregate runtime).
+    /// Explicit number of processes per state; must sum to the number of
+    /// processes the run starts with, which is the group size (its alive
+    /// part under [`AggregateRuntime::with_alive_fraction`]).
     Counts(Vec<u64>),
     /// Fractions per state (must sum to ~1); converted to counts by largest-
     /// remainder rounding.
@@ -353,27 +447,41 @@ impl InitialStates {
                         reason: format!("fractions sum to {sum}, expected 1"),
                     });
                 }
-                // Largest-remainder rounding so the counts sum to exactly n.
-                let raw: Vec<f64> = fracs.iter().map(|f| f * n as f64).collect();
-                let mut counts: Vec<u64> = raw.iter().map(|r| r.floor() as u64).collect();
-                let mut leftover = n - counts.iter().sum::<u64>();
-                let mut order: Vec<usize> = (0..fracs.len()).collect();
-                order.sort_by(|a, b| {
-                    let ra = raw[*a] - raw[*a].floor();
-                    let rb = raw[*b] - raw[*b].floor();
-                    rb.partial_cmp(&ra).unwrap()
-                });
-                for i in order {
-                    if leftover == 0 {
-                        break;
+                // A sum off 1 by more than rounding can put the floors of
+                // `f · n` over n, or more than one unit per state short of
+                // it; then the fractions are scaled by their actual sum.
+                let scaled = |scale: f64| largest_remainder(fracs.iter().map(|f| f * scale), n);
+                (scaled(n as f64).or_else(|| scaled(n as f64 / sum))).ok_or_else(|| {
+                    CoreError::InvalidConfig {
+                        name: "initial_states",
+                        reason: format!("fractions cannot be rounded to {n} processes"),
                     }
-                    counts[i] += 1;
-                    leftover -= 1;
-                }
-                Ok(counts)
+                })
             }
         }
     }
+}
+
+/// Largest-remainder rounding of `raw` to counts that sum to exactly `n`:
+/// the floors, plus one for each of the largest remainders. `None` if the
+/// floors exceed `n` or fall short of it by more than one per entry.
+fn largest_remainder(raw: impl Iterator<Item = f64>, n: u64) -> Option<Vec<u64>> {
+    let raw: Vec<f64> = raw.collect();
+    let mut counts: Vec<u64> = raw.iter().map(|r| r.floor() as u64).collect();
+    let leftover = n.checked_sub(counts.iter().sum())?;
+    if leftover > counts.len() as u64 {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..raw.len()).collect();
+    order.sort_by(|a, b| {
+        let ra = raw[*a] - raw[*a].floor();
+        let rb = raw[*b] - raw[*b].floor();
+        rb.partial_cmp(&ra).unwrap()
+    });
+    for &i in &order[..leftover as usize] {
+        counts[i] += 1;
+    }
+    Some(counts)
 }
 
 /// Configuration knobs shared by the runtimes.
@@ -516,44 +624,6 @@ impl RunResult {
             .map(|s| s.iter().map(|(_, v)| v).sum())
             .unwrap_or(0.0)
     }
-}
-
-/// Rejects a sharded scenario on behalf of a single-group runtime: only
-/// [`ShardedRuntime`] understands shard topologies and shard-targeted
-/// events, and silently flattening them into one well-mixed group would
-/// change the dynamics the caller asked for.
-pub(crate) fn reject_sharded(scenario: &Scenario, runtime_name: &str) -> Result<()> {
-    if scenario.needs_sharding() {
-        return Err(CoreError::InvalidConfig {
-            name: "scenario",
-            reason: format!(
-                "the scenario carries a sharded topology or shard-targeted \
-                 events, which the {runtime_name} runtime's single well-mixed \
-                 group cannot represent — use ShardedRuntime (or \
-                 Simulation::run_auto, which selects it automatically)"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Rejects a scenario with explicit link models on behalf of a
-/// period-synchronized runtime: per-link latency, drops and partition
-/// windows only exist at the message layer, and silently ignoring them
-/// would simulate a different network than the caller configured.
-pub(crate) fn reject_transport(scenario: &Scenario, runtime_name: &str) -> Result<()> {
-    if scenario.has_link_models() {
-        return Err(CoreError::InvalidConfig {
-            name: "scenario",
-            reason: format!(
-                "the scenario carries a transport model (link latency / drops \
-                 / partitions), which the period-synchronized {runtime_name} \
-                 runtime cannot honour — use AsyncRuntime (or \
-                 Simulation::run_auto, which selects it automatically)"
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// Name used for transition series: `from->to`.
@@ -699,6 +769,18 @@ mod tests {
             .resolve(2, 10)
             .is_err());
         assert!(InitialStates::fractions(&[1.0]).resolve(2, 10).is_err());
+    }
+
+    /// Regression: a fraction sum within the tolerance but off 1 by more
+    /// than rounding used to leave the counts short of N, or (sum above 1)
+    /// underflow the leftover.
+    #[test]
+    fn fractions_off_one_within_tolerance_still_sum_to_n() {
+        let n = 10_000_000;
+        for fractions in [[0.4999995, 0.5], [0.5000005, 0.5]] {
+            let counts = InitialStates::fractions(&fractions).resolve(2, n).unwrap();
+            assert_eq!(counts.iter().sum::<u64>(), n, "{fractions:?} → {counts:?}");
+        }
     }
 
     #[test]

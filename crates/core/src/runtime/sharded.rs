@@ -69,9 +69,7 @@
 
 use super::batched::ColumnBlock;
 use super::environment::{Environment, Population, Strike};
-use super::observer::default_observers;
-use super::simulation::drive;
-use super::{BatchedRuntime, InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
+use super::{BatchedRuntime, InitialStates, Needs, PeriodEvents, RunConfig, Runtime};
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
@@ -92,7 +90,7 @@ use netsim::{FailureModel, Rng, Scenario};
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{InitialStates, ShardedRuntime}};
+/// use dpde_core::{ProtocolCompiler, runtime::{InitialStates, Runtime, ShardedRuntime}};
 /// use netsim::{Scenario, Topology};
 /// use odekit::parse::parse_system;
 ///
@@ -239,42 +237,6 @@ impl Population for Shards<'_> {
 }
 
 impl ShardedRuntime {
-    /// Creates a sharded runtime with the default [`RunConfig`].
-    pub fn new(protocol: Protocol) -> Self {
-        ShardedRuntime {
-            inner: BatchedRuntime::new(protocol),
-        }
-    }
-
-    /// Replaces the run configuration ([`RunConfig::rejoin_state`] steers
-    /// where recovering processes land, within their shard).
-    #[must_use]
-    pub fn with_config(self, config: RunConfig) -> Self {
-        ShardedRuntime {
-            inner: self.inner.with_config(config),
-        }
-    }
-
-    /// The protocol being executed.
-    pub fn protocol(&self) -> &Protocol {
-        self.inner.protocol()
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set (counts, transitions,
-    /// alive counts, messages). Attach a
-    /// [`ShardCountsRecorder`](super::ShardCountsRecorder) through
-    /// [`Simulation`](super::Simulation) for per-shard series.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution,
-    /// invalid protocol, identity-needing scenarios, shard events targeting
-    /// nonexistent shards) and propagates scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
-    }
-
     fn events<'s>(&self, state: &'s ShardedState) -> PeriodEvents<'s> {
         PeriodEvents {
             period: state.period(),
@@ -401,7 +363,9 @@ impl Runtime for ShardedRuntime {
     type State = ShardedState;
 
     fn build(protocol: Protocol, config: &RunConfig) -> Self {
-        ShardedRuntime::new(protocol).with_config(config.clone())
+        ShardedRuntime {
+            inner: BatchedRuntime::build(protocol, config),
+        }
     }
 
     fn protocol(&self) -> &Protocol {
@@ -410,16 +374,7 @@ impl Runtime for ShardedRuntime {
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<ShardedState> {
         self.protocol().validate()?;
-        super::reject_transport(scenario, "sharded")?;
-        if !scenario.count_level_compatible() {
-            return Err(CoreError::InvalidConfig {
-                name: "scenario",
-                reason: "the sharded runtime is count-level: per-id failure \
-                         schedules and churn traces need host identity and \
-                         have no sharded equivalent yet"
-                    .into(),
-            });
-        }
+        Needs::of(scenario).check(super::SHARDED)?;
         let num_shards = scenario.topology().shard_count();
         let n = scenario.group_size() as u64;
         if (num_shards as u64) > n {

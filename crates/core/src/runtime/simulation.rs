@@ -1,15 +1,216 @@
-//! The one-run simulation driver: protocol + scenario + initial distribution
-//! + observers, generic over the [`Runtime`] fidelity.
+//! The drivers' shared core — the run spec both [`Simulation`] and
+//! [`Ensemble`](super::Ensemble) hold, its one tier → runtime dispatch, and
+//! the one step loop — plus the one-run [`Simulation`] itself.
 
 use super::observer::default_observers;
 use super::{
-    auto_tier, ErrorBudget, FidelityTier, InitialStates, Observer, RunConfig, RunResult, RunStatus,
-    Runtime,
+    AgentRuntime, AsyncRuntime, BatchedRuntime, ErrorBudget, FidelityTier, HybridRuntime,
+    InitialStates, Needs, Observer, RunConfig, RunResult, RunStatus, Runtime, ShardedRuntime,
+    SsaRuntime, TauLeapRuntime, SMALL_COUNT_THRESHOLD,
 };
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
 use crate::Result;
 use netsim::{Scenario, Topology};
+use std::borrow::Cow;
+
+/// What both drivers are built from: the protocol, the scenario and its
+/// topology override, the initial distribution, the run configuration and
+/// the error budget. The spec resolves the scenario and initial
+/// distribution to run, decides the tier, and builds the tier's runtime.
+#[derive(Debug, Clone)]
+pub(crate) struct RunSpec {
+    /// The driver's name, for the errors about a missing input.
+    driver: &'static str,
+    pub(crate) protocol: Protocol,
+    pub(crate) scenario: Option<Scenario>,
+    pub(crate) topology: Option<Topology>,
+    pub(crate) initial: Option<InitialStates>,
+    pub(crate) config: RunConfig,
+    pub(crate) budget: ErrorBudget,
+}
+
+impl RunSpec {
+    pub(crate) fn new(driver: &'static str, protocol: Protocol) -> Self {
+        RunSpec {
+            driver,
+            protocol,
+            scenario: None,
+            topology: None,
+            initial: None,
+            config: RunConfig::default(),
+            budget: ErrorBudget::default(),
+        }
+    }
+
+    /// The error for an input that was not set.
+    pub(crate) fn missing(&self, input: &'static str) -> CoreError {
+        CoreError::InvalidConfig {
+            name: input,
+            reason: format!("{}::{input} was not set", self.driver),
+        }
+    }
+
+    /// `scenario` under the topology override, if one is set.
+    pub(crate) fn with_topology(&self, scenario: Scenario) -> Scenario {
+        match self.topology {
+            Some(topology) => scenario.with_topology(topology),
+            None => scenario,
+        }
+    }
+
+    /// The scenario to run: the one set, under the topology override.
+    pub(crate) fn scenario(&self) -> Result<Cow<'_, Scenario>> {
+        let scenario = self
+            .scenario
+            .as_ref()
+            .ok_or_else(|| self.missing("scenario"))?;
+        Ok(match self.topology {
+            Some(_) => Cow::Owned(self.with_topology(scenario.clone())),
+            None => Cow::Borrowed(scenario),
+        })
+    }
+
+    /// The initial distribution to run from.
+    pub(crate) fn initial(&self) -> Result<&InitialStates> {
+        self.initial.as_ref().ok_or_else(|| self.missing("initial"))
+    }
+
+    /// The tier the automatic selection runs on, by the policy documented
+    /// on [`FidelityTier`]: the scenario's needs (plus host identity if an
+    /// observer needs membership) in their order, then the budget, then the
+    /// initial counts.
+    pub(crate) fn tier(&self, needs_membership: bool) -> FidelityTier {
+        let scenario = self.scenario().ok();
+        let mut needs = scenario.as_deref().map_or(Needs::NONE, Needs::of);
+        if needs_membership {
+            needs = needs.or(Needs::HOST_IDENTITY);
+        }
+        if needs.has(Needs::LINK_MODELS) {
+            return FidelityTier::Async;
+        }
+        if needs.has(Needs::SHARDING) {
+            return FidelityTier::Sharded;
+        }
+        if needs.has(Needs::HOST_IDENTITY) {
+            return FidelityTier::Agent;
+        }
+        match self.budget {
+            ErrorBudget::Exact => return FidelityTier::Ssa,
+            ErrorBudget::Bounded(_) => return FidelityTier::TauLeap,
+            ErrorBudget::Fast => {}
+        }
+        let small_start = match (scenario, &self.initial) {
+            (Some(sc), Some(init)) => init
+                .resolve(self.protocol.num_states(), sc.group_size() as u64)
+                .is_ok_and(|counts| counts.iter().any(|&k| k < SMALL_COUNT_THRESHOLD)),
+            _ => false,
+        };
+        if small_start {
+            FidelityTier::Hybrid
+        } else {
+            FidelityTier::Batched
+        }
+    }
+}
+
+/// The setters of the [`RunSpec`] inputs, the same on both drivers.
+macro_rules! run_spec_setters {
+    () => {
+        /// Sets the environment (group size, horizon, failures, churn,
+        /// losses, seed). Every run of an ensemble clones it and overrides
+        /// the seed.
+        #[must_use]
+        pub fn scenario(mut self, scenario: Scenario) -> Self {
+            self.spec.scenario = Some(scenario);
+            self
+        }
+
+        /// Sets the population topology, overriding the scenario's own
+        /// (whether the scenario is set before or after this call; in an
+        /// ensemble, that of every scenario, sweeps included). A sharded
+        /// topology makes [`run_auto`](Self::run_auto) select the
+        /// [`ShardedRuntime`](super::ShardedRuntime) tier; an explicit
+        /// [`Topology::WellMixed`] forces the single-group tiers even if the
+        /// scenario was built sharded.
+        #[must_use]
+        pub fn topology(mut self, topology: Topology) -> Self {
+            self.spec.topology = Some(topology);
+            self
+        }
+
+        /// Sets the initial state distribution (shared by every run of an
+        /// ensemble).
+        #[must_use]
+        pub fn initial(mut self, initial: InitialStates) -> Self {
+            self.spec.initial = Some(initial);
+            self
+        }
+
+        /// Sets the state recovering processes rejoin into (see
+        /// [`RunConfig::rejoin_state`]).
+        #[must_use]
+        pub fn rejoin_state(mut self, state: StateId) -> Self {
+            self.spec.config.rejoin_state = Some(state);
+            self
+        }
+
+        /// Replaces the whole run configuration.
+        #[must_use]
+        pub fn config(mut self, config: RunConfig) -> Self {
+            self.spec.config = config;
+            self
+        }
+
+        /// Sets the [`ErrorBudget`] arbitrating which fidelity
+        /// [`run_auto`](Self::run_auto) selects among the count-level tiers:
+        /// [`ErrorBudget::Exact`] runs exact continuous-time sampling,
+        /// [`ErrorBudget::Bounded`] runs tau-leaping at the given per-leap
+        /// bound, and the default [`ErrorBudget::Fast`] keeps the historical
+        /// count-threshold policy bit-for-bit. Scenario features that require
+        /// a specific runtime (transport, sharding, host identity) still
+        /// dominate.
+        #[must_use]
+        pub fn error_budget(mut self, budget: ErrorBudget) -> Self {
+            self.spec.budget = budget;
+            self
+        }
+    };
+}
+pub(crate) use run_spec_setters;
+
+/// A run generic over its runtime, as a driver executes it on the runtime
+/// [`dispatch`] builds for a tier.
+pub(crate) trait OnTier {
+    type Output;
+
+    /// The spec the runtime is built from.
+    fn spec(&self) -> &RunSpec;
+
+    /// Executes the run on `runtime`.
+    fn run<R: Runtime>(self, runtime: R) -> Self::Output;
+}
+
+/// Builds the runtime `tier` names from the spec's protocol and
+/// configuration, and executes `on` on it. An [`ErrorBudget::Bounded`]
+/// budget's `ε` is threaded into the tau-leap tier's configuration.
+pub(crate) fn dispatch<T: OnTier>(on: T, tier: FidelityTier) -> T::Output {
+    let spec = on.spec();
+    let protocol = spec.protocol.clone();
+    let mut config = spec.config.clone();
+    if let (FidelityTier::TauLeap, ErrorBudget::Bounded(epsilon)) = (tier, spec.budget) {
+        config.tau_epsilon = Some(epsilon);
+    }
+    match tier {
+        FidelityTier::Batched => on.run(BatchedRuntime::build(protocol, &config)),
+        FidelityTier::Hybrid => on.run(HybridRuntime::build(protocol, &config)),
+        FidelityTier::Agent => on.run(AgentRuntime::build(protocol, &config)),
+        FidelityTier::Sharded => on.run(ShardedRuntime::build(protocol, &config)),
+        FidelityTier::Async => on.run(AsyncRuntime::build(protocol, &config)),
+        FidelityTier::Ssa => on.run(SsaRuntime::build(protocol, &config)),
+        FidelityTier::TauLeap => on.run(TauLeapRuntime::build(protocol, &config)),
+    }
+}
 
 /// An execution budget for a single run.
 ///
@@ -103,12 +304,7 @@ impl RunDeadline {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Simulation {
-    protocol: Protocol,
-    scenario: Option<Scenario>,
-    topology: Option<Topology>,
-    initial: Option<InitialStates>,
-    config: RunConfig,
-    budget: ErrorBudget,
+    spec: RunSpec,
     observers: Vec<Box<dyn Observer>>,
     deadline: Option<RunDeadline>,
 }
@@ -116,11 +312,11 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("protocol", &self.protocol.name())
-            .field("scenario", &self.scenario)
-            .field("initial", &self.initial)
-            .field("config", &self.config)
-            .field("budget", &self.budget)
+            .field("protocol", &self.spec.protocol.name())
+            .field("scenario", &self.spec.scenario)
+            .field("initial", &self.spec.initial)
+            .field("config", &self.spec.config)
+            .field("budget", &self.spec.budget)
             .field("observers", &self.observers.len())
             .field("deadline", &self.deadline)
             .finish()
@@ -131,71 +327,13 @@ impl Simulation {
     /// Starts a simulation of the given protocol.
     pub fn of(protocol: Protocol) -> Self {
         Simulation {
-            protocol,
-            scenario: None,
-            topology: None,
-            initial: None,
-            config: RunConfig::default(),
-            budget: ErrorBudget::default(),
+            spec: RunSpec::new("Simulation", protocol),
             observers: Vec::new(),
             deadline: None,
         }
     }
 
-    /// Sets the [`ErrorBudget`] arbitrating which fidelity
-    /// [`run_auto`](Self::run_auto) selects among the count-level tiers:
-    /// [`ErrorBudget::Exact`] runs exact continuous-time sampling,
-    /// [`ErrorBudget::Bounded`] runs tau-leaping at the given per-leap
-    /// bound, and the default [`ErrorBudget::Fast`] keeps the historical
-    /// count-threshold policy bit-for-bit. Scenario features that require a
-    /// specific runtime (transport, sharding, host identity) still dominate.
-    #[must_use]
-    pub fn error_budget(mut self, budget: ErrorBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the environment (group size, horizon, failures, churn, losses,
-    /// seed).
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Sets the population topology, overriding the scenario's own (whether
-    /// the scenario is set before or after this call). A sharded topology
-    /// makes [`run_auto`](Self::run_auto) select the
-    /// [`ShardedRuntime`](super::ShardedRuntime) tier; an explicit
-    /// [`Topology::WellMixed`] forces the single-group tiers even if the
-    /// scenario was built sharded.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
-    /// Sets the initial state distribution.
-    #[must_use]
-    pub fn initial(mut self, initial: InitialStates) -> Self {
-        self.initial = Some(initial);
-        self
-    }
-
-    /// Sets the state recovering processes rejoin into (see
-    /// [`RunConfig::rejoin_state`]).
-    #[must_use]
-    pub fn rejoin_state(mut self, state: StateId) -> Self {
-        self.config.rejoin_state = Some(state);
-        self
-    }
-
-    /// Replaces the whole run configuration.
-    #[must_use]
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
+    run_spec_setters!();
 
     /// Caps the run at a period budget (see [`RunDeadline`]). A run that
     /// exhausts the budget returns a partial [`RunResult`] with
@@ -231,7 +369,7 @@ impl Simulation {
     /// Returns [`CoreError::InvalidConfig`] if the scenario or initial
     /// distribution is missing, plus anything the runtime reports.
     pub fn run<R: Runtime>(self) -> Result<RunResult> {
-        let runtime = R::build(self.protocol.clone(), &self.config);
+        let runtime = R::build(self.spec.protocol.clone(), &self.spec.config);
         self.execute(&runtime)
     }
 
@@ -239,23 +377,7 @@ impl Simulation {
     /// simulation on, given the current scenario, initial distribution and
     /// observers (see [`FidelityTier`] for the policy).
     pub fn selected_tier(&self) -> FidelityTier {
-        let effective = self.effective_scenario();
-        auto_tier(
-            &self.protocol,
-            effective.as_ref().or(self.scenario.as_ref()),
-            self.initial.as_ref(),
-            self.observers.iter().any(|o| o.needs_membership()),
-            self.budget,
-        )
-    }
-
-    /// The scenario with the builder-level topology override applied, if
-    /// both are present (`None` means: use the scenario as-is).
-    fn effective_scenario(&self) -> Option<Scenario> {
-        match (&self.scenario, self.topology) {
-            (Some(scenario), Some(topology)) => Some(scenario.clone().with_topology(topology)),
-            _ => None,
-        }
+        (self.spec).tier(self.observers.iter().any(|o| o.needs_membership()))
     }
 
     /// Executes the run on the fastest fidelity that can serve it
@@ -266,25 +388,15 @@ impl Simulation {
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
-    pub fn run_auto(mut self) -> Result<RunResult> {
-        match self.selected_tier() {
-            FidelityTier::Batched => self.run::<super::BatchedRuntime>(),
-            FidelityTier::Hybrid => self.run::<super::HybridRuntime>(),
-            FidelityTier::Agent => self.run::<super::AgentRuntime>(),
-            FidelityTier::Sharded => self.run::<super::ShardedRuntime>(),
-            FidelityTier::Async => self.run::<super::AsyncRuntime>(),
-            FidelityTier::Ssa => self.run::<super::SsaRuntime>(),
-            FidelityTier::TauLeap => {
-                if let ErrorBudget::Bounded(epsilon) = self.budget {
-                    self.config.tau_epsilon = Some(epsilon);
-                }
-                self.run::<super::TauLeapRuntime>()
-            }
-        }
+    pub fn run_auto(self) -> Result<RunResult> {
+        let tier = self.selected_tier();
+        dispatch(self, tier)
     }
 
-    /// Executes the run on a pre-built runtime (for runtime-specific knobs
-    /// such as [`AggregateRuntime::with_alive_fraction`]).
+    /// Executes the run on a pre-built runtime, which keeps whatever
+    /// runtime-specific knobs it was built with (such as
+    /// [`HybridRuntime::with_threshold`] or
+    /// [`TauLeapRuntime::with_epsilon`]).
     ///
     /// The runtime's protocol and configuration are used for execution: the
     /// runtime's protocol should match the one the simulation was built
@@ -293,15 +405,12 @@ impl Simulation {
     /// [`rejoin_state`](Self::rejoin_state)) with `run_on` is rejected;
     /// configure the runtime directly instead.
     ///
-    /// [`AggregateRuntime::with_alive_fraction`]:
-    /// super::AggregateRuntime::with_alive_fraction
-    ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run), plus [`CoreError::InvalidConfig`] if a
     /// non-default [`RunConfig`] was set on the builder.
     pub fn run_on<R: Runtime>(self, runtime: &R) -> Result<RunResult> {
-        if self.config != RunConfig::default() {
+        if self.spec.config != RunConfig::default() {
             return Err(CoreError::InvalidConfig {
                 name: "config",
                 reason: "run_on uses the pre-built runtime's configuration; \
@@ -313,45 +422,39 @@ impl Simulation {
     }
 
     fn execute<R: Runtime>(mut self, runtime: &R) -> Result<RunResult> {
-        let mut scenario = self.scenario.take().ok_or(CoreError::InvalidConfig {
-            name: "scenario",
-            reason: "Simulation::scenario was not set".into(),
-        })?;
-        if let Some(topology) = self.topology.take() {
-            scenario = scenario.with_topology(topology);
-        }
-        let initial = self.initial.take().ok_or(CoreError::InvalidConfig {
-            name: "initial",
-            reason: "Simulation::initial was not set".into(),
-        })?;
+        let scenario = self.spec.scenario()?;
+        let initial = self.spec.initial()?;
         if self.observers.is_empty() {
             self.observers = default_observers();
         }
-        drive_deadlined(
+        drive(
             runtime,
             &scenario,
-            &initial,
+            initial,
             &mut self.observers,
             self.deadline,
         )
     }
 }
 
-/// Drives a full run: init, one `step` per scenario period, observer
-/// callbacks after each period, and result assembly.
-pub(crate) fn drive<R: Runtime>(
-    runtime: &R,
-    scenario: &Scenario,
-    initial: &InitialStates,
-    observers: &mut [Box<dyn Observer>],
-) -> Result<RunResult> {
-    drive_deadlined(runtime, scenario, initial, observers, None)
+impl OnTier for Simulation {
+    type Output = Result<RunResult>;
+
+    fn spec(&self) -> &RunSpec {
+        &self.spec
+    }
+
+    fn run<R: Runtime>(self, runtime: R) -> Result<RunResult> {
+        self.execute(&runtime)
+    }
 }
 
-/// [`drive`] with an optional [`RunDeadline`]: when either budget stops the
-/// run short of the scenario's horizon, the result is marked
-/// [`RunStatus::Interrupted`] with the periods actually completed.
-pub(crate) fn drive_deadlined<R: Runtime>(
+/// The one step loop: `init`, then one `step` per scenario period until the
+/// horizon or the [`RunDeadline`] (its wall-clock budget is checked at every
+/// period boundary), the observers after the initial snapshot and after
+/// every period, and the result they assemble — marked
+/// [`RunStatus::Interrupted`] if the deadline stopped the run short.
+pub(crate) fn drive<R: Runtime>(
     runtime: &R,
     scenario: &Scenario,
     initial: &InitialStates,
@@ -359,56 +462,20 @@ pub(crate) fn drive_deadlined<R: Runtime>(
     deadline: Option<RunDeadline>,
 ) -> Result<RunResult> {
     let mut state = runtime.init(scenario, initial)?;
+    let started = std::time::Instant::now();
     let scheduled = scenario.periods();
     let budget = deadline
         .and_then(|d| d.period_budget())
         .map_or(scheduled, |b| b.min(scheduled));
     let wall = deadline.and_then(|d| d.wall_limit());
-    let (mut result, completed) =
-        drive_periods_walled(runtime, &mut state, budget, wall, observers)?;
-    if completed < scheduled {
-        result.status = RunStatus::Interrupted {
-            completed_periods: completed,
-        };
-    }
-    Ok(result)
-}
-
-/// Drives `periods` steps of an already initialized state (also used by the
-/// aggregate runtime's scenario-free legacy entry point).
-pub(crate) fn drive_periods<R: Runtime>(
-    runtime: &R,
-    state: &mut R::State,
-    periods: u64,
-    observers: &mut [Box<dyn Observer>],
-) -> Result<RunResult> {
-    Ok(drive_periods_walled(runtime, state, periods, None, observers)?.0)
-}
-
-/// [`drive_periods`] with an optional wall-clock limit checked at every
-/// period boundary; returns the periods actually completed alongside the
-/// result.
-pub(crate) fn drive_periods_walled<R: Runtime>(
-    runtime: &R,
-    state: &mut R::State,
-    periods: u64,
-    wall: Option<std::time::Duration>,
-    observers: &mut [Box<dyn Observer>],
-) -> Result<(RunResult, u64)> {
-    let started = std::time::Instant::now();
     let protocol = runtime.protocol();
-    {
-        let events = runtime.snapshot(state);
-        for obs in observers.iter_mut() {
-            obs.on_period(protocol, &events);
-        }
+    let events = runtime.snapshot(&state);
+    for obs in observers.iter_mut() {
+        obs.on_period(protocol, &events);
     }
     let mut completed = 0;
-    for _ in 0..periods {
-        if wall.is_some_and(|limit| started.elapsed() >= limit) {
-            break;
-        }
-        let events = runtime.step(state)?;
+    while completed < budget && !wall.is_some_and(|limit| started.elapsed() >= limit) {
+        let events = runtime.step(&mut state)?;
         for obs in observers.iter_mut() {
             obs.on_period(protocol, &events);
         }
@@ -418,7 +485,12 @@ pub(crate) fn drive_periods_walled<R: Runtime>(
     for obs in observers.iter_mut() {
         obs.finish(&mut result);
     }
-    Ok((result, completed))
+    if completed < scheduled {
+        result.status = RunStatus::Interrupted {
+            completed_periods: completed,
+        };
+    }
+    Ok(result)
 }
 
 #[cfg(test)]

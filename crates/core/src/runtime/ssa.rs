@@ -70,10 +70,8 @@
 //! ground.
 
 use super::batched::{BatchedRuntime, BatchedState};
-use super::observer::default_observers;
 use super::plan::ProtocolPlan;
-use super::simulation::drive;
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime};
+use super::{InitialStates, PeriodEvents, RunConfig, Runtime};
 use crate::state_machine::Protocol;
 use crate::Result;
 use netsim::Scenario;
@@ -88,7 +86,7 @@ use netsim::Scenario;
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{SsaRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{InitialStates, Runtime, SsaRuntime}};
 /// use netsim::Scenario;
 /// use odekit::parse::parse_system;
 ///
@@ -218,37 +216,6 @@ impl Window {
     }
 }
 
-impl SsaRuntime {
-    /// Creates an SSA runtime with the default [`RunConfig`].
-    pub fn new(protocol: Protocol) -> Self {
-        SsaRuntime {
-            batched: BatchedRuntime::new(protocol),
-        }
-    }
-
-    /// Replaces the run configuration (rejoin semantics are applied by the
-    /// environment exactly as in the batched runtime).
-    #[must_use]
-    pub fn with_config(self, config: RunConfig) -> Self {
-        SsaRuntime {
-            batched: self.batched.with_config(config),
-        }
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set (counts, transitions,
-    /// alive counts, messages).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution,
-    /// invalid protocol, a scenario that needs host identity) and propagates
-    /// scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
-    }
-}
-
 impl Runtime for SsaRuntime {
     type State = SsaState;
 
@@ -263,7 +230,7 @@ impl Runtime for SsaRuntime {
     }
 
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<SsaState> {
-        let mut window = self.batched.start(scenario, initial, "SSA")?;
+        let mut window = self.batched.start(scenario, initial, super::SSA)?;
         // One Exp(1) threshold per channel, drawn in channel order from the
         // run's single PRNG stream.
         let channels = self.batched.plan().actions.len();
@@ -335,7 +302,7 @@ mod tests {
     use crate::action::Action;
     use crate::mapping::ProtocolCompiler;
     use crate::runtime::fixtures::epidemic_protocol;
-    use crate::runtime::{CountsRecorder, Observer, Simulation};
+    use crate::runtime::{CountsRecorder, Observer, RunResult, Simulation};
     use crate::state_machine::StateId;
     use odekit::system::EquationSystemBuilder;
 

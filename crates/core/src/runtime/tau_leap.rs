@@ -35,10 +35,8 @@
 //! [`RunConfig::tau_epsilon`].
 
 use super::batched::BatchedRuntime;
-use super::observer::default_observers;
-use super::simulation::drive;
 use super::ssa::{Clock, Window};
-use super::{InitialStates, PeriodEvents, RunConfig, RunResult, Runtime, SMALL_COUNT_THRESHOLD};
+use super::{InitialStates, PeriodEvents, RunConfig, Runtime, SMALL_COUNT_THRESHOLD};
 use crate::state_machine::Protocol;
 use crate::Result;
 use netsim::Scenario;
@@ -63,7 +61,7 @@ const MIN_EVENTS_PER_LEAP: f64 = 10.0;
 /// # Examples
 ///
 /// ```
-/// use dpde_core::{ProtocolCompiler, runtime::{TauLeapRuntime, InitialStates}};
+/// use dpde_core::{ProtocolCompiler, runtime::{InitialStates, Runtime, TauLeapRuntime}};
 /// use netsim::Scenario;
 /// use odekit::parse::parse_system;
 ///
@@ -111,15 +109,6 @@ impl TauLeapState {
 }
 
 impl TauLeapRuntime {
-    /// Creates a tau-leap runtime with the default [`RunConfig`] and
-    /// [`DEFAULT_TAU_EPSILON`].
-    pub fn new(protocol: Protocol) -> Self {
-        TauLeapRuntime {
-            batched: BatchedRuntime::new(protocol),
-            epsilon: DEFAULT_TAU_EPSILON,
-        }
-    }
-
     /// Replaces the per-leap relative error bound (clamped to
     /// `[1e-4, 0.5]`: zero or negative bounds would stall the leap loop,
     /// and bounds near 1 void the Poisson approximation).
@@ -132,30 +121,6 @@ impl TauLeapRuntime {
     /// The per-leap relative error bound in effect.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// Replaces the run configuration (rejoin semantics are applied by the
-    /// environment exactly as in the batched runtime; a
-    /// [`RunConfig::tau_epsilon`] override is honoured).
-    #[must_use]
-    pub fn with_config(self, config: RunConfig) -> Self {
-        let epsilon = config.tau_epsilon.map_or(self.epsilon, clamp_epsilon);
-        TauLeapRuntime {
-            batched: self.batched.with_config(config),
-            epsilon,
-        }
-    }
-
-    /// Runs the protocol under the given scenario and initial state
-    /// distribution with the standard recording set.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (mismatched initial distribution,
-    /// invalid protocol, a scenario that needs host identity) and propagates
-    /// scenario errors.
-    pub fn run(&self, scenario: &Scenario, initial: &InitialStates) -> Result<RunResult> {
-        drive(self, scenario, initial, &mut default_observers())
     }
 
     /// Executes up to [`EXACT_BURST_STEPS`] direct-method SSA steps from
@@ -224,7 +189,7 @@ impl Runtime for TauLeapRuntime {
     fn init(&self, scenario: &Scenario, initial: &InitialStates) -> Result<TauLeapState> {
         let num_states = self.batched.plan().num_states();
         Ok(TauLeapState {
-            window: self.batched.start(scenario, initial, "tau-leap")?,
+            window: self.batched.start(scenario, initial, super::TAU_LEAP)?,
             propensities: vec![0.0; self.batched.plan().actions.len()],
             mu: vec![0.0; num_states],
             sigma2: vec![0.0; num_states],
@@ -393,7 +358,6 @@ mod tests {
             TauLeapRuntime::build(epidemic_protocol(), &config).epsilon(),
             0.2
         );
-        assert_eq!(runtime.with_config(config).epsilon(), 0.2);
     }
 
     #[test]

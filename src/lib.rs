@@ -40,8 +40,9 @@
 //! let protocol = ProtocolCompiler::new("epidemic").compile(&sys)?;
 //!
 //! // 3. Run the protocol on a simulated group of processes. The same
-//! //    Simulation runs on AgentRuntime (per-host fidelity) or
-//! //    AggregateRuntime (counts only, much faster).
+//! //    Simulation runs on AgentRuntime (per-host fidelity), or through
+//! //    run_auto on the fastest tier that serves it (here BatchedRuntime:
+//! //    counts only, much faster).
 //! let result = Simulation::of(protocol)
 //!     .scenario(Scenario::new(1_000, 30)?.with_seed(7))
 //!     .initial(InitialStates::counts(&[999, 1]))

@@ -79,6 +79,101 @@ fn simulation_and_ensemble_drivers_work_across_fidelities() {
     assert!(report.max_abs_error < 0.3, "error {}", report.max_abs_error);
 }
 
+/// Both drivers make the one tier decision: for every row of the tier
+/// policy, a `Simulation` with no observers selects what an `Ensemble` of the
+/// same builder inputs selects.
+#[test]
+fn simulation_and_ensemble_select_the_same_tier() {
+    use ErrorBudget::{Bounded, Exact, Fast};
+    let sys = parse_system("x' = -x*y\ny' = x*y", &[]).unwrap();
+    let protocol = ProtocolCompiler::new("epidemic").compile(&sys).unwrap();
+    let plain = || Scenario::new(10_000, 10).unwrap();
+    let sharded = || Topology::sharded(4, 0.01).unwrap();
+    let mut schedule = FailureSchedule::new();
+    schedule.add(1, netsim::FailureEvent::Crash(netsim::ProcessId(0)));
+    let per_id = plain().with_failure_schedule(schedule).unwrap();
+    let transported = plain().with_transport(TransportConfig::default()).unwrap();
+    let large: &[u64] = &[5_000, 5_000];
+    let small: &[u64] = &[9_999, 1];
+    let rows = [
+        (None, None, large, Fast, FidelityTier::Batched),
+        (Some(plain()), None, large, Fast, FidelityTier::Batched),
+        (Some(plain()), None, small, Fast, FidelityTier::Hybrid),
+        (Some(per_id), None, large, Exact, FidelityTier::Agent),
+        (
+            Some(plain()),
+            Some(sharded()),
+            small,
+            Bounded(0.05),
+            FidelityTier::Sharded,
+        ),
+        (
+            Some(plain().with_topology(sharded())),
+            Some(Topology::WellMixed),
+            large,
+            Fast,
+            FidelityTier::Batched,
+        ),
+        (Some(transported), None, small, Exact, FidelityTier::Async),
+        (Some(plain()), None, small, Exact, FidelityTier::Ssa),
+        (
+            Some(plain()),
+            None,
+            large,
+            Bounded(0.05),
+            FidelityTier::TauLeap,
+        ),
+    ];
+    for (scenario, topology, counts, budget, tier) in rows {
+        let mut simulation = Simulation::of(protocol.clone())
+            .initial(InitialStates::counts(counts))
+            .error_budget(budget);
+        let mut ensemble = Ensemble::of(protocol.clone())
+            .initial(InitialStates::counts(counts))
+            .error_budget(budget);
+        if let Some(scenario) = scenario {
+            simulation = simulation.scenario(scenario.clone());
+            ensemble = ensemble.scenario(scenario);
+        }
+        if let Some(topology) = topology {
+            simulation = simulation.topology(topology);
+            ensemble = ensemble.topology(topology);
+        }
+        assert_eq!(simulation.selected_tier(), tier, "{simulation:?}");
+        assert_eq!(ensemble.selected_tier(), tier, "{ensemble:?}");
+    }
+}
+
+/// An ensemble on the async tier is, seed by seed, the runs
+/// `Simulation::run_auto` makes of the same scenario at those seeds.
+#[test]
+fn a_transport_ensemble_is_its_simulations_seed_by_seed() {
+    let sys = parse_system("x' = -x*y\ny' = x*y", &[]).unwrap();
+    let protocol = ProtocolCompiler::new("epidemic").compile(&sys).unwrap();
+    let scenario = Scenario::new(400, 8)
+        .unwrap()
+        .with_transport(TransportConfig::default())
+        .unwrap();
+    let initial = InitialStates::counts(&[390, 10]);
+    let ensemble = Ensemble::of(protocol.clone())
+        .scenario(scenario.clone())
+        .initial(initial.clone())
+        .seeds([3, 4])
+        .threads(2);
+    assert_eq!(ensemble.selected_tier(), FidelityTier::Async);
+    let result = ensemble.run_auto().unwrap();
+    assert_eq!(result.seeds, [3, 4]);
+    for (seed, finals) in [3, 4].into_iter().zip(&result.final_counts) {
+        let run = Simulation::of(protocol.clone())
+            .scenario(scenario.clone().with_seed(seed))
+            .initial(initial.clone())
+            .observe(CountsRecorder::new())
+            .run_auto()
+            .unwrap();
+        assert_eq!(run.final_counts().unwrap(), &finals[..], "seed {seed}");
+    }
+}
+
 /// The LV rewrite chain of Section 4.2.1: original → completed → rewritten →
 /// compiled protocol, all agreeing on the simplex, and the protocol picking
 /// the initial majority.

@@ -1014,8 +1014,7 @@ fn sharded_stream_is_pinned_on_every_boundary_path() {
     // S = 4, crash/recovery in every shard, recoveries rejoin as receptive.
     let n = 400_000;
     let receptive = endemic.require_state("receptive").unwrap();
-    let rejoining =
-        ShardedRuntime::new(endemic.clone()).with_config(RunConfig::rejoining_to(receptive));
+    let rejoining = ShardedRuntime::build(endemic.clone(), &RunConfig::rejoining_to(receptive));
     let scenario = Scenario::new(n, 80)
         .unwrap()
         .with_topology(uniform(4, 0.05))
@@ -1151,7 +1150,7 @@ fn agent_stream_is_pinned() {
         .with_seed(52);
     assert_eq!(
         fingerprint(
-            &AgentRuntime::new(token).with_config(RunConfig::rejoining_to(z)),
+            &AgentRuntime::build(token, &RunConfig::rejoining_to(z)),
             scenario,
             &[900, 900, 1_200]
         ),
@@ -1335,7 +1334,7 @@ fn environment_stream_is_pinned() {
         .with_seed(72);
     assert_eq!(
         fingerprint(
-            &BatchedRuntime::new(endemic.clone()).with_config(rejoining.clone()),
+            &BatchedRuntime::build(endemic.clone(), &rejoining),
             scenario,
             &equilibrium
         ),
@@ -1351,7 +1350,7 @@ fn environment_stream_is_pinned() {
     );
 
     // Agent: the same injections per id; a churn trace.
-    let agent = AgentRuntime::new(endemic.clone()).with_config(rejoining.clone());
+    let agent = AgentRuntime::build(endemic.clone(), &rejoining);
     let scenario = Scenario::new(3_000, 30)
         .unwrap()
         .with_adversary(strike_and_heal())
@@ -1389,7 +1388,7 @@ fn environment_stream_is_pinned() {
 
     // Async in process: the failure model; a state-targeted crash and a
     // recovery; a supervised worker kill and its restore.
-    let asynchronous = AsyncRuntime::new(endemic.clone()).with_config(rejoining);
+    let asynchronous = AsyncRuntime::build(endemic.clone(), &rejoining);
     let scenario = Scenario::new(2_000, 30)
         .unwrap()
         .with_failure_model(model)
