@@ -290,8 +290,8 @@ impl AsyncState {
     }
 
     /// A cloneable, thread-safe handle onto the transport's live statistics
-    /// (queue depth, per-link counters, latency windows) — readable while
-    /// the run executes.
+    /// (sent/delivered/dropped counters, in-flight count, recent latency) —
+    /// readable while the run executes.
     pub fn transport_stats(&self) -> Arc<TransportStats> {
         self.book.transport.stats()
     }

@@ -332,8 +332,7 @@ impl<B: Bookkeeping> Population for Processes<'_, B> {
     }
 
     /// The victims are drawn without replacement from the pool's ids in
-    /// ascending order, exactly as `Group::crash_random_fraction` draws a
-    /// massive failure's.
+    /// ascending order, the same draw a scheduled massive failure makes.
     fn strike(&mut self, strike: Strike, fraction: f64) -> Result<u64> {
         let (recover, rejoin) = match strike {
             Strike::Recover(rejoin) => (true, rejoin),

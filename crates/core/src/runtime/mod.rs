@@ -223,7 +223,7 @@ pub enum FidelityTier {
     Sharded,
     /// Asynchronous message passing ([`AsyncRuntime`]): the scenario carries
     /// a [`TransportConfig`](netsim::TransportConfig), so every protocol
-    /// contact becomes an actual queued message subject to per-link latency,
+    /// contact becomes an actual queued message subject to sampled latency,
     /// drops and partition windows, scheduled in virtual time.
     Async,
     /// Exact continuous-time stochastic simulation ([`SsaRuntime`]): every

@@ -5,9 +5,8 @@
 //! before the run starts. The paper's thesis is that protocols derived from
 //! differential equations inherit the ODE's stability, and an honest stress
 //! test of that claim needs an adversary that can *watch* the run and strike
-//! where it hurts: kill whichever state currently leads, crash the shard the
-//! winning species lives in, let failures cascade, or churn hosts with
-//! heavy-tailed bursts.
+//! where it hurts: kill whichever state currently leads, kill the worker
+//! holding the most processes, or let failures cascade.
 //!
 //! The model:
 //!
@@ -34,15 +33,9 @@
 //!   the bridge between the adversary path and classic scenario events.
 //! * [`TargetLargestState`] — repeatedly kills a budgeted fraction of the
 //!   population, always drawn from whichever state currently leads.
-//! * [`TargetWinner`] — waits until one state crosses a winning share, then
-//!   strikes that species where it is concentrated (its densest shard on a
-//!   sharded run, the state itself otherwise).
 //! * [`CascadingFailure`] — a correlated model: each period's observed
 //!   crashes raise the next period's crash hazard, which decays
 //!   exponentially when the system is quiet.
-//! * [`HeavyTailedChurn`] — Pareto-interarrival churn bursts generated from
-//!   a dedicated seed into a replayable trace (record once, replay
-//!   bit-for-bit under any run seed).
 
 use crate::error::{check_probability, SimError};
 use crate::rng::Rng;
@@ -87,7 +80,7 @@ pub struct AdversaryView<'a> {
 impl AdversaryView<'_> {
     /// The index of the state with the most alive processes (ties break
     /// toward the lower index), or `None` if nobody is alive.
-    pub fn leading_state(&self) -> Option<usize> {
+    pub(crate) fn leading_state(&self) -> Option<usize> {
         if self.alive == 0 {
             return None;
         }
@@ -101,7 +94,7 @@ impl AdversaryView<'_> {
     /// The transport segment holding the most alive processes (ties break
     /// toward the lower index), or `None` without segment visibility / when
     /// every segment is empty.
-    pub fn densest_segment(&self) -> Option<usize> {
+    pub(crate) fn densest_segment(&self) -> Option<usize> {
         let segments = self.segments_alive?;
         segments
             .iter()
@@ -109,18 +102,6 @@ impl AdversaryView<'_> {
             .filter(|(_, alive)| **alive > 0)
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(i, _)| i)
-    }
-
-    /// The shard holding the most alive processes of `state`, or `None` on
-    /// unsharded runs / when the state is extinct everywhere.
-    pub fn densest_shard_of(&self, state: usize) -> Option<usize> {
-        let shards = self.shard_counts_alive?;
-        shards
-            .iter()
-            .enumerate()
-            .filter(|(_, counts)| counts.get(state).copied().unwrap_or(0) > 0)
-            .max_by(|a, b| a.1[state].cmp(&b.1[state]).then(b.0.cmp(&a.0)))
-            .map(|(j, _)| j)
     }
 }
 
@@ -203,9 +184,6 @@ pub struct InjectionRecord {
 /// shareable; per-run mutable state lives in the [`AdversaryState`] returned
 /// by [`fork`](Self::fork).
 pub trait Adversary: fmt::Debug + Send + Sync {
-    /// A short human-readable strategy name (used in experiment output).
-    fn name(&self) -> &str;
-
     /// Creates the per-run mutable strategy state.
     fn fork(&self) -> Box<dyn AdversaryState>;
 }
@@ -237,13 +215,8 @@ pub struct AdversaryHandle(Arc<dyn Adversary>);
 
 impl AdversaryHandle {
     /// Wraps a strategy.
-    pub fn new(adversary: impl Adversary + 'static) -> Self {
+    pub(crate) fn new(adversary: impl Adversary + 'static) -> Self {
         AdversaryHandle(Arc::new(adversary))
-    }
-
-    /// The strategy's name.
-    pub fn name(&self) -> &str {
-        self.0.name()
     }
 
     /// Forks the per-run strategy state.
@@ -311,18 +284,9 @@ impl ObliviousSchedule {
     pub fn kill_worker_at(self, period: u64, segment: usize) -> Result<Self> {
         self.inject_at(period, Injection::KillWorker { segment })
     }
-
-    /// The scheduled `(period, injection)` pairs, in insertion order.
-    pub fn events(&self) -> &[(u64, Injection)] {
-        &self.events
-    }
 }
 
 impl Adversary for ObliviousSchedule {
-    fn name(&self) -> &str {
-        "oblivious-schedule"
-    }
-
     fn fork(&self) -> Box<dyn AdversaryState> {
         Box::new(ObliviousScheduleState {
             events: self.events.clone(),
@@ -409,10 +373,6 @@ impl TargetLargestState {
 }
 
 impl Adversary for TargetLargestState {
-    fn name(&self) -> &str {
-        "target-largest-state"
-    }
-
     fn fork(&self) -> Box<dyn AdversaryState> {
         Box::new(TargetLargestStateRun {
             config: *self,
@@ -459,90 +419,6 @@ impl AdversaryState for TargetLargestStateRun {
         // long as the leader is big enough to absorb the strike.
         let fraction = (c.budget_fraction * view.alive as f64 / in_state as f64).min(1.0);
         vec![Injection::CrashState { state, fraction }]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TargetWinner
-// ---------------------------------------------------------------------------
-
-/// Waits until one state crosses a winning share of the alive population,
-/// then strikes that species where it is concentrated: on a sharded run the
-/// shard holding most of it is crashed, otherwise the state itself is hit.
-/// After each strike the strategy cools down before re-evaluating.
-#[derive(Debug, Clone, Copy)]
-pub struct TargetWinner {
-    threshold_share: f64,
-    fraction: f64,
-    strikes: u32,
-    cooldown: u64,
-}
-
-impl TargetWinner {
-    /// A strategy that fires once a state holds at least `threshold_share`
-    /// of the alive population, crashing `fraction` of the winner's
-    /// stronghold (shard or state), at most `strikes` times with `cooldown`
-    /// periods between strikes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either probability lies outside `[0, 1]`.
-    pub fn new(threshold_share: f64, fraction: f64, strikes: u32, cooldown: u64) -> Result<Self> {
-        check_probability("threshold_share", threshold_share)?;
-        check_probability("fraction", fraction)?;
-        Ok(TargetWinner {
-            threshold_share,
-            fraction,
-            strikes,
-            cooldown,
-        })
-    }
-}
-
-impl Adversary for TargetWinner {
-    fn name(&self) -> &str {
-        "target-winner"
-    }
-
-    fn fork(&self) -> Box<dyn AdversaryState> {
-        Box::new(TargetWinnerRun {
-            config: *self,
-            remaining: self.strikes,
-            next_allowed: 0,
-        })
-    }
-}
-
-#[derive(Debug, Clone)]
-struct TargetWinnerRun {
-    config: TargetWinner,
-    remaining: u32,
-    next_allowed: u64,
-}
-
-impl AdversaryState for TargetWinnerRun {
-    fn clone_box(&self) -> Box<dyn AdversaryState> {
-        Box::new(self.clone())
-    }
-
-    fn plan(&mut self, view: &AdversaryView<'_>, _rng: &mut Rng) -> Vec<Injection> {
-        if self.remaining == 0 || view.period < self.next_allowed || view.alive == 0 {
-            return Vec::new();
-        }
-        let Some(state) = view.leading_state() else {
-            return Vec::new();
-        };
-        let share = view.counts_alive[state] as f64 / view.alive as f64;
-        if share < self.config.threshold_share {
-            return Vec::new();
-        }
-        self.remaining -= 1;
-        self.next_allowed = view.period + self.config.cooldown.max(1);
-        let fraction = self.config.fraction;
-        match view.densest_shard_of(state) {
-            Some(shard) => vec![Injection::CrashShard { shard, fraction }],
-            None => vec![Injection::CrashState { state, fraction }],
-        }
     }
 }
 
@@ -598,10 +474,6 @@ impl CascadingFailure {
 }
 
 impl Adversary for CascadingFailure {
-    fn name(&self) -> &str {
-        "cascading-failure"
-    }
-
     fn fork(&self) -> Box<dyn AdversaryState> {
         Box::new(CascadingFailureRun {
             config: *self,
@@ -649,141 +521,6 @@ impl AdversaryState for CascadingFailureRun {
     }
 }
 
-// ---------------------------------------------------------------------------
-// HeavyTailedChurn
-// ---------------------------------------------------------------------------
-
-/// One churn burst of a [`HeavyTailedChurn`] trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnBurst {
-    /// The period the burst fires at.
-    pub period: u64,
-    /// Fraction of the alive population that leaves (crashes).
-    pub leave_fraction: f64,
-    /// Fraction of the crashed population that rejoins (recovers).
-    pub rejoin_fraction: f64,
-}
-
-/// Heavy-tailed churn: bursts of departures and rejoins whose interarrival
-/// times follow a Pareto distribution, so quiet stretches are punctuated by
-/// clustered disruption (the opposite of the memoryless churn a
-/// per-period [`FailureModel`](crate::FailureModel) produces).
-///
-/// The burst trace is generated **once** from a dedicated seed
-/// ([`generate`](Self::generate)) and stored — record/replay is built in:
-/// [`bursts`](Self::bursts) exposes the trace and [`replay`](Self::replay)
-/// reconstructs the strategy from it, so the same trace can be replayed
-/// bit-for-bit under any run seed.
-#[derive(Debug, Clone)]
-pub struct HeavyTailedChurn {
-    bursts: Vec<ChurnBurst>,
-}
-
-impl HeavyTailedChurn {
-    /// Generates a burst trace over `horizon` periods: interarrival gaps are
-    /// Pareto with tail index `shape` (> 1, lower = heavier tail) and mean
-    /// `mean_gap` periods; every burst crashes `leave_fraction` of the alive
-    /// population and recovers `rejoin_fraction` of the crashed one.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `shape ≤ 1`, `mean_gap` is not positive, or
-    /// either fraction lies outside `[0, 1]`.
-    pub fn generate(
-        seed: u64,
-        horizon: u64,
-        shape: f64,
-        mean_gap: f64,
-        leave_fraction: f64,
-        rejoin_fraction: f64,
-    ) -> Result<Self> {
-        if !shape.is_finite() || shape <= 1.0 {
-            return Err(SimError::InvalidConfig {
-                name: "shape",
-                reason: format!("Pareto tail index must exceed 1 (finite mean), got {shape}"),
-            });
-        }
-        if !mean_gap.is_finite() || mean_gap <= 0.0 {
-            return Err(SimError::InvalidConfig {
-                name: "mean_gap",
-                reason: format!("mean interarrival gap must be positive, got {mean_gap}"),
-            });
-        }
-        check_probability("leave_fraction", leave_fraction)?;
-        check_probability("rejoin_fraction", rejoin_fraction)?;
-        // Pareto(scale, shape) has mean scale·shape/(shape−1); solve for the
-        // scale that hits the requested mean gap.
-        let scale = mean_gap * (shape - 1.0) / shape;
-        let mut rng = Rng::seed_from(seed);
-        let mut bursts = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            let u = rng.next_f64();
-            let gap = scale / (1.0 - u).max(f64::MIN_POSITIVE).powf(1.0 / shape);
-            t += gap;
-            if t >= horizon as f64 {
-                break;
-            }
-            bursts.push(ChurnBurst {
-                period: t as u64,
-                leave_fraction,
-                rejoin_fraction,
-            });
-        }
-        Ok(HeavyTailedChurn { bursts })
-    }
-
-    /// Reconstructs the strategy from a recorded trace.
-    pub fn replay(bursts: Vec<ChurnBurst>) -> Self {
-        HeavyTailedChurn { bursts }
-    }
-
-    /// The recorded burst trace, in period order.
-    pub fn bursts(&self) -> &[ChurnBurst] {
-        &self.bursts
-    }
-}
-
-impl Adversary for HeavyTailedChurn {
-    fn name(&self) -> &str {
-        "heavy-tailed-churn"
-    }
-
-    fn fork(&self) -> Box<dyn AdversaryState> {
-        Box::new(HeavyTailedChurnRun {
-            bursts: self.bursts.clone(),
-        })
-    }
-}
-
-#[derive(Debug, Clone)]
-struct HeavyTailedChurnRun {
-    bursts: Vec<ChurnBurst>,
-}
-
-impl AdversaryState for HeavyTailedChurnRun {
-    fn clone_box(&self) -> Box<dyn AdversaryState> {
-        Box::new(self.clone())
-    }
-
-    fn plan(&mut self, view: &AdversaryView<'_>, _rng: &mut Rng) -> Vec<Injection> {
-        let mut out = Vec::new();
-        for burst in self.bursts.iter().filter(|b| b.period == view.period) {
-            if burst.leave_fraction > 0.0 {
-                out.push(Injection::CrashUniform {
-                    fraction: burst.leave_fraction,
-                });
-            }
-            if burst.rejoin_fraction > 0.0 {
-                out.push(Injection::RecoverUniform {
-                    fraction: burst.rejoin_fraction,
-                });
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,16 +545,11 @@ mod tests {
         let counts = [10u64, 30, 20];
         let v = view(0, &counts, None);
         assert_eq!(v.leading_state(), Some(1));
-        assert_eq!(v.densest_shard_of(1), None);
         let empty = [0u64, 0];
         assert_eq!(view(0, &empty, None).leading_state(), None);
         // Ties break toward the lower index.
         let tied = [5u64, 5];
         assert_eq!(view(0, &tied, None).leading_state(), Some(0));
-        let shards = vec![vec![5u64, 1], vec![5, 29], vec![0, 0]];
-        let v = view(0, &counts, Some(&shards));
-        assert_eq!(v.densest_shard_of(1), Some(1));
-        assert_eq!(v.densest_shard_of(0), Some(0), "tie breaks low");
     }
 
     #[test]
@@ -899,10 +631,8 @@ mod tests {
             .unwrap()
             .inject_at(7, Injection::RecoverUniform { fraction: 1.0 })
             .unwrap();
-        assert_eq!(schedule.events().len(), 2);
         assert!(ObliviousSchedule::new().crash_uniform_at(1, 2.0).is_err());
         let handle = AdversaryHandle::new(schedule);
-        assert_eq!(handle.name(), "oblivious-schedule");
         assert!(format!("{handle:?}").contains("AdversaryHandle"));
         let mut run = handle.fork();
         let counts = [50u64, 50];
@@ -952,44 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn target_winner_waits_for_the_threshold_and_prefers_shards() {
-        let adv = TargetWinner::new(0.6, 0.5, 1, 3).unwrap();
-        assert!(TargetWinner::new(1.2, 0.5, 1, 1).is_err());
-        let mut run = adv.fork();
-        let mut rng = Rng::seed_from(0);
-        let tied = [500u64, 500];
-        assert!(run.plan(&view(0, &tied, None), &mut rng).is_empty());
-        let decided = [700u64, 300];
-        let shards = vec![vec![100u64, 200], vec![600, 100]];
-        let got = run.plan(&view(5, &decided, Some(&shards)), &mut rng);
-        assert_eq!(
-            got,
-            vec![Injection::CrashShard {
-                shard: 1,
-                fraction: 0.5
-            }]
-        );
-        // Budget spent.
-        assert!(run
-            .plan(&view(20, &decided, Some(&shards)), &mut rng)
-            .is_empty());
-
-        // Without shard visibility the state itself is struck.
-        let mut run = TargetWinner::new(0.6, 0.25, 2, 4).unwrap().fork();
-        let got = run.plan(&view(5, &decided, None), &mut rng);
-        assert_eq!(
-            got,
-            vec![Injection::CrashState {
-                state: 0,
-                fraction: 0.25
-            }]
-        );
-        // Cooldown: quiet until period 9.
-        assert!(run.plan(&view(8, &decided, None), &mut rng).is_empty());
-        assert!(!run.plan(&view(9, &decided, None), &mut rng).is_empty());
-    }
-
-    #[test]
     fn cascading_failure_snowballs_and_decays() {
         let adv = CascadingFailure::new(5, 0.1, 2.0, 0.5).unwrap();
         assert!(CascadingFailure::new(0, 1.5, 1.0, 0.5).is_err());
@@ -1024,48 +716,5 @@ mod tests {
         }
         assert!(fractions.windows(2).all(|w| w[1] < w[0]));
         assert!(run.plan(&view(40, &after, None), &mut rng).is_empty());
-    }
-
-    #[test]
-    fn heavy_tailed_churn_records_and_replays() {
-        let adv = HeavyTailedChurn::generate(42, 500, 1.5, 25.0, 0.3, 0.5).unwrap();
-        assert!(HeavyTailedChurn::generate(1, 100, 0.9, 10.0, 0.1, 0.1).is_err());
-        assert!(HeavyTailedChurn::generate(1, 100, 2.0, 0.0, 0.1, 0.1).is_err());
-        assert!(HeavyTailedChurn::generate(1, 100, 2.0, 10.0, 1.5, 0.1).is_err());
-        let bursts = adv.bursts().to_vec();
-        assert!(!bursts.is_empty(), "500 periods at mean gap 25 must burst");
-        assert!(bursts.iter().all(|b| b.period < 500));
-        assert!(bursts.windows(2).all(|w| w[0].period <= w[1].period));
-        // Same seed → identical trace; the replayed strategy plans the same.
-        let again = HeavyTailedChurn::generate(42, 500, 1.5, 25.0, 0.3, 0.5).unwrap();
-        assert_eq!(adv.bursts(), again.bursts());
-        let replayed = HeavyTailedChurn::replay(bursts.clone());
-        let mut a = adv.fork();
-        let mut b = replayed.fork();
-        let counts = [100u64];
-        let mut rng = Rng::seed_from(0);
-        for p in 0..500 {
-            assert_eq!(
-                a.plan(&view(p, &counts, None), &mut rng),
-                b.plan(&view(p, &counts, None), &mut rng)
-            );
-        }
-        // A burst emits a crash and a recovery injection.
-        let burst = bursts[0];
-        let got = a.plan(&view(burst.period, &counts, None), &mut rng);
-        assert_eq!(
-            got,
-            vec![
-                Injection::CrashUniform {
-                    fraction: burst.leave_fraction
-                },
-                Injection::RecoverUniform {
-                    fraction: burst.rejoin_fraction
-                }
-            ]
-        );
-        // Different seeds diverge.
-        let other = HeavyTailedChurn::generate(43, 500, 1.5, 25.0, 0.3, 0.5).unwrap();
-        assert_ne!(adv.bursts(), other.bursts());
     }
 }

@@ -115,51 +115,8 @@ impl ChurnTrace {
     }
 
     /// Number of hosts covered by the trace.
-    pub fn hosts(&self) -> usize {
+    pub(crate) fn hosts(&self) -> usize {
         self.hosts
-    }
-
-    /// Whether `host` is available during `hour`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn available(&self, hour: usize, host: usize) -> bool {
-        self.availability[hour][host]
-    }
-
-    /// Fraction of hosts available during `hour`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hour` is out of range.
-    pub fn availability_at(&self, hour: usize) -> f64 {
-        let row = &self.availability[hour];
-        row.iter().filter(|&&a| a).count() as f64 / self.hosts as f64
-    }
-
-    /// Fraction of hosts whose availability changed between `hour - 1` and
-    /// `hour` (the hourly churn rate). Hour 0 has churn 0 by definition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hour` is out of range.
-    pub fn hourly_churn(&self, hour: usize) -> f64 {
-        if hour == 0 {
-            return 0.0;
-        }
-        let prev = &self.availability[hour - 1];
-        let cur = &self.availability[hour];
-        let changes = prev.iter().zip(cur).filter(|(a, b)| a != b).count();
-        changes as f64 / self.hosts as f64
-    }
-
-    /// Mean hourly churn over the whole trace.
-    pub fn mean_hourly_churn(&self) -> f64 {
-        if self.hours() <= 1 {
-            return 0.0;
-        }
-        (1..self.hours()).map(|h| self.hourly_churn(h)).sum::<f64>() / (self.hours() - 1) as f64
     }
 
     /// Converts the hourly trace into per-period [`ChurnEvent`]s, spreading
@@ -169,7 +126,11 @@ impl ChurnTrace {
     /// Hour `h` occupies periods `[h·periods_per_hour, (h+1)·periods_per_hour)`.
     /// The initial availability (hour 0) is *not* emitted as events; apply it
     /// directly to the group before starting the run.
-    pub fn spread_over_periods(&self, periods_per_hour: u64, rng: &mut Rng) -> Vec<ChurnEvent> {
+    pub(crate) fn spread_over_periods(
+        &self,
+        periods_per_hour: u64,
+        rng: &mut Rng,
+    ) -> Vec<ChurnEvent> {
         let periods_per_hour = periods_per_hour.max(1);
         let mut events: Vec<ChurnEvent> = Vec::new();
         for hour in 1..self.hours() {
@@ -203,7 +164,7 @@ impl ChurnTrace {
     }
 
     /// Initial availability (hour 0) as a boolean vector indexed by host.
-    pub fn initial_availability(&self) -> &[bool] {
+    pub(crate) fn initial_availability(&self) -> &[bool] {
         &self.availability[0]
     }
 }
@@ -292,6 +253,17 @@ impl SyntheticChurnConfig {
 mod tests {
     use super::*;
 
+    /// Fraction of hosts whose availability changed between `hour - 1` and
+    /// `hour`; hour 0 has churn 0 by definition.
+    fn hourly_churn(t: &ChurnTrace, hour: usize) -> f64 {
+        if hour == 0 {
+            return 0.0;
+        }
+        let (prev, cur) = (&t.availability[hour - 1], &t.availability[hour]);
+        let changes = prev.iter().zip(cur).filter(|(a, b)| a != b).count();
+        changes as f64 / t.hosts as f64
+    }
+
     #[test]
     fn trace_construction_and_validation() {
         assert!(ChurnTrace::from_availability(vec![]).is_err());
@@ -300,11 +272,10 @@ mod tests {
         let t = ChurnTrace::from_availability(vec![vec![true, false], vec![false, false]]).unwrap();
         assert_eq!(t.hours(), 2);
         assert_eq!(t.hosts(), 2);
-        assert!(t.available(0, 0));
-        assert!(!t.available(1, 0));
-        assert_eq!(t.availability_at(0), 0.5);
-        assert_eq!(t.hourly_churn(0), 0.0);
-        assert_eq!(t.hourly_churn(1), 0.5);
+        assert!(t.availability[0][0]);
+        assert!(!t.availability[1][0]);
+        assert_eq!(hourly_churn(&t, 0), 0.0);
+        assert_eq!(hourly_churn(&t, 1), 0.5);
         assert_eq!(t.initial_availability(), &[true, false]);
     }
 
@@ -318,7 +289,6 @@ mod tests {
             let mut rng = Rng::seed_from(11);
             assert!(t.spread_over_periods(periods_per_hour, &mut rng).is_empty());
         }
-        assert_eq!(t.mean_hourly_churn(), 0.0);
     }
 
     #[test]
@@ -327,8 +297,7 @@ mod tests {
         // format can express. Every change must surface as a leave, none as a
         // join, and the leave set must cover each host exactly once.
         let t = ChurnTrace::from_availability(vec![vec![true; 5], vec![false; 5]]).unwrap();
-        assert_eq!(t.hourly_churn(1), 1.0);
-        assert_eq!(t.availability_at(1), 0.0);
+        assert_eq!(hourly_churn(&t, 1), 1.0);
         let mut rng = Rng::seed_from(3);
         let events = t.spread_over_periods(4, &mut rng);
         assert!(events.iter().all(|e| e.joins.is_empty()));
@@ -386,17 +355,18 @@ mod tests {
         assert_eq!(trace.hours(), 100);
         assert_eq!(trace.hosts(), 2000);
         // Mean availability stays near the target.
-        let mean_avail: f64 = (0..trace.hours())
-            .map(|h| trace.availability_at(h))
-            .sum::<f64>()
-            / 100.0;
+        let up = trace.availability.iter().flatten().filter(|&&a| a).count();
+        let mean_avail = up as f64 / (100.0 * 2000.0);
         assert!((mean_avail - 0.7).abs() < 0.05, "availability {mean_avail}");
         // Mean hourly churn falls inside the configured band (generously).
-        let churn = trace.mean_hourly_churn();
+        let churn = (1..trace.hours())
+            .map(|h| hourly_churn(&trace, h))
+            .sum::<f64>()
+            / 99.0;
         assert!(churn > 0.08 && churn < 0.30, "churn {churn}");
         // Every individual hour stays within a loose band too.
         for h in 1..trace.hours() {
-            assert!(trace.hourly_churn(h) < 0.4);
+            assert!(hourly_churn(&trace, h) < 0.4);
         }
     }
 
@@ -436,7 +406,7 @@ mod tests {
         // Total joins/leaves across events equals total hourly changes.
         let mut total_changes = 0usize;
         for h in 1..trace.hours() {
-            total_changes += (trace.hourly_churn(h) * trace.hosts() as f64).round() as usize;
+            total_changes += (hourly_churn(&trace, h) * trace.hosts() as f64).round() as usize;
         }
         let event_changes: usize = events.iter().map(|e| e.joins.len() + e.leaves.len()).sum();
         assert_eq!(event_changes, total_changes);

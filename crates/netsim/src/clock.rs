@@ -3,63 +3,20 @@
 //! The paper's protocols execute their actions once per *protocol period*
 //! (6 minutes in the endemic experiments, ~1 s in the LV discussion). The
 //! analysis only depends on the average period across the group, so the
-//! simulator advances in whole periods; this module converts between period
-//! indices and wall-clock time and models bounded per-process drift.
-
-use crate::error::SimError;
-use crate::rng::Rng;
-use crate::Result;
+//! simulator advances in whole periods of one nominal length; this module
+//! converts between period indices and wall-clock time.
 
 /// Converts between protocol periods and wall-clock seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeriodClock {
     period_secs: f64,
-    drift_bound: f64,
 }
 
 impl PeriodClock {
-    /// Creates a clock with the given period length in seconds and no drift.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the period is not finite and positive.
-    pub fn new(period_secs: f64) -> Result<Self> {
-        if !period_secs.is_finite() || period_secs <= 0.0 {
-            return Err(SimError::InvalidConfig {
-                name: "period_secs",
-                reason: format!("period must be positive, got {period_secs}"),
-            });
-        }
-        Ok(PeriodClock {
-            period_secs,
-            drift_bound: 0.0,
-        })
-    }
-
     /// The paper's endemic-experiment setting: a 6-minute protocol period.
     pub fn six_minutes() -> Self {
-        PeriodClock {
-            period_secs: 360.0,
-            drift_bound: 0.0,
-        }
-    }
-
-    /// Sets the bounded relative clock drift (e.g. `0.01` = ±1 %) used when
-    /// sampling per-process period lengths.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the bound is negative, not finite, or ≥ 1.
-    pub fn with_drift_bound(mut self, drift_bound: f64) -> Result<Self> {
-        if !drift_bound.is_finite() || !(0.0..1.0).contains(&drift_bound) {
-            return Err(SimError::InvalidConfig {
-                name: "drift_bound",
-                reason: format!("drift bound must lie in [0, 1), got {drift_bound}"),
-            });
-        }
-        self.drift_bound = drift_bound;
-        Ok(self)
+        PeriodClock { period_secs: 360.0 }
     }
 
     /// The nominal period length in seconds.
@@ -67,43 +24,14 @@ impl PeriodClock {
         self.period_secs
     }
 
-    /// The configured relative drift bound.
-    pub fn drift_bound(&self) -> f64 {
-        self.drift_bound
-    }
-
     /// Wall-clock time (seconds) at the start of period `period`.
     pub fn period_to_secs(&self, period: u64) -> f64 {
         period as f64 * self.period_secs
     }
 
-    /// Wall-clock time in hours at the start of period `period`.
-    pub fn period_to_hours(&self, period: u64) -> f64 {
-        self.period_to_secs(period) / 3600.0
-    }
-
-    /// The period index containing wall-clock time `secs`.
-    pub fn secs_to_period(&self, secs: f64) -> u64 {
-        if secs <= 0.0 {
-            0
-        } else {
-            (secs / self.period_secs).floor() as u64
-        }
-    }
-
     /// Number of whole protocol periods per hour (at least 1).
     pub fn periods_per_hour(&self) -> u64 {
         ((3600.0 / self.period_secs).round() as u64).max(1)
-    }
-
-    /// Samples one process's actual period length, uniformly within the drift
-    /// bound around the nominal period.
-    pub fn sample_period(&self, rng: &mut Rng) -> f64 {
-        if self.drift_bound == 0.0 {
-            self.period_secs
-        } else {
-            self.period_secs * rng.uniform(1.0 - self.drift_bound, 1.0 + self.drift_bound)
-        }
     }
 }
 
@@ -112,46 +40,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_and_validation() {
-        assert!(PeriodClock::new(0.0).is_err());
-        assert!(PeriodClock::new(f64::NAN).is_err());
-        let c = PeriodClock::new(60.0).unwrap();
-        assert_eq!(c.period_secs(), 60.0);
-        assert!(c.with_drift_bound(1.5).is_err());
-        assert!(c.with_drift_bound(-0.1).is_err());
-        assert_eq!(c.with_drift_bound(0.05).unwrap().drift_bound(), 0.05);
-    }
-
-    #[test]
     fn six_minute_period_conversions() {
         let c = PeriodClock::six_minutes();
         assert_eq!(c.period_secs(), 360.0);
         assert_eq!(c.periods_per_hour(), 10);
         assert_eq!(c.period_to_secs(10), 3600.0);
-        assert_eq!(c.period_to_hours(10), 1.0);
-        assert_eq!(c.secs_to_period(3599.0), 9);
-        assert_eq!(c.secs_to_period(3600.0), 10);
-        assert_eq!(c.secs_to_period(-5.0), 0);
-    }
-
-    #[test]
-    fn drift_sampling_is_bounded() {
-        let c = PeriodClock::new(100.0)
-            .unwrap()
-            .with_drift_bound(0.1)
-            .unwrap();
-        let mut rng = Rng::seed_from(1);
-        let mut sum = 0.0;
-        for _ in 0..10_000 {
-            let p = c.sample_period(&mut rng);
-            assert!((90.0..110.0).contains(&p));
-            sum += p;
-        }
-        // Mean period stays near the nominal period (the paper's analysis uses
-        // the group-average period).
-        assert!((sum / 10_000.0 - 100.0).abs() < 0.5);
-        // No drift configured → exactly nominal.
-        let c0 = PeriodClock::new(100.0).unwrap();
-        assert_eq!(c0.sample_period(&mut rng), 100.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Failure injection: scheduled events and probabilistic crash/recovery models.
 
-use crate::error::{check_probability, SimError};
+use crate::error::check_probability;
 use crate::group::{Group, ProcessId};
 use crate::rng::Rng;
 use crate::Result;
@@ -26,17 +26,14 @@ pub enum FailureEvent {
 /// # Examples
 ///
 /// ```
-/// use netsim::{FailureEvent, FailureSchedule, Group, Rng};
+/// use netsim::{FailureEvent, FailureSchedule, Scenario};
 ///
+/// // Crash half of the alive hosts at period 50; every runtime applies the
+/// // schedule at its period boundaries.
 /// let mut schedule = FailureSchedule::new();
-/// schedule.add(5000, FailureEvent::MassiveFailure { fraction: 0.5 });
-///
-/// let mut group = Group::new(1000);
-/// let mut rng = Rng::seed_from(1);
-/// schedule.apply(4999, &mut group, &mut rng)?; // nothing yet
-/// assert_eq!(group.alive_count(), 1000);
-/// schedule.apply(5000, &mut group, &mut rng)?;
-/// assert_eq!(group.alive_count(), 500);
+/// schedule.add(50, FailureEvent::MassiveFailure { fraction: 0.5 });
+/// let scenario = Scenario::new(1000, 100)?.with_failure_schedule(schedule)?;
+/// assert_eq!(scenario.failure_schedule().events().len(), 1);
 /// # Ok::<(), netsim::SimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -57,20 +54,8 @@ impl FailureSchedule {
         self
     }
 
-    /// Convenience constructor for the paper's "crash 50 % at time t" setup.
-    pub fn massive_failure_at(period: u64, fraction: f64) -> Self {
-        let mut s = Self::new();
-        s.add(period, FailureEvent::MassiveFailure { fraction });
-        s
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// `true` if no events are scheduled.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
@@ -82,48 +67,10 @@ impl FailureSchedule {
     /// `true` if any scheduled event names a specific process id — such
     /// events need per-host identity and cannot be applied by count-level
     /// runtimes (massive failures can: they hit a uniformly random subset).
-    pub fn has_identity_events(&self) -> bool {
+    pub(crate) fn has_identity_events(&self) -> bool {
         self.events
             .iter()
             .any(|(_, e)| matches!(e, FailureEvent::Crash(_) | FailureEvent::Recover(_)))
-    }
-
-    /// Applies all events scheduled for exactly `period` to the group.
-    /// Returns the ids that crashed and the ids that recovered during this
-    /// call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid fractions or unknown process ids.
-    pub fn apply(
-        &self,
-        period: u64,
-        group: &mut Group,
-        rng: &mut Rng,
-    ) -> Result<(Vec<ProcessId>, Vec<ProcessId>)> {
-        let mut crashed = Vec::new();
-        let mut recovered = Vec::new();
-        for (p, event) in &self.events {
-            if *p != period {
-                continue;
-            }
-            match event {
-                FailureEvent::MassiveFailure { fraction } => {
-                    crashed.extend(group.crash_random_fraction(rng, *fraction)?);
-                }
-                FailureEvent::Crash(id) => {
-                    if group.crash(*id)? {
-                        crashed.push(*id);
-                    }
-                }
-                FailureEvent::Recover(id) => {
-                    if group.recover(*id)? {
-                        recovered.push(*id);
-                    }
-                }
-            }
-        }
-        Ok((crashed, recovered))
     }
 }
 
@@ -169,16 +116,6 @@ impl FailureModel {
         self.recover_prob
     }
 
-    /// Expected steady-state availability `recover / (crash + recover)`, or
-    /// 1.0 when no failures are configured.
-    pub fn steady_state_availability(&self) -> f64 {
-        if self.crash_prob == 0.0 {
-            1.0
-        } else {
-            self.recover_prob / (self.crash_prob + self.recover_prob)
-        }
-    }
-
     /// Applies one period of the model to the group, returning the ids that
     /// crashed and the ids that recovered.
     ///
@@ -215,70 +152,21 @@ impl FailureModel {
     }
 }
 
-/// Validates a massive-failure event fraction eagerly (useful when building
-/// schedules from user input).
-pub fn validate_event(event: &FailureEvent, group_size: usize) -> Result<()> {
-    match event {
-        FailureEvent::MassiveFailure { fraction } => check_probability("fraction", *fraction),
-        FailureEvent::Crash(id) | FailureEvent::Recover(id) => {
-            if id.index() < group_size {
-                Ok(())
-            } else {
-                Err(SimError::UnknownProcess {
-                    id: id.index(),
-                    group_size,
-                })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn schedule_applies_only_at_the_right_period() {
+    fn schedule_records_events_in_insertion_order() {
         let mut s = FailureSchedule::new();
+        assert!(s.is_empty());
         s.add(10, FailureEvent::Crash(ProcessId(3)))
             .add(10, FailureEvent::Crash(ProcessId(4)))
             .add(20, FailureEvent::Recover(ProcessId(3)));
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.events().len(), 3);
         assert!(!s.is_empty());
-        let mut group = Group::new(10);
-        let mut rng = Rng::seed_from(1);
-        let (down, up) = s.apply(9, &mut group, &mut rng).unwrap();
-        assert!(down.is_empty() && up.is_empty());
-        let (down, up) = s.apply(10, &mut group, &mut rng).unwrap();
-        assert_eq!(down.len(), 2);
-        assert!(up.is_empty());
-        assert_eq!(group.alive_count(), 8);
-        let (down, up) = s.apply(20, &mut group, &mut rng).unwrap();
-        assert!(down.is_empty());
-        assert_eq!(up, vec![ProcessId(3)]);
-        assert_eq!(group.alive_count(), 9);
-        assert!(group.is_alive(ProcessId(3)).unwrap());
-    }
-
-    #[test]
-    fn massive_failure_constructor() {
-        let s = FailureSchedule::massive_failure_at(5000, 0.5);
-        let mut group = Group::new(100_000);
-        let mut rng = Rng::seed_from(2);
-        s.apply(5000, &mut group, &mut rng).unwrap();
-        assert_eq!(group.alive_count(), 50_000);
-        assert_eq!(s.events().len(), 1);
-    }
-
-    #[test]
-    fn invalid_fraction_propagates() {
-        let s = FailureSchedule::massive_failure_at(1, 2.0);
-        let mut group = Group::new(10);
-        let mut rng = Rng::seed_from(3);
-        assert!(s.apply(1, &mut group, &mut rng).is_err());
-        assert!(validate_event(&FailureEvent::MassiveFailure { fraction: 2.0 }, 10).is_err());
-        assert!(validate_event(&FailureEvent::Crash(ProcessId(20)), 10).is_err());
-        assert!(validate_event(&FailureEvent::Recover(ProcessId(5)), 10).is_ok());
+        assert_eq!(s.events()[2], (20, FailureEvent::Recover(ProcessId(3))));
+        assert!(s.has_identity_events());
     }
 
     #[test]
@@ -286,17 +174,16 @@ mod tests {
         let model = FailureModel::new(0.01, 0.04).unwrap();
         assert_eq!(model.crash_prob(), 0.01);
         assert_eq!(model.recover_prob(), 0.04);
-        assert!((model.steady_state_availability() - 0.8).abs() < 1e-12);
-        assert_eq!(FailureModel::none().steady_state_availability(), 1.0);
         assert!(FailureModel::new(1.5, 0.0).is_err());
 
-        // Run the model to steady state and measure availability.
+        // Run the model to steady state and measure availability against
+        // recover / (crash + recover) = 0.8.
         let mut group = Group::new(2_000);
         let mut rng = Rng::seed_from(4);
         for _ in 0..600 {
             model.step(&mut group, &mut rng).unwrap();
         }
-        let availability = group.alive_fraction();
+        let availability = group.alive_count() as f64 / 2_000.0;
         assert!(
             (availability - 0.8).abs() < 0.05,
             "availability {availability}"

@@ -1,7 +1,6 @@
 //! Group membership: a closed group of `N` processes with per-process liveness.
 
 use crate::error::SimError;
-use crate::rng::Rng;
 use crate::Result;
 use std::fmt;
 
@@ -37,11 +36,6 @@ impl fmt::Display for ProcessId {
 /// maintained incrementally, so the protocol runtimes' hot loops can probe
 /// liveness with a single shift-and-mask ([`Group::is_alive_unchecked`]) and
 /// skip probing entirely while nobody has crashed ([`Group::all_alive`]).
-///
-/// Sampling a contact is done over the *maximal* membership — exactly as in
-/// the paper, where a contact aimed at a crashed host is simply fruitless —
-/// via [`Group::random_member`]; [`Group::random_alive`] is also provided for
-/// protocols that use a failure detector.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Group {
@@ -78,24 +72,10 @@ impl Group {
         self.alive_count
     }
 
-    /// Number of currently crashed / departed processes.
-    pub fn crashed_count(&self) -> usize {
-        self.len - self.alive_count
-    }
-
     /// `true` while every process is alive — the runtimes' fast path: one
     /// comparison instead of a per-contact bit probe.
     pub fn all_alive(&self) -> bool {
         self.alive_count == self.len
-    }
-
-    /// Fraction of the maximal membership that is currently alive.
-    pub fn alive_fraction(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.alive_count as f64 / self.len as f64
-        }
     }
 
     /// `true` if process `id` is currently alive.
@@ -103,7 +83,7 @@ impl Group {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownProcess`] if `id` is out of range.
-    pub fn is_alive(&self, id: ProcessId) -> Result<bool> {
+    pub(crate) fn is_alive(&self, id: ProcessId) -> Result<bool> {
         if id.index() >= self.len {
             return Err(SimError::UnknownProcess {
                 id: id.index(),
@@ -174,92 +154,8 @@ impl Group {
         }
     }
 
-    /// Samples a process uniformly at random from the **maximal** membership
-    /// (alive or not), as the paper's protocols do. Returns `None` for an
-    /// empty group.
-    pub fn random_member(&self, rng: &mut Rng) -> Option<ProcessId> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(ProcessId(rng.index(self.len)))
-        }
-    }
-
-    /// Samples an **alive** process uniformly at random, or `None` if none are
-    /// alive. Costs O(1) expected time while a constant fraction is alive,
-    /// with a popcount-guided word scan for heavily depleted groups.
-    pub fn random_alive(&self, rng: &mut Rng) -> Option<ProcessId> {
-        if self.alive_count == 0 {
-            return None;
-        }
-        // Rejection sampling is fast while at least ~1% of the group is alive.
-        if self.alive_count * 100 >= self.len {
-            loop {
-                let candidate = rng.index(self.len);
-                if self.is_alive_unchecked(candidate) {
-                    return Some(ProcessId(candidate));
-                }
-            }
-        }
-        // Fallback: pick the k-th alive process by walking word popcounts.
-        Some(ProcessId(self.select_alive(rng.index(self.alive_count))))
-    }
-
-    /// Index of the `k`-th (0-based) set bit. `k` must be `< alive_count`.
-    fn select_alive(&self, mut k: usize) -> usize {
-        for (w, &word) in self.words.iter().enumerate() {
-            let ones = word.count_ones() as usize;
-            if k < ones {
-                let mut bits = word;
-                for _ in 0..k {
-                    bits &= bits - 1; // clear lowest set bit
-                }
-                return (w << 6) + bits.trailing_zeros() as usize;
-            }
-            k -= ones;
-        }
-        unreachable!("select_alive called with k >= alive_count")
-    }
-
-    /// Crashes a uniformly random set of `⌊fraction·alive⌋` currently alive
-    /// processes (the paper's "massive failure" events). Returns the crashed
-    /// ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidProbability`] if `fraction` is outside `[0, 1]`.
-    pub fn crash_random_fraction(
-        &mut self,
-        rng: &mut Rng,
-        fraction: f64,
-    ) -> Result<Vec<ProcessId>> {
-        crate::error::check_probability("fraction", fraction)?;
-        let alive_ids: Vec<ProcessId> = self.alive_ids().collect();
-        let k = (fraction * alive_ids.len() as f64).floor() as usize;
-        let chosen = crate::stochastic::sample_without_replacement(rng, alive_ids.len(), k);
-        let mut crashed = Vec::with_capacity(k);
-        for idx in chosen {
-            let id = alive_ids[idx];
-            self.crash(id)?;
-            crashed.push(id);
-        }
-        Ok(crashed)
-    }
-
-    /// Iterator over the ids of currently alive processes.
-    pub fn alive_ids(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w << 6;
-            std::iter::successors((word != 0).then_some(word), |bits| {
-                let rest = bits & (bits - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |bits| ProcessId(base + bits.trailing_zeros() as usize))
-        })
-    }
-
     /// Iterator over all process ids in the maximal membership.
-    pub fn all_ids(&self) -> impl Iterator<Item = ProcessId> {
+    pub(crate) fn all_ids(&self) -> impl Iterator<Item = ProcessId> {
         (0..self.len).map(ProcessId)
     }
 }
@@ -273,11 +169,8 @@ mod tests {
         let g = Group::new(10);
         assert_eq!(g.size(), 10);
         assert_eq!(g.alive_count(), 10);
-        assert_eq!(g.crashed_count(), 0);
-        assert_eq!(g.alive_fraction(), 1.0);
         assert!(g.all_alive());
         assert_eq!(g.all_ids().count(), 10);
-        assert_eq!(g.alive_ids().count(), 10);
     }
 
     #[test]
@@ -308,7 +201,7 @@ mod tests {
         // Sizes straddling the 64-bit word boundary behave identically.
         for n in [63usize, 64, 65, 128, 130] {
             let mut g = Group::new(n);
-            assert_eq!(g.alive_ids().count(), n);
+            assert_eq!(g.alive_count(), n);
             for i in (0..n).step_by(2) {
                 g.crash(ProcessId(i)).unwrap();
             }
@@ -317,78 +210,7 @@ mod tests {
             for i in 0..n {
                 assert_eq!(g.is_alive_unchecked(i), i % 2 == 1, "n = {n}, i = {i}");
             }
-            let ids: Vec<usize> = g.alive_ids().map(ProcessId::index).collect();
-            let expected: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();
-            assert_eq!(ids, expected, "n = {n}");
         }
-    }
-
-    #[test]
-    fn random_member_includes_crashed() {
-        let mut g = Group::new(10);
-        let mut rng = Rng::seed_from(1);
-        for i in 0..9 {
-            g.crash(ProcessId(i)).unwrap();
-        }
-        // Only process 9 is alive; random_member still returns crashed ones.
-        let mut saw_crashed = false;
-        for _ in 0..200 {
-            let m = g.random_member(&mut rng).unwrap();
-            if m.index() != 9 {
-                saw_crashed = true;
-            }
-        }
-        assert!(saw_crashed);
-        // random_alive only ever returns the survivor.
-        for _ in 0..50 {
-            assert_eq!(g.random_alive(&mut rng), Some(ProcessId(9)));
-        }
-    }
-
-    #[test]
-    fn random_alive_none_when_all_crashed() {
-        let mut g = Group::new(4);
-        let mut rng = Rng::seed_from(2);
-        for i in 0..4 {
-            g.crash(ProcessId(i)).unwrap();
-        }
-        assert_eq!(g.random_alive(&mut rng), None);
-        assert_eq!(Group::new(0).random_member(&mut rng), None);
-        assert_eq!(Group::new(0).alive_fraction(), 0.0);
-    }
-
-    #[test]
-    fn massive_failure_crashes_exact_fraction() {
-        let mut g = Group::new(1000);
-        let mut rng = Rng::seed_from(3);
-        let crashed = g.crash_random_fraction(&mut rng, 0.5).unwrap();
-        assert_eq!(crashed.len(), 500);
-        assert_eq!(g.alive_count(), 500);
-        // Crashing 50% of the survivors leaves 250.
-        let crashed2 = g.crash_random_fraction(&mut rng, 0.5).unwrap();
-        assert_eq!(crashed2.len(), 250);
-        assert_eq!(g.alive_count(), 250);
-        assert!(g.crash_random_fraction(&mut rng, 1.5).is_err());
-    }
-
-    #[test]
-    fn random_alive_sparse_fallback() {
-        let mut g = Group::new(10_000);
-        let mut rng = Rng::seed_from(4);
-        // Crash all but 5 (0.05% alive → below the 1% rejection threshold).
-        for i in 0..9_995 {
-            g.crash(ProcessId(i)).unwrap();
-        }
-        for _ in 0..100 {
-            let id = g.random_alive(&mut rng).unwrap();
-            assert!(id.index() >= 9_995);
-        }
-        // The popcount selector hits every survivor.
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..500 {
-            seen.insert(g.random_alive(&mut rng).unwrap().index());
-        }
-        assert_eq!(seen.len(), 5, "all survivors reachable");
     }
 
     #[test]

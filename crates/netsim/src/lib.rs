@@ -9,58 +9,62 @@
 //!
 //! Components:
 //!
-//! * [`rng`] — a self-contained, seedable xoshiro256** PRNG so simulations
-//!   are bit-reproducible (the paper used a Mersenne Twister; only the
-//!   statistical quality of the uniform stream matters),
+//! * `rng` — [`Rng`], a self-contained, seedable xoshiro256** PRNG so
+//!   simulations are bit-reproducible (the paper used a Mersenne Twister;
+//!   only the statistical quality of the uniform stream matters),
 //! * [`stochastic`] — binomial/multinomial/hypergeometric samplers (inherent
 //!   [`Rng`] methods) used by the count-level protocol runtimes,
-//! * [`group`] — group membership with per-process liveness,
-//! * [`network`] — message/connection loss model,
-//! * [`failure`] — scheduled failure events (massive failures, crashes,
-//!   recoveries) and probabilistic crash/recovery models,
-//! * [`churn`] — availability traces: a synthetic Overnet-like generator and
-//!   a replay engine (the paper injects hourly churn of 10–25 % of hosts),
+//! * `group` — [`Group`] membership with per-process liveness,
+//! * `network` — the message/connection [`LossConfig`],
+//! * `failure` — scheduled failure events ([`FailureSchedule`]: massive
+//!   failures, crashes, recoveries) and the probabilistic crash/recovery
+//!   [`FailureModel`],
+//! * `churn` — availability traces: a synthetic Overnet-like generator
+//!   ([`SyntheticChurnConfig`]) and a replayable [`ChurnTrace`] (the paper
+//!   injects hourly churn of 10–25 % of hosts),
 //! * [`adversary`] — *adaptive* fault injection: strategies observing the
 //!   live per-period run state and emitting crash/recovery injections
-//!   mid-run (targeted strikes, cascading failures, heavy-tailed churn),
-//! * [`clock`] — protocol-period bookkeeping (periods ↔ wall-clock time),
-//! * [`metrics`] — time-series recording and summary statistics for
-//!   experiment output,
-//! * [`scenario`] — a bundle of all of the above describing one experiment,
+//!   mid-run (targeted strikes, worker kills, cascading failures),
+//! * `clock` — [`PeriodClock`], protocol-period bookkeeping (periods ↔
+//!   wall-clock time),
+//! * `metrics` — time-series recording ([`MetricsRecorder`]) and summary
+//!   statistics for experiment output,
+//! * `scenario` — a [`Scenario`] bundles all of the above to describe one
+//!   experiment,
 //! * [`topology`] — the population topology (one well-mixed group, or `S`
 //!   shards exchanging processes via migration at period boundaries),
-//! * [`transport`] — the asynchronous message layer: per-link latency
-//!   distributions, drop probability, partition windows, retry/timeout/
-//!   backoff policies, an in-process virtual-time broker with streaming
-//!   delivery statistics, and a Unix-datagram-socket transport that runs
-//!   each population segment as a real worker process,
-//! * [`supervise`] — worker-process supervision for the socket transport:
-//!   spawning, heartbeat health checks, SIGKILL on adversary command, and
-//!   generation-bumping restarts.
+//! * [`transport`] — the asynchronous message layer: a latency
+//!   distribution, drop probability, partition windows, an in-process
+//!   virtual-time broker with streaming delivery statistics, and a
+//!   Unix-datagram-socket transport that runs each population segment as a
+//!   real worker process,
+//! * `supervise` — [`WorkerSupervisor`], worker-process supervision for the
+//!   socket transport: spawning, heartbeat health checks, SIGKILL on
+//!   adversary command, and generation-bumping restarts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod adversary;
-pub mod churn;
-pub mod clock;
-pub mod error;
-pub mod failure;
-pub mod group;
-pub mod metrics;
-pub mod network;
-pub mod rng;
-pub mod scenario;
+mod churn;
+mod clock;
+mod error;
+mod failure;
+mod group;
+mod metrics;
+mod network;
+mod rng;
+mod scenario;
 pub mod stochastic;
-pub mod supervise;
+mod supervise;
 pub mod topology;
 pub mod transport;
 
 pub use adversary::{
-    Adversary, AdversaryHandle, AdversaryState, AdversaryView, CascadingFailure, ChurnBurst,
-    HeavyTailedChurn, Injection, InjectionRecord, ObliviousSchedule, TargetLargestState,
-    TargetWinner, TransportGauges,
+    Adversary, AdversaryHandle, AdversaryState, AdversaryView, CascadingFailure, Injection,
+    InjectionRecord, ObliviousSchedule, TargetLargestState, TransportGauges,
 };
 pub use churn::{ChurnEvent, ChurnTrace, SyntheticChurnConfig};
 pub use clock::PeriodClock;
@@ -74,9 +78,8 @@ pub use scenario::Scenario;
 pub use supervise::{maybe_run_worker, SocketConfig, WorkerLauncher, WorkerSupervisor};
 pub use topology::{Placement, ShardConfig, ShardFailure, ShardPartition, Topology};
 pub use transport::{
-    Backoff, Delivery, InProcTransport, LatencyModel, LinkModel, LinkPartition, RetryPolicy,
-    RingBuffer, TimeoutPolicy, Transport, TransportBackend, TransportConfig, TransportStats,
-    UdsTransport,
+    Delivery, InProcTransport, LatencyModel, LinkModel, Transport, TransportBackend,
+    TransportConfig, TransportStats, UdsTransport,
 };
 
 /// Result alias used throughout the crate.

@@ -71,7 +71,6 @@ impl SummaryStats {
 /// for x in [1.0, 2.0, 3.0, 4.0] {
 ///     acc.push(x);
 /// }
-/// assert_eq!(acc.count(), 4);
 /// assert_eq!(acc.mean(), 2.5);
 /// assert!((acc.std_dev() - (5.0 / 3.0_f64).sqrt()).abs() < 1e-12);
 /// ```
@@ -116,11 +115,6 @@ impl OnlineStats {
         }
     }
 
-    /// Number of samples folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Arithmetic mean of the samples (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
@@ -152,9 +146,8 @@ impl OnlineStats {
 /// for t in 0..10 {
 ///     m.record("stashers", t, (100 + t) as f64);
 /// }
-/// let stats = m.summary("stashers", 0, 10)?;
-/// assert_eq!(stats.count, 10);
-/// assert_eq!(stats.min, 100.0);
+/// assert_eq!(m.series("stashers")?.len(), 10);
+/// assert_eq!(m.last("stashers"), Some(109.0));
 /// # Ok::<(), netsim::SimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -204,73 +197,12 @@ impl MetricsRecorder {
             .ok_or_else(|| SimError::UnknownSeries(name.to_string()))
     }
 
-    /// The values of a series restricted to periods in `[from, to)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSeries`] if the series does not exist.
-    pub fn window(&self, name: &str, from: u64, to: u64) -> Result<Vec<f64>> {
-        Ok(self
-            .series(name)?
-            .iter()
-            .filter(|(p, _)| *p >= from && *p < to)
-            .map(|(_, v)| *v)
-            .collect())
-    }
-
-    /// Summary statistics of a series over the period window `[from, to)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSeries`] if the series does not exist, or
-    /// [`SimError::InvalidConfig`] if the window contains no samples.
-    pub fn summary(&self, name: &str, from: u64, to: u64) -> Result<SummaryStats> {
-        let values = self.window(name, from, to)?;
-        SummaryStats::of(&values).ok_or(SimError::InvalidConfig {
-            name: "window",
-            reason: format!("series `{name}` has no samples in [{from}, {to})"),
-        })
-    }
-
     /// The most recent value of a series, if any.
     pub fn last(&self, name: &str) -> Option<f64> {
         self.series
             .get(name)
             .and_then(|s| s.last())
             .map(|(_, v)| *v)
-    }
-
-    /// Renders the named series side by side as CSV (`period,name1,name2,…`),
-    /// using empty cells where a series has no sample for a period.
-    pub fn to_csv(&self, names: &[&str]) -> String {
-        let mut periods: Vec<u64> = Vec::new();
-        for name in names {
-            if let Some(s) = self.series.get(*name) {
-                periods.extend(s.iter().map(|(p, _)| *p));
-            }
-        }
-        periods.sort_unstable();
-        periods.dedup();
-
-        let mut out = String::from("period");
-        for name in names {
-            out.push(',');
-            out.push_str(name);
-        }
-        out.push('\n');
-        for p in periods {
-            out.push_str(&p.to_string());
-            for name in names {
-                out.push(',');
-                if let Some(s) = self.series.get(*name) {
-                    if let Some((_, v)) = s.iter().find(|(sp, _)| *sp == p) {
-                        out.push_str(&format!("{v}"));
-                    }
-                }
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Appends a whole series by value: a new name takes ownership of
@@ -316,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn record_window_and_summary() {
+    fn record_and_read_series() {
         let mut m = MetricsRecorder::new();
         for t in 0..100u64 {
             m.record("stashers", t, t as f64);
@@ -325,12 +257,6 @@ mod tests {
         assert_eq!(m.series_names(), vec!["receptives", "stashers"]);
         assert_eq!(m.series("stashers").unwrap().len(), 100);
         assert!(m.series("nope").is_err());
-        let w = m.window("stashers", 10, 20).unwrap();
-        assert_eq!(w.len(), 10);
-        let s = m.summary("stashers", 10, 20).unwrap();
-        assert_eq!(s.min, 10.0);
-        assert_eq!(s.max, 19.0);
-        assert!(m.summary("stashers", 200, 300).is_err());
         assert_eq!(m.last("receptives"), Some(198.0));
         assert_eq!(m.last("nope"), None);
     }
@@ -342,19 +268,6 @@ mod tests {
         m.add("transfers", 5, 1.0);
         m.add("transfers", 6, 1.0);
         assert_eq!(m.series("transfers").unwrap(), &[(5, 2.0), (6, 1.0)]);
-    }
-
-    #[test]
-    fn csv_output_aligns_series() {
-        let mut m = MetricsRecorder::new();
-        m.record("a", 0, 1.0);
-        m.record("a", 1, 2.0);
-        m.record("b", 1, 3.0);
-        let csv = m.to_csv(&["a", "b"]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "period,a,b");
-        assert_eq!(lines[1], "0,1,");
-        assert_eq!(lines[2], "1,2,3");
     }
 
     #[test]
@@ -385,7 +298,7 @@ mod tests {
                 merged.merge(&acc);
             }
             merged.merge(&OnlineStats::new());
-            assert_eq!(merged.count(), sequential.count());
+            assert_eq!(merged.count, sequential.count);
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
             assert!(close(merged.mean(), sequential.mean()), "{parts} parts");
             assert!(

@@ -1,7 +1,6 @@
 //! Unreliable network model: message and connection losses.
 
 use crate::error::check_probability;
-use crate::rng::Rng;
 use crate::Result;
 
 /// Loss model for the communication medium.
@@ -36,7 +35,7 @@ impl Default for LossConfig {
 
 impl LossConfig {
     /// A perfectly reliable network.
-    pub fn reliable() -> Self {
+    pub(crate) fn reliable() -> Self {
         Self::default()
     }
 
@@ -54,16 +53,6 @@ impl LossConfig {
         })
     }
 
-    /// Probability that a contact attempt fails outright.
-    pub fn connection_failure(&self) -> f64 {
-        self.connection_failure
-    }
-
-    /// Probability that a single message is dropped.
-    pub fn message_loss(&self) -> f64 {
-        self.message_loss
-    }
-
     /// The paper's group-wide failure rate `f` per connection attempt, for a
     /// contact that must deliver `messages` messages to have its effect:
     /// the attempt succeeds only if the connection is established **and**
@@ -72,17 +61,6 @@ impl LossConfig {
         let success =
             (1.0 - self.connection_failure) * (1.0 - self.message_loss).powi(messages as i32);
         1.0 - success
-    }
-
-    /// Samples whether a contact attempt (carrying `messages` messages)
-    /// succeeds end to end.
-    pub fn contact_succeeds(&self, rng: &mut Rng, messages: u32) -> bool {
-        !rng.chance(self.effective_contact_failure(messages))
-    }
-
-    /// Samples whether a single message is delivered.
-    pub fn message_delivered(&self, rng: &mut Rng) -> bool {
-        !rng.chance(self.message_loss)
     }
 }
 
@@ -93,12 +71,7 @@ mod tests {
     #[test]
     fn reliable_network_never_fails() {
         let cfg = LossConfig::reliable();
-        let mut rng = Rng::seed_from(1);
         assert_eq!(cfg.effective_contact_failure(3), 0.0);
-        for _ in 0..100 {
-            assert!(cfg.contact_succeeds(&mut rng, 5));
-            assert!(cfg.message_delivered(&mut rng));
-        }
     }
 
     #[test]
@@ -113,25 +86,7 @@ mod tests {
         let cfg = LossConfig::new(0.1, 0.2).unwrap();
         // success = 0.9 * 0.8^2 = 0.576 → failure = 0.424
         assert!((cfg.effective_contact_failure(2) - (1.0 - 0.9 * 0.64)).abs() < 1e-12);
-        assert_eq!(cfg.connection_failure(), 0.1);
-        assert_eq!(cfg.message_loss(), 0.2);
         // Zero messages: only the connection matters.
         assert!((cfg.effective_contact_failure(0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_rates_match_configuration() {
-        let cfg = LossConfig::new(0.3, 0.1).unwrap();
-        let mut rng = Rng::seed_from(2);
-        let trials = 100_000;
-        let ok = (0..trials)
-            .filter(|_| cfg.contact_succeeds(&mut rng, 1))
-            .count();
-        let expected = 0.7 * 0.9;
-        assert!((ok as f64 / trials as f64 - expected).abs() < 0.01);
-        let delivered = (0..trials)
-            .filter(|_| cfg.message_delivered(&mut rng))
-            .count();
-        assert!((delivered as f64 / trials as f64 - 0.9).abs() < 0.01);
     }
 }

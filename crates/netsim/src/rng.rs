@@ -83,17 +83,6 @@ impl Rng {
         (((x as u128) * (bound as u128)) >> 64) as usize
     }
 
-    /// A uniform integer in `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high`.
-    #[inline]
-    pub fn range(&mut self, low: usize, high: usize) -> usize {
-        assert!(low < high, "empty range");
-        low + self.index(high - low)
-    }
-
     /// `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -117,15 +106,6 @@ impl Rng {
         for i in (1..slice.len()).rev() {
             let j = self.index(i + 1);
             slice.swap(i, j);
-        }
-    }
-
-    /// Chooses one element of a slice uniformly at random, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.index(slice.len())])
         }
     }
 
@@ -190,11 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn range_and_uniform_bounds() {
+    fn uniform_bounds() {
         let mut rng = Rng::seed_from(4);
         for _ in 0..1000 {
-            let v = rng.range(5, 10);
-            assert!((5..10).contains(&v));
             let u = rng.uniform(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&u));
         }
@@ -222,15 +200,6 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "50 elements almost surely move"
         );
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = Rng::seed_from(7);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let v = [1, 2, 3];
-        assert!(v.contains(rng.choose(&v).unwrap()));
     }
 
     #[test]

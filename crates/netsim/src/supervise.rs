@@ -164,12 +164,12 @@ impl SocketConfig {
     }
 
     /// The worker launcher.
-    pub fn launcher(&self) -> &WorkerLauncher {
+    pub(crate) fn launcher(&self) -> &WorkerLauncher {
         &self.launcher
     }
 
     /// The echo round-trip budget in milliseconds.
-    pub fn echo_wait_ms(&self) -> u64 {
+    pub(crate) fn echo_wait_ms(&self) -> u64 {
         self.echo_wait_ms
     }
 }
@@ -312,24 +312,9 @@ impl WorkerSupervisor {
         ))
     }
 
-    /// Number of workers (== population segments).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The current worker generation (bumped on every respawn).
-    pub fn generation(&self) -> u32 {
+    pub(crate) fn generation(&self) -> u32 {
         self.generation
-    }
-
-    /// `true` if worker `k` has not been killed since its last (re)spawn.
-    pub fn alive(&self, k: usize) -> bool {
-        self.workers[k].alive
-    }
-
-    /// How many times worker `k` was respawned.
-    pub fn restarts(&self, k: usize) -> u32 {
-        self.workers[k].restarts
     }
 
     /// Sends one frame to worker `k`'s socket. The data socket is
@@ -423,7 +408,7 @@ impl WorkerSupervisor {
     }
 
     /// SIGKILLs worker `k` and reaps it. Idempotent.
-    pub fn kill(&mut self, k: usize) {
+    pub(crate) fn kill(&mut self, k: usize) {
         let slot = &mut self.workers[k];
         if let Some(child) = slot.child.as_mut() {
             let _ = child.kill();
@@ -615,9 +600,7 @@ mod tests {
     #[test]
     fn supervisor_spawns_heartbeats_kills_and_respawns() {
         let mut sup = WorkerSupervisor::spawn(test_launcher(), 2).expect("spawn workers");
-        assert_eq!(sup.worker_count(), 2);
         let first_gen = sup.generation();
-        assert!(sup.alive(0) && sup.alive(1));
         assert!(sup.heartbeat(0), "fresh worker 0 answers a ping");
         assert!(sup.heartbeat(1), "fresh worker 1 answers a ping");
 
@@ -643,14 +626,12 @@ mod tests {
 
         // SIGKILL is real: the process is gone and stops answering.
         sup.kill(0);
-        assert!(!sup.alive(0));
         assert!(!sup.heartbeat(0), "a killed worker cannot answer");
         assert!(sup.heartbeat(1), "the survivor is unaffected");
 
         // Respawn bumps the generation and the worker answers again.
         sup.respawn(0).expect("respawn worker 0");
         assert!(sup.generation() > first_gen);
-        assert_eq!(sup.restarts(0), 1);
         assert!(sup.heartbeat(0), "respawned worker answers");
     }
 }

@@ -59,7 +59,7 @@ impl Topology {
 
     /// `true` if this is a sharded topology (even with a single shard:
     /// explicit sharding selects the sharded runtime tier).
-    pub fn is_sharded(&self) -> bool {
+    pub(crate) fn is_sharded(&self) -> bool {
         matches!(self, Topology::Sharded(_))
     }
 
@@ -117,7 +117,7 @@ impl ShardConfig {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
@@ -174,7 +174,7 @@ pub struct ShardPartition {
 
 impl ShardPartition {
     /// `true` if the partition is in force at `period`.
-    pub fn active_at(&self, period: u64) -> bool {
+    pub(crate) fn active_at(&self, period: u64) -> bool {
         (self.from_period..=self.to_period).contains(&period)
     }
 }

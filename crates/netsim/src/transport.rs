@@ -1,34 +1,34 @@
-//! Message transport: per-link latency, drops, partitions, and an
-//! in-process broker with streaming delivery statistics.
+//! Message transport: latency, drops, partitions, and an in-process broker
+//! with streaming delivery statistics.
 //!
 //! Everything else in `netsim` advances in synchronized protocol periods;
 //! this module is the substrate for *asynchronous* execution, where each
 //! protocol contact is an actual message that is sent, queued, delayed by a
-//! sampled per-link latency, and finally delivered or dropped. The design
-//! notes live here (the ROADMAP points at this module):
+//! sampled latency, and finally delivered or dropped. The design notes live
+//! here (the ROADMAP points at this module):
 //!
-//! * **Links are segment pairs.** Modelling `N²` per-process links would be
-//!   both unaffordable and unidentifiable; instead the population is split
-//!   into `segments` contiguous index blocks and every (ordered-free) segment
-//!   pair is one link with its own [`LinkModel`] — latency distribution plus
-//!   drop probability — falling back to a configurable default. One segment
-//!   (the default) degenerates to a single uniform link, the paper's
-//!   well-mixed medium.
-//! * **Partitions are period windows.** A [`LinkPartition`] blocks every
-//!   message between two segments for an inclusive period window, mirroring
+//! * **One link model, segments for placement.** Every message draws its
+//!   latency and drop fate from one [`LinkModel`] — the paper's well-mixed,
+//!   uniformly lossy medium. The population is split into `segments`
+//!   contiguous index blocks: the unit a partition window cuts and, on the
+//!   socket backend, the unit one worker process owns.
+//! * **Partitions are period windows.** A partition
+//!   ([`TransportConfig::with_partition`]) blocks every message between two
+//!   segments for an inclusive period window, mirroring
 //!   [`ShardPartition`](crate::topology::ShardPartition) but at the message
 //!   layer: sends during the window are queued and resolved as timeouts, so
 //!   the sender still pays the latency before learning nothing came back.
 //! * **The broker is a virtual-time queue.** [`InProcTransport`] keeps
 //!   messages in a binary heap ordered by `(deliver_at, sequence)`; ties are
 //!   impossible by construction, so a seeded run replays **bit-identically**.
-//!   The [`Transport`] trait is the seam for socket-shaped implementations
-//!   later — the consuming runtime only sees `send` / `next_ready`.
+//!   The [`Transport`] trait is the seam both the broker and the socket
+//!   transport implement — the consuming runtime only sees `send` /
+//!   `next_ready`.
 //! * **Statistics stream while the run executes.** Every send/delivery/drop
 //!   updates an [`Arc`]-shared [`TransportStats`] (atomic counters plus a
-//!   bounded [`RingBuffer`] of recent per-link delivery latencies), so an
-//!   observer — or another thread — can read queue depth, latency and drop
-//!   counts mid-run instead of waiting for post-hoc recorders.
+//!   bounded ring of recent delivery latencies), so an observer — or another
+//!   thread — can read queue depth, latency and drop counts mid-run instead
+//!   of waiting for post-hoc recorders.
 
 use crate::error::{check_probability, SimError};
 use crate::rng::Rng;
@@ -62,7 +62,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Draws one delivery latency.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> f64 {
         match *self {
             LatencyModel::Zero => 0.0,
             LatencyModel::Constant(secs) => secs,
@@ -72,16 +72,6 @@ impl LatencyModel {
                 let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
                 -mean * u.ln()
             }
-        }
-    }
-
-    /// The distribution's mean, in seconds.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            LatencyModel::Zero => 0.0,
-            LatencyModel::Constant(secs) => secs,
-            LatencyModel::Uniform { min, max } => 0.5 * (min + max),
-            LatencyModel::Exponential { mean } => mean,
         }
     }
 
@@ -105,8 +95,8 @@ impl LatencyModel {
     }
 }
 
-/// The behaviour of one link: how long messages take and how often they are
-/// lost. A link connects two population segments (or a segment to itself).
+/// The behaviour of the message medium: how long messages take and how often
+/// they are lost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     latency: LatencyModel,
@@ -115,7 +105,7 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// A perfect link: zero latency, no drops.
-    pub fn reliable() -> Self {
+    pub(crate) fn reliable() -> Self {
         LinkModel {
             latency: LatencyModel::Zero,
             drop_prob: 0.0,
@@ -135,12 +125,12 @@ impl LinkModel {
     }
 
     /// The latency distribution.
-    pub fn latency(&self) -> LatencyModel {
+    pub(crate) fn latency(&self) -> LatencyModel {
         self.latency
     }
 
     /// The per-message drop probability.
-    pub fn drop_prob(&self) -> f64 {
+    pub(crate) fn drop_prob(&self) -> f64 {
         self.drop_prob
     }
 }
@@ -148,168 +138,21 @@ impl LinkModel {
 /// A partition window between two segments: every message between them sent
 /// during the inclusive period window `from_period ..= to_period` is lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkPartition {
-    /// One side of the partitioned link.
-    pub a: usize,
+pub(crate) struct LinkPartition {
+    /// One side of the partitioned link (the lower segment index).
+    pub(crate) a: usize,
     /// The other side (`a == b` partitions a segment from itself).
-    pub b: usize,
+    pub(crate) b: usize,
     /// First period of the window (inclusive).
-    pub from_period: u64,
+    pub(crate) from_period: u64,
     /// Last period of the window (inclusive).
-    pub to_period: u64,
+    pub(crate) to_period: u64,
 }
 
 impl LinkPartition {
     /// `true` if the partition is in force at `period`.
-    pub fn active_at(&self, period: u64) -> bool {
+    pub(crate) fn active_at(&self, period: u64) -> bool {
         (self.from_period..=self.to_period).contains(&period)
-    }
-}
-
-/// Decorrelated-jitter exponential backoff between send retries, in seconds
-/// of virtual time: each delay is drawn uniformly from `[base, 3·prev]` and
-/// clamped to `cap` (the AWS "decorrelated jitter" recipe — it spreads
-/// retries as well as full jitter while still growing exponentially).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    base: f64,
-    cap: f64,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            base: 1.0,
-            cap: 30.0,
-        }
-    }
-}
-
-impl Backoff {
-    /// Creates a backoff with the given base delay and cap, both in seconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `0 < base <= cap` and both are finite.
-    pub fn new(base: f64, cap: f64) -> Result<Self> {
-        if base.is_finite() && cap.is_finite() && base > 0.0 && base <= cap {
-            Ok(Backoff { base, cap })
-        } else {
-            Err(SimError::InvalidConfig {
-                name: "backoff",
-                reason: format!("need 0 < base <= cap, got base {base}, cap {cap}"),
-            })
-        }
-    }
-
-    /// The minimum (and first) delay, in seconds.
-    pub fn base(&self) -> f64 {
-        self.base
-    }
-
-    /// The maximum delay, in seconds.
-    pub fn cap(&self) -> f64 {
-        self.cap
-    }
-
-    /// Draws the next delay given the previous one (decorrelated jitter).
-    pub fn next_delay(&self, prev: f64, rng: &mut Rng) -> f64 {
-        rng.uniform(self.base, (prev * 3.0).max(self.base))
-            .min(self.cap)
-    }
-}
-
-/// How many times a message is attempted before the sender gives up.
-/// Retries are only meaningful together with a [`TimeoutPolicy`] deadline:
-/// without one the sender can never *observe* a loss (an undetected drop
-/// simply resolves as a timeout at the sampled latency, exactly the paper's
-/// model), so the policy degrades to a single attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-    backoff: Backoff,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-impl RetryPolicy {
-    /// A single attempt — the historical behaviour, bit-for-bit.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Backoff::default(),
-        }
-    }
-
-    /// Up to `max_attempts` tries, spaced by `backoff`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `max_attempts` is zero.
-    pub fn new(max_attempts: u32, backoff: Backoff) -> Result<Self> {
-        if max_attempts == 0 {
-            return Err(SimError::InvalidConfig {
-                name: "retry",
-                reason: "a retry policy needs at least one attempt".into(),
-            });
-        }
-        Ok(RetryPolicy {
-            max_attempts,
-            backoff,
-        })
-    }
-
-    /// Maximum number of attempts (≥ 1).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// The backoff schedule between attempts.
-    pub fn backoff(&self) -> Backoff {
-        self.backoff
-    }
-}
-
-/// Per-attempt delivery deadline, in seconds of virtual time. A message that
-/// has not arrived by the deadline resolves as a timeout (the same
-/// `delivered == false` semantics [`InProcTransport`] already models for
-/// drops and partitions) and becomes eligible for retry.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TimeoutPolicy {
-    deadline: Option<f64>,
-}
-
-impl TimeoutPolicy {
-    /// No deadline: the sender waits for the sampled latency, however long.
-    pub fn none() -> Self {
-        TimeoutPolicy { deadline: None }
-    }
-
-    /// Each attempt times out after `secs` seconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `secs` is finite and positive.
-    pub fn after(secs: f64) -> Result<Self> {
-        if secs.is_finite() && secs > 0.0 {
-            Ok(TimeoutPolicy {
-                deadline: Some(secs),
-            })
-        } else {
-            Err(SimError::InvalidConfig {
-                name: "timeout",
-                reason: format!("deadline must be finite and positive, got {secs}"),
-            })
-        }
-    }
-
-    /// The per-attempt deadline, if one is set.
-    pub fn deadline(&self) -> Option<f64> {
-        self.deadline
     }
 }
 
@@ -328,19 +171,16 @@ pub enum TransportBackend {
 }
 
 /// Everything a scenario needs to say about its message transport: the
-/// segment count, the default link, per-segment-pair overrides and partition
-/// windows — plus the retry/timeout robustness layer and the physical
-/// backend. Attaching one to a [`Scenario`](crate::Scenario) (via
+/// segment count, the one link model every message travels on, partition
+/// windows, worker supervision and the physical backend. Attaching one to a
+/// [`Scenario`](crate::Scenario) (via
 /// [`Scenario::with_transport`](crate::Scenario::with_transport)) is what
 /// routes a run onto the asynchronous message-passing tier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
     segments: usize,
-    default_link: LinkModel,
-    overrides: Vec<(usize, usize, LinkModel)>,
+    link: LinkModel,
     partitions: Vec<LinkPartition>,
-    retry: RetryPolicy,
-    timeout: TimeoutPolicy,
     supervision: Option<u64>,
     backend: TransportBackend,
 }
@@ -352,26 +192,25 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// One segment, every message on `default_link`.
-    pub fn new(default_link: LinkModel) -> Self {
+    /// One segment, every message on `link`.
+    pub fn new(link: LinkModel) -> Self {
         TransportConfig {
             segments: 1,
-            default_link,
-            overrides: Vec::new(),
+            link,
             partitions: Vec::new(),
-            retry: RetryPolicy::none(),
-            timeout: TimeoutPolicy::none(),
             supervision: None,
             backend: TransportBackend::InProcess,
         }
     }
 
-    /// Splits the population into `segments` contiguous index blocks; every
-    /// segment pair becomes a distinct link.
+    /// Splits the population into `segments` contiguous index blocks: the
+    /// unit a partition window cuts and a socket worker owns.
     ///
     /// # Errors
     ///
-    /// Returns an error if `segments` is zero.
+    /// Returns an error if `segments` is zero, or if a partition window
+    /// already recorded names a segment at or beyond the new count (no
+    /// segment pair could ever match it).
     pub fn with_segments(mut self, segments: usize) -> Result<Self> {
         if segments == 0 {
             return Err(SimError::InvalidConfig {
@@ -379,20 +218,16 @@ impl TransportConfig {
                 reason: "transport needs at least one segment".into(),
             });
         }
+        if let Some(p) = self.partitions.iter().find(|p| p.b >= segments) {
+            return Err(SimError::InvalidConfig {
+                name: "segments",
+                reason: format!(
+                    "partition between segments {} and {} needs more than {segments} segments",
+                    p.a, p.b
+                ),
+            });
+        }
         self.segments = segments;
-        Ok(self)
-    }
-
-    /// Overrides the link model between segments `a` and `b` (symmetric;
-    /// `a == b` sets the segment's internal link).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either segment index is out of range.
-    pub fn with_link(mut self, a: usize, b: usize, model: LinkModel) -> Result<Self> {
-        self.check_segment(a)?;
-        self.check_segment(b)?;
-        self.overrides.push((a.min(b), a.max(b), model));
         Ok(self)
     }
 
@@ -425,18 +260,6 @@ impl TransportConfig {
             to_period,
         });
         Ok(self)
-    }
-
-    /// Sets the send retry policy (default: a single attempt).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the per-attempt delivery deadline (default: none).
-    pub fn with_timeout(mut self, timeout: TimeoutPolicy) -> Self {
-        self.timeout = timeout;
-        self
     }
 
     /// Enables worker supervision: a segment killed by
@@ -473,24 +296,9 @@ impl TransportConfig {
         self.segments
     }
 
-    /// The link model used by every pair without an override.
-    pub fn default_link(&self) -> LinkModel {
-        self.default_link
-    }
-
     /// The partition windows.
-    pub fn partitions(&self) -> &[LinkPartition] {
+    pub(crate) fn partitions(&self) -> &[LinkPartition] {
         &self.partitions
-    }
-
-    /// The send retry policy.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The per-attempt delivery deadline policy.
-    pub fn timeout(&self) -> TimeoutPolicy {
-        self.timeout
     }
 
     /// Restart delay (periods) if supervision is enabled, `None` otherwise.
@@ -510,37 +318,12 @@ impl TransportConfig {
         (p * self.segments) / n
     }
 
-    /// The effective link model between two segments (last override wins).
-    pub fn link(&self, a: usize, b: usize) -> LinkModel {
-        let (lo, hi) = (a.min(b), a.max(b));
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(oa, ob, _)| (*oa, *ob) == (lo, hi))
-            .map(|(_, _, m)| *m)
-            .unwrap_or(self.default_link)
-    }
-
     /// `true` if the link between two segments is partitioned at `period`.
-    pub fn is_partitioned(&self, a: usize, b: usize, period: u64) -> bool {
+    fn is_partitioned(&self, a: usize, b: usize, period: u64) -> bool {
         let (lo, hi) = (a.min(b), a.max(b));
         self.partitions
             .iter()
             .any(|p| (p.a, p.b) == (lo, hi) && p.active_at(period))
-    }
-
-    /// Number of distinct links (unordered segment pairs, including each
-    /// segment's internal link) — the size of the per-link statistics table.
-    pub fn link_count(&self) -> usize {
-        self.segments * (self.segments + 1) / 2
-    }
-
-    /// Dense index of the link between two segments, for per-link counters.
-    pub fn link_index(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = (a.min(b), a.max(b));
-        // Row `lo` of the upper triangle starts after lo rows of decreasing
-        // length: Σ_{r<lo} (segments - r).
-        lo * self.segments - lo * (lo + 1) / 2 + lo + (hi - lo)
     }
 }
 
@@ -638,7 +421,7 @@ pub struct InProcTransport {
 impl InProcTransport {
     /// Creates a broker for a population of `n` processes.
     pub fn new(config: TransportConfig, n: usize) -> Self {
-        let stats = Arc::new(TransportStats::new(config.link_count()));
+        let stats = Arc::new(TransportStats::default());
         InProcTransport {
             config,
             n,
@@ -658,22 +441,12 @@ impl InProcTransport {
         Arc::clone(&self.stats)
     }
 
-    /// The population size the broker was built for.
-    pub fn population(&self) -> usize {
-        self.n
-    }
-
-    /// Queues one message, running the full retry/timeout machinery, and
-    /// reports where it went. Shared between the trait `send` and the
-    /// socket-backed transport (which additionally pushes a datagram for
-    /// every virtually-delivered message).
+    /// Queues one message and reports where it went. Shared between the
+    /// trait `send` and the socket-backed transport (which additionally
+    /// pushes a datagram for every virtually-delivered message).
     ///
-    /// With the default policies (single attempt, no deadline) the RNG draw
-    /// sequence and the outcome are bit-for-bit the historical ones. With a
-    /// deadline `d`, an attempt succeeds only if it is neither dropped nor
-    /// partitioned *and* its sampled latency fits inside `d`; every failed
-    /// attempt burns the full deadline (the sender learns nothing earlier),
-    /// then a decorrelated-jitter backoff delay, before the next try.
+    /// Draws the latency, then (outside a partition window) the drop coin;
+    /// an undetected loss resolves at the sampled latency.
     pub(crate) fn send_inner(
         &mut self,
         src: u32,
@@ -685,37 +458,10 @@ impl InProcTransport {
     ) -> SendOutcome {
         let sa = self.config.segment_of(src as usize, self.n);
         let sb = self.config.segment_of(dst as usize, self.n);
-        let link = self.config.link(sa, sb);
-        let link_ix = self.config.link_index(sa, sb);
-        let attempts = self.config.retry.max_attempts();
-        let backoff = self.config.retry.backoff();
-        let mut elapsed = 0.0; // virtual seconds burned by failed attempts
-        let mut prev_delay = backoff.base();
-        let mut attempt = 0u32;
-        let (deliver_at, delivered) = loop {
-            attempt += 1;
-            let latency = link.latency().sample(rng);
-            let partitioned = self.config.is_partitioned(sa, sb, period);
-            let delivered = !partitioned && !rng.chance(link.drop_prob());
-            match self.config.timeout.deadline() {
-                // No deadline: the historical single-shot path, whatever the
-                // fate — an undetected loss resolves at the sampled latency.
-                None => break (now + latency, delivered),
-                Some(d) => {
-                    if delivered && latency <= d {
-                        break (now + elapsed + latency, true);
-                    }
-                    self.stats.on_timeout();
-                    if attempt >= attempts {
-                        break (now + elapsed + d, false);
-                    }
-                    self.stats.on_retry();
-                    let delay = backoff.next_delay(prev_delay, rng);
-                    prev_delay = delay;
-                    elapsed += d + delay;
-                }
-            }
-        };
+        let link = self.config.link;
+        let deliver_at = now + link.latency().sample(rng);
+        let partitioned = self.config.is_partitioned(sa, sb, period);
+        let delivered = !partitioned && !rng.chance(link.drop_prob());
         self.seq += 1;
         self.queue.push(Queued {
             deliver_at,
@@ -729,7 +475,7 @@ impl InProcTransport {
                 delivered,
             },
         });
-        self.stats.on_send(link_ix);
+        self.stats.on_send();
         SendOutcome {
             deliver_at,
             seq: self.seq,
@@ -738,15 +484,9 @@ impl InProcTransport {
         }
     }
 
-    /// `(seq, deliver_at, dst_segment)` of the earliest queued message.
-    pub(crate) fn head(&self) -> Option<(u64, f64, usize)> {
-        self.queue.peek().map(|q| {
-            (
-                q.seq,
-                q.deliver_at,
-                self.config.segment_of(q.delivery.dst as usize, self.n),
-            )
-        })
+    /// `(seq, deliver_at)` of the earliest queued message.
+    pub(crate) fn head(&self) -> Option<(u64, f64)> {
+        self.queue.peek().map(|q| (q.seq, q.deliver_at))
     }
 
     /// Pops the head unconditionally, resolving statistics. `force_timeout`
@@ -758,13 +498,7 @@ impl InProcTransport {
         if force_timeout {
             d.delivered = false;
         }
-        let sa = self.config.segment_of(d.src as usize, self.n);
-        let sb = self.config.segment_of(d.dst as usize, self.n);
-        self.stats.on_resolve(
-            self.config.link_index(sa, sb),
-            d.delivered,
-            d.deliver_at - d.sent_at,
-        );
+        self.stats.on_resolve(d.delivered, d.deliver_at - d.sent_at);
         Some(d)
     }
 }
@@ -895,16 +629,6 @@ impl UdsTransport {
         self.inner.stats()
     }
 
-    /// The supervisor owning the worker processes.
-    pub fn supervisor(&self) -> &crate::supervise::WorkerSupervisor {
-        &self.supervisor
-    }
-
-    /// `true` if the segment's worker is currently dead or wedged.
-    pub fn is_parked(&self, segment: usize) -> bool {
-        self.parked[segment]
-    }
-
     /// SIGKILLs the worker owning `segment` and parks the segment: all its
     /// in-flight messages, and every future message to it, resolve as
     /// timeouts. Idempotent; the run keeps going.
@@ -1015,7 +739,7 @@ impl Transport for UdsTransport {
     }
 
     fn next_ready(&mut self, until: f64) -> Option<Delivery> {
-        let (seq, deliver_at, _) = self.inner.head()?;
+        let (seq, deliver_at) = self.inner.head()?;
         if deliver_at >= until {
             return None;
         }
@@ -1076,80 +800,50 @@ impl Transport for UdsTransport {
 }
 
 /// A bounded ring of recent samples — the streaming window behind the
-/// per-link latency statistics (old samples are overwritten, so memory stays
+/// latency statistics (old samples are overwritten, so memory stays
 /// constant however long the run is).
 #[derive(Debug, Clone)]
-pub struct RingBuffer {
+pub(crate) struct RingBuffer {
     samples: Vec<f64>,
     capacity: usize,
     next: usize,
-    total_pushed: u64,
 }
 
 impl RingBuffer {
     /// Creates a ring holding up to `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RingBuffer {
             samples: Vec::with_capacity(capacity.min(64)),
             capacity: capacity.max(1),
             next: 0,
-            total_pushed: 0,
         }
     }
 
     /// Adds a sample, evicting the oldest once full.
-    pub fn push(&mut self, sample: f64) {
+    pub(crate) fn push(&mut self, sample: f64) {
         if self.samples.len() < self.capacity {
             self.samples.push(sample);
         } else {
             self.samples[self.next] = sample;
         }
         self.next = (self.next + 1) % self.capacity;
-        self.total_pushed += 1;
-    }
-
-    /// Number of samples currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if no sample was ever pushed.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total samples ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
     }
 
     /// Mean of the samples in the window (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
         } else {
             self.samples.iter().sum::<f64>() / self.samples.len() as f64
         }
     }
-
-    /// Maximum of the samples in the window (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-/// Per-link message counters.
-#[derive(Debug, Default)]
-struct LinkCounters {
-    sent: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
 }
 
 /// Live transport statistics, shared between the broker (writer) and any
-/// number of reader threads: global and per-link sent/delivered/dropped
-/// counters plus ring buffers of recent delivery latencies. All reads are
-/// wait-free except the latency windows (one short mutex).
+/// number of reader threads: global sent/delivered/dropped counters, the
+/// socket transport's timeout and resend counters, and a ring buffer of
+/// recent delivery latencies. All reads are wait-free except the latency
+/// window (one short mutex).
 #[derive(Debug)]
 pub struct TransportStats {
     sent: AtomicU64,
@@ -1157,50 +851,47 @@ pub struct TransportStats {
     dropped: AtomicU64,
     timed_out: AtomicU64,
     retries: AtomicU64,
-    links: Vec<LinkCounters>,
     latencies: Mutex<RingBuffer>,
-    link_latencies: Vec<Mutex<RingBuffer>>,
 }
 
-/// Capacity of the streaming latency windows.
+/// Capacity of the streaming latency window.
 const LATENCY_WINDOW: usize = 1024;
 
-impl TransportStats {
-    fn new(link_count: usize) -> Self {
+impl Default for TransportStats {
+    fn default() -> Self {
         TransportStats {
             sent: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            links: (0..link_count).map(|_| LinkCounters::default()).collect(),
             latencies: Mutex::new(RingBuffer::new(LATENCY_WINDOW)),
-            link_latencies: (0..link_count)
-                .map(|_| Mutex::new(RingBuffer::new(LATENCY_WINDOW)))
-                .collect(),
         }
     }
+}
 
-    fn on_send(&self, link: usize) {
+impl TransportStats {
+    fn on_send(&self) {
         self.sent.fetch_add(1, MemOrdering::Relaxed);
-        self.links[link].sent.fetch_add(1, MemOrdering::Relaxed);
     }
 
-    fn on_resolve(&self, link: usize, delivered: bool, latency: f64) {
+    // Release pairs with the Acquire loads in `in_flight`: a reader that
+    // sees a resolution also sees the send that preceded it.
+    fn on_resolve(&self, delivered: bool, latency: f64) {
         if delivered {
-            self.delivered.fetch_add(1, MemOrdering::Relaxed);
-            self.links[link]
-                .delivered
-                .fetch_add(1, MemOrdering::Relaxed);
+            self.delivered.fetch_add(1, MemOrdering::Release);
             self.latencies.lock().expect("stats lock").push(latency);
-            self.link_latencies[link]
-                .lock()
-                .expect("stats lock")
-                .push(latency);
         } else {
-            self.dropped.fetch_add(1, MemOrdering::Relaxed);
-            self.links[link].dropped.fetch_add(1, MemOrdering::Relaxed);
+            self.dropped.fetch_add(1, MemOrdering::Release);
         }
+    }
+
+    pub(crate) fn on_timeout(&self) {
+        self.timed_out.fetch_add(1, MemOrdering::Relaxed);
+    }
+
+    pub(crate) fn on_retry(&self) {
+        self.retries.fetch_add(1, MemOrdering::Relaxed);
     }
 
     /// Total messages ever sent.
@@ -1213,65 +904,37 @@ impl TransportStats {
         self.delivered.load(MemOrdering::Relaxed)
     }
 
-    pub(crate) fn on_timeout(&self) {
-        self.timed_out.fetch_add(1, MemOrdering::Relaxed);
-    }
-
-    pub(crate) fn on_retry(&self) {
-        self.retries.fetch_add(1, MemOrdering::Relaxed);
-    }
-
-    /// Total messages dropped (loss or partition).
+    /// Total messages dropped (loss, partition or a forced timeout).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(MemOrdering::Relaxed)
     }
 
-    /// Attempts that expired against a [`TimeoutPolicy`] deadline, plus
-    /// physical socket waits the echo fabric gave up on.
+    /// Messages the socket transport gave up on: sends to a parked segment
+    /// or that failed to push, in-flight messages of a segment that was
+    /// parked, and echo waits that ran out of their wall-clock budget.
     pub fn timed_out(&self) -> u64 {
         self.timed_out.load(MemOrdering::Relaxed)
     }
 
-    /// Extra attempts spent by the [`RetryPolicy`] (first tries excluded).
+    /// Physical datagram resends the socket transport made while waiting for
+    /// an echo.
     pub fn retries(&self) -> u64 {
         self.retries.load(MemOrdering::Relaxed)
     }
 
-    /// Messages currently in flight (sent but not yet resolved).
+    /// Messages currently in flight (sent but not yet resolved). The
+    /// resolved counters are loaded before `sent`, so a concurrent writer
+    /// can only make the result too large, never negative.
     pub fn in_flight(&self) -> u64 {
-        self.sent() - self.delivered() - self.dropped()
-    }
-
-    /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// `(sent, delivered, dropped)` for one link index (see
-    /// [`TransportConfig::link_index`]).
-    pub fn link_counts(&self, link: usize) -> (u64, u64, u64) {
-        let l = &self.links[link];
-        (
-            l.sent.load(MemOrdering::Relaxed),
-            l.delivered.load(MemOrdering::Relaxed),
-            l.dropped.load(MemOrdering::Relaxed),
-        )
+        let resolved =
+            self.delivered.load(MemOrdering::Acquire) + self.dropped.load(MemOrdering::Acquire);
+        self.sent() - resolved
     }
 
     /// Mean delivery latency over the recent window (seconds; 0 if nothing
     /// was delivered yet).
     pub fn recent_latency_mean(&self) -> f64 {
         self.latencies.lock().expect("stats lock").mean()
-    }
-
-    /// Maximum delivery latency over the recent window (seconds).
-    pub fn recent_latency_max(&self) -> f64 {
-        self.latencies.lock().expect("stats lock").max()
-    }
-
-    /// Mean delivery latency of one link over its recent window (seconds).
-    pub fn link_latency_mean(&self, link: usize) -> f64 {
-        self.link_latencies[link].lock().expect("stats lock").mean()
     }
 }
 
@@ -1296,7 +959,6 @@ mod tests {
             .sum::<f64>()
             / 20_000.0;
         assert!((mean - 5.0).abs() < 0.2, "mean {mean}");
-        assert_eq!(LatencyModel::Uniform { min: 0.0, max: 4.0 }.mean(), 2.0);
         // Invalid models are rejected through LinkModel::new.
         assert!(LinkModel::new(LatencyModel::Constant(-1.0), 0.0).is_err());
         assert!(LinkModel::new(LatencyModel::Uniform { min: 2.0, max: 1.0 }, 0.0).is_err());
@@ -1312,45 +974,47 @@ mod tests {
         let cfg = TransportConfig::new(LinkModel::reliable())
             .with_segments(3)
             .unwrap()
-            .with_link(
-                0,
-                2,
-                LinkModel::new(LatencyModel::Constant(9.0), 0.0).unwrap(),
-            )
-            .unwrap()
             .with_partition(1, 2, 5, 10)
             .unwrap();
         assert_eq!(cfg.segments(), 3);
-        assert_eq!(cfg.link_count(), 6);
         // Contiguous block placement.
         assert_eq!(cfg.segment_of(0, 9), 0);
         assert_eq!(cfg.segment_of(4, 9), 1);
         assert_eq!(cfg.segment_of(8, 9), 2);
-        // Override lookup is symmetric; unconfigured pairs use the default.
-        assert_eq!(cfg.link(2, 0).latency(), LatencyModel::Constant(9.0));
-        assert_eq!(cfg.link(0, 2).latency(), LatencyModel::Constant(9.0));
-        assert_eq!(cfg.link(0, 1).latency(), LatencyModel::Zero);
         // Partition windows are inclusive and symmetric.
         assert!(!cfg.is_partitioned(1, 2, 4));
         assert!(cfg.is_partitioned(2, 1, 5));
         assert!(cfg.is_partitioned(1, 2, 10));
         assert!(!cfg.is_partitioned(1, 2, 11));
         assert!(!cfg.is_partitioned(0, 1, 7));
-        // Link indices are a dense bijection over unordered pairs.
-        let cfg_ref = &cfg;
-        let mut seen: Vec<usize> = (0..3)
-            .flat_map(|a| (a..3).map(move |b| cfg_ref.link_index(a, b)))
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
         // Validation.
         assert!(TransportConfig::default().with_segments(0).is_err());
         assert!(TransportConfig::default()
-            .with_link(0, 1, LinkModel::reliable())
+            .with_partition(0, 1, 5, 6)
             .is_err());
         assert!(TransportConfig::default()
             .with_partition(0, 0, 5, 4)
             .is_err());
+        // Shrinking the segment count below a recorded partition's segments
+        // would leave a window no segment pair can match.
+        let shrunk = TransportConfig::default()
+            .with_segments(4)
+            .unwrap()
+            .with_partition(2, 3, 0, 10)
+            .unwrap()
+            .with_segments(2);
+        assert!(matches!(
+            shrunk,
+            Err(SimError::InvalidConfig {
+                name: "segments",
+                ..
+            })
+        ));
+        assert!(cfg.clone().with_segments(4).is_ok());
+        // No supervision and the in-process broker unless asked for.
+        let cfg = TransportConfig::default();
+        assert_eq!(cfg.supervision(), None);
+        assert_eq!(cfg.backend(), &TransportBackend::InProcess);
     }
 
     #[test]
@@ -1405,6 +1069,51 @@ mod tests {
         assert_eq!(d.deliver_at - d.sent_at, 5.0);
         assert_eq!(t.queue_depth(), 0);
         assert_eq!(t.next_time(), None);
+    }
+
+    /// The broker's draw order and pop order: exponential latency, 20 %
+    /// loss, three segments and one partition window. Every popped
+    /// `(src, dst, deliver_at bits, delivered)` is folded into one FNV-1a
+    /// hash, and the sender RNG's next word pins how many draws were taken.
+    #[test]
+    fn broker_stream_is_pinned() {
+        let n = 30;
+        let cfg = TransportConfig::new(
+            LinkModel::new(LatencyModel::Exponential { mean: 0.4 }, 0.2).unwrap(),
+        )
+        .with_segments(3)
+        .unwrap()
+        .with_partition(0, 2, 2, 4)
+        .unwrap();
+        let mut rng = Rng::seed_from(61);
+        let mut t = InProcTransport::new(cfg, n);
+        for i in 0..200u32 {
+            let (src, dst) = ((i * 7) % 30, (i * 13 + 5) % 30);
+            t.send(
+                src,
+                dst,
+                u64::from(i),
+                f64::from(i) * 0.05,
+                u64::from(i / 25),
+                &mut rng,
+            );
+        }
+        let (mut hash, mut delivered) = (0xcbf2_9ce4_8422_2325_u64, 0);
+        while let Some(d) = t.next_ready(f64::INFINITY) {
+            delivered += u32::from(d.delivered);
+            for word in [
+                u64::from(d.src),
+                u64::from(d.dst),
+                d.deliver_at.to_bits(),
+                u64::from(d.delivered),
+            ] {
+                hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            (hash, delivered, rng.next_u64()),
+            (13_710_554_846_838_395_569, 148, 16_682_104_424_143_800_985)
+        );
     }
 
     #[test]
@@ -1465,122 +1174,18 @@ mod tests {
             stats.dropped()
         );
         assert_eq!(stats.recent_latency_mean(), 2.0);
-        assert_eq!(stats.recent_latency_max(), 2.0);
-        assert_eq!(stats.link_count(), 1);
-        let (sent, delivered, dropped) = stats.link_counts(0);
-        assert_eq!(sent, 1000);
-        assert_eq!(delivered + dropped, 1000);
-        assert_eq!(stats.link_latency_mean(0), 2.0);
     }
 
     #[test]
     fn ring_buffer_evicts_oldest() {
         let mut ring = RingBuffer::new(3);
-        assert!(ring.is_empty());
         assert_eq!(ring.mean(), 0.0);
         for x in [1.0, 2.0, 3.0] {
             ring.push(x);
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.mean(), 2.0);
         ring.push(10.0); // evicts 1.0
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.mean(), 5.0);
-        assert_eq!(ring.max(), 10.0);
-        assert_eq!(ring.total_pushed(), 4);
-    }
-
-    #[test]
-    fn backoff_retry_timeout_policies_validate() {
-        assert!(Backoff::new(0.0, 10.0).is_err());
-        assert!(Backoff::new(5.0, 1.0).is_err());
-        assert!(Backoff::new(f64::NAN, 1.0).is_err());
-        let b = Backoff::new(0.5, 4.0).unwrap();
-        assert_eq!((b.base(), b.cap()), (0.5, 4.0));
-        let mut rng = Rng::seed_from(11);
-        let mut prev = b.base();
-        for _ in 0..200 {
-            let d = b.next_delay(prev, &mut rng);
-            assert!(
-                (b.base()..=b.cap()).contains(&d),
-                "delay {d} escaped [base, cap]"
-            );
-            prev = d;
-        }
-        assert!(RetryPolicy::new(0, b).is_err());
-        let r = RetryPolicy::new(3, b).unwrap();
-        assert_eq!(r.max_attempts(), 3);
-        assert_eq!(r.backoff(), b);
-        assert_eq!(RetryPolicy::none().max_attempts(), 1);
-        assert!(TimeoutPolicy::after(0.0).is_err());
-        assert!(TimeoutPolicy::after(f64::INFINITY).is_err());
-        assert_eq!(TimeoutPolicy::after(2.0).unwrap().deadline(), Some(2.0));
-        assert_eq!(TimeoutPolicy::none().deadline(), None);
-        // Policy defaults are the historical single-shot behaviour.
-        let cfg = TransportConfig::default();
-        assert_eq!(cfg.retry(), RetryPolicy::none());
-        assert_eq!(cfg.timeout(), TimeoutPolicy::none());
-        assert_eq!(cfg.supervision(), None);
-        assert_eq!(cfg.backend(), &TransportBackend::InProcess);
-    }
-
-    #[test]
-    fn deadlines_time_out_and_retries_backoff() {
-        // Latency 5 s against a 1 s deadline: both attempts expire, the
-        // message resolves as a timeout after deadline + backoff + deadline.
-        let backoff = Backoff::new(0.5, 2.0).unwrap();
-        let cfg = TransportConfig::new(LinkModel::new(LatencyModel::Constant(5.0), 0.0).unwrap())
-            .with_timeout(TimeoutPolicy::after(1.0).unwrap())
-            .with_retry(RetryPolicy::new(2, backoff).unwrap());
-        let mut rng = Rng::seed_from(5);
-        let mut t = InProcTransport::new(cfg, 10);
-        t.send(0, 1, 0, 0.0, 0, &mut rng);
-        let d = t.next_ready(f64::INFINITY).unwrap();
-        assert!(!d.delivered, "no attempt can beat the deadline");
-        let elapsed = d.deliver_at - d.sent_at;
-        assert!(
-            (2.5..=4.0).contains(&elapsed),
-            "two deadlines plus one backoff delay, got {elapsed}"
-        );
-        assert_eq!(t.stats().timed_out(), 2);
-        assert_eq!(t.stats().retries(), 1);
-
-        // A latency inside the deadline is delivered on the first try.
-        let cfg = TransportConfig::new(LinkModel::new(LatencyModel::Constant(5.0), 0.0).unwrap())
-            .with_timeout(TimeoutPolicy::after(10.0).unwrap())
-            .with_retry(RetryPolicy::new(3, backoff).unwrap());
-        let mut t = InProcTransport::new(cfg, 10);
-        t.send(0, 1, 0, 0.0, 0, &mut rng);
-        let d = t.next_ready(f64::INFINITY).unwrap();
-        assert!(d.delivered);
-        assert_eq!(d.deliver_at - d.sent_at, 5.0);
-        assert_eq!(t.stats().timed_out(), 0);
-        assert_eq!(t.stats().retries(), 0);
-
-        // Total loss with three attempts: every attempt times out.
-        let cfg = TransportConfig::new(LinkModel::new(LatencyModel::Zero, 1.0).unwrap())
-            .with_timeout(TimeoutPolicy::after(1.0).unwrap())
-            .with_retry(RetryPolicy::new(3, backoff).unwrap());
-        let mut t = InProcTransport::new(cfg, 10);
-        t.send(0, 1, 0, 0.0, 0, &mut rng);
-        let d = t.next_ready(f64::INFINITY).unwrap();
-        assert!(!d.delivered);
-        assert_eq!(t.stats().timed_out(), 3);
-        assert_eq!(t.stats().retries(), 2);
-        // Retries can rescue a lossy link: with p = 0.5 and 4 attempts the
-        // per-message failure rate drops to ~6 %.
-        let cfg = TransportConfig::new(LinkModel::new(LatencyModel::Zero, 0.5).unwrap())
-            .with_timeout(TimeoutPolicy::after(1.0).unwrap())
-            .with_retry(RetryPolicy::new(4, backoff).unwrap());
-        let mut t = InProcTransport::new(cfg, 10);
-        for i in 0..500u32 {
-            t.send(i % 10, (i + 1) % 10, 0, 0.0, 0, &mut rng);
-        }
-        let mut ok = 0;
-        while let Some(d) = t.next_ready(f64::INFINITY) {
-            ok += u32::from(d.delivered);
-        }
-        assert!(ok > 440, "retries should rescue most messages, got {ok}");
     }
 
     fn uds_config(segments: usize) -> TransportConfig {
@@ -1635,7 +1240,6 @@ mod tests {
             got, expect,
             "healthy workers replay the virtual broker exactly"
         );
-        assert!(!uds.is_parked(0) && !uds.is_parked(1));
         assert_eq!(uds.stats().timed_out(), 0);
     }
 
@@ -1654,7 +1258,6 @@ mod tests {
         // Real process death: the segment parks, messages to it resolve as
         // timeouts, and the other segment is untouched.
         uds.kill_segment(1);
-        assert!(uds.is_parked(1));
         uds.send(0, 9, 7, 0.0, 0, &mut rng); // process 9 lives in segment 1
         uds.send(0, 1, 8, 0.0, 0, &mut rng); // process 1 lives in segment 0
         let mut fates = std::collections::HashMap::new();
@@ -1667,8 +1270,6 @@ mod tests {
 
         // Revival restarts the worker and the segment delivers again.
         uds.revive_segment(1).expect("respawn worker");
-        assert!(!uds.is_parked(1));
-        assert!(uds.supervisor().restarts(1) >= 1);
         uds.send(0, 9, 11, 0.0, 0, &mut rng);
         let d = uds.next_ready(f64::INFINITY).unwrap();
         assert!(d.delivered, "revived segment delivers");
@@ -1676,21 +1277,21 @@ mod tests {
 
     #[test]
     fn stats_survive_eight_hammering_writers_with_a_live_reader() {
-        let stats = Arc::new(TransportStats::new(1));
+        let stats = Arc::new(TransportStats::default());
         const WRITERS: usize = 8;
-        const OPS: u64 = 20_000;
+        const OPS: u64 = 100_000;
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let stats = Arc::clone(&stats);
                 scope.spawn(move || {
                     for i in 0..OPS {
-                        stats.on_send(0);
+                        stats.on_send();
                         let delivered = (i + w as u64) % 3 != 0;
                         // Latencies stay inside [0, 1]: any torn read would
-                        // show up as a mean or max outside that envelope.
+                        // show up as a mean outside that envelope.
                         let latency = (i % 1000) as f64 / 1000.0;
-                        stats.on_resolve(0, delivered, latency);
+                        stats.on_resolve(delivered, latency);
                         if i % 64 == 0 {
                             stats.on_timeout();
                             stats.on_retry();
@@ -1711,13 +1312,16 @@ mod tests {
                     let t = reader_stats.timed_out();
                     let r = reader_stats.retries();
                     assert!(s >= sent && d >= delivered && x >= dropped);
+                    // `in_flight` races writers between its loads; polling
+                    // it densely lets a preempted reader land in that gap.
+                    for _ in 0..4096 {
+                        let in_flight = reader_stats.in_flight();
+                        assert!(in_flight <= reader_stats.sent(), "in_flight {in_flight}");
+                    }
                     assert!(t >= timed_out && r >= retries);
                     (sent, delivered, dropped, timed_out, retries) = (s, d, x, t, r);
                     let mean = reader_stats.recent_latency_mean();
-                    let max = reader_stats.recent_latency_max();
                     assert!((0.0..=1.0).contains(&mean), "torn mean {mean}");
-                    assert!((0.0..=1.0).contains(&max), "torn max {max}");
-                    assert!(mean <= max + 1e-12);
                     polls += 1;
                 }
                 polls
@@ -1737,7 +1341,6 @@ mod tests {
         assert_eq!(stats.in_flight(), 0);
         assert_eq!(stats.timed_out(), WRITERS as u64 * (OPS / 64 + 1));
         assert_eq!(stats.retries(), stats.timed_out());
-        assert_eq!(stats.link_counts(0).0, WRITERS as u64 * OPS);
     }
 
     #[test]

@@ -104,11 +104,10 @@ pub mod prelude {
     pub use dpde_protocols::small_count::{NearExtinction, NearTieTakeover};
     pub use netsim::stochastic;
     pub use netsim::{
-        maybe_run_worker, Adversary, AdversaryView, Backoff, CascadingFailure, ChurnTrace,
-        FailureSchedule, Group, HeavyTailedChurn, InProcTransport, Injection, InjectionRecord,
-        LatencyModel, LinkModel, LinkPartition, LossConfig, MetricsRecorder, ObliviousSchedule,
-        OnlineStats, PeriodClock, Placement, RetryPolicy, Rng, Scenario, ShardConfig, SocketConfig,
-        SyntheticChurnConfig, TargetLargestState, TargetWinner, TimeoutPolicy, Topology, Transport,
+        maybe_run_worker, Adversary, AdversaryView, CascadingFailure, ChurnTrace, FailureSchedule,
+        Group, InProcTransport, Injection, InjectionRecord, LatencyModel, LinkModel, LossConfig,
+        MetricsRecorder, ObliviousSchedule, OnlineStats, PeriodClock, Placement, Rng, Scenario,
+        ShardConfig, SocketConfig, SyntheticChurnConfig, TargetLargestState, Topology, Transport,
         TransportBackend, TransportConfig, TransportGauges, TransportStats, UdsTransport,
         WorkerLauncher, WorkerSupervisor,
     };
