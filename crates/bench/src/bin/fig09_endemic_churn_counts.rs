@@ -26,7 +26,7 @@ fn main() {
     let params = EndemicParams::from_contact_count(32, 0.1, 0.005).expect("valid parameters");
 
     let scenario = churn_scenario(n, hours, 99);
-    let periods_per_hour = scenario.clock().periods_per_hour();
+    let periods_per_hour = netsim::PERIODS_PER_HOUR;
     let result = run_endemic(params, &scenario, false);
 
     // Print the populations for the final `window_hours` hours (the paper

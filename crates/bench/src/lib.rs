@@ -204,11 +204,9 @@ pub fn churn_scenario(n: usize, hours: usize, seed: u64) -> Scenario {
     };
     let mut rng = Rng::seed_from(seed);
     let trace = cfg.generate(&mut rng).expect("valid churn configuration");
-    let clock = netsim::PeriodClock::six_minutes();
-    let periods = clock.periods_per_hour() * hours as u64;
+    let periods = netsim::PERIODS_PER_HOUR * hours as u64;
     Scenario::new(n, periods)
         .expect("valid scenario")
-        .with_clock(clock)
         .with_churn_trace(&trace, &mut rng)
         .expect("matching trace")
         .with_seed(seed + 1)

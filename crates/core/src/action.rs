@@ -122,7 +122,7 @@ impl Action {
     /// Number of sampling messages this action sends per period (the quantity
     /// the paper's message-complexity bound counts: one message per sampled
     /// target, tokens counted as one extra message).
-    pub fn messages_per_period(&self) -> u32 {
+    pub(crate) fn messages_per_period(&self) -> u32 {
         match self {
             Action::Flip { .. } => 0,
             Action::Sample { required, .. } => required.len() as u32,
@@ -133,28 +133,15 @@ impl Action {
 
     /// `true` if executing this action can change the executing process's own
     /// state (as opposed to some other process's state).
-    pub fn moves_self(&self) -> bool {
+    pub(crate) fn moves_self(&self) -> bool {
         matches!(
             self,
             Action::Flip { .. } | Action::Sample { .. } | Action::SampleAny { .. }
         )
     }
 
-    /// Returns a copy of the action with its coin probability replaced.
-    pub fn with_prob(&self, prob: f64) -> Action {
-        let mut a = self.clone();
-        match &mut a {
-            Action::Flip { prob: p, .. }
-            | Action::Sample { prob: p, .. }
-            | Action::SampleAny { prob: p, .. }
-            | Action::PushSample { prob: p, .. }
-            | Action::Tokenize { prob: p, .. } => *p = prob,
-        }
-        a
-    }
-
     /// Renders the action using state names from the surrounding protocol.
-    pub fn render(&self, names: &[String]) -> String {
+    pub(crate) fn render(&self, names: &[String]) -> String {
         let name = |s: &StateId| {
             names
                 .get(s.index())
@@ -267,19 +254,6 @@ mod tests {
         assert!(actions[2].moves_self());
         assert!(!actions[3].moves_self());
         assert!(!actions[4].moves_self());
-    }
-
-    #[test]
-    fn with_prob_replaces_only_probability() {
-        let a = Action::Sample {
-            required: vec![sid(1)],
-            prob: 0.2,
-            to: sid(1),
-        };
-        let b = a.with_prob(0.9);
-        assert_eq!(b.prob(), 0.9);
-        assert_eq!(b.destination(), sid(1));
-        assert_eq!(a.prob(), 0.2);
     }
 
     #[test]

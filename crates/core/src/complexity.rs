@@ -8,7 +8,7 @@
 //! [`Action::messages_per_period`](crate::Action::messages_per_period)
 //! counts (tokens add one forwarding message).
 
-use crate::state_machine::{Protocol, StateId};
+use crate::state_machine::Protocol;
 
 /// Per-state and aggregate message complexity of a protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +38,8 @@ impl MessageComplexity {
     ///
     /// Panics if the state id is out of range for the protocol this report was
     /// computed from.
-    pub fn messages_for(&self, state: StateId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn messages_for(&self, state: crate::StateId) -> u32 {
         self.per_state[state.index()]
     }
 
@@ -46,30 +47,6 @@ impl MessageComplexity {
     /// "constant message overhead at each process", independent of group size.
     pub fn worst_case(&self) -> u32 {
         self.per_state.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Expected messages per process per period under a given distribution of
-    /// processes over states (fractions summing to 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fractions.len()` differs from the number of states.
-    pub fn expected(&self, fractions: &[f64]) -> f64 {
-        assert_eq!(
-            fractions.len(),
-            self.per_state.len(),
-            "fraction vector has wrong length"
-        );
-        self.per_state
-            .iter()
-            .zip(fractions)
-            .map(|(&m, &f)| f * f64::from(m))
-            .sum()
-    }
-
-    /// Per-state message counts, indexed by state.
-    pub fn per_state(&self) -> &[u32] {
-        &self.per_state
     }
 }
 
@@ -95,8 +72,6 @@ mod tests {
         assert_eq!(mc.messages_for(x), 1);
         assert_eq!(mc.messages_for(y), 0);
         assert_eq!(mc.worst_case(), 1);
-        assert_eq!(mc.per_state(), &[1, 0]);
-        assert!((mc.expected(&[0.5, 0.5]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -115,20 +90,11 @@ mod tests {
         let mc = MessageComplexity::of(&protocol);
         // f_x has one negative term -βxy with 2 occurrences → 1 message.
         // f_y's -γy and f_z's -αz are pure flips → 0 messages.
-        assert_eq!(mc.per_state(), &[1, 0, 0]);
+        let per_state: Vec<u32> = ["x", "y", "z"]
+            .iter()
+            .map(|v| mc.messages_for(protocol.require_state(v).unwrap()))
+            .collect();
+        assert_eq!(per_state, [1, 0, 0]);
         assert_eq!(mc.worst_case(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong length")]
-    fn expected_panics_on_wrong_fraction_length() {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        let protocol = ProtocolCompiler::new("epidemic").compile(&sys).unwrap();
-        MessageComplexity::of(&protocol).expected(&[1.0]);
     }
 }

@@ -26,12 +26,7 @@ pub struct EquivalenceReport {
     pub samples: usize,
 }
 
-impl EquivalenceReport {
-    /// `true` if the maximum deviation is below `tol`.
-    pub fn within(&self, tol: f64) -> bool {
-        self.max_abs_error <= tol
-    }
-}
+impl EquivalenceReport {}
 
 /// Compares a protocol trajectory (already expressed in fractions and ODE
 /// time, e.g. from
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(report.max_abs_error, 0.0);
         assert_eq!(report.mean_abs_error, 0.0);
         assert_eq!(report.per_state_max, vec![0.0, 0.0]);
-        assert!(report.within(1e-12));
         assert_eq!(report.samples, 4);
     }
 

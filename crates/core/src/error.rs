@@ -37,12 +37,10 @@ pub enum CoreError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// Every run of one ensemble scenario panicked. Partially failed
+    /// Every run of an ensemble panicked. Partially failed
     /// ensembles succeed instead and list the panicked seeds in
     /// [`EnsembleResult::failures`](crate::runtime::EnsembleResult::failures).
     EnsemblePanicked {
-        /// Index of the scenario within the sweep.
-        scenario: usize,
         /// Panic message of the first failed seed.
         first_message: String,
     },
@@ -72,14 +70,8 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { name, reason } => {
                 write!(f, "invalid configuration `{name}`: {reason}")
             }
-            CoreError::EnsemblePanicked {
-                scenario,
-                first_message,
-            } => {
-                write!(
-                    f,
-                    "every run of ensemble scenario {scenario} panicked (first: {first_message})"
-                )
+            CoreError::EnsemblePanicked { first_message } => {
+                write!(f, "every run of the ensemble panicked (first: {first_message})")
             }
             CoreError::Ode(e) => write!(f, "ode error: {e}"),
             CoreError::Sim(e) => write!(f, "simulation error: {e}"),

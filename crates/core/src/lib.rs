@@ -7,22 +7,23 @@
 //! the synthesized protocol in simulation and tooling that verifies the
 //! protocol's behaviour against its source equations.
 //!
-//! * [`ProtocolCompiler`] ([`mapping`]) — the translation itself: *Flipping*,
+//! * [`ProtocolCompiler`] — the translation itself: *Flipping*,
 //!   *One-Time-Sampling* and *Tokenizing* actions, destination states derived
 //!   from the term pairing of completely partitionable systems, normalizing
 //!   constant selection and failure compensation.
-//! * [`Protocol`] / [`Action`] ([`state_machine`], [`action`]) — the compiled
-//!   probabilistic state machine, as pure data.
-//! * [`runtime`] — the [`Runtime`] trait with four fidelities (the
+//! * [`Protocol`] / [`Action`] — the compiled probabilistic state machine,
+//!   as pure data.
+//! * [`runtime`] — the [`Runtime`](runtime::Runtime) trait with four fidelities (the
 //!   per-process [`AgentRuntime`](runtime::AgentRuntime), the count-batched
 //!   [`BatchedRuntime`](runtime::BatchedRuntime), the boundary-crossing
 //!   [`HybridRuntime`](runtime::HybridRuntime) and the mean-field
 //!   [`AggregateRuntime`](runtime::AggregateRuntime)), composable
-//!   [`Observer`]s for opt-in recording, the [`Simulation`] builder and the
-//!   parallel [`Ensemble`] driver.
+//!   [`Observer`](runtime::Observer)s for opt-in recording, the
+//!   [`Simulation`](runtime::Simulation) builder and the parallel
+//!   [`Ensemble`](runtime::Ensemble) driver.
 //! * [`equivalence`] — quantitative comparison of protocol trajectories
 //!   against integrations of the source equations (Theorem 1, measured).
-//! * [`complexity`] — the paper's message-complexity accounting.
+//! * [`MessageComplexity`] — the paper's message-complexity accounting.
 //!
 //! # Example: from equations to a running protocol
 //!
@@ -55,23 +56,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod action;
-pub mod complexity;
+mod action;
+mod complexity;
 pub mod equivalence;
-pub mod error;
-pub mod mapping;
-pub mod mean_field;
+mod error;
+#[cfg(test)]
+mod fixtures;
+mod mapping;
+#[cfg(test)]
+mod mean_field;
 pub mod runtime;
-pub mod state_machine;
+mod state_machine;
 
 pub use action::Action;
 pub use complexity::MessageComplexity;
 pub use equivalence::{compare_to_system, compare_trajectories, EquivalenceReport};
 pub use error::CoreError;
-pub use mapping::{compensation_factor, ProtocolCompiler};
-pub use mean_field::mean_field_equations;
-pub use runtime::{Ensemble, EnsembleResult, Observer, Runtime, Simulation};
+pub use mapping::ProtocolCompiler;
 pub use state_machine::{Protocol, StateId};
 
 /// Result alias used throughout the crate.

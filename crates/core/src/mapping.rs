@@ -39,7 +39,7 @@ use odekit::taxonomy;
 /// # Errors
 ///
 /// Returns an error unless `0 ≤ f < 1`.
-pub fn compensation_factor(f: f64, occurrences: u32) -> Result<f64> {
+pub(crate) fn compensation_factor(f: f64, occurrences: u32) -> Result<f64> {
     if !(f.is_finite() && (0.0..1.0).contains(&f)) {
         return Err(CoreError::InvalidConfig {
             name: "connection_failure_rate",
@@ -77,21 +77,16 @@ pub struct ProtocolCompiler {
     name: String,
     normalizing_constant: Option<f64>,
     connection_failure_rate: f64,
-    allow_tokenizing: bool,
-    auto_expand_constants: bool,
 }
 
 impl ProtocolCompiler {
     /// Creates a compiler with default settings: automatic normalizing
-    /// constant, no failure compensation, tokenizing enabled, constant terms
-    /// auto-expanded.
+    /// constant and no failure compensation.
     pub fn new(name: impl Into<String>) -> Self {
         ProtocolCompiler {
             name: name.into(),
             normalizing_constant: None,
             connection_failure_rate: 0.0,
-            allow_tokenizing: true,
-            auto_expand_constants: true,
         }
     }
 
@@ -111,39 +106,24 @@ impl ProtocolCompiler {
         self
     }
 
-    /// Disables Tokenizing; compilation then requires the system to be
-    /// *restricted* polynomial (Theorem 1) and fails otherwise.
-    #[must_use]
-    pub fn without_tokenizing(mut self) -> Self {
-        self.allow_tokenizing = false;
-        self
-    }
-
-    /// Disables the automatic `±c → ±c·Σv` rewriting of constant terms.
-    #[must_use]
-    pub fn without_constant_expansion(mut self) -> Self {
-        self.auto_expand_constants = false;
-        self
-    }
-
-    /// Compiles the equation system into a protocol.
+    /// Compiles the equation system into a protocol. Constant terms are
+    /// first rewritten `±c → ±c·Σv`, so every term contains a variable.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotMappable`] if the system is not polynomial /
-    /// complete / completely partitionable (or not restricted polynomial when
-    /// tokenizing is disabled), and
+    /// complete / completely partitionable, and
     /// [`CoreError::NormalizationImpossible`] if no (or the requested)
     /// normalizing constant keeps all probabilities within `[0, 1]`.
     pub fn compile(&self, sys: &EquationSystem) -> Result<Protocol> {
-        // Optionally rewrite constant terms so every term contains a variable.
+        // Rewrite constant terms so every term contains a variable.
         let has_constant_terms = sys
             .equations()
             .iter()
             .flat_map(|p| p.terms())
             .any(|t| t.is_constant() && !t.is_zero());
         let rewritten;
-        let sys = if has_constant_terms && self.auto_expand_constants {
+        let sys = if has_constant_terms {
             rewritten = expand_constant_terms(sys)?;
             &rewritten
         } else {
@@ -170,15 +150,6 @@ impl ProtocolCompiler {
                 detail: format!(
                     "{} term(s) have no cancelling partner",
                     report.unpaired_terms.len()
-                ),
-            });
-        }
-        if !self.allow_tokenizing && !report.restricted_polynomial {
-            return Err(CoreError::NotMappable {
-                requirement: "restricted polynomial (tokenizing disabled)",
-                detail: format!(
-                    "{} negative term(s) do not contain their own variable",
-                    report.restricted_violations.len()
                 ),
             });
         }
@@ -257,10 +228,7 @@ impl ProtocolCompiler {
                     .find(|&v| term.exponent(v) >= 1)
                     .ok_or_else(|| CoreError::NotMappable {
                         requirement: "free of constant terms",
-                        detail: format!(
-                            "term `{term}` in `{}'` has no variables; enable constant expansion",
-                            sys.var_name(x)
-                        ),
+                        detail: format!("term `{term}` in `{}'` has no variables", sys.var_name(x)),
                     })?;
                 let mut required: Vec<StateId> = Vec::new();
                 for _ in 1..term.exponent(w) {
@@ -582,12 +550,6 @@ mod tests {
             }
             other => panic!("expected Tokenize, got {other:?}"),
         }
-        // With tokenizing disabled the same system is rejected.
-        let err = ProtocolCompiler::new("token")
-            .without_tokenizing()
-            .compile(&sys)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::NotMappable { .. }));
     }
 
     #[test]
@@ -603,12 +565,6 @@ mod tests {
         // the -0.5y part becomes a Tokenize hosted by y.
         assert!(protocol.num_actions() >= 2);
         assert!(protocol.validate().is_ok());
-        // Without expansion the constant term cannot be mapped.
-        let err = ProtocolCompiler::new("const")
-            .without_constant_expansion()
-            .compile(&sys)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::NotMappable { .. }));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use odekit::{EquationSystem, Polynomial, Term};
 /// # Errors
 ///
 /// Returns an error if the protocol fails validation.
-pub fn mean_field_equations(protocol: &Protocol) -> Result<EquationSystem> {
+pub(crate) fn mean_field_equations(protocol: &Protocol) -> Result<EquationSystem> {
     protocol.validate()?;
     let dim = protocol.num_states();
     let p = protocol.time_scale();
@@ -152,6 +152,7 @@ fn sign(k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::figure1_protocol;
     use crate::mapping::ProtocolCompiler;
     use odekit::system::EquationSystemBuilder;
     use odekit::taxonomy;
@@ -240,8 +241,7 @@ mod tests {
         // The Figure 1 variant (SampleAny with b contacts + PushSample) models
         // β = 2b only to first order in y; the derived mean field makes the
         // exact polynomial explicit.
-        use self::dpde_protocols_free::figure1_like_protocol;
-        let protocol = figure1_like_protocol();
+        let protocol = figure1_protocol(true);
         let derived = mean_field_equations(&protocol).unwrap();
         // ẏ at (x, y, z): 2b·x·y − b·x·y² (from the SampleAny expansion with
         // b = 2) minus γ·y... here b = 2, γ = 0.1.
@@ -260,65 +260,6 @@ mod tests {
         assert!(total.abs() < 1e-12);
     }
 
-    /// Helper module building a Figure-1-like protocol without depending on
-    /// the protocols crate (which would be a dependency cycle).
-    mod dpde_protocols_free {
-        use crate::action::Action;
-        use crate::state_machine::Protocol;
-
-        pub fn figure1_like_protocol() -> Protocol {
-            let mut protocol = Protocol::new(
-                "endemic-figure1",
-                vec!["receptive".into(), "stash".into(), "averse".into()],
-            )
-            .unwrap();
-            let receptive = protocol.require_state("receptive").unwrap();
-            let stash = protocol.require_state("stash").unwrap();
-            let averse = protocol.require_state("averse").unwrap();
-            protocol
-                .add_action(
-                    stash,
-                    Action::Flip {
-                        prob: 0.1,
-                        to: averse,
-                    },
-                )
-                .unwrap();
-            protocol
-                .add_action(
-                    averse,
-                    Action::Flip {
-                        prob: 0.01,
-                        to: receptive,
-                    },
-                )
-                .unwrap();
-            protocol
-                .add_action(
-                    receptive,
-                    Action::SampleAny {
-                        target_state: stash,
-                        samples: 2,
-                        prob: 1.0,
-                        to: stash,
-                    },
-                )
-                .unwrap();
-            protocol
-                .add_action(
-                    stash,
-                    Action::PushSample {
-                        target_state: receptive,
-                        samples: 2,
-                        prob: 1.0,
-                        to: stash,
-                    },
-                )
-                .unwrap();
-            protocol
-        }
-    }
-
     #[test]
     fn binomial_coefficients_and_signs() {
         assert_eq!(binomial_coefficient(4, 0), 1.0);
@@ -333,7 +274,7 @@ mod tests {
     fn derived_equations_are_always_complete() {
         // Whatever the protocol, mass conservation means the derived system is
         // complete.
-        let protocol = dpde_protocols_free::figure1_like_protocol();
+        let protocol = figure1_protocol(true);
         let derived = mean_field_equations(&protocol).unwrap();
         assert!(taxonomy::is_complete(&derived));
     }

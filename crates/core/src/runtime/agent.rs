@@ -83,7 +83,7 @@ pub struct AgentState {
 
 impl AgentState {
     /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
+    pub(crate) fn period(&self) -> u64 {
         self.period
     }
 
@@ -520,7 +520,7 @@ pub struct MembershipView<'a> {
 
 impl MembershipView<'_> {
     /// Ids of the alive processes currently in `state`.
-    pub fn alive_members_of(&self, state: StateId) -> Vec<ProcessId> {
+    pub(crate) fn alive_members_of(&self, state: StateId) -> Vec<ProcessId> {
         match &self.members.lists {
             Some(lists) => lists.members[state.index()]
                 .iter()
@@ -542,13 +542,8 @@ impl MembershipView<'_> {
 
     /// Per-state counts restricted to alive processes (maintained
     /// incrementally — O(states), not O(N)).
-    pub fn alive_counts(&self) -> Vec<u64> {
+    pub(crate) fn alive_counts(&self) -> Vec<u64> {
         self.members.counts_alive().to_vec()
-    }
-
-    /// The state of one process.
-    pub fn state_of(&self, id: ProcessId) -> StateId {
-        StateId::new(self.members.state_of(id.index()))
     }
 }
 
@@ -730,8 +725,8 @@ mod tests {
     use super::super::{CountsRecorder, MembershipTracker, Simulation};
     use super::*;
     use crate::error::CoreError;
+    use crate::fixtures::epidemic_protocol;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::epidemic_protocol;
     use odekit::system::EquationSystemBuilder;
 
     #[test]

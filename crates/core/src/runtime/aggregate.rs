@@ -67,12 +67,7 @@ pub struct AggregateState {
     draws: Vec<u64>,
 }
 
-impl AggregateState {
-    /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-}
+impl AggregateState {}
 
 impl AggregateRuntime {
     /// Sets the message/connection loss configuration (overriding the
@@ -297,8 +292,8 @@ impl Runtime for AggregateRuntime {
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::fixtures::epidemic_protocol;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::AgentRuntime;
     use netsim::Scenario;
     use odekit::system::EquationSystemBuilder;

@@ -6,8 +6,8 @@
 //! a *message*: sent into a [`Transport`], delayed by the link's sampled
 //! latency, possibly dropped by loss or a partition window, and only on
 //! resolution does the executing process learn the outcome and continue its
-//! action list. Time is virtual (seconds on the scenario's
-//! [`PeriodClock`](netsim::PeriodClock)); each `step` advances one protocol
+//! action list. Time is virtual (seconds, [`PERIOD_SECS`](netsim::PERIOD_SECS)
+//! to a period); each `step` advances one protocol
 //! period of it, interleaving process wake-ups and message deliveries in a
 //! deterministic event order, so a seeded run replays bit-identically.
 //!
@@ -279,13 +279,9 @@ pub struct AsyncState {
 }
 
 impl AsyncState {
-    /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// The current protocol state of each process (index = process id).
-    pub fn process_states(&self) -> &[u32] {
+    #[cfg(test)]
+    pub(crate) fn process_states(&self) -> &[u32] {
         &self.book.states
     }
 
@@ -823,7 +819,7 @@ impl Runtime for AsyncRuntime {
             }
         }
 
-        let period_secs = scenario.clock().period_secs();
+        let period_secs = netsim::PERIOD_SECS;
         let offsets: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, period_secs)).collect();
         let mut wake_order: Vec<u32> = (0..n as u32).collect();
         wake_order.sort_by(|&a, &b| {
@@ -966,7 +962,7 @@ impl Runtime for AsyncRuntime {
 mod tests {
     use super::super::{AgentRuntime, BatchedRuntime, CountsRecorder};
     use super::*;
-    use crate::runtime::fixtures::epidemic_protocol;
+    use crate::fixtures::epidemic_protocol;
     use netsim::transport::{LatencyModel, LinkModel};
     use netsim::Topology;
 

@@ -484,11 +484,6 @@ impl ColumnBlock {
 }
 
 impl BatchedState {
-    /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// Applies the environment at the boundary of the period about to run
     /// (the continuous-time runtimes' too, between their event windows) to
     /// the run's count vectors, a width-1 column.
@@ -956,8 +951,8 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::error::CoreError;
+    use crate::fixtures::{epidemic_protocol, figure1_protocol, plurality_protocol};
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::{epidemic_protocol, figure1_protocol, plurality_protocol};
     use crate::runtime::{AgentRuntime, CountsRecorder, Ensemble, ResilienceReport, Simulation};
     use netsim::adversary::{ObliviousSchedule, TargetLargestState};
     use netsim::{FailureEvent, FailureModel};

@@ -11,8 +11,8 @@
 //!
 //! What a job is depends on the runtime:
 //!
-//! * **Count-batched ensembles** ([`BatchedRuntime`] — `run::<BatchedRuntime>`,
-//!   `run_sweep`, and [`run_auto`](Ensemble::run_auto) on the batched tier)
+//! * **Count-batched ensembles** ([`BatchedRuntime`] — `run::<BatchedRuntime>`
+//!   and [`run_auto`](Ensemble::run_auto) on the batched tier)
 //!   advance a *block* of 64 consecutive seeds at a time as one
 //!   `states × 64` count matrix through the column kernel of
 //!   [`BatchedRuntime`]: the protocol, its compiled plan and the
@@ -85,9 +85,6 @@ const BLOCK_WIDTH: usize = 64;
 /// [`EnsembleResult::failures`] lists the ones that did not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedFailure {
-    /// Index of the scenario within the sweep (always 0 for
-    /// [`Ensemble::run`]).
-    pub scenario: usize,
     /// The seed whose run panicked.
     pub seed: u64,
     /// The panic payload, stringified.
@@ -168,15 +165,8 @@ impl Ensemble {
     /// distribution or seed list is missing/empty, and propagates the first
     /// error any run reports.
     pub fn run<R: Runtime>(&self) -> Result<EnsembleResult> {
-        self.run_on(&R::build(self.spec.protocol.clone(), &self.spec.config))
-    }
-
-    /// [`run`](Self::run) on an already built runtime.
-    fn run_on<R: Runtime>(&self, runtime: &R) -> Result<EnsembleResult> {
-        let scenario = self.spec.scenario.as_ref();
-        let scenario = scenario.ok_or_else(|| self.spec.missing("scenario"))?;
-        let mut results = self.sweep_on(runtime, std::slice::from_ref(scenario), BLOCK_WIDTH)?;
-        Ok(results.pop().expect("one result per scenario"))
+        let runtime = R::build(self.spec.protocol.clone(), &self.spec.config);
+        self.run_blocks(&runtime, BLOCK_WIDTH)
     }
 
     /// The fidelity tier [`run_auto`](Self::run_auto) would execute this
@@ -197,33 +187,12 @@ impl Ensemble {
         dispatch(self, self.selected_tier())
     }
 
-    /// Runs the full sweep — every scenario × every seed — sharing one worker
-    /// pool, and returns one [`EnsembleResult`] per scenario (in input
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run), plus an error for an empty scenario list.
-    pub fn run_sweep<R: Runtime>(&self, scenarios: &[Scenario]) -> Result<Vec<EnsembleResult>> {
-        let runtime = R::build(self.spec.protocol.clone(), &self.spec.config);
-        self.sweep_on(&runtime, scenarios, BLOCK_WIDTH)
-    }
-
-    /// [`run_sweep`](Self::run_sweep) on an already built runtime (shared by
-    /// every worker: stepping takes `&self`), with count-batched seeds cut
-    /// into blocks of `block_width`.
-    fn sweep_on<R: Runtime>(
-        &self,
-        runtime: &R,
-        scenarios: &[Scenario],
-        block_width: usize,
-    ) -> Result<Vec<EnsembleResult>> {
-        if scenarios.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                name: "scenarios",
-                reason: "sweep needs at least one scenario".into(),
-            });
-        }
+    /// [`run`](Self::run) on an already built runtime (shared by every
+    /// worker: stepping takes `&self`), with count-batched seeds cut into
+    /// blocks of `block_width`.
+    fn run_blocks<R: Runtime>(&self, runtime: &R, block_width: usize) -> Result<EnsembleResult> {
+        let scenario = self.spec.scenario.as_ref();
+        let scenario = scenario.ok_or_else(|| self.spec.missing("scenario"))?;
         if self.seeds.is_empty() {
             return Err(CoreError::InvalidConfig {
                 name: "seeds",
@@ -233,14 +202,12 @@ impl Ensemble {
         let initial = self.spec.initial()?;
 
         // The count-batched kernel advances whole blocks of seeds; every
-        // other runtime takes them one at a time. Jobs are scenario-major
-        // and in seed order, pulled off a shared counter by the workers and
-        // merged in job order whatever order they finish in.
+        // other runtime takes them one at a time. Jobs are in seed order,
+        // pulled off a shared counter by the workers and merged in job order
+        // whatever order they finish in.
         let batched = runtime.block_kernel();
         let per_job = if batched.is_some() { block_width } else { 1 };
-        let jobs: Vec<(usize, &[u64])> = (0..scenarios.len())
-            .flat_map(|sc| self.seeds.chunks(per_job).map(move |seeds| (sc, seeds)))
-            .collect();
+        let jobs: Vec<&[u64]> = self.seeds.chunks(per_job).collect();
         let threads = self
             .threads
             .unwrap_or_else(|| {
@@ -258,7 +225,7 @@ impl Ensemble {
         let merged = Mutex::new(OrderedMerge {
             next: 0,
             parked: BTreeMap::new(),
-            folds: scenarios.iter().map(|_| EnvelopeFold::default()).collect(),
+            fold: EnvelopeFold::default(),
         });
         let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
         let panics: Mutex<Vec<SeedFailure>> = Mutex::new(Vec::new());
@@ -270,23 +237,22 @@ impl Ensemble {
                     if job >= jobs.len() || first_error.lock().expect(UNPOISONED).is_some() {
                         return;
                     }
-                    let (sc, seeds) = jobs[job];
+                    let seeds = jobs[job];
                     let scenario = self
                         .spec
-                        .with_topology(scenarios[sc].clone().with_seed(seeds[0]));
+                        .with_topology(scenario.clone().with_seed(seeds[0]));
                     let run = |seeds: &[u64]| match batched {
                         Some(batched) => self.fold_block(batched, &scenario, initial, seeds),
                         None => self.fold_run(runtime, &scenario, initial),
                     };
                     let mut failed = |seed, message| {
-                        panics.lock().expect(UNPOISONED).push(SeedFailure {
-                            scenario: sc,
-                            seed,
-                            message,
-                        });
+                        panics
+                            .lock()
+                            .expect(UNPOISONED)
+                            .push(SeedFailure { seed, message });
                     };
                     match fold_surviving(&run, seeds, &mut failed) {
-                        Ok(fold) => merged.lock().expect(UNPOISONED).deposit(job, sc, fold),
+                        Ok(fold) => merged.lock().expect(UNPOISONED).deposit(job, fold),
                         Err(err) => {
                             first_error.lock().expect(UNPOISONED).get_or_insert(err);
                             return;
@@ -301,29 +267,19 @@ impl Ensemble {
         }
         // Workers race on the shared failure list; sort it so results are
         // deterministic regardless of scheduling.
-        let mut panics = panics.into_inner().expect(UNPOISONED);
-        panics.sort_by_key(|a| (a.scenario, a.seed));
+        let mut failures = panics.into_inner().expect(UNPOISONED);
+        failures.sort_by_key(|a| a.seed);
 
-        let folds = merged.into_inner().expect(UNPOISONED).folds;
-        let mut results = Vec::with_capacity(scenarios.len());
-        for (sc, fold) in folds.into_iter().enumerate() {
-            let failures: Vec<SeedFailure> = panics
-                .iter()
-                .filter(|f| f.scenario == sc)
-                .cloned()
-                .collect();
-            if fold.seeds.is_empty() {
-                return Err(CoreError::EnsemblePanicked {
-                    scenario: sc,
-                    first_message: failures
-                        .first()
-                        .map(|f| f.message.clone())
-                        .unwrap_or_default(),
-                });
-            }
-            results.push(fold.finish(&self.spec.protocol, failures, threads));
+        let fold = merged.into_inner().expect(UNPOISONED).fold;
+        if fold.seeds.is_empty() {
+            return Err(CoreError::EnsemblePanicked {
+                first_message: failures
+                    .first()
+                    .map(|f| f.message.clone())
+                    .unwrap_or_default(),
+            });
         }
-        Ok(results)
+        Ok(fold.finish(&self.spec.protocol, failures, threads))
     }
 
     /// The scenario's own seed through the ordinary step loop, folded when
@@ -374,7 +330,7 @@ impl OnTier for &Ensemble {
     }
 
     fn run<R: Runtime>(self, runtime: R) -> Result<EnsembleResult> {
-        self.run_on(&runtime)
+        self.run_blocks(&runtime, BLOCK_WIDTH)
     }
 }
 
@@ -405,23 +361,23 @@ fn fold_surviving(
     }
 }
 
-/// The per-scenario folds of a sweep, fed job by job in job order: a job
-/// that finishes early is parked until every job before it has been merged.
+/// The fold of an ensemble, fed job by job in job order: a job that
+/// finishes early is parked until every job before it has been merged.
 struct OrderedMerge {
     /// The next job to merge.
     next: usize,
-    /// Finished jobs still waiting for an earlier one: job → (scenario, fold).
-    parked: BTreeMap<usize, (usize, EnvelopeFold)>,
-    folds: Vec<EnvelopeFold>,
+    /// Finished jobs still waiting for an earlier one: job → fold.
+    parked: BTreeMap<usize, EnvelopeFold>,
+    fold: EnvelopeFold,
 }
 
 impl OrderedMerge {
     /// Takes the fold of a finished job and merges every job that is now
     /// next in line.
-    fn deposit(&mut self, job: usize, scenario: usize, fold: EnvelopeFold) {
-        self.parked.insert(job, (scenario, fold));
-        while let Some((scenario, fold)) = self.parked.remove(&self.next) {
-            self.folds[scenario].merge(fold);
+    fn deposit(&mut self, job: usize, fold: EnvelopeFold) {
+        self.parked.insert(job, fold);
+        while let Some(fold) = self.parked.remove(&self.next) {
+            self.fold.merge(fold);
             self.next += 1;
         }
     }
@@ -554,11 +510,6 @@ pub struct EnsembleResult {
 }
 
 impl EnsembleResult {
-    /// The state names, in the order used by the envelope components.
-    pub fn state_names(&self) -> &[String] {
-        &self.state_names
-    }
-
     /// Number of runs aggregated.
     pub fn runs(&self) -> usize {
         self.final_counts.len()
@@ -623,7 +574,7 @@ impl EnsembleResult {
 mod tests {
     use super::super::{AgentRuntime, AggregateRuntime};
     use super::*;
-    use crate::runtime::fixtures::epidemic_protocol;
+    use crate::fixtures::epidemic_protocol;
 
     #[test]
     fn ensemble_aggregates_mean_and_std_over_seeds() {
@@ -660,24 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_returns_one_result_per_scenario() {
-        let scenarios = vec![
-            Scenario::new(1_000, 20).unwrap(),
-            Scenario::new(4_000, 20).unwrap(),
-        ];
-        let results = Ensemble::of(epidemic_protocol())
-            .initial(InitialStates::fractions(&[0.999, 0.001]))
-            .seed_range(0..4)
-            .threads(4)
-            .run_sweep::<AggregateRuntime>(&scenarios)
-            .unwrap();
-        assert_eq!(results.len(), 2);
-        // Larger groups end with more infected processes.
-        let last_mean = |r: &EnsembleResult| *r.mean_series("y").unwrap().last().unwrap();
-        assert!(last_mean(&results[1]) > last_mean(&results[0]));
-    }
-
-    #[test]
     fn ensemble_validation_errors() {
         let base = Ensemble::of(epidemic_protocol());
         assert!(matches!(
@@ -699,13 +632,6 @@ mod tests {
         assert!(matches!(
             with_initial.clone().seeds([]).run::<AgentRuntime>(),
             Err(CoreError::InvalidConfig { name: "seeds", .. })
-        ));
-        assert!(matches!(
-            with_initial.run_sweep::<AgentRuntime>(&[]),
-            Err(CoreError::InvalidConfig {
-                name: "scenarios",
-                ..
-            })
         ));
         // A failing run propagates its error (mismatched initial distribution).
         let err = Ensemble::of(epidemic_protocol())
@@ -774,7 +700,6 @@ mod tests {
             vec![1, 3]
         );
         for failure in &ensemble.failures {
-            assert_eq!(failure.scenario, 0);
             assert!(failure.message.contains("injected test panic"));
         }
     }
@@ -874,7 +799,7 @@ mod tests {
         let blocks = stormy_ensemble().run::<BatchedRuntime>().unwrap();
         let sequential = stormy_ensemble().run::<SeedBySeed>().unwrap();
         assert_same_envelopes(&blocks, &sequential);
-        // Alive-only counts and a two-scenario sweep take the block path too.
+        // Alive-only counts and other scenarios take the block path too.
         let alive = stormy_ensemble().count_alive_only();
         assert_same_envelopes(
             &alive.run::<BatchedRuntime>().unwrap(),
@@ -897,31 +822,26 @@ mod tests {
                 .with_massive_failure(3, 0.5)
                 .unwrap(),
         ];
-        let sweep = Ensemble::of(epidemic_protocol())
-            .initial(InitialStates::fractions(&[0.98, 0.02]))
-            .seed_range(0..70)
-            .threads(3);
-        let blocks = sweep.run_sweep::<BatchedRuntime>(&scenarios).unwrap();
-        let sequential = sweep.run_sweep::<SeedBySeed>(&scenarios).unwrap();
-        assert_eq!(blocks.len(), 2);
-        for (blocks, sequential) in blocks.iter().zip(&sequential) {
-            assert_same_envelopes(blocks, sequential);
+        for scenario in scenarios {
+            let ensemble = Ensemble::of(epidemic_protocol())
+                .scenario(scenario)
+                .initial(InitialStates::fractions(&[0.98, 0.02]))
+                .seed_range(0..70)
+                .threads(3);
+            let blocks = ensemble.run::<BatchedRuntime>().unwrap();
+            assert_same_envelopes(&blocks, &ensemble.run::<SeedBySeed>().unwrap());
+            assert_eq!(
+                blocks.mean.len(),
+                ensemble.spec.scenario.unwrap().periods() as usize + 1
+            );
         }
-        assert_eq!(blocks[1].mean.len(), 16);
     }
 
     #[test]
     fn block_width_changes_nothing_but_the_last_ulp() {
         let ensemble = stormy_ensemble().seed_range(0..70).threads(2);
         let runtime = BatchedRuntime::new(epidemic_protocol());
-        let scenario = ensemble.spec.scenario.clone().unwrap();
-        let at = |width| {
-            ensemble
-                .sweep_on(&runtime, std::slice::from_ref(&scenario), width)
-                .unwrap()
-                .pop()
-                .unwrap()
-        };
+        let at = |width| ensemble.run_blocks(&runtime, width).unwrap();
         let whole = at(70);
         // One block folds its seeds one by one: exactly the per-seed fold.
         assert_eq!(
@@ -962,18 +882,10 @@ mod tests {
     #[test]
     fn a_panicking_column_costs_only_its_own_seed() {
         let ensemble = stormy_ensemble().seed_range(0..128).threads(2);
-        let scenario = ensemble.spec.scenario.clone().unwrap();
         let poisoned = BatchedRuntime::new(epidemic_protocol()).poisoned(17);
-        let result = ensemble
-            .sweep_on(&poisoned, std::slice::from_ref(&scenario), BLOCK_WIDTH)
-            .unwrap()
-            .pop()
-            .unwrap();
+        let result = ensemble.run_blocks(&poisoned, BLOCK_WIDTH).unwrap();
         assert_eq!(result.failures.len(), 1);
-        assert_eq!(
-            (result.failures[0].scenario, result.failures[0].seed),
-            (0, 17)
-        );
+        assert_eq!(result.failures[0].seed, 17);
         assert!(result.failures[0].message.contains("injected test panic"));
         assert_eq!(result.runs(), 127);
         // The other 63 columns of the block were run again one by one and
@@ -1014,11 +926,7 @@ mod tests {
             .run::<PanickyRuntime>()
             .unwrap_err();
         match err {
-            CoreError::EnsemblePanicked {
-                scenario,
-                first_message,
-            } => {
-                assert_eq!(scenario, 0);
+            CoreError::EnsemblePanicked { first_message } => {
                 assert!(first_message.contains("injected test panic"));
             }
             other => panic!("expected EnsemblePanicked, got {other:?}"),

@@ -11,8 +11,8 @@ use crate::state_machine::Protocol;
 use crate::Result;
 use netsim::Scenario;
 
-/// Default per-state alive-count threshold below which the hybrid runtime
-/// runs at membership fidelity.
+/// Per-state alive-count threshold below which the hybrid runtime runs at
+/// membership fidelity.
 ///
 /// Tied to [`netsim::stochastic::NORMAL_APPROX_CUTOFF`]: above this count the
 /// batched runtime's binomial/normal machinery operates in its
@@ -23,9 +23,9 @@ pub const SMALL_COUNT_THRESHOLD: u64 = netsim::stochastic::NORMAL_APPROX_CUTOFF 
 
 /// Executes a protocol at the fastest fidelity that is trustworthy for the
 /// *current* population: periods advance on the count-batched
-/// [`BatchedRuntime`] while every per-state alive count is at or above a
-/// configurable threshold (default [`SMALL_COUNT_THRESHOLD`] = 30, the
-/// normal-approximation cutoff of `netsim`'s samplers), and hand off
+/// [`BatchedRuntime`] while every per-state alive count is at or above
+/// [`SMALL_COUNT_THRESHOLD`] (= 30, the normal-approximation cutoff of
+/// `netsim`'s samplers), and hand off
 /// losslessly to the per-process [`AgentRuntime`] whenever any count falls
 /// below it — switching back once every count recovers.
 ///
@@ -115,7 +115,6 @@ pub const SMALL_COUNT_THRESHOLD: u64 = netsim::stochastic::NORMAL_APPROX_CUTOFF 
 pub struct HybridRuntime {
     agent: AgentRuntime,
     batched: BatchedRuntime,
-    threshold: u64,
 }
 
 /// Which fidelity a [`HybridState`] is currently executing at.
@@ -162,14 +161,6 @@ impl Mode {
 }
 
 impl HybridState {
-    /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
-        match &self.mode {
-            Mode::Batched(b) => b.period(),
-            Mode::Agent(a) => a.period(),
-        }
-    }
-
     /// The fidelity the next period will start from.
     pub fn fidelity(&self) -> HybridFidelity {
         match &self.mode {
@@ -186,21 +177,6 @@ impl HybridState {
 }
 
 impl HybridRuntime {
-    /// Replaces the fidelity threshold: membership fidelity whenever any
-    /// per-state alive count is below `threshold`, count level once every
-    /// count reaches `2 × threshold`. `0` never leaves count level; a
-    /// threshold above the group size never leaves membership.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: u64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// The fidelity threshold in use.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
     /// Marks which states can ever hold processes again given the current
     /// occupancy: the fixpoint of "currently occupied (alive or crashed), or
     /// the rejoin target while anyone is crashed, or the destination of an
@@ -265,13 +241,13 @@ impl HybridRuntime {
         counts_alive
             .iter()
             .zip(live)
-            .any(|(&k, &l)| l && k < self.threshold)
+            .any(|(&k, &l)| l && k < SMALL_COUNT_THRESHOLD)
     }
 
     /// `true` if every live state's alive count allows an upgrade back to
     /// count level (hysteresis: twice the threshold).
     fn can_batch(&self, counts_alive: &[u64], live: &[bool]) -> bool {
-        let floor = self.threshold.saturating_mul(2);
+        let floor = 2 * SMALL_COUNT_THRESHOLD;
         counts_alive
             .iter()
             .zip(live)
@@ -337,7 +313,6 @@ impl Runtime for HybridRuntime {
         HybridRuntime {
             agent: AgentRuntime::build(protocol.clone(), config),
             batched: BatchedRuntime::build(protocol, config),
-            threshold: SMALL_COUNT_THRESHOLD,
         }
     }
 
@@ -386,8 +361,8 @@ impl Runtime for HybridRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::epidemic_protocol;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Ensemble, Simulation};
     use odekit::system::EquationSystemBuilder;
 
@@ -508,29 +483,6 @@ mod tests {
             assert_eq!(state.fidelity(), HybridFidelity::CountLevel);
         }
         assert_eq!(runtime.snapshot(&state).counts, &[10_000, 0]);
-    }
-
-    #[test]
-    fn threshold_knobs_pin_the_fidelity() {
-        let protocol = epidemic_protocol();
-        let scenario = Scenario::new(1_000, 10).unwrap().with_seed(1);
-        let initial = InitialStates::counts(&[999, 1]);
-        // Threshold 0: never needs membership.
-        let always_batched = HybridRuntime::new(protocol.clone()).with_threshold(0);
-        assert_eq!(always_batched.threshold(), 0);
-        let mut state = always_batched.init(&scenario, &initial).unwrap();
-        for _ in 0..10 {
-            always_batched.step(&mut state).unwrap();
-            assert_eq!(state.fidelity(), HybridFidelity::CountLevel);
-        }
-        // Threshold above N: never upgrades.
-        let always_agent = HybridRuntime::new(protocol).with_threshold(10_000);
-        let mut state = always_agent.init(&scenario, &initial).unwrap();
-        for _ in 0..10 {
-            always_agent.step(&mut state).unwrap();
-            assert_eq!(state.fidelity(), HybridFidelity::Membership);
-        }
-        assert_eq!(state.handoffs(), (0, 0));
     }
 
     #[test]
@@ -656,8 +608,10 @@ mod tests {
         let scenario = Scenario::new(10_000, 10)
             .unwrap()
             .with_seed(21)
-            .with_adversary(netsim::adversary::TargetLargestState::new(0.59375, 2, 1, 1).unwrap());
-        let runtime = HybridRuntime::new(protocol).with_threshold(100);
+            .with_adversary(
+                netsim::adversary::TargetLargestState::new(0.59765625, 2, 1, 1).unwrap(),
+            );
+        let runtime = HybridRuntime::new(protocol);
         let mut state = runtime
             .init(&scenario, &InitialStates::counts(&[6_000, 4_000]))
             .unwrap();
@@ -665,7 +619,7 @@ mod tests {
         for _ in 0..10 {
             runtime.step(&mut state).unwrap();
         }
-        // The strike (~5937 of x's 6000) dropped x below the threshold.
+        // The strike (~5976 of x's 6000) dropped x below the threshold.
         assert_eq!(state.fidelity(), HybridFidelity::Membership);
         assert_eq!(state.handoffs(), (1, 0));
         let events = runtime.snapshot(&state);
@@ -673,7 +627,7 @@ mod tests {
         // strike counter would have taken ~2400 more victims from y.
         assert_eq!(events.counts_alive.unwrap()[1], 4_000);
         assert!(
-            events.alive > 4_000 && events.alive < 4_100,
+            events.alive > 4_000 && events.alive < 4_030,
             "alive = {}",
             events.alive
         );

@@ -47,7 +47,7 @@
 //!   loop does no work for observers that are not attached.
 //! * **Drivers** — [`Simulation`] is the one-run builder
 //!   (`Simulation::of(protocol).scenario(s).initial(i).run::<AgentRuntime>()`)
-//!   and [`Ensemble`] fans a seed range or scenario sweep across threads and
+//!   and [`Ensemble`] fans a seed range across threads and
 //!   aggregates per-period mean/std envelopes into an [`EnsembleResult`],
 //!   merged in seed order so the result does not depend on the thread count.
 //!   Both hold one crate-private run spec that makes the one tier decision
@@ -409,7 +409,7 @@ impl InitialStates {
     ///
     /// Returns an error if the length does not match `num_states`, counts do
     /// not sum to `n`, or fractions are negative / do not sum to ~1.
-    pub fn resolve(&self, num_states: usize, n: u64) -> Result<Vec<u64>> {
+    pub(crate) fn resolve(&self, num_states: usize, n: u64) -> Result<Vec<u64>> {
         match self {
             InitialStates::Counts(counts) => {
                 if counts.len() != num_states {
@@ -560,6 +560,15 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Total number of transitions along a given edge over the whole run.
+    #[cfg(test)]
+    pub(crate) fn total_transitions(&self, from: &str, to: &str) -> f64 {
+        self.transitions
+            .series(&format!("{from}->{to}"))
+            .map(|s| s.iter().map(|(_, v)| v).sum())
+            .unwrap_or(0.0)
+    }
+
     pub(crate) fn new(protocol: &Protocol) -> Self {
         RunResult {
             protocol_states: protocol.state_names().to_vec(),
@@ -570,11 +579,6 @@ impl RunResult {
             time_scale: protocol.time_scale(),
             status: RunStatus::Completed,
         }
-    }
-
-    /// The state names, in the order used by [`counts`](Self::counts).
-    pub fn state_names(&self) -> &[String] {
-        &self.protocol_states
     }
 
     /// The count series of one state (by name).
@@ -597,15 +601,6 @@ impl RunResult {
         self.counts.states().last().map(Vec::as_slice)
     }
 
-    /// The per-period counts normalized to fractions of `n`.
-    pub fn fractions(&self, n: f64) -> Trajectory {
-        let mut out = Trajectory::with_capacity(self.counts.len());
-        for (t, s) in self.counts.iter() {
-            out.push(t, s.iter().map(|c| c / n).collect());
-        }
-        out
-    }
-
     /// The per-period counts re-timed to ODE time (period × time-scale),
     /// normalized by `n` — directly comparable to an integration of the
     /// source equations over fractions.
@@ -616,14 +611,6 @@ impl RunResult {
         }
         out
     }
-
-    /// Total number of transitions along a given edge over the whole run.
-    pub fn total_transitions(&self, from: &str, to: &str) -> f64 {
-        self.transitions
-            .series(&format!("{from}->{to}"))
-            .map(|s| s.iter().map(|(_, v)| v).sum())
-            .unwrap_or(0.0)
-    }
 }
 
 /// Name used for transition series: `from->to`.
@@ -631,114 +618,10 @@ pub(crate) fn edge_name(protocol: &Protocol, from: StateId, to: StateId) -> Stri
     format!("{}->{}", protocol.state_name(from), protocol.state_name(to))
 }
 
-/// Protocols the runtime test modules share.
-#[cfg(test)]
-mod fixtures {
-    use crate::action::Action;
-    use crate::mapping::ProtocolCompiler;
-    use crate::state_machine::{Protocol, StateId};
-    use odekit::system::EquationSystemBuilder;
-
-    /// The epidemic `x' = −xy, y' = xy`, compiled with the defaults.
-    pub(super) fn epidemic_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", -1.0, &[("x", 1), ("y", 1)])
-            .term("y", 1.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("epidemic").compile(&sys).unwrap()
-    }
-
-    /// The endemic protocol of the paper's Figure 1 (b = 2, γ = 0.1,
-    /// α = 0.01), with or without the stashers' push action, as
-    /// `dpde_protocols::endemic` builds it.
-    pub(super) fn figure1_protocol(push: bool) -> Protocol {
-        let mut protocol = Protocol::new(
-            "endemic-figure1",
-            vec!["receptive".into(), "stash".into(), "averse".into()],
-        )
-        .unwrap();
-        let [receptive, stash, averse] = [0, 1, 2].map(StateId::new);
-        let flip = |prob, to| Action::Flip { prob, to };
-        protocol.add_action(stash, flip(0.1, averse)).unwrap();
-        protocol.add_action(averse, flip(0.01, receptive)).unwrap();
-        let samples = if push { 2 } else { 4 };
-        protocol
-            .add_action(
-                receptive,
-                Action::SampleAny {
-                    target_state: stash,
-                    samples,
-                    prob: 1.0,
-                    to: stash,
-                },
-            )
-            .unwrap();
-        if push {
-            protocol
-                .add_action(
-                    stash,
-                    Action::PushSample {
-                        target_state: receptive,
-                        samples: 2,
-                        prob: 1.0,
-                        to: stash,
-                    },
-                )
-                .unwrap();
-        }
-        protocol
-    }
-
-    /// Competitive exclusion among `k` proposals plus an undecided state `z`
-    /// (what `dpde_protocols::lv::multi` compiles; `k = 2` is the paper's LV
-    /// protocol): each proposal state gets `k − 1` actions that all lead to
-    /// `z`.
-    pub(super) fn plurality_protocol(k: usize) -> Protocol {
-        let names: Vec<String> = (0..k)
-            .map(|i| format!("x{i}"))
-            .chain(["z".into()])
-            .collect();
-        let mut builder = EquationSystemBuilder::new().vars(names.clone());
-        for i in 0..k {
-            let xi = names[i].as_str();
-            builder = builder.term(xi, 3.0, &[(xi, 1), ("z", 1)]);
-            builder = builder.term("z", -3.0, &[(xi, 1), ("z", 1)]);
-            for xj in names.iter().take(k).filter(|xj| xj.as_str() != xi) {
-                builder = builder.term(xi, -3.0, &[(xi, 1), (xj, 1)]);
-                builder = builder.term("z", 3.0, &[(xi, 1), (xj, 1)]);
-            }
-        }
-        ProtocolCompiler::new("plurality")
-            .with_normalizing_constant(0.01)
-            .compile(&builder.build().unwrap())
-            .unwrap()
-    }
-
-    /// "Recruitment by committee" with a way back: an (x, y) pair recruits
-    /// an undecided z into x through a token hosted by x, and x decays back
-    /// into z.
-    pub(super) fn token_protocol() -> Protocol {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y", "z"])
-            .term("x", 0.5, &[("x", 1), ("y", 1)])
-            .term("z", -0.5, &[("x", 1), ("y", 1)])
-            .term("x", -0.1, &[("x", 1)])
-            .term("z", 0.1, &[("x", 1)])
-            .build()
-            .unwrap();
-        ProtocolCompiler::new("token")
-            .with_normalizing_constant(0.5)
-            .compile(&sys)
-            .unwrap()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::fixtures::epidemic_protocol as protocol;
     use super::*;
+    use crate::fixtures::epidemic_protocol as protocol;
 
     #[test]
     fn initial_states_counts_validation() {
@@ -792,11 +675,9 @@ mod tests {
         r.counts.push(0.0, vec![90.0, 10.0]);
         r.counts.push(1.0, vec![50.0, 50.0]);
         r.transitions.record("x->y", 1, 40.0);
-        assert_eq!(r.state_names(), &["x".to_string(), "y".to_string()]);
         assert_eq!(r.state_series("y").unwrap(), vec![10.0, 50.0]);
         assert!(r.state_series("q").is_err());
         assert_eq!(r.final_counts(), Some(&[50.0, 50.0][..]));
-        assert_eq!(r.fractions(100.0).last_state(), &[0.5, 0.5]);
         assert_eq!(r.total_transitions("x", "y"), 40.0);
         assert_eq!(r.total_transitions("y", "x"), 0.0);
         let ode = r.as_ode_trajectory(100.0);

@@ -72,8 +72,8 @@ pub struct PeriodEvents<'a> {
     /// snapshot (empty when no adversary is attached, at period 0, and in
     /// quiet periods). The `counts` above already reflect them.
     pub injections: &'a [InjectionRecord],
-    /// Virtual time of this snapshot in seconds on the scenario's
-    /// [`PeriodClock`](netsim::PeriodClock), filled only by the
+    /// Virtual time of this snapshot in seconds
+    /// ([`PERIOD_SECS`](netsim::PERIOD_SECS) to a period), filled only by the
     /// continuous-time runtimes (SSA and tau-leap), whose event clocks run
     /// between period boundaries. `None` for the period-synchronized tiers,
     /// where `period` alone is the time axis. The continuous-time runtimes
@@ -108,7 +108,7 @@ impl PeriodEvents<'_> {
     /// view when host identity exists, and otherwise returns
     /// [`counts`](Self::counts) unchanged (count-level runtimes without
     /// failure modelling only track alive processes).
-    pub fn alive_counts(&self) -> Vec<u64> {
+    pub(crate) fn alive_counts(&self) -> Vec<u64> {
         if let Some(alive) = self.counts_alive {
             return alive.to_vec();
         }
@@ -396,15 +396,14 @@ pub struct LiveMetrics {
     last: TransportProbe,
 }
 
-/// The shared gauge block behind [`LiveMetricsHandle`]. The latency gauge
-/// stores an `f64` through its bit pattern, so every field fits one atomic.
+/// The shared gauge block behind [`LiveMetricsHandle`], one atomic per
+/// field.
 #[derive(Debug, Default)]
 struct Gauges {
     queue_depth: AtomicU64,
     sent: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
-    latency_bits: AtomicU64,
     periods: AtomicU64,
 }
 
@@ -434,11 +433,6 @@ impl LiveMetricsHandle {
     /// Cumulative messages dropped so far (loss or partition).
     pub fn dropped(&self) -> u64 {
         self.gauges.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Mean delivery latency over the transport's recent window (seconds).
-    pub fn recent_latency_mean(&self) -> f64 {
-        f64::from_bits(self.gauges.latency_bits.load(Ordering::Relaxed))
     }
 
     /// Periods observed so far (including the period-0 snapshot).
@@ -475,9 +469,6 @@ impl Observer for LiveMetrics {
             .delivered
             .store(probe.delivered, Ordering::Relaxed);
         self.gauges.dropped.store(probe.dropped, Ordering::Relaxed);
-        self.gauges
-            .latency_bits
-            .store(probe.recent_latency_mean.to_bits(), Ordering::Relaxed);
         self.gauges.periods.fetch_add(1, Ordering::Relaxed);
 
         self.recorder.record(
@@ -646,7 +637,7 @@ pub(crate) fn default_observers() -> Vec<Box<dyn Observer>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::fixtures::epidemic_protocol as protocol;
+    use crate::fixtures::epidemic_protocol as protocol;
 
     fn events<'a>(
         period: u64,
@@ -836,7 +827,6 @@ mod tests {
         assert_eq!(handle.queue_depth(), 5);
         assert_eq!(handle.delivered(), 4);
         assert_eq!(handle.dropped(), 1);
-        assert_eq!(handle.recent_latency_mean(), 2.5);
         assert_eq!(handle.periods_observed(), 1);
 
         let mut ev = events(1, &[50, 50], &[]);
@@ -912,11 +902,6 @@ mod tests {
             );
             assert!(dr >= dropped, "dropped went backwards: {dr} < {dropped}");
             assert!(p >= periods, "periods went backwards: {p} < {periods}");
-            let latency = handle.recent_latency_mean();
-            assert!(
-                latency.is_finite() && latency >= 0.0,
-                "torn latency read: {latency}"
-            );
             (sent, delivered, dropped, periods) = (s, d, dr, p);
             std::thread::yield_now();
         }

@@ -523,7 +523,7 @@ impl ProtocolPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::fixtures::{
+    use crate::fixtures::{
         epidemic_protocol, figure1_protocol, plurality_protocol, token_protocol,
     };
     use crate::runtime::{

@@ -153,19 +153,15 @@ pub struct ShardedState {
 }
 
 impl ShardedState {
-    /// The next period to execute (also the number of periods executed).
-    pub fn period(&self) -> u64 {
-        self.block.period
-    }
-
     /// Per-shard alive counts (`[shard][state]`) at the current snapshot.
-    pub fn shard_alive_counts(&self) -> &[Vec<u64>] {
+    #[cfg(test)]
+    pub(crate) fn shard_alive_counts(&self) -> &[Vec<u64>] {
         &self.shard_alive
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.block.width()
+    /// The next period to execute (also the number of periods executed).
+    pub(crate) fn period(&self) -> u64 {
+        self.block.period
     }
 
     /// Refreshes every aggregated view from the block: row sums of its
@@ -488,8 +484,8 @@ impl Runtime for ShardedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::epidemic_protocol;
     use crate::runtime::environment::victim_count;
-    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, ShardCountsRecorder, Simulation};
     use netsim::topology::{ShardConfig, Topology};
     use netsim::FailureEvent;

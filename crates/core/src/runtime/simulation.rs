@@ -127,8 +127,7 @@ macro_rules! run_spec_setters {
         }
 
         /// Sets the population topology, overriding the scenario's own
-        /// (whether the scenario is set before or after this call; in an
-        /// ensemble, that of every scenario, sweeps included). A sharded
+        /// (whether the scenario is set before or after this call). A sharded
         /// topology makes [`run_auto`](Self::run_auto) select the
         /// [`ShardedRuntime`](super::ShardedRuntime) tier; an explicit
         /// [`Topology::WellMixed`] forces the single-group tiers even if the
@@ -212,7 +211,7 @@ pub(crate) fn dispatch<T: OnTier>(on: T, tier: FidelityTier) -> T::Output {
     }
 }
 
-/// An execution budget for a single run.
+/// A wall-clock budget for a single run.
 ///
 /// When the budget runs out before the scenario's horizon, the run stops
 /// early and degrades to a *partial* [`RunResult`]: everything the observers
@@ -222,56 +221,21 @@ pub(crate) fn dispatch<T: OnTier>(on: T, tier: FidelityTier) -> T::Output {
 /// [`RunResult::status`] (or [`RunStatus::is_completed`]) before comparing
 /// trajectories across runs.
 ///
-/// Two budget kinds compose (either alone, or both at once):
-///
-/// * **Period budgets** are deterministic: the budget is counted in protocol
-///   periods, not wall-clock time, so a deadlined run is exactly a prefix of
-///   the un-deadlined run with the same seed.
-/// * **Wall-clock budgets** bound real elapsed time, checked at every period
-///   boundary: however wedged the medium underneath gets (a dead socket, a
-///   pathological observer), the run returns within roughly one period of
-///   the limit instead of hanging a CI job. The completed-period count then
-///   depends on machine speed, so wall-deadlined trajectories are *not*
-///   replayable prefixes — check [`RunResult::status`] before comparing.
+/// The budget bounds real elapsed time, checked at every period boundary:
+/// however wedged the medium underneath gets (a dead socket, a
+/// pathological observer), the run returns within roughly one period of
+/// the limit instead of hanging a CI job. The completed-period count then
+/// depends on machine speed, so deadlined trajectories are *not*
+/// replayable prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunDeadline {
-    period_budget: Option<u64>,
-    wall: Option<std::time::Duration>,
+    wall: std::time::Duration,
 }
 
 impl RunDeadline {
-    /// A deadline allowing at most `budget` protocol periods.
-    pub fn periods(budget: u64) -> Self {
-        RunDeadline {
-            period_budget: Some(budget),
-            wall: None,
-        }
-    }
-
     /// A deadline allowing at most `limit` of real elapsed time.
     pub fn wall_clock(limit: std::time::Duration) -> Self {
-        RunDeadline {
-            period_budget: None,
-            wall: Some(limit),
-        }
-    }
-
-    /// Adds a wall-clock limit on top of this deadline (whichever budget
-    /// runs out first stops the run).
-    #[must_use]
-    pub fn and_wall_clock(mut self, limit: std::time::Duration) -> Self {
-        self.wall = Some(limit);
-        self
-    }
-
-    /// The number of periods the deadline allows, if period-bounded.
-    pub fn period_budget(&self) -> Option<u64> {
-        self.period_budget
-    }
-
-    /// The real-time limit, if wall-clock-bounded.
-    pub fn wall_limit(&self) -> Option<std::time::Duration> {
-        self.wall
+        RunDeadline { wall: limit }
     }
 }
 
@@ -335,7 +299,7 @@ impl Simulation {
 
     run_spec_setters!();
 
-    /// Caps the run at a period budget (see [`RunDeadline`]). A run that
+    /// Caps the run's wall-clock time (see [`RunDeadline`]). A run that
     /// exhausts the budget returns a partial [`RunResult`] with
     /// [`RunStatus::Interrupted`].
     #[must_use]
@@ -395,7 +359,6 @@ impl Simulation {
 
     /// Executes the run on a pre-built runtime, which keeps whatever
     /// runtime-specific knobs it was built with (such as
-    /// [`HybridRuntime::with_threshold`] or
     /// [`TauLeapRuntime::with_epsilon`]).
     ///
     /// The runtime's protocol and configuration are used for execution: the
@@ -464,17 +427,14 @@ pub(crate) fn drive<R: Runtime>(
     let mut state = runtime.init(scenario, initial)?;
     let started = std::time::Instant::now();
     let scheduled = scenario.periods();
-    let budget = deadline
-        .and_then(|d| d.period_budget())
-        .map_or(scheduled, |b| b.min(scheduled));
-    let wall = deadline.and_then(|d| d.wall_limit());
+    let wall = deadline.map(|d| d.wall);
     let protocol = runtime.protocol();
     let events = runtime.snapshot(&state);
     for obs in observers.iter_mut() {
         obs.on_period(protocol, &events);
     }
     let mut completed = 0;
-    while completed < budget && !wall.is_some_and(|limit| started.elapsed() >= limit) {
+    while completed < scheduled && !wall.is_some_and(|limit| started.elapsed() >= limit) {
         let events = runtime.step(&mut state)?;
         for obs in observers.iter_mut() {
             obs.on_period(protocol, &events);
@@ -499,7 +459,7 @@ mod tests {
         AgentRuntime, AggregateRuntime, CountsRecorder, PeriodEvents, TransitionRecorder,
     };
     use super::*;
-    use crate::runtime::fixtures::epidemic_protocol;
+    use crate::fixtures::epidemic_protocol;
 
     #[test]
     fn missing_scenario_or_initial_is_an_error() {
@@ -957,41 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn a_deadline_degrades_to_a_partial_result_with_explicit_status() {
-        use super::super::RunStatus;
-        let build = |periods| {
-            Simulation::of(epidemic_protocol())
-                .scenario(Scenario::new(512, periods).unwrap().with_seed(4))
-                .initial(InitialStates::counts(&[511, 1]))
-                .observe(CountsRecorder::new())
-        };
-        // Budget below the horizon: the run stops early, keeps what was
-        // recorded, and says so.
-        let partial = build(30)
-            .deadline(RunDeadline::periods(12))
-            .run::<AgentRuntime>()
-            .unwrap();
-        assert_eq!(
-            partial.status,
-            RunStatus::Interrupted {
-                completed_periods: 12
-            }
-        );
-        assert!(!partial.status.is_completed());
-        assert_eq!(partial.counts.len(), 13, "snapshot + 12 periods");
-        // A deadlined run is exactly a prefix of the full run.
-        let full = build(30).run::<AgentRuntime>().unwrap();
-        assert_eq!(full.status, RunStatus::Completed);
-        assert_eq!(partial.counts.states(), &full.counts.states()[..13]);
-        // A budget at (or above) the horizon changes nothing.
-        let covered = build(30)
-            .deadline(RunDeadline::periods(64))
-            .run::<AgentRuntime>()
-            .unwrap();
-        assert_eq!(covered, full);
-    }
-
-    #[test]
     fn a_wall_clock_deadline_stops_a_slow_run_at_a_period_boundary() {
         use super::super::RunStatus;
         // The observer makes every period take ≥ 20 ms, so a 50 ms wall
@@ -1025,21 +950,6 @@ mod tests {
             result.counts.len() as u64,
             completed_periods + 1,
             "snapshot plus every completed period was recorded"
-        );
-        // A generous wall budget composed onto a period budget leaves the
-        // deterministic period semantics untouched.
-        let both = Simulation::of(epidemic_protocol())
-            .scenario(Scenario::new(128, 30).unwrap().with_seed(6))
-            .initial(InitialStates::counts(&[127, 1]))
-            .observe(CountsRecorder::new())
-            .deadline(RunDeadline::periods(12).and_wall_clock(std::time::Duration::from_secs(3600)))
-            .run::<AgentRuntime>()
-            .unwrap();
-        assert_eq!(
-            both.status,
-            RunStatus::Interrupted {
-                completed_periods: 12
-            }
         );
     }
 

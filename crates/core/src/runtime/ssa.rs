@@ -148,7 +148,7 @@ impl Window {
         let clock = Clock {
             n: self.n_f,
             contact_ok: 1.0 - self.scenario.loss().effective_contact_failure(1),
-            period_secs: self.scenario.clock().period_secs(),
+            period_secs: netsim::PERIOD_SECS,
         };
         let messages =
             (batched.plan()).expected_messages(&self.counts_alive, clock.n, clock.contact_ok);
@@ -208,7 +208,7 @@ impl Window {
     /// its virtual time.
     #[inline(always)]
     pub(super) fn events(&self, batched: &BatchedRuntime) -> PeriodEvents<'_> {
-        let virtual_time = Some(self.scenario.clock().period_to_secs(self.period));
+        let virtual_time = Some(self.period as f64 * netsim::PERIOD_SECS);
         PeriodEvents {
             virtual_time,
             ..batched.events(self)
@@ -300,8 +300,8 @@ impl Runtime for SsaRuntime {
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::fixtures::epidemic_protocol;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::fixtures::epidemic_protocol;
     use crate::runtime::{CountsRecorder, Observer, RunResult, Simulation};
     use crate::state_machine::StateId;
     use odekit::system::EquationSystemBuilder;
@@ -407,7 +407,7 @@ mod tests {
         for _ in 0..3 {
             probe.on_period(runtime.protocol(), &runtime.step(&mut state).unwrap());
         }
-        let secs = scenario.clock().period_secs();
+        let secs = netsim::PERIOD_SECS;
         assert_eq!(probe.0, vec![0.0, secs, 2.0 * secs, 3.0 * secs]);
     }
 

@@ -109,6 +109,12 @@ impl TauLeapState {
 }
 
 impl TauLeapRuntime {
+    /// The per-leap relative error bound in effect.
+    #[cfg(test)]
+    pub(crate) fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+
     /// Replaces the per-leap relative error bound (clamped to
     /// `[1e-4, 0.5]`: zero or negative bounds would stall the leap loop,
     /// and bounds near 1 void the Poisson approximation).
@@ -116,11 +122,6 @@ impl TauLeapRuntime {
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = clamp_epsilon(epsilon);
         self
-    }
-
-    /// The per-leap relative error bound in effect.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Executes up to [`EXACT_BURST_STEPS`] direct-method SSA steps from
@@ -282,7 +283,7 @@ impl Runtime for TauLeapRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::fixtures::epidemic_protocol;
+    use crate::fixtures::epidemic_protocol;
     use crate::runtime::SsaRuntime;
 
     #[test]

@@ -20,7 +20,7 @@ impl StateId {
     }
 
     /// The raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -90,7 +90,7 @@ impl Protocol {
     }
 
     /// The protocol's name (used in reports and rendered output).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -100,7 +100,7 @@ impl Protocol {
     }
 
     /// The state names, in order.
-    pub fn state_names(&self) -> &[String] {
+    pub(crate) fn state_names(&self) -> &[String] {
         &self.states
     }
 
@@ -109,12 +109,12 @@ impl Protocol {
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn state_name(&self, state: StateId) -> &str {
+    pub(crate) fn state_name(&self, state: StateId) -> &str {
         &self.states[state.index()]
     }
 
     /// Looks up a state by name.
-    pub fn state(&self, name: &str) -> Option<StateId> {
+    pub(crate) fn state(&self, name: &str) -> Option<StateId> {
         self.states.iter().position(|s| s == name).map(StateId)
     }
 
@@ -171,7 +171,7 @@ impl Protocol {
     /// # Errors
     ///
     /// Returns an error unless `0 < time_scale ≤ 1`.
-    pub fn set_time_scale(&mut self, time_scale: f64) -> Result<()> {
+    pub(crate) fn set_time_scale(&mut self, time_scale: f64) -> Result<()> {
         if !(time_scale.is_finite() && time_scale > 0.0 && time_scale <= 1.0) {
             return Err(CoreError::InvalidConfig {
                 name: "time_scale",

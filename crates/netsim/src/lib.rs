@@ -25,8 +25,8 @@
 //! * [`adversary`] — *adaptive* fault injection: strategies observing the
 //!   live per-period run state and emitting crash/recovery injections
 //!   mid-run (targeted strikes, worker kills, cascading failures),
-//! * `clock` — [`PeriodClock`], protocol-period bookkeeping (periods ↔
-//!   wall-clock time),
+//! * `clock` — the protocol period: [`PERIOD_SECS`] seconds, and
+//!   [`PERIODS_PER_HOUR`] periods per hour of a churn trace,
 //! * `metrics` — time-series recording ([`MetricsRecorder`]) and summary
 //!   statistics for experiment output,
 //! * `scenario` — a [`Scenario`] bundles all of the above to describe one
@@ -67,7 +67,7 @@ pub use adversary::{
     InjectionRecord, ObliviousSchedule, TargetLargestState, TransportGauges,
 };
 pub use churn::{ChurnEvent, ChurnTrace, SyntheticChurnConfig};
-pub use clock::PeriodClock;
+pub use clock::{PERIODS_PER_HOUR, PERIOD_SECS};
 pub use error::SimError;
 pub use failure::{FailureEvent, FailureModel, FailureSchedule};
 pub use group::{Group, ProcessId};

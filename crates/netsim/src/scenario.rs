@@ -2,7 +2,6 @@
 
 use crate::adversary::{Adversary, AdversaryHandle};
 use crate::churn::{ChurnEvent, ChurnTrace};
-use crate::clock::PeriodClock;
 use crate::error::SimError;
 use crate::failure::{FailureModel, FailureSchedule};
 use crate::group::Group;
@@ -42,7 +41,6 @@ pub struct Scenario {
     failure_model: FailureModel,
     churn_events: Vec<ChurnEvent>,
     initial_availability: Option<Vec<bool>>,
-    clock: PeriodClock,
     topology: Topology,
     shard_failures: Vec<ShardFailure>,
     shard_partitions: Vec<ShardPartition>,
@@ -52,8 +50,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// Creates a scenario of `group_size` processes running for `periods`
-    /// protocol periods, with a reliable network, no failures, no churn, a
-    /// 6-minute protocol period and seed 0.
+    /// protocol periods, with a reliable network, no failures, no churn and
+    /// seed 0.
     ///
     /// # Errors
     ///
@@ -80,7 +78,6 @@ impl Scenario {
             failure_model: FailureModel::none(),
             churn_events: Vec::new(),
             initial_availability: None,
-            clock: PeriodClock::six_minutes(),
             topology: Topology::WellMixed,
             shard_failures: Vec::new(),
             shard_partitions: Vec::new(),
@@ -160,13 +157,6 @@ impl Scenario {
     #[must_use]
     pub fn with_failure_model(mut self, model: FailureModel) -> Self {
         self.failure_model = model;
-        self
-    }
-
-    /// Sets the protocol-period clock.
-    #[must_use]
-    pub fn with_clock(mut self, clock: PeriodClock) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -268,7 +258,7 @@ impl Scenario {
             });
         }
         self.initial_availability = Some(trace.initial_availability().to_vec());
-        self.churn_events = trace.spread_over_periods(self.clock.periods_per_hour(), rng);
+        self.churn_events = trace.spread_over_periods(crate::PERIODS_PER_HOUR, rng);
         Ok(self)
     }
 
@@ -305,11 +295,6 @@ impl Scenario {
     /// The per-period churn events.
     pub fn churn_events(&self) -> &[ChurnEvent] {
         &self.churn_events
-    }
-
-    /// The protocol-period clock.
-    pub fn clock(&self) -> &PeriodClock {
-        &self.clock
     }
 
     /// The population topology.
@@ -479,7 +464,6 @@ mod tests {
         assert_eq!(s.loss(), &LossConfig::reliable());
         assert!(s.failure_schedule().is_empty());
         assert_eq!(s.churn_events().len(), 0);
-        assert_eq!(s.clock().period_secs(), 360.0);
         assert_eq!(s.build_group().alive_count(), 100);
         let _ = s.build_rng();
     }
@@ -673,11 +657,9 @@ mod tests {
         let s = Scenario::new(10, 10)
             .unwrap()
             .with_loss(LossConfig::new(0.1, 0.0).unwrap())
-            .with_clock(PeriodClock::six_minutes())
             .with_failure_schedule(massive_failure_at(3, 0.1))
             .unwrap();
         assert_eq!(s.loss(), &LossConfig::new(0.1, 0.0).unwrap());
-        assert_eq!(s.clock().period_secs(), 360.0);
         assert_eq!(s.failure_schedule(), &massive_failure_at(3, 0.1));
         assert_eq!(s.failure_model().crash_prob(), 0.0);
     }

@@ -35,50 +35,21 @@ use crate::Result;
 /// assert!(eqs.iter().any(|p| (p[0] - 0.25).abs() < 1e-6));
 /// # Ok::<(), odekit::OdeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EquilibriumFinder {
-    max_iter: usize,
-    tol: f64,
-    dedup_tol: f64,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct EquilibriumFinder;
 
-impl Default for EquilibriumFinder {
-    fn default() -> Self {
-        EquilibriumFinder {
-            max_iter: 200,
-            tol: 1e-12,
-            dedup_tol: 1e-6,
-        }
-    }
-}
+/// Newton iterations per start point.
+const MAX_ITER: usize = 200;
+/// Residual tolerance `‖f(X)‖∞ ≤ TOL` for convergence.
+const TOL: f64 = 1e-12;
+/// Distance below which two equilibria are the same during de-duplication.
+const DEDUP_TOL: f64 = 1e-6;
 
 impl EquilibriumFinder {
-    /// Creates a finder with default settings (200 iterations, residual
+    /// Creates a finder (200 Newton iterations per start, residual
     /// tolerance 1e-12).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the maximum number of Newton iterations.
-    #[must_use]
-    pub fn with_max_iter(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter;
-        self
-    }
-
-    /// Sets the residual tolerance `‖f(X)‖∞ ≤ tol` for convergence.
-    #[must_use]
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
-    /// Sets the distance below which two equilibria are considered the same
-    /// during de-duplication.
-    #[must_use]
-    pub fn with_dedup_tol(mut self, tol: f64) -> Self {
-        self.dedup_tol = tol;
-        self
+        EquilibriumFinder
     }
 
     /// Runs damped Newton iteration from `guess`.
@@ -97,10 +68,10 @@ impl EquilibriumFinder {
             });
         }
         let mut x = guess.to_vec();
-        for _ in 0..self.max_iter {
+        for _ in 0..MAX_ITER {
             let f = sys.eval_rhs(&x);
             let residual = f.iter().fold(0.0_f64, |a, v| a.max(v.abs()));
-            if residual <= self.tol {
+            if residual <= TOL {
                 return Ok(x);
             }
             let j = Matrix::from_rows(&sys.jacobian_at(&x))?;
@@ -126,7 +97,7 @@ impl EquilibriumFinder {
                     .collect();
                 let f_new = sys.eval_rhs(&candidate);
                 let new_res = f_new.iter().fold(0.0_f64, |a, v| a.max(v.abs()));
-                if new_res < residual || new_res <= self.tol {
+                if new_res < residual || new_res <= TOL {
                     x = candidate;
                     improved = true;
                     break;
@@ -143,7 +114,7 @@ impl EquilibriumFinder {
         }
         Err(OdeError::NoConvergence {
             context: "Newton equilibrium search",
-            iterations: self.max_iter,
+            iterations: MAX_ITER,
         })
     }
 
@@ -234,7 +205,7 @@ impl EquilibriumFinder {
                 .zip(candidate)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0_f64, f64::max)
-                < self.dedup_tol
+                < DEDUP_TOL
         })
     }
 }
@@ -316,17 +287,6 @@ mod tests {
         assert!(EquilibriumFinder::new()
             .search_box(&sys, &[(0.0, 1.0)], 2)
             .is_err());
-    }
-
-    #[test]
-    fn builder_configuration() {
-        let f = EquilibriumFinder::new()
-            .with_max_iter(10)
-            .with_tol(1e-6)
-            .with_dedup_tol(1e-3);
-        let sys = endemic(4.0, 1.0, 0.01);
-        // Even with few iterations a good guess converges.
-        assert!(f.from_guess(&sys, &[0.25, 0.007, 0.74]).is_ok());
     }
 
     #[test]

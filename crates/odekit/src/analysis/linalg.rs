@@ -23,31 +23,18 @@ pub struct Complex {
 
 impl Complex {
     /// Creates a complex number from real and imaginary parts.
-    pub fn new(re: f64, im: f64) -> Self {
+    pub(crate) fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// A purely real complex number.
-    pub fn real(re: f64) -> Self {
+    pub(crate) fn real(re: f64) -> Self {
         Complex { re, im: 0.0 }
     }
 
     /// The modulus `|z|`.
-    pub fn abs(self) -> f64 {
+    pub(crate) fn abs(self) -> f64 {
         self.re.hypot(self.im)
-    }
-
-    /// `true` if the imaginary part is negligible relative to the modulus.
-    pub fn is_real(self, tol: f64) -> bool {
-        self.im.abs() <= tol * self.abs().max(1.0)
-    }
-
-    /// Principal square root.
-    pub fn sqrt(self) -> Complex {
-        let r = self.abs();
-        let re = ((r + self.re) / 2.0).max(0.0).sqrt();
-        let im_mag = ((r - self.re) / 2.0).max(0.0).sqrt();
-        Complex::new(re, if self.im < 0.0 { -im_mag } else { im_mag })
     }
 }
 
@@ -103,7 +90,7 @@ impl fmt::Display for Complex {
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -111,7 +98,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -120,7 +107,7 @@ impl Matrix {
     }
 
     /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1.0);
@@ -134,7 +121,7 @@ impl Matrix {
     ///
     /// Returns [`OdeError::Linalg`] if the rows have inconsistent lengths or
     /// the input is empty.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
         let r = rows.len();
         if r == 0 {
             return Err(OdeError::Linalg("matrix must have at least one row".into()));
@@ -156,18 +143,8 @@ impl Matrix {
         })
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -176,7 +153,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "matrix index out of range");
         self.data[r * self.cols + c]
     }
@@ -186,7 +163,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "matrix index out of range");
         self.data[r * self.cols + c] = v;
     }
@@ -196,20 +173,9 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
+    pub(crate) fn trace(&self) -> f64 {
         assert!(self.is_square(), "trace requires a square matrix");
         (0..self.rows).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
     }
 
     /// Matrix product `self · other`.
@@ -217,7 +183,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`OdeError::Linalg`] if the shapes are incompatible.
-    pub fn multiply(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn multiply(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(OdeError::Linalg(format!(
                 "cannot multiply {}x{} by {}x{}",
@@ -239,31 +205,12 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix–vector product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::Linalg`] if the vector length does not match.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(OdeError::Linalg(format!(
-                "cannot multiply {}x{} by vector of length {}",
-                self.rows,
-                self.cols,
-                v.len()
-            )));
-        }
-        Ok((0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self.get(r, c) * v[c]).sum())
-            .collect())
-    }
-
     /// Sum `self + other`.
     ///
     /// # Errors
     ///
     /// Returns [`OdeError::Linalg`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn add(&self, other: &Matrix) -> Result<Matrix> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(OdeError::Linalg("matrix shapes differ".into()));
         }
@@ -275,7 +222,7 @@ impl Matrix {
     }
 
     /// Scalar multiple.
-    pub fn scaled(&self, factor: f64) -> Matrix {
+    pub(crate) fn scaled(&self, factor: f64) -> Matrix {
         let mut out = self.clone();
         for a in &mut out.data {
             *a *= factor;
@@ -283,17 +230,12 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Determinant via LU decomposition with partial pivoting.
     ///
     /// # Errors
     ///
     /// Returns [`OdeError::Linalg`] if the matrix is not square.
-    pub fn determinant(&self) -> Result<f64> {
+    pub(crate) fn determinant(&self) -> Result<f64> {
         if !self.is_square() {
             return Err(OdeError::Linalg(
                 "determinant requires a square matrix".into(),
@@ -338,7 +280,7 @@ impl Matrix {
     ///
     /// Returns [`OdeError::Linalg`] if the matrix is not square, the vector
     /// length does not match, or the matrix is (numerically) singular.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         if !self.is_square() {
             return Err(OdeError::Linalg("solve requires a square matrix".into()));
         }
@@ -396,7 +338,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`OdeError::Linalg`] if the matrix is not square.
-    pub fn characteristic_polynomial(&self) -> Result<Vec<f64>> {
+    pub(crate) fn characteristic_polynomial(&self) -> Result<Vec<f64>> {
         if !self.is_square() {
             return Err(OdeError::Linalg(
                 "characteristic polynomial requires a square matrix".into(),
@@ -430,7 +372,7 @@ impl Matrix {
     ///
     /// Returns [`OdeError::Linalg`] if the matrix is not square and
     /// [`OdeError::NoConvergence`] if root finding fails.
-    pub fn eigenvalues(&self) -> Result<Vec<Complex>> {
+    pub(crate) fn eigenvalues(&self) -> Result<Vec<Complex>> {
         if !self.is_square() {
             return Err(OdeError::Linalg(
                 "eigenvalues require a square matrix".into(),
@@ -452,7 +394,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not 2×2.
-    pub fn eigenvalues_2x2(&self) -> Vec<Complex> {
+    pub(crate) fn eigenvalues_2x2(&self) -> Vec<Complex> {
         assert!(
             self.rows == 2 && self.cols == 2,
             "eigenvalues_2x2 requires a 2x2 matrix"
@@ -499,7 +441,7 @@ impl fmt::Display for Matrix {
 ///
 /// Returns [`OdeError::Linalg`] if the leading coefficient is zero and
 /// [`OdeError::NoConvergence`] if the iteration does not converge.
-pub fn durand_kerner(coeffs: &[f64]) -> Result<Vec<Complex>> {
+pub(crate) fn durand_kerner(coeffs: &[f64]) -> Result<Vec<Complex>> {
     let n = coeffs.len().saturating_sub(1);
     if n == 0 {
         return Ok(Vec::new());
@@ -587,10 +529,6 @@ mod tests {
         let q = a / b;
         let back = q * b;
         assert!((back.re - a.re).abs() < 1e-12 && (back.im - a.im).abs() < 1e-12);
-        let sq = Complex::new(0.0, 2.0).sqrt() * Complex::new(0.0, 2.0).sqrt();
-        assert!((sq.im - 2.0).abs() < 1e-12);
-        assert!(Complex::real(3.0).is_real(1e-12));
-        assert!(!Complex::new(1.0, 1.0).is_real(1e-12));
         assert!(Complex::new(3.0, 4.0).abs() - 5.0 < 1e-12);
         assert!(format!("{}", Complex::new(1.0, -2.0)).contains('i'));
     }
@@ -598,8 +536,6 @@ mod tests {
     #[test]
     fn matrix_construction_and_accessors() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
         assert_eq!(m.get(1, 0), 3.0);
         assert_eq!(m.trace(), 5.0);
         assert!(m.is_square());
@@ -613,11 +549,7 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let i = Matrix::identity(2);
         assert_eq!(m.multiply(&i).unwrap(), m);
-        assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(m.mul_vec(&[1.0]).is_err());
         assert!(m.multiply(&Matrix::zeros(3, 3)).is_err());
-        let t = m.transpose();
-        assert_eq!(t.get(0, 1), 3.0);
         let s = m.add(&m).unwrap().scaled(0.5);
         assert_eq!(s, m);
     }
@@ -740,11 +672,5 @@ mod tests {
         }
         assert!(durand_kerner(&[1.0, 0.0]).is_err());
         assert!(durand_kerner(&[5.0]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

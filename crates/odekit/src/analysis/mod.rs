@@ -3,7 +3,7 @@
 //! This module packages the analytical techniques the paper uses to study the
 //! protocols it derives (Sections 4.1.3 and 4.2.2):
 //!
-//! * [`linalg`] — small dense matrices, determinants, linear solves and
+//! * `linalg` — small dense matrices, determinants, linear solves and
 //!   eigenvalues (closed form for 2×2, characteristic polynomial +
 //!   Durand–Kerner for larger Jacobians);
 //! * [`EquilibriumFinder`] — Newton iteration with multi-start search over
@@ -11,22 +11,13 @@
 //! * [`Stability`] / [`analyze_equilibrium`] — trace/determinant and
 //!   eigenvalue-based classification of equilibria (stable node, stable
 //!   spiral, saddle, …);
-//! * [`Linearization`] / [`perturbation_decay`] — the paper's perturbation
-//!   analysis: start at `X∞(1+u)` and check that `u` dies out;
 //! * [`PhasePortrait`] — multi-trajectory phase portraits (Figures 2 and 4).
 
-pub mod basin;
-pub mod equilibrium;
-pub mod linalg;
-pub mod perturbation;
-pub mod phase_portrait;
-pub mod stability;
+mod equilibrium;
+mod linalg;
+mod phase_portrait;
+mod stability;
 
-pub use basin::{BasinMap, BasinOutcome, BasinSweep};
 pub use equilibrium::EquilibriumFinder;
-pub use linalg::{durand_kerner, Complex, Matrix};
-pub use perturbation::{perturbation_decay, perturbed_state, Linearization, PerturbationDecay};
-pub use phase_portrait::{phase_portrait, PhasePortrait, PortraitTrajectory};
-pub use stability::{
-    analyze_equilibrium, classify_eigenvalues, classify_trace_det, Stability, StabilityReport,
-};
+pub use phase_portrait::{phase_portrait, PhasePortrait};
+pub use stability::{analyze_equilibrium, Stability, StabilityReport};

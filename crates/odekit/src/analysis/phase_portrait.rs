@@ -12,13 +12,13 @@ use crate::Result;
 
 /// A labelled trajectory inside a phase portrait.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PortraitTrajectory {
+pub(crate) struct PortraitTrajectory {
     /// Human-readable label, typically the initial point.
-    pub label: String,
+    pub(crate) label: String,
     /// The initial state.
-    pub initial: Vec<f64>,
+    pub(crate) initial: Vec<f64>,
     /// The recorded trajectory.
-    pub trajectory: Trajectory,
+    pub(crate) trajectory: Trajectory,
 }
 
 /// A collection of trajectories of the same system started from different
@@ -30,32 +30,22 @@ pub struct PhasePortrait {
 
 impl PhasePortrait {
     /// Creates an empty phase portrait.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a labelled trajectory.
-    pub fn push(&mut self, label: impl Into<String>, initial: Vec<f64>, trajectory: Trajectory) {
+    pub(crate) fn push(
+        &mut self,
+        label: impl Into<String>,
+        initial: Vec<f64>,
+        trajectory: Trajectory,
+    ) {
         self.trajectories.push(PortraitTrajectory {
             label: label.into(),
             initial,
             trajectory,
         });
-    }
-
-    /// The contained trajectories.
-    pub fn trajectories(&self) -> &[PortraitTrajectory] {
-        &self.trajectories
-    }
-
-    /// Number of trajectories.
-    pub fn len(&self) -> usize {
-        self.trajectories.len()
-    }
-
-    /// `true` if no trajectories have been added.
-    pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
     }
 
     /// Projects every trajectory onto components `(a, b)`, producing one
@@ -66,25 +56,6 @@ impl PhasePortrait {
             .iter()
             .map(|t| (t.label.clone(), t.trajectory.projection(a, b)))
             .collect()
-    }
-
-    /// Final state of each trajectory, for convergence summaries.
-    pub fn final_states(&self) -> Vec<(String, Vec<f64>)> {
-        self.trajectories
-            .iter()
-            .map(|t| (t.label.clone(), t.trajectory.last_state().to_vec()))
-            .collect()
-    }
-
-    /// Renders the `(a, b)` projection as CSV: `label,step,xa,xb` rows.
-    pub fn to_csv(&self, a: usize, b: usize) -> String {
-        let mut out = String::from("label,step,u,v\n");
-        for (label, series) in self.projection(a, b) {
-            for (i, (u, v)) in series.iter().enumerate() {
-                out.push_str(&format!("{label},{i},{u},{v}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -144,18 +115,13 @@ mod tests {
         let sys = epidemic().build().unwrap();
         let points = vec![vec![0.99, 0.01], vec![0.5, 0.5], vec![0.1, 0.9]];
         let portrait = phase_portrait(&sys, &Rk4::new(0.05), &points, 20.0).unwrap();
-        assert_eq!(portrait.len(), 3);
-        assert!(!portrait.is_empty());
         // All trajectories converge to y ≈ 1.
-        for (_, last) in portrait.final_states() {
-            assert!(last[1] > 0.95);
-        }
         let proj = portrait.projection(0, 1);
         assert_eq!(proj.len(), 3);
-        assert!(proj[0].1.len() > 10);
-        let csv = portrait.to_csv(0, 1);
-        assert!(csv.starts_with("label,step,u,v"));
-        assert!(csv.lines().count() > 10);
+        for (_, series) in &proj {
+            assert!(series.len() > 10);
+            assert!(series.last().unwrap().1 > 0.95);
+        }
     }
 
     #[test]
@@ -172,8 +138,8 @@ mod tests {
         t.push(0.0, vec![1.0, 0.0]);
         t.push(1.0, vec![0.5, 0.5]);
         p.push("start", vec![1.0, 0.0], t);
-        assert_eq!(p.trajectories()[0].label, "start");
-        assert_eq!(p.trajectories()[0].initial, vec![1.0, 0.0]);
-        assert_eq!(p.final_states()[0].1, vec![0.5, 0.5]);
+        assert_eq!(p.trajectories[0].label, "start");
+        assert_eq!(p.trajectories[0].initial, vec![1.0, 0.0]);
+        assert_eq!(p.projection(0, 1)[0].1, vec![(1.0, 0.0), (0.5, 0.5)]);
     }
 }

@@ -36,20 +36,7 @@ pub enum Stability {
     Marginal,
 }
 
-impl Stability {
-    /// `true` for the two asymptotically stable classifications.
-    pub fn is_stable(self) -> bool {
-        matches!(self, Stability::StableNode | Stability::StableSpiral)
-    }
-
-    /// `true` if at least one direction diverges (unstable or saddle).
-    pub fn is_unstable(self) -> bool {
-        matches!(
-            self,
-            Stability::UnstableNode | Stability::UnstableSpiral | Stability::Saddle
-        )
-    }
-}
+impl Stability {}
 
 impl std::fmt::Display for Stability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -72,7 +59,7 @@ pub struct StabilityReport {
     /// The equilibrium point that was analysed.
     pub equilibrium: Vec<f64>,
     /// The Jacobian evaluated at the equilibrium.
-    pub jacobian: Matrix,
+    pub(crate) jacobian: Matrix,
     /// Trace of the Jacobian (the paper's `τ`).
     pub trace: f64,
     /// Determinant of the Jacobian (the paper's `∆`).
@@ -87,25 +74,11 @@ pub struct StabilityReport {
     pub classification_reduced: Stability,
 }
 
-impl StabilityReport {
-    /// Characteristic time scale `1/|Re λ_slow|` of the slowest decaying /
-    /// growing mode (ignoring zero modes). Returns `None` if every eigenvalue
-    /// is (numerically) zero.
-    pub fn slowest_timescale(&self) -> Option<f64> {
-        self.eigenvalues
-            .iter()
-            .map(|e| e.re.abs())
-            .filter(|r| *r > ZERO_TOL)
-            .fold(None, |acc: Option<f64>, r| {
-                Some(acc.map_or(r, |a| a.min(r)))
-            })
-            .map(|r| 1.0 / r)
-    }
-}
+impl StabilityReport {}
 
 /// Tolerance below which an eigenvalue (real part and modulus) is treated as
 /// zero when classifying.
-pub const ZERO_TOL: f64 = 1e-9;
+pub(crate) const ZERO_TOL: f64 = 1e-9;
 
 /// Classifies an equilibrium from its eigenvalue spectrum.
 ///
@@ -113,7 +86,7 @@ pub const ZERO_TOL: f64 = 1e-9;
 /// after filtering and none of the remaining eigenvalues has positive real
 /// part, the classification is [`Stability::Marginal`] only when *no*
 /// eigenvalues remain; otherwise the non-zero eigenvalues decide.
-pub fn classify_eigenvalues(eigenvalues: &[Complex], zero_tol: f64) -> Stability {
+pub(crate) fn classify_eigenvalues(eigenvalues: &[Complex], zero_tol: f64) -> Stability {
     let significant: Vec<&Complex> = eigenvalues.iter().filter(|e| e.abs() > zero_tol).collect();
     if significant.is_empty() {
         return Stability::Marginal;
@@ -148,39 +121,6 @@ pub fn classify_eigenvalues(eigenvalues: &[Complex], zero_tol: f64) -> Stability
                 Stability::Marginal
             }
         }
-    }
-}
-
-/// Classifies a two-dimensional linearization from its trace `τ` and
-/// determinant `∆`, exactly as in the paper's proof of Theorem 3:
-///
-/// * `∆ < 0` → saddle,
-/// * `∆ > 0, τ < 0` → stable (spiral if `τ² < 4∆`, node otherwise),
-/// * `∆ > 0, τ > 0` → unstable (spiral if `τ² < 4∆`, node otherwise),
-/// * `∆ > 0, τ = 0` → center,
-/// * `∆ = 0` → marginal.
-pub fn classify_trace_det(trace: f64, det: f64) -> Stability {
-    if det < -ZERO_TOL {
-        return Stability::Saddle;
-    }
-    if det.abs() <= ZERO_TOL {
-        return Stability::Marginal;
-    }
-    let disc = trace * trace - 4.0 * det;
-    if trace < -ZERO_TOL {
-        if disc < 0.0 {
-            Stability::StableSpiral
-        } else {
-            Stability::StableNode
-        }
-    } else if trace > ZERO_TOL {
-        if disc < 0.0 {
-            Stability::UnstableSpiral
-        } else {
-            Stability::UnstableNode
-        }
-    } else {
-        Stability::Center
     }
 }
 
@@ -227,17 +167,6 @@ pub fn analyze_equilibrium(sys: &EquationSystem, point: &[f64]) -> Result<Stabil
 mod tests {
     use super::*;
     use crate::system::EquationSystemBuilder;
-
-    #[test]
-    fn classify_by_trace_det_matches_paper_rules() {
-        assert_eq!(classify_trace_det(-1.0, 2.0), Stability::StableSpiral); // τ²<4∆
-        assert_eq!(classify_trace_det(-3.0, 2.0), Stability::StableNode); // τ²>4∆
-        assert_eq!(classify_trace_det(1.0, 2.0), Stability::UnstableSpiral);
-        assert_eq!(classify_trace_det(3.0, 2.0), Stability::UnstableNode);
-        assert_eq!(classify_trace_det(0.5, -1.0), Stability::Saddle);
-        assert_eq!(classify_trace_det(0.0, 1.0), Stability::Center);
-        assert_eq!(classify_trace_det(1.0, 0.0), Stability::Marginal);
-    }
 
     #[test]
     fn classify_eigenvalue_spectra() {
@@ -292,10 +221,6 @@ mod tests {
 
     #[test]
     fn stability_helpers() {
-        assert!(Stability::StableSpiral.is_stable());
-        assert!(!Stability::Saddle.is_stable());
-        assert!(Stability::Saddle.is_unstable());
-        assert!(!Stability::Marginal.is_unstable());
         assert!(Stability::StableNode.to_string().contains("stable"));
     }
 
@@ -320,7 +245,6 @@ mod tests {
         // The conservation law gives one zero eigenvalue → full classification
         // is marginal, reduced classification is the paper's stable spiral.
         assert_eq!(report.classification_reduced, Stability::StableSpiral);
-        assert!(report.slowest_timescale().unwrap() > 0.0);
 
         // The trivial equilibrium (1, 0, 0) is a saddle (paper's corollary).
         let report0 = analyze_equilibrium(&sys, &[1.0, 0.0, 0.0]).unwrap();
@@ -351,6 +275,5 @@ mod tests {
         assert_eq!(r.classification, Stability::StableNode);
         assert!((r.trace + 3.0).abs() < 1e-12);
         assert!((r.determinant - 2.0).abs() < 1e-12);
-        assert!((r.slowest_timescale().unwrap() - 1.0).abs() < 1e-9);
     }
 }

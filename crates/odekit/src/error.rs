@@ -26,11 +26,6 @@ pub enum OdeError {
         /// Human-readable description of the constraint that was violated.
         reason: String,
     },
-    /// The adaptive integrator could not meet the error tolerance.
-    StepSizeUnderflow {
-        /// Simulation time at which the failure occurred.
-        time: f64,
-    },
     /// The integration produced a non-finite state component.
     NonFiniteState {
         /// Simulation time at which the failure occurred.
@@ -52,13 +47,6 @@ pub enum OdeError {
         /// Description of what went wrong.
         message: String,
     },
-    /// The system does not belong to the taxonomy class required by an operation.
-    NotInClass {
-        /// The class that was required (e.g. "completely partitionable").
-        required: &'static str,
-        /// Explanation of which requirement failed.
-        detail: String,
-    },
 }
 
 impl fmt::Display for OdeError {
@@ -76,9 +64,6 @@ impl fmt::Display for OdeError {
             OdeError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
-            OdeError::StepSizeUnderflow { time } => {
-                write!(f, "adaptive step size underflow at t = {time}")
-            }
             OdeError::NonFiniteState { time } => {
                 write!(f, "integration produced a non-finite state at t = {time}")
             }
@@ -94,9 +79,6 @@ impl fmt::Display for OdeError {
             OdeError::Linalg(msg) => write!(f, "linear algebra error: {msg}"),
             OdeError::Parse { position, message } => {
                 write!(f, "parse error at byte {position}: {message}")
-            }
-            OdeError::NotInClass { required, detail } => {
-                write!(f, "equation system is not {required}: {detail}")
             }
         }
     }
@@ -117,11 +99,6 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("expected 3"));
-        let e = OdeError::NotInClass {
-            required: "completely partitionable",
-            detail: "term -x in x' has no matching +x".into(),
-        };
-        assert!(e.to_string().contains("completely partitionable"));
     }
 
     #[test]

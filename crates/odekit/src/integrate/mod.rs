@@ -1,27 +1,15 @@
 //! Numerical integration of ODE systems.
 //!
-//! Three explicit integrators are provided:
+//! [`Rk4`] — the classic fixed-step fourth-order Runge–Kutta method — is the
+//! integrator that produces the paper's "analysis" curves.
 //!
-//! * [`Euler`] — first-order explicit Euler; cheap, useful as a baseline and
-//!   in property tests of convergence order,
-//! * [`Rk4`] — the classic fixed-step fourth-order Runge–Kutta method, the
-//!   workhorse used to produce the paper's "analysis" curves,
-//! * [`Rkf45`] — adaptive Runge–Kutta–Fehlberg 4(5) with per-step error
-//!   control, for stiff parameter regimes (e.g. the endemic system with
-//!   `α = 10⁻⁶`).
-//!
-//! All integrators consume anything implementing [`OdeSystem`] — in
-//! particular [`EquationSystem`] and ad-hoc closures
-//! wrapped in [`FnSystem`] — and produce a [`Trajectory`].
+//! Integrators consume anything implementing [`OdeSystem`] — in
+//! particular [`EquationSystem`] — and produce a [`Trajectory`].
 
-mod euler;
 mod rk4;
-mod rkf45;
 mod trajectory;
 
-pub use euler::Euler;
 pub use rk4::Rk4;
-pub use rkf45::Rkf45;
 pub use trajectory::Trajectory;
 
 use crate::error::OdeError;
@@ -30,8 +18,7 @@ use crate::Result;
 
 /// A first-order ODE system `ẏ = f(t, y)` that integrators can drive.
 ///
-/// Implemented by [`EquationSystem`] (autonomous polynomial systems) and by
-/// [`FnSystem`] (arbitrary closures).
+/// Implemented by [`EquationSystem`] (autonomous polynomial systems).
 pub trait OdeSystem {
     /// Number of state components.
     fn dim(&self) -> usize;
@@ -62,40 +49,26 @@ impl<S: OdeSystem + ?Sized> OdeSystem for &S {
     }
 }
 
-/// Adapter turning a closure `f(t, y, out)` into an [`OdeSystem`].
-///
-/// # Examples
-///
-/// ```
-/// use odekit::integrate::{FnSystem, Integrator, Rk4};
-///
-/// // ẏ = -y, y(0) = 1  →  y(t) = e^{-t}
-/// let sys = FnSystem::new(1, |_t, y: &[f64], out: &mut [f64]| out[0] = -y[0]);
-/// let traj = Rk4::new(1e-3).integrate(&sys, 0.0, &[1.0], 1.0)?;
-/// assert!((traj.last_state()[0] - (-1.0_f64).exp()).abs() < 1e-8);
-/// # Ok::<(), odekit::OdeError>(())
-/// ```
-pub struct FnSystem<F> {
+/// Adapter turning a closure `f(t, y, out)` into an [`OdeSystem`]: the
+/// closed-form references of the integrator tests.
+#[cfg(test)]
+pub(crate) struct FnSystem<F> {
     dim: usize,
     f: F,
 }
 
-impl<F> std::fmt::Debug for FnSystem<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnSystem").field("dim", &self.dim).finish()
-    }
-}
-
+#[cfg(test)]
 impl<F> FnSystem<F>
 where
     F: Fn(f64, &[f64], &mut [f64]),
 {
     /// Wraps the closure `f(t, state, out)` as a `dim`-dimensional system.
-    pub fn new(dim: usize, f: F) -> Self {
+    pub(crate) fn new(dim: usize, f: F) -> Self {
         FnSystem { dim, f }
     }
 }
 
+#[cfg(test)]
 impl<F> OdeSystem for FnSystem<F>
 where
     F: Fn(f64, &[f64], &mut [f64]),
@@ -117,8 +90,8 @@ pub trait Integrator {
     /// # Errors
     ///
     /// Returns [`OdeError::DimensionMismatch`] if `y0.len() != sys.dim()`,
-    /// [`OdeError::NonFiniteState`] if the state diverges, and (for adaptive
-    /// methods) [`OdeError::StepSizeUnderflow`] if the tolerance cannot be met.
+    /// [`OdeError::InvalidParameter`] for an invalid interval or step, and
+    /// [`OdeError::NonFiniteState`] if the state diverges.
     fn integrate<S: OdeSystem>(
         &self,
         sys: &S,
@@ -181,10 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn fn_system_debug_and_dim() {
+    fn fn_system_dim() {
         let f = FnSystem::new(3, |_t, _y: &[f64], out: &mut [f64]| out.fill(0.0));
         assert_eq!(f.dim(), 3);
-        assert!(format!("{f:?}").contains("FnSystem"));
     }
 
     #[test]

@@ -13,13 +13,15 @@ use crate::Result;
 /// # Examples
 ///
 /// ```
-/// use odekit::integrate::{FnSystem, Integrator, Rk4};
+/// use odekit::integrate::{Integrator, Rk4};
+/// use odekit::EquationSystemBuilder;
 ///
 /// // Simple harmonic oscillator: x'' = -x as a 2-d system.
-/// let sys = FnSystem::new(2, |_t, y: &[f64], out: &mut [f64]| {
-///     out[0] = y[1];
-///     out[1] = -y[0];
-/// });
+/// let sys = EquationSystemBuilder::new()
+///     .vars(["x", "v"])
+///     .term("x", 1.0, &[("v", 1)])
+///     .term("v", -1.0, &[("x", 1)])
+///     .build()?;
 /// let traj = Rk4::new(1e-3).integrate(&sys, 0.0, &[1.0, 0.0], std::f64::consts::PI)?;
 /// // After half a period x ≈ -1.
 /// assert!((traj.last_state()[0] + 1.0).abs() < 1e-8);
@@ -34,11 +36,6 @@ impl Rk4 {
     /// Creates an RK4 integrator with the given step size.
     pub fn new(step: f64) -> Self {
         Rk4 { step }
-    }
-
-    /// The configured step size.
-    pub fn step(&self) -> f64 {
-        self.step
     }
 
     /// Performs a single RK4 step in place, using the provided scratch buffers.
@@ -179,12 +176,5 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let res = Rk4::new(0.1).integrate(&decay(), 0.0, &[1.0, 2.0], 1.0);
         assert!(matches!(res, Err(OdeError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn step_accessor_and_clone() {
-        let i = Rk4::new(0.25);
-        assert_eq!(i.step(), 0.25);
-        assert_eq!(i, i.clone());
     }
 }

@@ -110,7 +110,7 @@ impl Trajectory {
     /// # Panics
     ///
     /// Panics if either index is out of range for a non-empty trajectory.
-    pub fn projection(&self, a: usize, b: usize) -> Vec<(f64, f64)> {
+    pub(crate) fn projection(&self, a: usize, b: usize) -> Vec<(f64, f64)> {
         self.states.iter().map(|s| (s[a], s[b])).collect()
     }
 
@@ -145,39 +145,6 @@ impl Trajectory {
                 .map(|(a, b)| a + w * (b - a))
                 .collect(),
         )
-    }
-
-    /// Keeps only every `stride`-th point (always keeping the last point).
-    /// Useful for thinning dense adaptive-integrator output before plotting.
-    pub fn thinned(&self, stride: usize) -> Trajectory {
-        let stride = stride.max(1);
-        let mut out = Trajectory::new();
-        for (i, (t, s)) in self.iter().enumerate() {
-            if i % stride == 0 || i + 1 == self.len() {
-                out.push(t, s.to_vec());
-            }
-        }
-        out
-    }
-
-    /// Renders the trajectory as CSV with the given column names.
-    ///
-    /// The first column is `time`; one column per state component follows.
-    pub fn to_csv(&self, names: &[String]) -> String {
-        let mut out = String::from("time");
-        for n in names {
-            out.push(',');
-            out.push_str(n);
-        }
-        out.push('\n');
-        for (t, s) in self.iter() {
-            out.push_str(&format!("{t}"));
-            for v in s {
-                out.push_str(&format!(",{v}"));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -220,27 +187,6 @@ mod tests {
         assert_eq!(t.state_at(-1.0), None);
         assert_eq!(t.state_at(3.0), None);
         assert_eq!(Trajectory::new().state_at(0.0), None);
-    }
-
-    #[test]
-    fn thinning_keeps_last() {
-        let mut t = Trajectory::new();
-        for i in 0..10 {
-            t.push(i as f64, vec![i as f64]);
-        }
-        let thin = t.thinned(4);
-        assert_eq!(thin.times(), &[0.0, 4.0, 8.0, 9.0]);
-        // stride 0 is clamped to 1
-        assert_eq!(t.thinned(0).len(), t.len());
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let t = sample();
-        let csv = t.to_csv(&["x".to_string(), "y".to_string()]);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time,x,y"));
-        assert_eq!(lines.next(), Some("0,0,10"));
     }
 
     #[test]

@@ -9,15 +9,13 @@
 //!   [`EquationSystem`]),
 //! * the paper's **taxonomy** of equation systems (*complete*, *completely
 //!   partitionable*, *polynomial*, *restricted polynomial*) in [`taxonomy`],
-//! * **rewriting** techniques that bring an arbitrary system into mappable
-//!   form (completion, normalization, higher-order reduction) in [`rewrite`],
-//! * **numerical integrators** (explicit Euler, classic RK4 and adaptive
-//!   RKF45) in [`integrate`], used to produce the "analysis" curves that the
-//!   paper compares protocol simulations against, and
+//! * **rewriting** techniques that bring a system into mappable form
+//!   (completion and constant-term expansion) in [`rewrite`],
+//! * the **RK4 integrator** in [`integrate`], used to produce the "analysis"
+//!   curves that the paper compares protocol simulations against, and
 //! * a **non-linear dynamics toolbox** in [`analysis`]: Jacobians, equilibria,
-//!   eigenvalues, stability classification, perturbation evolution and phase
-//!   portraits — the analytical machinery used in Sections 4.1.3 and 4.2.2 of
-//!   the paper.
+//!   eigenvalues, stability classification and phase portraits — the
+//!   analytical machinery used in Sections 4.1.3 and 4.2.2 of the paper.
 //!
 //! A small text [`parse`] front-end turns strings such as
 //! `"x' = -beta*x*y + alpha*z"` into [`EquationSystem`]s.
@@ -33,8 +31,7 @@
 //!
 //! # fn main() -> Result<(), odekit::OdeError> {
 //! let sys = EquationSystemBuilder::new()
-//!     .var("x")
-//!     .var("y")
+//!     .vars(["x", "y"])
 //!     .term("x", -1.0, &[("x", 1), ("y", 1)])
 //!     .term("y", 1.0, &[("x", 1), ("y", 1)])
 //!     .build()?;
@@ -52,16 +49,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
-pub mod error;
+mod error;
 pub mod integrate;
 pub mod parse;
-pub mod poly;
+mod poly;
 pub mod rewrite;
 pub mod system;
 pub mod taxonomy;
-pub mod term;
+mod term;
 
 pub use error::OdeError;
 pub use poly::Polynomial;
@@ -69,4 +67,4 @@ pub use system::{EquationSystem, EquationSystemBuilder, VarId};
 pub use term::Term;
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, OdeError>;
+pub(crate) type Result<T> = std::result::Result<T, OdeError>;

@@ -12,7 +12,8 @@
 //! (in order of appearance); identifiers on the right-hand side are either
 //! variables or named parameters supplied to [`parse_system`]. Each term is a
 //! product of numbers, parameters and variables (optionally raised to a
-//! positive integer power with `^`), and terms are combined with `+` and `-`.
+//! positive integer power with `^`; a variable's summed exponent in a term
+//! must fit `i32`), and terms are combined with `+` and `-`.
 //! Lines that are empty or start with `#` are ignored.
 
 use crate::error::OdeError;
@@ -236,14 +237,17 @@ fn parse_expression(
                     let mut exp = 1u32;
                     if pos + 1 < tokens.len() && tokens[pos].1 == Token::Caret {
                         match tokens[pos + 1].1 {
-                            Token::Number(v) if v.fract() == 0.0 && v >= 1.0 => {
+                            Token::Number(v)
+                                if v.fract() == 0.0 && (1.0..=f64::from(i32::MAX)).contains(&v) =>
+                            {
                                 exp = v as u32;
                                 pos += 2;
                             }
                             _ => {
                                 return Err(OdeError::Parse {
                                     position: tokens[pos + 1].0,
-                                    message: "exponent must be a positive integer".to_string(),
+                                    message: "exponent must be a positive integer that fits i32"
+                                        .to_string(),
                                 })
                             }
                         }
@@ -254,7 +258,13 @@ fn parse_expression(
                         });
                     }
                     if let Some(&vi) = vars.get(name.as_str()) {
-                        exponents[vi] += exp;
+                        exponents[vi] = exponents[vi]
+                            .checked_add(exp)
+                            .filter(|&e| i32::try_from(e).is_ok())
+                            .ok_or_else(|| OdeError::Parse {
+                                position: *tpos,
+                                message: format!("exponent of `{name}` overflows i32"),
+                            })?;
                     } else if let Some(&value) = params.get(name.as_str()) {
                         coeff *= value.powi(exp as i32);
                     } else {
@@ -276,6 +286,12 @@ fn parse_expression(
             // Continue this term only on '*'.
             if pos < tokens.len() && tokens[pos].1 == Token::Star {
                 pos += 1;
+                if pos >= tokens.len() {
+                    return Err(OdeError::Parse {
+                        position: tokens[pos - 1].0,
+                        message: "expression ends with a dangling *".to_string(),
+                    });
+                }
                 continue;
             }
             break;
@@ -340,7 +356,7 @@ mod tests {
         assert!(taxonomy::is_completely_partitionable(&sys));
         // z' keeps its two separate +3xy terms.
         let z = sys.var("z").unwrap();
-        assert_eq!(sys.equation(z).len(), 4);
+        assert_eq!(sys.equation(z).terms().len(), 4);
     }
 
     #[test]
@@ -384,6 +400,33 @@ mod tests {
         assert!(parse_system("x' = x^0.5", &[]).is_err());
         assert!(parse_system("x' = x x", &[]).is_err());
         assert!(parse_system("x' = x ? y", &[]).is_err());
+    }
+
+    fn assert_parse_error(text: &str, params: &[(&str, f64)]) {
+        match parse_system(text, params) {
+            Err(OdeError::Parse { .. }) => {}
+            other => panic!("`{text}` should be a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trailing_star_is_an_error() {
+        assert_parse_error("x' = x*", &[]);
+    }
+
+    #[test]
+    fn summed_exponents_that_overflow_are_errors() {
+        assert_parse_error("x' = x^4294967295*x", &[]);
+    }
+
+    #[test]
+    fn parameter_exponent_beyond_i32_is_an_error() {
+        assert_parse_error("x' = b^3000000000*x", &[("b", 2.0)]);
+    }
+
+    #[test]
+    fn huge_exponent_is_an_error() {
+        assert_parse_error("x' = x^1e20", &[]);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::fmt;
 /// The representation deliberately keeps terms **unsimplified by default**:
 /// the paper's mapping rules operate on the individual terms as written (e.g.
 /// the LV system writes `+3xy + 3xy` rather than `+6xy`, producing two
-/// distinct tokenized actions), so simplification is an explicit operation
-/// ([`Polynomial::simplified`]) rather than an invariant.
+/// distinct tokenized actions), so like terms are only combined where a
+/// check needs it, never as an invariant.
 ///
 /// # Examples
 ///
@@ -17,11 +17,9 @@ use std::fmt;
 /// use odekit::{Polynomial, Term};
 ///
 /// // f(x, y) = -x*y + 0.5*y
-/// let f = Polynomial::from_terms(vec![
-///     Term::new(-1.0, vec![1, 1]),
-///     Term::new(0.5, vec![0, 1]),
-/// ]);
-/// assert_eq!(f.eval(&[2.0, 4.0]), -8.0 + 2.0);
+/// let mut f = Polynomial::zero();
+/// f.push(Term::new(-1.0, vec![1, 1]));
+/// f.push(Term::new(0.5, vec![0, 1]));
 /// assert_eq!(f.terms().len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -40,7 +38,7 @@ impl Polynomial {
     ///
     /// Zero-coefficient terms are dropped; everything else is kept verbatim
     /// (no like-term combination).
-    pub fn from_terms(terms: Vec<Term>) -> Self {
+    pub(crate) fn from_terms(terms: Vec<Term>) -> Self {
         Polynomial {
             terms: terms.into_iter().filter(|t| !t.is_zero()).collect(),
         }
@@ -52,24 +50,13 @@ impl Polynomial {
     }
 
     /// `true` if the polynomial has no terms.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Number of terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// `true` if there are no terms (alias of [`is_zero`](Self::is_zero) for
-    /// collection-style call sites).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.terms.is_empty()
     }
 
     /// The dimension (number of variables) the polynomial is defined over, or
     /// `None` if it has no terms.
-    pub fn dim(&self) -> Option<usize> {
+    pub(crate) fn dim(&self) -> Option<usize> {
         self.terms.first().map(Term::dim)
     }
 
@@ -85,42 +72,26 @@ impl Polynomial {
     /// # Panics
     ///
     /// Panics if any term's dimension differs from `state.len()`.
-    pub fn eval(&self, state: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, state: &[f64]) -> f64 {
         self.terms.iter().map(|t| t.eval(state)).sum()
     }
 
     /// Returns the sum of this polynomial and `other`.
-    pub fn add(&self, other: &Polynomial) -> Polynomial {
+    pub(crate) fn add(&self, other: &Polynomial) -> Polynomial {
         let mut terms = self.terms.clone();
         terms.extend(other.terms.iter().cloned());
         Polynomial::from_terms(terms)
     }
 
     /// Returns this polynomial with every term negated.
-    pub fn negated(&self) -> Polynomial {
+    pub(crate) fn negated(&self) -> Polynomial {
         Polynomial {
             terms: self.terms.iter().map(Term::negated).collect(),
         }
     }
 
-    /// Returns this polynomial with every coefficient multiplied by `factor`.
-    pub fn scaled(&self, factor: f64) -> Polynomial {
-        Polynomial::from_terms(self.terms.iter().map(|t| t.scaled(factor)).collect())
-    }
-
-    /// Returns the product of this polynomial and `other`.
-    pub fn product(&self, other: &Polynomial) -> Polynomial {
-        let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
-        for a in &self.terms {
-            for b in &other.terms {
-                terms.push(a.product(b));
-            }
-        }
-        Polynomial::from_terms(terms)
-    }
-
     /// The partial derivative with respect to variable `var`.
-    pub fn differentiate(&self, var: usize) -> Polynomial {
+    pub(crate) fn differentiate(&self, var: usize) -> Polynomial {
         Polynomial::from_terms(self.terms.iter().map(|t| t.differentiate(var)).collect())
     }
 
@@ -130,7 +101,7 @@ impl Polynomial {
     /// Terms whose combined coefficient has magnitude below `tol` (relative to
     /// the largest coefficient magnitude among the combined terms, or
     /// absolute if all are tiny) are dropped.
-    pub fn simplified(&self, tol: f64) -> Polynomial {
+    pub(crate) fn simplified(&self, tol: f64) -> Polynomial {
         let mut combined: Vec<Term> = Vec::new();
         for t in &self.terms {
             if let Some(existing) = combined.iter_mut().find(|c| c.same_monomial(t)) {
@@ -153,25 +124,8 @@ impl Polynomial {
         }
     }
 
-    /// The maximum total degree over all terms (0 for the zero polynomial).
-    pub fn degree(&self) -> u32 {
-        self.terms.iter().map(Term::total_degree).max().unwrap_or(0)
-    }
-
-    /// Terms with strictly negative coefficients.
-    pub fn negative_terms(&self) -> impl Iterator<Item = &Term> {
-        self.terms.iter().filter(|t| t.is_negative())
-    }
-
-    /// Terms with positive coefficients.
-    pub fn positive_terms(&self) -> impl Iterator<Item = &Term> {
-        self.terms
-            .iter()
-            .filter(|t| !t.is_negative() && !t.is_zero())
-    }
-
     /// Renders the polynomial using the given variable names.
-    pub fn render(&self, names: &[String]) -> String {
+    pub(crate) fn render(&self, names: &[String]) -> String {
         if self.terms.is_empty() {
             return "0".to_string();
         }
@@ -227,14 +181,13 @@ mod tests {
         let p = Polynomial::zero();
         assert!(p.is_zero());
         assert_eq!(p.eval(&[1.0, 2.0]), 0.0);
-        assert_eq!(p.degree(), 0);
         assert_eq!(p.to_string(), "0");
     }
 
     #[test]
     fn from_terms_drops_zero_coefficients() {
         let p = Polynomial::from_terms(vec![xy(0.0), xy(2.0)]);
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.terms().len(), 1);
     }
 
     #[test]
@@ -252,18 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn product_multiplies_out() {
-        // (x)(x + y) = x^2 + xy
-        let x = Polynomial::from_terms(vec![Term::new(1.0, vec![1, 0])]);
-        let xpy =
-            Polynomial::from_terms(vec![Term::new(1.0, vec![1, 0]), Term::new(1.0, vec![0, 1])]);
-        let prod = x.product(&xpy);
-        assert_eq!(prod.len(), 2);
-        assert_eq!(prod.eval(&[2.0, 3.0]), 4.0 + 6.0);
-        assert_eq!(prod.degree(), 2);
-    }
-
-    #[test]
     fn differentiate_is_linear() {
         // d/dy (-x*y + 0.5*y) = -x + 0.5
         let p = Polynomial::from_terms(vec![xy(-1.0), Term::new(0.5, vec![0, 1])]);
@@ -275,18 +216,11 @@ mod tests {
     fn simplified_combines_like_terms() {
         let p = Polynomial::from_terms(vec![xy(3.0), xy(3.0), Term::new(1.0, vec![2, 0])]);
         let s = p.simplified(1e-12);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.terms().len(), 2);
         assert_eq!(s.eval(&[1.0, 1.0]), 7.0);
         // The unsimplified polynomial keeps both 3xy terms, as the paper's
         // LV rewrite requires.
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn negative_positive_term_split() {
-        let p = Polynomial::from_terms(vec![xy(-2.0), xy(2.0), Term::constant(1.0, 2)]);
-        assert_eq!(p.negative_terms().count(), 1);
-        assert_eq!(p.positive_terms().count(), 2);
+        assert_eq!(p.terms().len(), 3);
     }
 
     #[test]
@@ -299,9 +233,9 @@ mod tests {
     #[test]
     fn collect_from_iterator() {
         let p: Polynomial = (0..3).map(|i| Term::linear(1.0, i, 3)).collect();
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.terms().len(), 3);
         let mut q = Polynomial::zero();
         q.extend(vec![Term::constant(1.0, 3)]);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.terms().len(), 1);
     }
 }

@@ -9,7 +9,7 @@ use crate::Result;
 /// Extends every term of `sys` with one extra (zero-exponent) trailing
 /// variable, returning the new equations. Used when a variable is appended to
 /// a system.
-pub fn extend_with_var(sys: &EquationSystem) -> Vec<Polynomial> {
+pub(crate) fn extend_with_var(sys: &EquationSystem) -> Vec<Polynomial> {
     sys.equations()
         .iter()
         .map(|poly| {
@@ -157,7 +157,7 @@ mod tests {
         let extended = extend_with_var(&sys);
         assert_eq!(extended.len(), 2);
         for (orig, ext) in sys.equations().iter().zip(&extended) {
-            assert_eq!(orig.len(), ext.len());
+            assert_eq!(orig.terms().len(), ext.terms().len());
             for (a, b) in orig.terms().iter().zip(ext.terms()) {
                 assert_eq!(a.coeff(), b.coeff());
                 assert_eq!(b.dim(), a.dim() + 1);

@@ -6,22 +6,13 @@
 //!
 //! * [`complete`] — add a slack variable `z = 1 − Σx` so the right-hand sides
 //!   sum to zero (used by the paper to rewrite the Lotka–Volterra system).
-//! * [`to_fractions`] / [`to_counts`] — the paper's *Normalizing* rewrite
-//!   between absolute process counts (summing to `N`) and fractions (summing
-//!   to 1).
-//! * [`reduce_order`] — rewrite a single higher-order ODE of degree one into
-//!   an equivalent first-order system by introducing derivative variables.
 //! * [`expand_constant_terms`] — replace a constant term `±c` by
 //!   `±c·(Σ_v v)`, which is valid when `Σ_v v = 1` and makes the term
 //!   mappable via Tokenizing.
 
 mod complete;
-mod higher_order;
-mod normalize;
 
-pub use complete::{complete, extend_with_var};
-pub use higher_order::{reduce_order, HigherOrderEquation};
-pub use normalize::{to_counts, to_fractions};
+pub use complete::complete;
 
 use crate::poly::Polynomial;
 use crate::system::EquationSystem;
@@ -53,7 +44,8 @@ use crate::Result;
 ///     .build()?;
 /// let expanded = expand_constant_terms(&sys)?;
 /// // -0.5 becomes -0.5x - 0.5y ; +0.5 becomes +0.5x + 0.5y
-/// assert_eq!(expanded.term_count(), 4);
+/// let terms: usize = expanded.equations().iter().map(|p| p.terms().len()).sum();
+/// assert_eq!(terms, 4);
 /// assert!(odekit::taxonomy::is_complete(&expanded));
 /// # Ok::<(), odekit::OdeError>(())
 /// ```

@@ -15,11 +15,6 @@ use std::fmt;
 pub struct VarId(usize);
 
 impl VarId {
-    /// Creates a `VarId` from a raw index.
-    pub fn new(index: usize) -> Self {
-        VarId(index)
-    }
-
     /// The positional index of the variable within its system.
     pub fn index(self) -> usize {
         self.0
@@ -44,9 +39,7 @@ impl fmt::Display for VarId {
 /// one [`Polynomial`] right-hand side per variable. Variable order matters —
 /// the paper's One-Time-Sampling rule orders sampled targets lexicographically,
 /// and this crate preserves whatever order the caller declares (the
-/// [`EquationSystemBuilder`] declares variables in call order; use
-/// [`EquationSystemBuilder::sorted_vars`] to sort them lexicographically
-/// first).
+/// [`EquationSystemBuilder`] declares variables in call order).
 ///
 /// # Examples
 ///
@@ -132,22 +125,12 @@ impl EquationSystem {
     }
 
     /// Looks up a variable by name.
-    pub fn var(&self, name: &str) -> Option<VarId> {
+    pub(crate) fn var(&self, name: &str) -> Option<VarId> {
         self.names.iter().position(|n| n == name).map(VarId)
     }
 
-    /// Looks up a variable by name, returning an error if it does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::UnknownVariable`] if no variable has that name.
-    pub fn require_var(&self, name: &str) -> Result<VarId> {
-        self.var(name)
-            .ok_or_else(|| OdeError::UnknownVariable(name.to_string()))
-    }
-
     /// All variable ids in order.
-    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
+    pub(crate) fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
         (0..self.names.len()).map(VarId)
     }
 
@@ -156,7 +139,7 @@ impl EquationSystem {
     /// # Panics
     ///
     /// Panics if `var` is out of range.
-    pub fn equation(&self, var: VarId) -> &Polynomial {
+    pub(crate) fn equation(&self, var: VarId) -> &Polynomial {
         &self.equations[var.index()]
     }
 
@@ -182,7 +165,7 @@ impl EquationSystem {
     /// # Panics
     ///
     /// Panics if `state.len() != self.dim()` or `out.len() != self.dim()`.
-    pub fn eval_rhs_into(&self, state: &[f64], out: &mut [f64]) {
+    pub(crate) fn eval_rhs_into(&self, state: &[f64], out: &mut [f64]) {
         assert_eq!(state.len(), self.dim(), "state vector has wrong dimension");
         assert_eq!(out.len(), self.dim(), "output vector has wrong dimension");
         for (o, eq) in out.iter_mut().zip(&self.equations) {
@@ -191,7 +174,7 @@ impl EquationSystem {
     }
 
     /// The polynomial `Σ_x f_x(X)` — zero for *complete* systems.
-    pub fn rhs_sum(&self) -> Polynomial {
+    pub(crate) fn rhs_sum(&self) -> Polynomial {
         let mut sum = Polynomial::zero();
         for eq in &self.equations {
             sum = sum.add(eq);
@@ -200,7 +183,7 @@ impl EquationSystem {
     }
 
     /// The symbolic Jacobian matrix `J[i][j] = ∂f_i/∂x_j`.
-    pub fn jacobian(&self) -> Vec<Vec<Polynomial>> {
+    pub(crate) fn jacobian(&self) -> Vec<Vec<Polynomial>> {
         self.equations
             .iter()
             .map(|eq| (0..self.dim()).map(|j| eq.differentiate(j)).collect())
@@ -212,34 +195,11 @@ impl EquationSystem {
     /// # Panics
     ///
     /// Panics if `state.len() != self.dim()`.
-    pub fn jacobian_at(&self, state: &[f64]) -> Vec<Vec<f64>> {
+    pub(crate) fn jacobian_at(&self, state: &[f64]) -> Vec<Vec<f64>> {
         self.jacobian()
             .iter()
             .map(|row| row.iter().map(|p| p.eval(state)).collect())
             .collect()
-    }
-
-    /// Returns a copy of the system with every equation simplified
-    /// (like terms combined, cancelled terms dropped).
-    pub fn simplified(&self, tol: f64) -> EquationSystem {
-        EquationSystem {
-            names: self.names.clone(),
-            equations: self.equations.iter().map(|e| e.simplified(tol)).collect(),
-        }
-    }
-
-    /// Total number of terms across all equations.
-    pub fn term_count(&self) -> usize {
-        self.equations.iter().map(Polynomial::len).sum()
-    }
-
-    /// The maximum total degree over all terms in the system.
-    pub fn degree(&self) -> u32 {
-        self.equations
-            .iter()
-            .map(Polynomial::degree)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Renders the system as one `name' = rhs` line per variable.
@@ -261,7 +221,7 @@ impl fmt::Display for EquationSystem {
 
 /// Incremental builder for [`EquationSystem`]s.
 ///
-/// Declare variables first (with [`var`](Self::var) / [`vars`](Self::vars)),
+/// Declare variables first (with [`vars`](Self::vars)),
 /// then add terms by variable *name*; [`build`](Self::build) validates
 /// everything and produces the system.
 ///
@@ -294,13 +254,6 @@ impl EquationSystemBuilder {
         Self::default()
     }
 
-    /// Declares a variable. Declaration order becomes variable order.
-    #[must_use]
-    pub fn var(mut self, name: impl Into<String>) -> Self {
-        self.names.push(name.into());
-        self
-    }
-
     /// Declares several variables at once.
     #[must_use]
     pub fn vars<I, S>(mut self, names: I) -> Self
@@ -309,15 +262,6 @@ impl EquationSystemBuilder {
         S: Into<String>,
     {
         self.names.extend(names.into_iter().map(Into::into));
-        self
-    }
-
-    /// Sorts the declared variables lexicographically (the order the paper's
-    /// One-Time-Sampling rule assumes). Call after declaring all variables and
-    /// before adding terms.
-    #[must_use]
-    pub fn sorted_vars(mut self) -> Self {
-        self.names.sort();
         self
     }
 
@@ -401,17 +345,14 @@ mod tests {
         let sys = epidemic();
         assert_eq!(sys.dim(), 2);
         assert_eq!(sys.var_names(), &["x".to_string(), "y".to_string()]);
-        assert_eq!(sys.term_count(), 2);
-        assert_eq!(sys.degree(), 2);
     }
 
     #[test]
     fn var_lookup() {
         let sys = epidemic();
-        assert_eq!(sys.var("y"), Some(VarId::new(1)));
+        assert_eq!(sys.var("y"), Some(VarId(1)));
         assert_eq!(sys.var("nope"), None);
-        assert!(sys.require_var("nope").is_err());
-        assert_eq!(sys.var_name(VarId::new(0)), "x");
+        assert_eq!(sys.var_name(VarId(0)), "x");
         assert_eq!(sys.var_ids().count(), 2);
     }
 
@@ -460,7 +401,7 @@ mod tests {
     #[test]
     fn unknown_variable_rejected() {
         let err = EquationSystemBuilder::new()
-            .var("x")
+            .vars(["x"])
             .term("x", 1.0, &[("q", 1)])
             .build()
             .unwrap_err();
@@ -470,7 +411,7 @@ mod tests {
     #[test]
     fn non_finite_coefficient_rejected() {
         let err = EquationSystemBuilder::new()
-            .var("x")
+            .vars(["x"])
             .constant("x", f64::NAN)
             .build()
             .unwrap_err();
@@ -478,26 +419,13 @@ mod tests {
     }
 
     #[test]
-    fn sorted_vars_reorders() {
-        let sys = EquationSystemBuilder::new()
-            .vars(["z", "a", "m"])
-            .sorted_vars()
-            .build()
-            .unwrap();
-        assert_eq!(
-            sys.var_names(),
-            &["a".to_string(), "m".to_string(), "z".to_string()]
-        );
-    }
-
-    #[test]
     fn repeated_factor_accumulates_exponent() {
         let sys = EquationSystemBuilder::new()
-            .var("x")
+            .vars(["x"])
             .term("x", 1.0, &[("x", 1), ("x", 1)])
             .build()
             .unwrap();
-        assert_eq!(sys.equation(VarId::new(0)).terms()[0].exponent(0), 2);
+        assert_eq!(sys.equation(VarId(0)).terms()[0].exponent(0), 2);
     }
 
     #[test]
@@ -518,19 +446,5 @@ mod tests {
         let p = Polynomial::from_terms(vec![Term::new(1.0, vec![1, 1])]);
         let err = EquationSystem::new(vec!["x".into()], vec![p]).unwrap_err();
         assert!(matches!(err, OdeError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn simplified_system_combines_terms() {
-        let sys = EquationSystemBuilder::new()
-            .vars(["x", "y"])
-            .term("x", 3.0, &[("x", 1), ("y", 1)])
-            .term("x", 3.0, &[("x", 1), ("y", 1)])
-            .term("y", -6.0, &[("x", 1), ("y", 1)])
-            .build()
-            .unwrap();
-        let s = sys.simplified(1e-12);
-        assert_eq!(s.equation(VarId::new(0)).len(), 1);
-        assert_eq!(s.equation(VarId::new(0)).terms()[0].coeff(), 6.0);
     }
 }

@@ -22,7 +22,7 @@ use crate::system::{EquationSystem, VarId};
 use crate::term::Term;
 
 /// Default relative tolerance used when matching term coefficients.
-pub const DEFAULT_TOL: f64 = 1e-9;
+pub(crate) const DEFAULT_TOL: f64 = 1e-9;
 
 /// A reference to one term inside an equation system: variable (equation) and
 /// position of the term within that equation's polynomial.
@@ -67,17 +67,8 @@ pub struct Partition {
 
 impl Partition {
     /// `true` if every term found a partner.
-    pub fn is_total(&self) -> bool {
+    pub(crate) fn is_total(&self) -> bool {
         self.unpaired.is_empty()
-    }
-
-    /// For a given negative term, the variable its mass flows into (the
-    /// destination state of the compiled transition), if the term was paired.
-    pub fn destination_of(&self, negative: TermRef) -> Option<VarId> {
-        self.pairs
-            .iter()
-            .find(|p| p.negative == negative)
-            .map(|p| p.positive.var)
     }
 }
 
@@ -117,7 +108,7 @@ impl TaxonomyReport {
 ///
 /// The representation already guarantees non-negative integer exponents, so
 /// this only rejects non-finite coefficients.
-pub fn is_polynomial(sys: &EquationSystem) -> bool {
+pub(crate) fn is_polynomial(sys: &EquationSystem) -> bool {
     sys.equations()
         .iter()
         .flat_map(|p| p.terms())
@@ -125,13 +116,13 @@ pub fn is_polynomial(sys: &EquationSystem) -> bool {
 }
 
 /// Checks the *complete* property: `Σ_x f_x(X) ≡ 0` (after combining like
-/// terms, with relative tolerance [`DEFAULT_TOL`]).
+/// terms, with relative tolerance `1e-9`).
 pub fn is_complete(sys: &EquationSystem) -> bool {
     is_complete_with_tol(sys, DEFAULT_TOL)
 }
 
 /// [`is_complete`] with an explicit coefficient tolerance.
-pub fn is_complete_with_tol(sys: &EquationSystem, tol: f64) -> bool {
+pub(crate) fn is_complete_with_tol(sys: &EquationSystem, tol: f64) -> bool {
     sys.rhs_sum().simplified(tol).is_zero()
 }
 
@@ -143,7 +134,7 @@ pub fn is_restricted_polynomial(sys: &EquationSystem) -> bool {
 
 /// Returns references to every negative term that violates the restricted-
 /// polynomial condition (i.e. does not contain its own equation's variable).
-pub fn restricted_violations(sys: &EquationSystem) -> Vec<TermRef> {
+pub(crate) fn restricted_violations(sys: &EquationSystem) -> Vec<TermRef> {
     let mut out = Vec::new();
     for var in sys.var_ids() {
         for (index, term) in sys.equation(var).terms().iter().enumerate() {
@@ -163,7 +154,7 @@ pub fn restricted_violations(sys: &EquationSystem) -> Vec<TermRef> {
 /// are the pairs the compiler can turn into state transitions — but a partner
 /// in the same equation is accepted as a last resort (it represents a no-op
 /// flow and is dropped by the compiler).
-pub fn partition_with_tol(sys: &EquationSystem, tol: f64) -> Partition {
+pub(crate) fn partition_with_tol(sys: &EquationSystem, tol: f64) -> Partition {
     // Collect references to all positive and negative terms.
     let mut positives: Vec<(TermRef, bool)> = Vec::new(); // (ref, used)
     let mut negatives: Vec<TermRef> = Vec::new();
@@ -227,7 +218,8 @@ pub fn partition_with_tol(sys: &EquationSystem, tol: f64) -> Partition {
     Partition { pairs, unpaired }
 }
 
-/// [`partition_with_tol`] with the default tolerance.
+/// The term pairing of a completely partitionable system, with relative
+/// tolerance `1e-9`.
 pub fn partition(sys: &EquationSystem) -> Partition {
     partition_with_tol(sys, DEFAULT_TOL)
 }
@@ -358,22 +350,6 @@ mod tests {
                 "pairs should cross equations"
             );
         }
-        // destination lookup: -βxy in x' flows into y.
-        let x = sys.var("x").unwrap();
-        let y = sys.var("y").unwrap();
-        let neg_ref = TermRef { var: x, index: 0 };
-        assert_eq!(part.destination_of(neg_ref), Some(y));
-    }
-
-    #[test]
-    fn destination_of_unknown_term_is_none() {
-        let sys = epidemic();
-        let part = partition(&sys);
-        let bogus = TermRef {
-            var: sys.var("y").unwrap(),
-            index: 0,
-        };
-        assert_eq!(part.destination_of(bogus), None);
     }
 
     #[test]

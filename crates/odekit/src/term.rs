@@ -23,9 +23,9 @@ use std::fmt;
 ///
 /// // -2.5 * x0 * x1^2 over a 3-variable system
 /// let t = Term::new(-2.5, vec![1, 2, 0]);
-/// assert_eq!(t.total_degree(), 3);
-/// assert!(t.is_negative());
-/// assert_eq!(t.eval(&[2.0, 3.0, 7.0]), -2.5 * 2.0 * 9.0);
+/// assert_eq!(t.occurrences(), 3);
+/// assert_eq!(t.exponent(1), 2);
+/// assert_eq!(t.magnitude(), 2.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -41,7 +41,7 @@ impl Term {
     }
 
     /// Creates a constant term (all exponents zero) over `dim` variables.
-    pub fn constant(coeff: f64, dim: usize) -> Self {
+    pub(crate) fn constant(coeff: f64, dim: usize) -> Self {
         Term {
             coeff,
             exponents: vec![0; dim],
@@ -59,7 +59,7 @@ impl Term {
     }
 
     /// The signed coefficient of the term.
-    pub fn coeff(&self) -> f64 {
+    pub(crate) fn coeff(&self) -> f64 {
         self.coeff
     }
 
@@ -69,7 +69,7 @@ impl Term {
     }
 
     /// `true` if the coefficient is strictly negative.
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.coeff < 0.0
     }
 
@@ -84,7 +84,7 @@ impl Term {
     }
 
     /// The number of variables this term is defined over.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.exponents.len()
     }
 
@@ -98,32 +98,21 @@ impl Term {
     }
 
     /// The full exponent vector (the monomial), one entry per variable.
-    pub fn exponents(&self) -> &[u32] {
+    pub(crate) fn exponents(&self) -> &[u32] {
         &self.exponents
     }
 
     /// Sum of all exponents (the total degree of the monomial).
-    pub fn total_degree(&self) -> u32 {
+    pub(crate) fn total_degree(&self) -> u32 {
         self.exponents.iter().sum()
     }
 
     /// Total number of variable *occurrences* in the term — the paper's `|T|`.
     ///
-    /// This is the same as [`total_degree`](Self::total_degree); it is exposed
-    /// under the paper's name because the failure-compensation factor of
+    /// This is the term's total degree, under the paper's name, because the failure-compensation factor of
     /// Section 3 is expressed as `(1/(1-f))^(|T|-1)`.
     pub fn occurrences(&self) -> u32 {
         self.total_degree()
-    }
-
-    /// Indices of the variables that appear (exponent ≥ 1) in this term.
-    pub fn variables(&self) -> Vec<usize> {
-        self.exponents
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e > 0)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Evaluates the term at the given state vector.
@@ -131,7 +120,7 @@ impl Term {
     /// # Panics
     ///
     /// Panics if `state.len() != self.dim()`.
-    pub fn eval(&self, state: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, state: &[f64]) -> f64 {
         assert_eq!(state.len(), self.dim(), "state vector has wrong dimension");
         let mut v = self.coeff;
         for (x, &e) in state.iter().zip(&self.exponents) {
@@ -150,19 +139,11 @@ impl Term {
         }
     }
 
-    /// Returns the term with its coefficient scaled by `factor`.
-    pub fn scaled(&self, factor: f64) -> Term {
-        Term {
-            coeff: self.coeff * factor,
-            exponents: self.exponents.clone(),
-        }
-    }
-
     /// The partial derivative of this term with respect to variable `var`.
     ///
     /// Returns a term over the same variable set; if the variable does not
     /// occur, the result is the zero constant term.
-    pub fn differentiate(&self, var: usize) -> Term {
+    pub(crate) fn differentiate(&self, var: usize) -> Term {
         let e = self.exponents[var];
         if e == 0 {
             return Term::constant(0.0, self.dim());
@@ -175,38 +156,15 @@ impl Term {
         }
     }
 
-    /// Product of two terms over the same variable set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the terms have different dimensions.
-    pub fn product(&self, other: &Term) -> Term {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "terms over different variable sets"
-        );
-        let exps = self
-            .exponents
-            .iter()
-            .zip(&other.exponents)
-            .map(|(a, b)| a + b)
-            .collect();
-        Term {
-            coeff: self.coeff * other.coeff,
-            exponents: exps,
-        }
-    }
-
     /// `true` if the two terms have the same monomial (identical exponent vectors).
-    pub fn same_monomial(&self, other: &Term) -> bool {
+    pub(crate) fn same_monomial(&self, other: &Term) -> bool {
         self.exponents == other.exponents
     }
 
     /// `true` if `other` is the exact opposite of this term (same monomial,
     /// coefficients of equal magnitude and opposite sign) within a relative
     /// tolerance `tol`.
-    pub fn cancels_with(&self, other: &Term, tol: f64) -> bool {
+    pub(crate) fn cancels_with(&self, other: &Term, tol: f64) -> bool {
         if !self.same_monomial(other) {
             return false;
         }
@@ -220,7 +178,7 @@ impl Term {
     /// # Panics
     ///
     /// Panics if `names.len() != self.dim()`.
-    pub fn render(&self, names: &[String]) -> String {
+    pub(crate) fn render(&self, names: &[String]) -> String {
         assert_eq!(names.len(), self.dim(), "name list has wrong dimension");
         let mut parts = Vec::new();
         let c = self.coeff;
@@ -267,7 +225,6 @@ mod tests {
         let t = Term::linear(-0.5, 1, 3);
         assert_eq!(t.eval(&[1.0, 6.0, 2.0]), -3.0);
         assert_eq!(t.exponent(1), 1);
-        assert_eq!(t.variables(), vec![1]);
     }
 
     #[test]
@@ -297,15 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn product_adds_exponents() {
-        let a = Term::new(2.0, vec![1, 0]);
-        let b = Term::new(-3.0, vec![1, 2]);
-        let p = a.product(&b);
-        assert_eq!(p.coeff(), -6.0);
-        assert_eq!(p.exponents(), &[2, 2]);
-    }
-
-    #[test]
     fn cancellation_detection() {
         let a = Term::new(0.3, vec![1, 1]);
         let b = Term::new(-0.3, vec![1, 1]);
@@ -316,10 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn negated_and_scaled() {
+    fn negated() {
         let t = Term::new(2.0, vec![1]);
         assert_eq!(t.negated().coeff(), -2.0);
-        assert_eq!(t.scaled(0.5).coeff(), 1.0);
         assert!(t.negated().same_monomial(&t));
     }
 

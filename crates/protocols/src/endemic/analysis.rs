@@ -51,7 +51,7 @@ impl EndemicParams {
     /// The paper's reduced 2×2 perturbation matrix `A` (eq. 4):
     /// `σ = (βN − γ)/(1 + γ/α)` and
     /// `A = [[−(σ+α), −σ(γ+α)], [1, 0]]`, with `N = 1` over fractions.
-    pub fn perturbation_matrix(&self) -> [[f64; 2]; 2] {
+    pub(crate) fn perturbation_matrix(&self) -> [[f64; 2]; 2] {
         let sigma = (self.beta - self.gamma) / (1.0 + self.gamma / self.alpha);
         [
             [-(sigma + self.alpha), -sigma * (self.gamma + self.alpha)],
@@ -85,19 +85,6 @@ impl EndemicParams {
             ConvergenceCase::RealEqual
         };
         (case, disc)
-    }
-
-    /// The closed-form perturbation envelope of case 1 (stable spiral):
-    /// `u(t) = u₀·e^{−t(σ+α)/2}·cos(t·√(σγ − (σ−α)²/4))`.
-    ///
-    /// Only meaningful when [`convergence_case`](Self::convergence_case)
-    /// returns [`ConvergenceCase::DampedOscillation`].
-    pub fn spiral_perturbation(&self, u0: f64, t: f64) -> f64 {
-        let sigma = (self.beta - self.gamma) / (1.0 + self.gamma / self.alpha);
-        let decay = (sigma + self.alpha) / 2.0;
-        let freq_sq = sigma * self.gamma - (sigma - self.alpha).powi(2) / 4.0;
-        let freq = freq_sq.max(0.0).sqrt();
-        u0 * (-t * decay).exp() * (t * freq).cos()
     }
 
     /// Full numerical stability report at the endemic equilibrium (fractions),
@@ -301,11 +288,6 @@ mod tests {
         assert_eq!(case, ConvergenceCase::DampedOscillation);
         assert!(disc < 0.0);
         assert!(p.is_stable_spiral().unwrap());
-        // The spiral envelope decays.
-        let early = p.spiral_perturbation(1.0, 0.0);
-        let late = p.spiral_perturbation(1.0, 200.0).abs();
-        assert_eq!(early, 1.0);
-        assert!(late < 0.05);
         // The trivial equilibrium is a saddle (paper's corollary).
         let report = analyze_equilibrium(&p.equations(), &[1.0, 0.0, 0.0]).unwrap();
         assert_eq!(report.classification_reduced, Stability::Saddle);

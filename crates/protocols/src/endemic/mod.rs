@@ -10,23 +10,18 @@
 //! ```
 //!
 //! are restricted polynomial and completely partitionable, so the framework of
-//! Section 3 maps them to a three-state protocol. Two constructions are
-//! provided:
-//!
-//! * [`EndemicParams::canonical_protocol`] — the literal compiler output
-//!   (One-Time-Sampling for the `βxy` term, Flipping for `γy` and `αz`);
-//! * [`EndemicParams::figure1_protocol`] — the variant the paper actually
-//!   evaluates (Figure 1 plus optimization (iv) of Section 4.1.2): receptive
-//!   processes contact `b` random targets per period and turn stash if *any*
-//!   target is a stasher, and (optionally) stashers push the object onto
-//!   receptive targets, with `b = β/2` so the modelled equations are
-//!   unchanged (contact rate `β = N(1 − (1 − b/N)²) ≈ 2b`).
+//! Section 3 maps them to a three-state protocol.
+//! [`EndemicParams::figure1_protocol`] builds the variant the paper
+//! evaluates (Figure 1 plus optimization (iv) of Section 4.1.2): receptive
+//! processes contact `b` random targets per period and turn stash if *any*
+//! target is a stasher, and stashers push the object onto receptive
+//! targets, with `b = β/2` so the modelled equations are unchanged (contact
+//! rate `β = N(1 − (1 − b/N)²) ≈ 2b`).
 
 pub mod analysis;
-pub mod multifile;
 pub mod replication;
 
-use dpde_core::{Action, CoreError, Protocol, ProtocolCompiler};
+use dpde_core::{Action, CoreError, Protocol};
 use odekit::{EquationSystem, EquationSystemBuilder};
 
 /// Canonical state names used by every endemic protocol construction.
@@ -38,10 +33,9 @@ pub const AVERSE: &str = "averse";
 
 /// Parameters of the endemic protocol.
 ///
-/// `beta` is the contact rate of the equations; the Figure 1 construction
-/// contacts `b = β/2` targets per period when the push optimization is on and
-/// `b = β` when it is off. `gamma` and `alpha` are per-period probabilities in
-/// `(0, 1]`.
+/// `beta` is the contact rate of the equations; the Figure 1 construction,
+/// with the push optimization, contacts `b = β/2` targets per period.
+/// `gamma` and `alpha` are per-period probabilities in `(0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndemicParams {
     /// Infection (contact) rate β.
@@ -50,13 +44,10 @@ pub struct EndemicParams {
     pub gamma: f64,
     /// Susceptibility rate α (averse → receptive), in `(0, 1]`.
     pub alpha: f64,
-    /// Whether to add the paper's optimization (iv): stashers push the object
-    /// onto receptive targets, halving the contact parameter `b`.
-    pub push_enabled: bool,
 }
 
 impl EndemicParams {
-    /// Creates a parameter set with the push optimization enabled.
+    /// Creates a parameter set.
     ///
     /// # Errors
     ///
@@ -80,12 +71,7 @@ impl EndemicParams {
                 reason: format!("β must be finite and exceed γ, got β={beta}, γ={gamma}"),
             });
         }
-        Ok(EndemicParams {
-            beta,
-            gamma,
-            alpha,
-            push_enabled: true,
-        })
+        Ok(EndemicParams { beta, gamma, alpha })
     }
 
     /// Convenience constructor from the contact parameter `b` (number of
@@ -99,23 +85,9 @@ impl EndemicParams {
         Self::new(2.0 * f64::from(b.max(1)), gamma, alpha)
     }
 
-    /// Disables the push optimization (receptive processes then contact
-    /// `b = β` targets themselves).
-    #[must_use]
-    pub fn without_push(mut self) -> Self {
-        self.push_enabled = false;
-        self
-    }
-
-    /// The contact parameter `b` used by the Figure 1 construction:
-    /// `β/2` with the push optimization, `β` without.
-    pub fn contact_count(&self) -> u32 {
-        let b = if self.push_enabled {
-            self.beta / 2.0
-        } else {
-            self.beta
-        };
-        b.round().max(1.0) as u32
+    /// The contact parameter `b = β/2` used by the Figure 1 construction.
+    pub(crate) fn contact_count(&self) -> u32 {
+        (self.beta / 2.0).round().max(1.0) as u32
     }
 
     /// The endemic differential equations (eq. 1), over fractions.
@@ -130,17 +102,6 @@ impl EndemicParams {
             .term(AVERSE, -self.alpha, &[(AVERSE, 1)])
             .build()
             .expect("endemic equations are well-formed")
-    }
-
-    /// The literal compiler output for the endemic equations (One-Time-
-    /// Sampling + Flipping). The normalizing constant is chosen automatically
-    /// (p = 1/β when β > 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compiler errors (cannot occur for valid parameters).
-    pub fn canonical_protocol(&self) -> Result<Protocol, CoreError> {
-        ProtocolCompiler::new("endemic-canonical").compile(&self.equations())
     }
 
     /// The protocol of Figure 1 (with the optional push action (iv)): one
@@ -193,17 +154,15 @@ impl EndemicParams {
         )?;
         // (iv) βxy, optimized: a stasher pushes the object onto receptive
         // targets (does not change the modelled equations; allows b = β/2).
-        if self.push_enabled {
-            protocol.add_action(
-                stash,
-                Action::PushSample {
-                    target_state: receptive,
-                    samples: b,
-                    prob: 1.0,
-                    to: stash,
-                },
-            )?;
-        }
+        protocol.add_action(
+            stash,
+            Action::PushSample {
+                target_state: receptive,
+                samples: b,
+                prob: 1.0,
+                to: stash,
+            },
+        )?;
         Ok(protocol)
     }
 }
@@ -227,7 +186,6 @@ mod tests {
         let p = EndemicParams::from_contact_count(2, 0.1, 0.001).unwrap();
         assert_eq!(p.beta, 4.0);
         assert_eq!(p.contact_count(), 2);
-        assert_eq!(p.without_push().contact_count(), 4);
         assert_eq!(
             EndemicParams::from_contact_count(0, 0.1, 0.001)
                 .unwrap()
@@ -244,19 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_protocol_compiles() {
-        let params = EndemicParams::new(4.0, 1.0, 0.01).unwrap();
-        let protocol = params.canonical_protocol().unwrap();
-        assert_eq!(protocol.num_states(), 3);
-        assert_eq!(protocol.num_actions(), 3);
-        assert!((protocol.time_scale() - 0.25).abs() < 1e-12);
-        // Receptive processes send one sampling message per period.
-        let mc = MessageComplexity::of(&protocol);
-        let receptive = protocol.require_state(RECEPTIVE).unwrap();
-        assert_eq!(mc.messages_for(receptive), 1);
-    }
-
-    #[test]
     fn figure1_protocol_structure() {
         let params = EndemicParams::from_contact_count(2, 0.1, 0.001).unwrap();
         let protocol = params.figure1_protocol().unwrap();
@@ -269,13 +214,6 @@ mod tests {
         assert_eq!(protocol.actions(averse).len(), 1);
         assert_eq!(protocol.actions(receptive).len(), 1);
         assert_eq!(protocol.time_scale(), 1.0);
-        // Without push: only three actions, receptive contacts β targets.
-        let no_push = params.without_push().figure1_protocol().unwrap();
-        assert_eq!(no_push.num_actions(), 3);
-        match &no_push.actions(receptive)[0] {
-            Action::SampleAny { samples, .. } => assert_eq!(*samples, 4),
-            other => panic!("unexpected action {other:?}"),
-        }
         // Message overhead per process per period is constant (≤ 2b = β).
         let mc = MessageComplexity::of(&protocol);
         assert!(mc.worst_case() <= 4);

@@ -71,36 +71,6 @@ impl MigratoryStore {
         self
     }
 
-    /// The protocol parameters.
-    pub fn params(&self) -> &EndemicParams {
-        &self.params
-    }
-
-    /// The protocol being run.
-    pub fn protocol(&self) -> &Protocol {
-        &self.protocol
-    }
-
-    /// Runs the protocol with `initial_replicas` seed replicas (all other
-    /// processes receptive) under the given scenario, producing a
-    /// [`ReplicationReport`].
-    ///
-    /// A host that fails loses its replica; when it rejoins it is receptive
-    /// (the runtime's rejoin rule), matching the paper's churn experiments.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn run(
-        &self,
-        scenario: &Scenario,
-        initial_replicas: u64,
-    ) -> Result<ReplicationReport, CoreError> {
-        let n = scenario.group_size() as u64;
-        let initial = InitialStates::counts(&[n - initial_replicas, initial_replicas, 0]);
-        self.run_from(scenario, &initial)
-    }
-
     /// Runs the protocol starting at its analytical equilibrium (the setup of
     /// the paper's Figures 5–7).
     ///
@@ -124,7 +94,7 @@ impl MigratoryStore {
     /// # Errors
     ///
     /// Propagates runtime errors.
-    pub fn run_from(
+    pub(crate) fn run_from(
         &self,
         scenario: &Scenario,
         initial: &InitialStates,
@@ -328,7 +298,9 @@ mod tests {
         let p = params();
         let store = MigratoryStore::new(p).unwrap();
         let scenario = Scenario::new(1000, 300).unwrap().with_seed(10);
-        let report = store.run(&scenario, 1).unwrap();
+        let report = store
+            .run_from(&scenario, &InitialStates::counts(&[999, 1, 0]))
+            .unwrap();
         assert!(
             report.object_survived,
             "a single seed replica multiplies before it can vanish"
@@ -376,13 +348,5 @@ mod tests {
         let empty = vec![(0, vec![]), (1, vec![])];
         assert_eq!(mean_consecutive_jaccard(&empty), 1.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn accessors() {
-        let p = params();
-        let store = MigratoryStore::new(p).unwrap();
-        assert_eq!(store.params().beta, 4.0);
-        assert_eq!(store.protocol().num_states(), 3);
     }
 }

@@ -43,7 +43,7 @@ impl Default for Epidemic {
 }
 
 impl Epidemic {
-    /// Creates the canonical pull epidemic with fan-out 1.
+    /// Creates the canonical pull epidemic (one contact per period).
     pub fn new() -> Self {
         Self::default()
     }
@@ -53,18 +53,6 @@ impl Epidemic {
     pub fn with_style(mut self, style: EpidemicStyle) -> Self {
         self.style = style;
         self
-    }
-
-    /// Sets the per-period fan-out (number of contacts per process).
-    #[must_use]
-    pub fn with_fanout(mut self, fanout: u32) -> Self {
-        self.fanout = fanout.max(1);
-        self
-    }
-
-    /// The configured style.
-    pub fn style(&self) -> EpidemicStyle {
-        self.style
     }
 
     /// The source differential equations (equation (0) of the paper), over
@@ -180,21 +168,16 @@ mod tests {
         let p = e.protocol();
         assert_eq!(p.num_states(), 2);
         assert_eq!(p.num_actions(), 1);
-        assert_eq!(e.style(), EpidemicStyle::Pull);
     }
 
     #[test]
     fn push_pull_protocol_has_two_actions() {
         let p = Epidemic::new()
             .with_style(EpidemicStyle::PushPull)
-            .with_fanout(2)
             .protocol();
         assert_eq!(p.num_actions(), 2);
         let push_only = Epidemic::new().with_style(EpidemicStyle::Push).protocol();
         assert_eq!(push_only.num_actions(), 1);
-        // Fan-out is clamped to at least 1.
-        let e = Epidemic::new().with_fanout(0);
-        assert_eq!(e.protocol().num_actions(), 1);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod endemic;
 pub mod epidemic;
@@ -43,6 +44,3 @@ pub mod lv;
 pub mod small_count;
 
 pub use endemic::EndemicParams;
-pub use epidemic::{Epidemic, EpidemicStyle};
-pub use lv::LvParams;
-pub use small_count::{NearExtinction, NearTieTakeover};

@@ -7,20 +7,20 @@ use odekit::OdeError;
 
 /// The four equilibria of the LV system in the `(x, y)` plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LvEquilibria {
+pub(crate) struct LvEquilibria {
     /// `(0, 0)` — unstable.
-    pub origin: (f64, f64),
+    pub(crate) origin: (f64, f64),
     /// `(1, 0)` — stable: proposal `x` wins.
-    pub x_wins: (f64, f64),
+    pub(crate) x_wins: (f64, f64),
     /// `(0, 1)` — stable: proposal `y` wins.
-    pub y_wins: (f64, f64),
+    pub(crate) y_wins: (f64, f64),
     /// `(1/3, 1/3)` — saddle on the diagonal.
-    pub tie: (f64, f64),
+    pub(crate) tie: (f64, f64),
 }
 
 impl LvParams {
     /// The four equilibria named by Theorem 4.
-    pub fn equilibria(&self) -> LvEquilibria {
+    pub(crate) fn equilibria(&self) -> LvEquilibria {
         LvEquilibria {
             origin: (0.0, 0.0),
             x_wins: (1.0, 0.0),
@@ -56,19 +56,6 @@ impl LvParams {
             .unwrap_or_default()
     }
 
-    /// Theorem 4's basin structure: which stable point an initial condition
-    /// `(x₀, y₀)` (with `x₀ + y₀ ≤ 1`) converges to under the deterministic
-    /// dynamics.
-    pub fn predicted_winner(&self, x0: f64, y0: f64) -> PredictedOutcome {
-        if x0 > y0 {
-            PredictedOutcome::XWins
-        } else if y0 > x0 {
-            PredictedOutcome::YWins
-        } else {
-            PredictedOutcome::Tie
-        }
-    }
-
     /// The convergence complexity of Section 4.2.2: near the stable point
     /// `(0, 1)` the minority fraction decays as `x(t) = u₀·e^{−rate·t}`
     /// (and symmetrically near `(1, 0)`), so reaching `O(1)` minority
@@ -88,19 +75,6 @@ impl LvParams {
         let y = 1.0 - (2.0 * r * u0 * t + v0) * (-r * t).exp();
         (x, y)
     }
-}
-
-/// The outcome Theorem 4 predicts for a given initial split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PredictedOutcome {
-    /// The `x` camp wins (`x₀ > y₀`).
-    XWins,
-    /// The `y` camp wins (`y₀ > x₀`).
-    YWins,
-    /// Exact tie: the deterministic system heads to `(1/3, 1/3)`; a finite
-    /// group is pushed off the diagonal by randomness and picks a winner
-    /// arbitrarily.
-    Tie,
 }
 
 #[cfg(test)]
@@ -146,7 +120,6 @@ mod tests {
             "x should win: {:?}",
             right.last_state()
         );
-        assert_eq!(params.predicted_winner(0.4, 0.3), PredictedOutcome::XWins);
 
         let left = rk.integrate(&sys, 0.0, &[0.2, 0.5, 0.3], 20.0).unwrap();
         assert!(
@@ -154,13 +127,11 @@ mod tests {
             "y should win: {:?}",
             left.last_state()
         );
-        assert_eq!(params.predicted_winner(0.2, 0.5), PredictedOutcome::YWins);
 
         // On the diagonal the system heads to (1/3, 1/3).
         let tie = rk.integrate(&sys, 0.0, &[0.2, 0.2, 0.6], 20.0).unwrap();
         let last = tie.last_state();
         assert!((last[0] - 1.0 / 3.0).abs() < 1e-3 && (last[1] - 1.0 / 3.0).abs() < 1e-3);
-        assert_eq!(params.predicted_winner(0.2, 0.2), PredictedOutcome::Tie);
     }
 
     #[test]

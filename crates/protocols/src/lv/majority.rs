@@ -31,7 +31,7 @@ pub struct MajorityOutcome {
     /// The full simulation output.
     pub run: RunResult,
     /// The group-wide decision at the end of the run (the value backed by at
-    /// least [`MajoritySelection::quorum`] of the non-crashed processes).
+    /// least 99 % of the non-crashed processes).
     pub decision: Decision,
     /// The initial majority value (ties report `Undecided`).
     pub initial_majority: Decision,
@@ -46,44 +46,17 @@ pub struct MajorityOutcome {
 #[derive(Debug, Clone)]
 pub struct MajoritySelection {
     params: LvParams,
-    quorum: f64,
 }
+
+/// The fraction of (alive) processes that must back a value before the group
+/// is considered converged.
+const QUORUM: f64 = 0.99;
 
 impl MajoritySelection {
     /// Creates a driver with the paper's LV parameters and a 99 % quorum
     /// threshold for declaring convergence.
     pub fn new(params: LvParams) -> Self {
-        MajoritySelection {
-            params,
-            quorum: 0.99,
-        }
-    }
-
-    /// Sets the fraction of (alive) processes that must back a value before
-    /// the group is considered converged.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the quorum lies in `(0.5, 1]`.
-    pub fn with_quorum(mut self, quorum: f64) -> Result<Self, CoreError> {
-        if !(quorum > 0.5 && quorum <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                name: "quorum",
-                reason: format!("quorum must lie in (0.5, 1], got {quorum}"),
-            });
-        }
-        self.quorum = quorum;
-        Ok(self)
-    }
-
-    /// The convergence quorum fraction.
-    pub fn quorum(&self) -> f64 {
-        self.quorum
-    }
-
-    /// The LV parameters in use.
-    pub fn params(&self) -> &LvParams {
-        &self.params
+        MajoritySelection { params }
     }
 
     /// Runs majority selection: `zeros` processes initially propose 0 and
@@ -131,9 +104,9 @@ impl MajoritySelection {
             if alive == 0.0 {
                 return Decision::Undecided;
             }
-            if xs[i] / alive >= self.quorum {
+            if xs[i] / alive >= QUORUM {
                 Decision::Zero
-            } else if ys[i] / alive >= self.quorum {
+            } else if ys[i] / alive >= QUORUM {
                 Decision::One
             } else {
                 Decision::Undecided
@@ -163,46 +136,11 @@ impl MajoritySelection {
             convergence_period,
         })
     }
-
-    /// Runs `repetitions` independent majority selections (varying the seed)
-    /// and returns the fraction that decided the initial majority value —
-    /// an empirical estimate of the "w.h.p." guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol and runtime errors.
-    pub fn success_rate(
-        &self,
-        n: usize,
-        periods: u64,
-        zeros: u64,
-        ones: u64,
-        repetitions: u32,
-    ) -> Result<f64, CoreError> {
-        let mut successes = 0u32;
-        for rep in 0..repetitions {
-            let scenario = Scenario::new(n, periods)?.with_seed(1000 + u64::from(rep));
-            if self.run(&scenario, zeros, ones)?.correct {
-                successes += 1;
-            }
-        }
-        Ok(f64::from(successes) / f64::from(repetitions.max(1)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quorum_validation_and_accessors() {
-        let m = MajoritySelection::new(LvParams::new());
-        assert_eq!(m.quorum(), 0.99);
-        assert_eq!(m.params().rate, 3.0);
-        assert!(m.clone().with_quorum(0.4).is_err());
-        assert!(m.clone().with_quorum(1.5).is_err());
-        assert_eq!(m.with_quorum(0.9).unwrap().quorum(), 0.9);
-    }
 
     #[test]
     fn clear_majority_is_selected_correctly() {
@@ -252,12 +190,5 @@ mod tests {
         assert_eq!(outcome.decision, Decision::Undecided);
         assert_eq!(outcome.convergence_period, None);
         assert!(!outcome.correct);
-    }
-
-    #[test]
-    fn success_rate_is_high_for_clear_majorities() {
-        let m = MajoritySelection::new(LvParams::new());
-        let rate = m.success_rate(600, 700, 390, 210, 5).unwrap();
-        assert!(rate >= 0.8, "success rate {rate}");
     }
 }

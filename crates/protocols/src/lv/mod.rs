@@ -21,12 +21,11 @@
 //! One-Time-Sampling actions, all with coin probability `3p`). States `x`
 //! and `y` are the two competing proposals; `z` is "undecided".
 
-pub mod analysis;
+mod analysis;
 pub mod majority;
 pub mod multi;
 
 use dpde_core::{CoreError, Protocol, ProtocolCompiler};
-use odekit::rewrite::complete;
 use odekit::{EquationSystem, EquationSystemBuilder};
 
 /// Name of the state backing proposal 0.
@@ -60,22 +59,6 @@ impl LvParams {
         Self::default()
     }
 
-    /// Sets the normalizing constant `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `0 < p ≤ 1` and `rate·p ≤ 1`.
-    pub fn with_normalizing_constant(mut self, p: f64) -> Result<Self, CoreError> {
-        if !(p.is_finite() && p > 0.0 && p <= 1.0 && self.rate * p <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                name: "normalizing_constant",
-                reason: format!("p must lie in (0, 1] with rate·p ≤ 1, got {p}"),
-            });
-        }
-        self.normalizing_constant = p;
-        Ok(self)
-    }
-
     /// The original two-variable competition equations (eq. 6).
     pub fn original_equations(&self) -> EquationSystem {
         let r = self.rate;
@@ -92,9 +75,12 @@ impl LvParams {
     }
 
     /// The completed three-variable system (original equations plus
-    /// `ż = −ẋ − ẏ`), produced with the generic completion rewrite.
-    pub fn completed_equations(&self) -> EquationSystem {
-        complete(&self.original_equations(), STATE_Z).expect("completion cannot fail")
+    /// `ż = −ẋ − ẏ`), produced with the generic completion rewrite: the
+    /// reference the rewritten form is checked against.
+    #[cfg(test)]
+    pub(crate) fn completed_equations(&self) -> EquationSystem {
+        odekit::rewrite::complete(&self.original_equations(), STATE_Z)
+            .expect("completion cannot fail")
     }
 
     /// The rewritten, mappable form (eq. 7): every term contains its own
@@ -177,16 +163,5 @@ mod tests {
         assert_eq!(protocol.actions(z).len(), 2);
         assert_eq!(protocol.actions(x)[0].destination(), z);
         assert_eq!(protocol.actions(y)[0].destination(), z);
-    }
-
-    #[test]
-    fn normalizing_constant_validation() {
-        assert!(LvParams::new().with_normalizing_constant(0.2).is_ok());
-        assert!(
-            LvParams::new().with_normalizing_constant(0.5).is_err(),
-            "3·0.5 > 1"
-        );
-        assert!(LvParams::new().with_normalizing_constant(0.0).is_err());
-        assert!(LvParams::new().with_normalizing_constant(f64::NAN).is_err());
     }
 }

@@ -14,14 +14,11 @@
 //! polynomial and completely partitionable, so the compiler of Section 3
 //! applies unchanged.
 
-use super::LvParams;
-use dpde_core::runtime::{AgentRuntime, CountsRecorder, InitialStates, RunResult, Simulation};
 use dpde_core::{CoreError, Protocol, ProtocolCompiler};
-use netsim::Scenario;
 use odekit::{EquationSystem, EquationSystemBuilder};
 
 /// Name of the undecided state in the generalized protocol.
-pub const UNDECIDED: &str = "z";
+pub(crate) const UNDECIDED: &str = "z";
 
 /// A `k`-proposal competitive-exclusion protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,16 +52,8 @@ impl MultiLvParams {
         })
     }
 
-    /// Derives the two-choice parameters this generalizes.
-    pub fn as_pairwise(&self) -> LvParams {
-        LvParams {
-            rate: self.rate,
-            normalizing_constant: self.normalizing_constant,
-        }
-    }
-
     /// The name of the state backing proposal `i` (0-based).
-    pub fn choice_state(&self, i: usize) -> String {
+    pub(crate) fn choice_state(&self, i: usize) -> String {
         format!("x{i}")
     }
 
@@ -116,112 +105,10 @@ impl MultiLvParams {
     }
 }
 
-/// Outcome of a plurality-selection run.
-#[derive(Debug, Clone)]
-pub struct PluralityOutcome {
-    /// The full simulation output.
-    pub run: RunResult,
-    /// Index of the proposal the group converged on (`None` if no proposal
-    /// reached the quorum by the end of the run).
-    pub winner: Option<usize>,
-    /// Index of the proposal with the largest initial support (`None` for a
-    /// tie at the top).
-    pub initial_plurality: Option<usize>,
-    /// `true` if the winner matches the initial plurality.
-    pub correct: bool,
-}
-
-/// Driver for plurality selection over the generalized LV protocol.
-#[derive(Debug, Clone)]
-pub struct PluralitySelection {
-    params: MultiLvParams,
-    quorum: f64,
-}
-
-impl PluralitySelection {
-    /// Creates a driver with a 95 % quorum.
-    pub fn new(params: MultiLvParams) -> Self {
-        PluralitySelection {
-            params,
-            quorum: 0.95,
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &MultiLvParams {
-        &self.params
-    }
-
-    /// Runs plurality selection from the given per-proposal initial support
-    /// (must sum to the scenario's group size).
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol and runtime errors (including a mismatched vote
-    /// vector).
-    pub fn run(&self, scenario: &Scenario, votes: &[u64]) -> Result<PluralityOutcome, CoreError> {
-        if votes.len() != self.params.choices {
-            return Err(CoreError::InvalidConfig {
-                name: "votes",
-                reason: format!(
-                    "expected {} vote counts, got {}",
-                    self.params.choices,
-                    votes.len()
-                ),
-            });
-        }
-        let protocol = self.params.protocol()?;
-        let mut counts = votes.to_vec();
-        counts.push(0); // undecided
-        let run = Simulation::of(protocol)
-            .scenario(scenario.clone())
-            .initial(InitialStates::counts(&counts))
-            .observe(CountsRecorder::alive_only())
-            .run::<AgentRuntime>()?;
-
-        let initial_plurality = unique_argmax(votes);
-        let finals: Vec<f64> = (0..self.params.choices)
-            .map(|i| {
-                run.state_series(&self.params.choice_state(i))
-                    .map(|s| *s.last().unwrap_or(&0.0))
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let alive: f64 = run
-            .final_counts()
-            .map(|last| last.iter().sum())
-            .unwrap_or(0.0);
-        let winner = finals
-            .iter()
-            .position(|&c| alive > 0.0 && c / alive >= self.quorum);
-        let correct = match (winner, initial_plurality) {
-            (Some(w), Some(p)) => w == p,
-            _ => false,
-        };
-        Ok(PluralityOutcome {
-            run,
-            winner,
-            initial_plurality,
-            correct,
-        })
-    }
-}
-
-/// Index of the strictly largest entry, or `None` if the maximum is tied.
-fn unique_argmax(values: &[u64]) -> Option<usize> {
-    let max = *values.iter().max()?;
-    let mut winners = values.iter().enumerate().filter(|(_, &v)| v == max);
-    let first = winners.next()?.0;
-    if winners.next().is_some() {
-        None
-    } else {
-        Some(first)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lv::LvParams;
     use odekit::taxonomy;
 
     #[test]
@@ -230,13 +117,13 @@ mod tests {
         let p = MultiLvParams::new(4).unwrap();
         assert_eq!(p.choices, 4);
         assert_eq!(p.choice_state(2), "x2");
-        assert_eq!(p.as_pairwise().rate, 3.0);
     }
 
     #[test]
     fn two_choice_case_matches_the_paper_system() {
         let multi = MultiLvParams::new(2).unwrap();
-        let pairwise = multi.as_pairwise().rewritten_equations();
+        // MultiLvParams::new and LvParams::new share the paper's rate and p.
+        let pairwise = LvParams::new().rewritten_equations();
         let generalized = multi.equations();
         // Same dimension and same right-hand sides on the simplex (modulo
         // variable naming: x0, x1, z vs x, y, z).
@@ -269,36 +156,5 @@ mod tests {
                 assert_eq!(protocol.actions(xi).len(), k - 1);
             }
         }
-    }
-
-    #[test]
-    fn three_way_plurality_selects_the_largest_camp() {
-        let params = MultiLvParams::new(3).unwrap();
-        let selector = PluralitySelection::new(params);
-        let scenario = Scenario::new(2_000, 1_000).unwrap().with_seed(33);
-        let outcome = selector.run(&scenario, &[900, 650, 450]).unwrap();
-        assert_eq!(outcome.initial_plurality, Some(0));
-        assert_eq!(outcome.winner, Some(0), "largest camp should win");
-        assert!(outcome.correct);
-        // Conservation.
-        for (_, s) in outcome.run.counts.iter() {
-            assert_eq!(s.iter().sum::<f64>(), 2_000.0);
-        }
-    }
-
-    #[test]
-    fn vote_vector_must_match_choice_count() {
-        let params = MultiLvParams::new(3).unwrap();
-        let selector = PluralitySelection::new(params);
-        let scenario = Scenario::new(100, 10).unwrap();
-        assert!(selector.run(&scenario, &[50, 50]).is_err());
-        assert_eq!(selector.params().choices, 3);
-    }
-
-    #[test]
-    fn unique_argmax_handles_ties() {
-        assert_eq!(unique_argmax(&[1, 5, 3]), Some(1));
-        assert_eq!(unique_argmax(&[5, 5, 3]), None);
-        assert_eq!(unique_argmax(&[]), None);
     }
 }

@@ -30,8 +30,8 @@ use netsim::Scenario;
 /// LV majority selection started from a near-tie split — the takeover
 /// scenario family.
 ///
-/// With `imbalance` ε, a group of `n` processes starts with `⌈(0.5 + ε)·n⌉`
-/// proposers of 0 and the rest proposing 1. For small ε the margin is only
+/// With the imbalance ε = 0.5 %, a group of `n` processes starts with
+/// `⌈(0.5 + ε)·n⌉` proposers of 0 and the rest proposing 1. The margin is only
 /// `2εn` processes, so the race between the two proposals is decided by
 /// small-count fluctuations around the saddle of the competition equations —
 /// the initial minority takes over in a non-negligible fraction of runs.
@@ -42,15 +42,17 @@ use netsim::Scenario;
 /// use dpde_protocols::small_count::NearTieTakeover;
 ///
 /// // 50.5 / 49.5 split of 2000 processes.
-/// let family = NearTieTakeover::new().with_imbalance(0.005)?;
+/// let family = NearTieTakeover::new();
 /// assert_eq!(family.split(2_000), (1_010, 990));
-/// # Ok::<(), dpde_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct NearTieTakeover {
     selection: MajoritySelection,
-    imbalance: f64,
 }
+
+/// The imbalance ε of a [`NearTieTakeover`] split: proposal 0 starts with a
+/// `0.5 + ε` fraction.
+const IMBALANCE: f64 = 0.005;
 
 /// Outcome of one near-tie run.
 #[derive(Debug, Clone)]
@@ -74,41 +76,12 @@ impl NearTieTakeover {
     pub fn new() -> Self {
         NearTieTakeover {
             selection: MajoritySelection::new(LvParams::new()),
-            imbalance: 0.005,
         }
-    }
-
-    /// Replaces the majority-selection driver (LV parameters, quorum).
-    #[must_use]
-    pub fn with_selection(mut self, selection: MajoritySelection) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Sets the imbalance ε: proposal 0 starts with a `0.5 + ε` fraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `ε ∈ [0, 0.5)`.
-    pub fn with_imbalance(mut self, imbalance: f64) -> Result<Self, CoreError> {
-        if !(imbalance.is_finite() && (0.0..0.5).contains(&imbalance)) {
-            return Err(CoreError::InvalidConfig {
-                name: "imbalance",
-                reason: format!("imbalance must lie in [0, 0.5), got {imbalance}"),
-            });
-        }
-        self.imbalance = imbalance;
-        Ok(self)
-    }
-
-    /// The configured imbalance ε.
-    pub fn imbalance(&self) -> f64 {
-        self.imbalance
     }
 
     /// The `(zeros, ones)` split for a group of `n` processes.
     pub fn split(&self, n: u64) -> (u64, u64) {
-        let zeros = ((0.5 + self.imbalance) * n as f64).ceil().min(n as f64) as u64;
+        let zeros = ((0.5 + IMBALANCE) * n as f64).ceil().min(n as f64) as u64;
         (zeros, n - zeros)
     }
 
@@ -130,36 +103,6 @@ impl NearTieTakeover {
             outcome,
             minority_takeover,
         })
-    }
-
-    /// Runs `repetitions` independent near-tie selections (varying the seed)
-    /// and returns `(decided, takeovers)`: how many runs reached a quorum
-    /// decision at all, and how many of those were won by the initial
-    /// minority.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol and runtime errors.
-    pub fn takeover_count(
-        &self,
-        n: usize,
-        periods: u64,
-        repetitions: u32,
-        seed_base: u64,
-    ) -> Result<(u32, u32), CoreError> {
-        let mut decided = 0;
-        let mut takeovers = 0;
-        for rep in 0..repetitions {
-            let scenario = Scenario::new(n, periods)?.with_seed(seed_base + u64::from(rep));
-            let run = self.run(&scenario)?;
-            if run.outcome.decision != Decision::Undecided {
-                decided += 1;
-                if run.minority_takeover {
-                    takeovers += 1;
-                }
-            }
-        }
-        Ok((decided, takeovers))
     }
 }
 
@@ -216,7 +159,10 @@ impl NearExtinction {
     /// # Errors
     ///
     /// Returns an error unless `target_stashers` is positive and finite.
-    pub fn with_params(params: EndemicParams, target_stashers: f64) -> Result<Self, CoreError> {
+    pub(crate) fn with_params(
+        params: EndemicParams,
+        target_stashers: f64,
+    ) -> Result<Self, CoreError> {
         if !(target_stashers.is_finite() && target_stashers > 0.0) {
             return Err(CoreError::InvalidConfig {
                 name: "target_stashers",
@@ -241,11 +187,6 @@ impl NearExtinction {
         Ok(NearExtinction { params, n })
     }
 
-    /// The endemic parameters in use.
-    pub fn params(&self) -> &EndemicParams {
-        &self.params
-    }
-
     /// The derived group size.
     pub fn group_size(&self) -> u64 {
         self.n
@@ -260,7 +201,7 @@ impl NearExtinction {
     /// The equilibrium initial counts (receptive truncated, stash rounded
     /// with a floor of one process, remainder to averse — see
     /// [`EndemicParams::equilibrium_counts`]).
-    pub fn initial_counts(&self) -> [u64; 3] {
+    pub(crate) fn initial_counts(&self) -> [u64; 3] {
         self.params.equilibrium_counts(self.n)
     }
 
@@ -288,31 +229,6 @@ impl NearExtinction {
             extinction_period,
         })
     }
-
-    /// Runs `repetitions` independent trajectories and returns the fraction
-    /// in which the replica went extinct within `periods` periods.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol and runtime errors.
-    pub fn extinction_rate(
-        &self,
-        periods: u64,
-        repetitions: u32,
-        seed_base: u64,
-    ) -> Result<f64, CoreError> {
-        let mut extinct = 0u32;
-        for rep in 0..repetitions {
-            if self
-                .run(periods, seed_base + u64::from(rep))?
-                .extinction_period
-                .is_some()
-            {
-                extinct += 1;
-            }
-        }
-        Ok(f64::from(extinct) / f64::from(repetitions.max(1)))
-    }
 }
 
 #[cfg(test)]
@@ -320,29 +236,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_and_validation() {
+    fn split() {
         let family = NearTieTakeover::new();
-        assert_eq!(family.imbalance(), 0.005);
         assert_eq!(family.split(2_000), (1_010, 990));
         assert_eq!(family.split(100_000), (50_500, 49_500));
-        // ε = 0 is an exact tie; ε ≥ 0.5 is rejected.
-        assert_eq!(
-            NearTieTakeover::new()
-                .with_imbalance(0.0)
-                .unwrap()
-                .split(100),
-            (50, 50)
-        );
-        assert!(NearTieTakeover::new().with_imbalance(0.5).is_err());
-        assert!(NearTieTakeover::new().with_imbalance(-0.1).is_err());
     }
 
     #[test]
     fn near_tie_runs_resolve_to_a_takeover_or_a_majority_win() {
-        // A 51/49 split of 1000 processes: the saddle is close, so the run
-        // decides for one of the proposals (which one varies by seed); the
+        // A 50.5/49.5 split of 1000 processes: the saddle is close, so the
+        // run decides for one of the proposals (which one varies by seed); the
         // outcome bookkeeping must be consistent either way.
-        let family = NearTieTakeover::new().with_imbalance(0.01).unwrap();
+        let family = NearTieTakeover::new();
         let scenario = Scenario::new(1_000, 1_500).unwrap().with_seed(31);
         let run = family.run(&scenario).unwrap();
         assert!(matches!(
@@ -354,11 +259,6 @@ mod tests {
             run.outcome.decision == Decision::One,
             "zeros start as the majority"
         );
-        // Counting over seeds: every decided run is either a majority win or
-        // a takeover.
-        let (decided, takeovers) = family.takeover_count(600, 1_200, 4, 500).unwrap();
-        assert!(decided >= 3, "near-tie runs should mostly decide");
-        assert!(takeovers <= decided);
     }
 
     #[test]

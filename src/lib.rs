@@ -12,11 +12,12 @@
 //!   failures, churn, message loss, transport models, metrics);
 //! * [`core`] — the ODE→protocol compiler (Flipping, One-Time-Sampling,
 //!   Tokenizing), the compiled state machines, the
-//!   [`Runtime`](dpde_core::Runtime) trait with its agent / batched /
+//!   [`Runtime`](dpde_core::runtime::Runtime) trait with its agent / batched /
 //!   hybrid / aggregate / sharded / async / SSA / tau-leap implementations,
 //!   the [`ErrorBudget`](dpde_core::runtime::ErrorBudget) tier policy,
 //!   composable observers, and the
-//!   [`Simulation`](dpde_core::Simulation) / [`dpde_core::Ensemble`]
+//!   [`Simulation`](dpde_core::runtime::Simulation) /
+//!   [`Ensemble`](dpde_core::runtime::Ensemble)
 //!   drivers;
 //! * [`protocols`] — the paper's case studies: epidemic
 //!   dissemination, endemic migratory replication, and Lotka–Volterra
@@ -56,7 +57,7 @@
 //! # Multi-seed ensembles
 //!
 //! The paper's evaluation compares protocol dynamics against the ODE limit
-//! over many independent runs. [`Ensemble`](dpde_core::Ensemble) fans a seed
+//! over many independent runs. [`Ensemble`](dpde_core::runtime::Ensemble) fans a seed
 //! range across all cores and returns per-period mean/std envelopes — a
 //! Figure-11-style convergence sweep in a few lines:
 //!
@@ -106,15 +107,15 @@ pub mod prelude {
     pub use netsim::{
         maybe_run_worker, Adversary, AdversaryView, CascadingFailure, ChurnTrace, FailureSchedule,
         Group, InProcTransport, Injection, InjectionRecord, LatencyModel, LinkModel, LossConfig,
-        MetricsRecorder, ObliviousSchedule, OnlineStats, PeriodClock, Placement, Rng, Scenario,
-        ShardConfig, SocketConfig, SyntheticChurnConfig, TargetLargestState, Topology, Transport,
+        MetricsRecorder, ObliviousSchedule, OnlineStats, Placement, Rng, Scenario, ShardConfig,
+        SocketConfig, SyntheticChurnConfig, TargetLargestState, Topology, Transport,
         TransportBackend, TransportConfig, TransportGauges, TransportStats, UdsTransport,
         WorkerLauncher, WorkerSupervisor,
     };
     pub use odekit::analysis::{
         analyze_equilibrium, phase_portrait, EquilibriumFinder, PhasePortrait, Stability,
     };
-    pub use odekit::integrate::{Euler, Integrator, Rk4, Rkf45, Trajectory};
+    pub use odekit::integrate::{Integrator, Rk4, Trajectory};
     pub use odekit::parse::parse_system;
     pub use odekit::rewrite;
     pub use odekit::taxonomy;

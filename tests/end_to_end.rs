@@ -288,11 +288,9 @@ fn endemic_replication_is_churn_resistant() {
     };
     let mut rng = Rng::seed_from(77);
     let trace = churn_cfg.generate(&mut rng).unwrap();
-    let clock = PeriodClock::six_minutes();
-    let periods = clock.periods_per_hour() * trace.hours() as u64;
+    let periods = dpde::netsim::PERIODS_PER_HOUR * trace.hours() as u64;
     let scenario = Scenario::new(n, periods)
         .unwrap()
-        .with_clock(clock)
         .with_churn_trace(&trace, &mut rng)
         .unwrap()
         .with_seed(78);
