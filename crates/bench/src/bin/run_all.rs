@@ -36,11 +36,28 @@ fn main() {
         .ok()
         .and_then(|p| p.parent().map(std::path::Path::to_path_buf))
         .expect("executable directory");
+    let path = |bin: &str| exe_dir.join(format!("{bin}{}", std::env::consts::EXE_SUFFIX));
+    // Cargo builds only the binaries it was asked for: check every sibling
+    // before running any, so a partial build fails at once, by name.
+    let missing: Vec<&str> = BINS
+        .iter()
+        .copied()
+        .filter(|bin| !path(bin).is_file())
+        .collect();
+    if !missing.is_empty() {
+        eprintln!(
+            "error: {} of {} experiment binaries missing from {}: {missing:?}\n\
+             build them all first: cargo build --release -p dpde-bench",
+            missing.len(),
+            BINS.len(),
+            exe_dir.display()
+        );
+        std::process::exit(2);
+    }
     let mut failures = Vec::new();
     for bin in BINS {
         println!("\n=========================== {bin} ===========================");
-        let path = exe_dir.join(bin);
-        let status = Command::new(&path).args(&args).status();
+        let status = Command::new(path(bin)).args(&args).status();
         match status {
             Ok(s) if s.success() => {}
             other => {

@@ -118,7 +118,8 @@ pub fn compare_to_system(
 mod tests {
     use super::*;
     use crate::mapping::ProtocolCompiler;
-    use crate::runtime::{AggregateRuntime, InitialStates, Runtime};
+    use crate::runtime::{BatchedRuntime, InitialStates, Runtime};
+    use netsim::Scenario;
     use odekit::system::EquationSystemBuilder;
 
     fn epidemic() -> EquationSystem {
@@ -172,8 +173,9 @@ mod tests {
         let mut errors = Vec::new();
         for &n in &[1_000u64, 100_000u64] {
             let tenth = n / 10;
-            let result = AggregateRuntime::new(protocol.clone())
-                .run(n, 150, &InitialStates::counts(&[n - tenth, tenth]), 17)
+            let scenario = Scenario::new(n as usize, 150).unwrap().with_seed(17);
+            let result = BatchedRuntime::new(protocol.clone())
+                .run(&scenario, &InitialStates::counts(&[n - tenth, tenth]))
                 .unwrap();
             let report =
                 compare_to_system(&result.as_ode_trajectory(n as f64), &sys, 0.01).unwrap();

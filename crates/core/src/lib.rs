@@ -13,11 +13,14 @@
 //!   constant selection and failure compensation.
 //! * [`Protocol`] / [`Action`] — the compiled probabilistic state machine,
 //!   as pure data.
-//! * [`runtime`] — the [`Runtime`](runtime::Runtime) trait with four fidelities (the
-//!   per-process [`AgentRuntime`](runtime::AgentRuntime), the count-batched
-//!   [`BatchedRuntime`](runtime::BatchedRuntime), the boundary-crossing
-//!   [`HybridRuntime`](runtime::HybridRuntime) and the mean-field
-//!   [`AggregateRuntime`](runtime::AggregateRuntime)), composable
+//! * [`runtime`] — the [`Runtime`](runtime::Runtime) trait with seven
+//!   fidelities (the per-process [`AgentRuntime`](runtime::AgentRuntime),
+//!   the count-batched [`BatchedRuntime`](runtime::BatchedRuntime), the
+//!   boundary-crossing [`HybridRuntime`](runtime::HybridRuntime), the
+//!   per-shard [`ShardedRuntime`](runtime::ShardedRuntime), the
+//!   message-level [`AsyncRuntime`](runtime::AsyncRuntime) and the
+//!   continuous-time [`SsaRuntime`](runtime::SsaRuntime) and
+//!   [`TauLeapRuntime`](runtime::TauLeapRuntime)), composable
 //!   [`Observer`](runtime::Observer)s for opt-in recording, the
 //!   [`Simulation`](runtime::Simulation) builder and the parallel
 //!   [`Ensemble`](runtime::Ensemble) driver.
@@ -28,8 +31,9 @@
 //! # Example: from equations to a running protocol
 //!
 //! ```
-//! use dpde_core::{ProtocolCompiler, runtime::{AggregateRuntime, InitialStates, Runtime}};
+//! use dpde_core::{ProtocolCompiler, runtime::{BatchedRuntime, InitialStates, Runtime}};
 //! use dpde_core::equivalence::compare_to_system;
+//! use netsim::Scenario;
 //! use odekit::parse::parse_system;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,9 +45,10 @@
 //! let protocol = ProtocolCompiler::new("epidemic")
 //!     .with_normalizing_constant(0.2)
 //!     .compile(&sys)?;
-//! let result = AggregateRuntime::new(protocol)
-//!     .run(10_000, 125, &InitialStates::counts(&[9_990, 10]), 1)?;
-//! // (`Simulation::of(protocol)…run::<AggregateRuntime>()` is the composable
+//! let scenario = Scenario::new(10_000, 125)?.with_seed(1);
+//! let result = BatchedRuntime::new(protocol)
+//!     .run(&scenario, &InitialStates::counts(&[9_990, 10]))?;
+//! // (`Simulation::of(protocol)…run::<BatchedRuntime>()` is the composable
 //! // form of the same run — see the `runtime` module.)
 //!
 //! // The run tracks the differential equations (Theorem 1).

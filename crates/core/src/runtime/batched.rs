@@ -89,10 +89,9 @@ use netsim::{FailureModel, Rng, Scenario};
 ///
 /// # Environment support
 ///
-/// Unlike [`AggregateRuntime`](super::AggregateRuntime) (which rejects every
-/// failure-carrying scenario), the batched runtime models all *exchangeable*
-/// environment events at count level, through the same environment layer
-/// every runtime applies at its period boundaries:
+/// The batched runtime models all *exchangeable* environment events at count
+/// level, through the same environment layer every runtime applies at its
+/// period boundaries:
 ///
 /// * **massive failures** — crashing a uniform fraction of the alive
 ///   processes splits across states as a multivariate hypergeometric draw;
@@ -143,11 +142,13 @@ pub struct BatchedRuntime {
 /// per-period step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BatchedState {
-    pub(super) scenario: Scenario,
     pub(super) rng: Rng,
-    /// The density denominator (total population as `f64`), i.e. the `n` in
+    /// The density denominator (the group size as `f64`), i.e. the `n` in
     /// "sample a uniform member of this group".
     pub(super) n_f: f64,
+    /// The per-contact success rate of the scenario's network
+    /// (`1 − LossConfig::effective_contact_failure(1)`).
+    pub(super) contact_ok: f64,
     pub(super) alive_n: u64,
     /// Total processes per state (alive + crashed; crashed processes remember
     /// their state, mirroring the agent runtime's frozen membership).
@@ -163,7 +164,6 @@ pub struct BatchedState {
     /// Per edge slot: processes that crossed the edge this period.
     pub(super) tallies: Vec<u64>,
     // Scratch buffers reused every period.
-    start: Vec<u64>,
     /// Per state: the start-of-period members that have not left it yet this
     /// period — what a push/token conversion can still take.
     stayed: Vec<u64>,
@@ -188,16 +188,17 @@ struct Columns<'a> {
     rngs: &'a mut [Rng],
     counts: &'a mut [u64],
     counts_alive: &'a mut [u64],
-    counts_crashed: &'a [u64],
-    start: &'a mut [u64],
     stayed: &'a mut [u64],
     tallies: &'a mut [u64],
-    /// `conversions × W`: what every push/token action drew this period.
+    /// `conversions × W`: what every push/token action drew this period;
+    /// zero between periods, as landing the conversions clears it.
     pending: &'a mut [u64],
     /// The state being drawn's bucket weights plus "stay", one contiguous
     /// run per column (`W × (buckets + 1)`) — the layout
-    /// [`Rng::multinomial_into`] reads.
-    weights: &'a mut Vec<f64>,
+    /// [`Rng::multinomial_into`] reads. Sized for the widest state and zero
+    /// between states: each draw clears the cells it read, which at width 1
+    /// costs less than a `memset` call per state.
+    weights: &'a mut [f64],
     draws: &'a mut [u64],
     /// Per column: probability of not having moved yet within the state
     /// being drawn.
@@ -403,7 +404,6 @@ pub(super) struct ColumnBlock {
     counts: Vec<u64>,
     counts_alive: Vec<u64>,
     counts_crashed: Vec<u64>,
-    start: Vec<u64>,
     stayed: Vec<u64>,
     /// The row-major `edges × width` matrix of the last period's transition
     /// tallies, one row per edge of the runtime's plan.
@@ -590,9 +590,9 @@ impl BatchedRuntime {
         let max_outcomes = self.plan.max_buckets + 1;
         BatchedState {
             env: Environment::new(scenario, scenario.seed(), &self.config),
-            scenario: scenario.clone(),
             rng,
             n_f: n as f64,
+            contact_ok: 1.0 - scenario.loss().effective_contact_failure(1),
             alive_n,
             counts_alive,
             counts_crashed,
@@ -600,11 +600,10 @@ impl BatchedRuntime {
             period,
             messages: 0,
             transitions: Vec::with_capacity(self.plan.edges.len()),
-            start: vec![0; num_states],
             stayed: vec![0; num_states],
             tallies: vec![0; self.plan.edges.len()],
             pending: vec![0; self.plan.conversion_edges.len()],
-            weights: Vec::with_capacity(max_outcomes),
+            weights: vec![0.0; max_outcomes],
             draws: vec![0; max_outcomes],
             pool: vec![0; num_states],
             hits: vec![0; num_states],
@@ -636,8 +635,6 @@ impl BatchedRuntime {
             rngs,
             counts,
             counts_alive,
-            counts_crashed,
-            start,
             stayed,
             tallies,
             pending,
@@ -647,10 +644,11 @@ impl BatchedRuntime {
             messages,
         } = cols;
         let w = rngs.len();
-        start.copy_from_slice(counts_alive);
-        stayed.copy_from_slice(counts_alive);
+        // The alive counts stay the start-of-period counts until the moves
+        // at the end.
+        let start: &[u64] = counts_alive;
+        stayed.copy_from_slice(start);
         tallies.fill(0);
-        pending.fill(0);
         // Expected messages, matching the agent runtime's accounting: a
         // process pays for an action only if it has not already moved on an
         // earlier action this period (including the action that moves it).
@@ -670,8 +668,6 @@ impl BatchedRuntime {
             let bucket_edges = plan.bucket_edges(s);
             let buckets = bucket_edges.len();
             let cells = buckets + 1; // the buckets, then "stay"
-            weights.clear();
-            weights.resize(cells * w, 0.0);
             survive.fill(1.0); // probability of not having moved yet
             for a in actions {
                 let slot = plan.draw_slots[a] as usize;
@@ -732,23 +728,24 @@ impl BatchedRuntime {
                     let cell = &mut weights[r * cells..(r + 1) * cells];
                     cell[buckets] = (1.0 - cell[..buckets].iter().sum::<f64>()).max(0.0);
                     rngs[r].multinomial_into(k_s, cell, &mut draws[..cells]);
+                    // Tally the movers, and leave the cells zero for the
+                    // next state's sums.
                     let mut left = 0;
-                    for (&edge, &moved) in bucket_edges.iter().zip(&*draws) {
+                    for (b, (&edge, &moved)) in bucket_edges.iter().zip(&*draws).enumerate() {
                         tallies[edge as usize * w + r] += moved;
                         left += moved;
+                        cell[b] = 0.0;
                     }
+                    cell[buckets] = 0.0;
                     stayed[row + r] = k_s - left;
                 }
             }
         }
 
         // Conversions land after every self-move draw, then everything moves
-        // along its edge and the totals are refreshed.
+        // along its edge.
         plan.land_conversions(pending, stayed, tallies, w);
-        plan.move_along_edges(tallies, counts_alive, w);
-        for ((count, alive), crashed) in counts.iter_mut().zip(&*counts_alive).zip(counts_crashed) {
-            *count = alive + crashed;
-        }
+        plan.move_along_edges(tallies, counts_alive, counts, w);
         debug_assert!(
             (0..w).all(|r| counts.iter().skip(r).step_by(w).sum::<u64>() as f64 == n_f[r]),
             "a batched period must conserve the population of every column"
@@ -814,11 +811,10 @@ impl BatchedRuntime {
             counts: counts_alive.clone(),
             counts_alive,
             counts_crashed: vec![0; num_states * w],
-            start: vec![0; num_states * w],
             stayed: vec![0; num_states * w],
             tallies: vec![0; self.plan.edges.len() * w],
             pending: vec![0; self.plan.conversion_edges.len() * w],
-            weights: Vec::with_capacity(cells * w),
+            weights: vec![0.0; cells * w],
             draws: vec![0; cells],
             survive: vec![1.0; w],
             messages: vec![0.0; w],
@@ -866,8 +862,6 @@ impl BatchedRuntime {
                 rngs: &mut block.rngs,
                 counts: &mut block.counts,
                 counts_alive: &mut block.counts_alive,
-                counts_crashed: &block.counts_crashed,
-                start: &mut block.start,
                 stayed: &mut block.stayed,
                 tallies: &mut block.tallies,
                 pending: &mut block.pending,
@@ -909,7 +903,6 @@ impl Runtime for BatchedRuntime {
         state.boundary()?;
 
         // 2. The protocol period: the width-1 instance of the column kernel.
-        let contact_ok = 1.0 - state.scenario.loss().effective_contact_failure(1);
         let mut survive = 1.0;
         let mut messages = 0.0;
         self.advance(
@@ -917,8 +910,6 @@ impl Runtime for BatchedRuntime {
                 rngs: std::slice::from_mut(&mut state.rng),
                 counts: &mut state.counts,
                 counts_alive: &mut state.counts_alive,
-                counts_crashed: &state.counts_crashed,
-                start: &mut state.start,
                 stayed: &mut state.stayed,
                 tallies: &mut state.tallies,
                 pending: &mut state.pending,
@@ -928,7 +919,7 @@ impl Runtime for BatchedRuntime {
                 messages: std::slice::from_mut(&mut messages),
             },
             &Shared(state.n_f),
-            contact_ok,
+            state.contact_ok,
         );
         self.plan
             .render_transitions(&state.tallies, 1, &mut state.transitions);
@@ -957,13 +948,6 @@ mod tests {
     use netsim::adversary::{ObliviousSchedule, TargetLargestState};
     use netsim::{FailureEvent, FailureModel};
     use odekit::system::EquationSystemBuilder;
-
-    impl BatchedState {
-        /// The sparse transition tallies of the last executed period.
-        fn last_transitions(&self) -> &[(StateId, StateId, u64)] {
-            &self.transitions
-        }
-    }
 
     #[test]
     fn epidemic_saturates_and_conserves_counts() {
@@ -1098,6 +1082,16 @@ mod tests {
                 ..
             })
         ));
+        // Host 1's hour-0 downtime is in no churn event, but needs identity.
+        let trace = netsim::ChurnTrace::from_availability(vec![vec![true, false, true]; 4]);
+        let churned = Scenario::new(3, 10)
+            .unwrap()
+            .with_churn_trace(&trace.unwrap(), &mut Rng::seed_from(1))
+            .unwrap();
+        assert!(churned.churn_events().is_empty());
+        assert!(runtime
+            .init(&churned, &InitialStates::counts(&[2, 1]))
+            .is_err());
         // Massive failures are fine.
         let massive = Scenario::new(100, 10)
             .unwrap()
@@ -1133,7 +1127,7 @@ mod tests {
         // A 1% infected seed keeps the exponential phase short enough that
         // the agent's within-period cascade (a ~p/2-period head start per
         // period of growth) stays within the comparison tolerance — the same
-        // regime the agent-vs-aggregate property test uses.
+        // regime the agent-vs-batched property test uses.
         let ensemble = Ensemble::of(protocol)
             .scenario(scenario)
             .initial(InitialStates::counts(&[n as u64 - 200, 200]))
@@ -1370,10 +1364,10 @@ mod tests {
             .init(&scenario, &InitialStates::counts(&[1_000_000, 0, 0]))
             .unwrap();
         runtime.step(&mut state).unwrap();
-        assert!((state.weights[0] - 0.181).abs() < 1e-12);
-        assert!((state.weights[1] - 0.09).abs() < 1e-12);
         let moved_to_b = state.counts[1] as f64;
         assert!((moved_to_b - 181_000.0).abs() < 5.0 * (181_000.0f64 * 0.819).sqrt());
+        let moved_to_c = state.counts[2] as f64;
+        assert!((moved_to_c - 90_000.0).abs() < 5.0 * (90_000.0f64 * 0.91).sqrt());
         assert_eq!(state.counts.iter().sum::<u64>(), 1_000_000);
     }
 
@@ -1415,40 +1409,36 @@ mod tests {
     }
 
     #[test]
-    fn merged_buckets_hold_the_per_action_weight_sums() {
-        // Isolate one state's action list at a time, so the weights scratch
-        // still holds that state's buckets after the step.
-        let protocol = plurality_protocol(32);
-        let names: Vec<String> = (0..33)
-            .map(|s| protocol.state_name(StateId::new(s)).to_string())
-            .collect();
+    fn merged_buckets_draw_the_per_action_weight_sums() {
+        // Draw for draw, a period is one multinomial per state over the
+        // oracle's per-action weights summed per destination (in order of
+        // first appearance), then "stay".
+        let runtime = BatchedRuntime::new(plurality_protocol(32));
         let start: Vec<u64> = (0..33).map(|i| 50_000 + 3_000 * i).collect();
         let n: u64 = start.iter().sum();
-        let scenario = Scenario::new(n as usize, 1).unwrap().with_seed(1);
-        for s in 0..33 {
-            let mut only_s = Protocol::new("one-state", names.clone()).unwrap();
-            for action in protocol.actions(StateId::new(s)) {
-                only_s.add_action(StateId::new(s), action.clone()).unwrap();
-            }
-            let runtime = BatchedRuntime::new(only_s);
+        for seed in 0..4 {
+            let scenario = Scenario::new(n as usize, 1).unwrap().with_seed(seed);
             let mut state = runtime
                 .init(&scenario, &InitialStates::counts(&start))
                 .unwrap();
             runtime.step(&mut state).unwrap();
-            let bucket_edges = runtime.plan.bucket_edges(s);
-            assert_eq!(state.weights.len(), bucket_edges.len() + 1);
-            let cells = per_action_weights(&runtime.plan, s, &start);
-            for (&edge, &weight) in bucket_edges.iter().zip(&state.weights) {
-                let dest = runtime.plan.edges[edge as usize].1.index();
-                let summed: f64 = cells
-                    .iter()
-                    .filter(|&&(d, _)| d == dest)
-                    .map(|&(_, w)| w)
-                    .sum();
-                assert!(
-                    (weight - summed).abs() < 1e-12,
-                    "state {s} → {dest}: bucket {weight} vs per-action sum {summed}"
-                );
+            let mut rng = Rng::seed_from(seed);
+            for s in 0..33 {
+                let mut buckets: Vec<(usize, f64)> = Vec::new();
+                for (dest, weight) in per_action_weights(&runtime.plan, s, &start) {
+                    match buckets.iter_mut().find(|(d, _)| *d == dest) {
+                        Some((_, sum)) => *sum += weight,
+                        None => buckets.push((dest, weight)),
+                    }
+                }
+                let mut weights: Vec<f64> = buckets.iter().map(|&(_, w)| w).collect();
+                weights.push((1.0 - weights.iter().sum::<f64>()).max(0.0));
+                let draws = rng.multinomial(start[s], &weights);
+                for (&(dest, _), moved) in buckets.iter().zip(draws) {
+                    let edge = (StateId::new(s), StateId::new(dest));
+                    let tally = (state.transitions.iter()).find(|t| (t.0, t.1) == edge);
+                    assert_eq!(tally.map_or(0, |t| t.2), moved, "seed {seed}: {edge:?}");
+                }
             }
         }
     }
@@ -1474,7 +1464,7 @@ mod tests {
                 .unwrap();
             runtime.step(&mut state).unwrap();
             let mut tallies = vec![0u64; 33 * 33];
-            for &(from, to, moved) in state.last_transitions() {
+            for &(from, to, moved) in &state.transitions {
                 tallies[from.index() * 33 + to.index()] = moved;
             }
             let mut rng = Rng::seed_from(seed ^ 0x5eed_0ac1e);
@@ -1526,9 +1516,7 @@ mod tests {
         assert_eq!(state.counts.iter().sum::<u64>(), 1_000_000);
         assert_eq!(state.counts_alive.iter().sum::<u64>(), 1_000_000);
         // Every receptive left exactly once, along the one edge out.
-        let receptive_out: u64 = state
-            .last_transitions()
-            .iter()
+        let receptive_out: u64 = (state.transitions.iter())
             .filter(|(from, _, _)| from.index() == 0)
             .map(|&(_, _, moved)| moved)
             .sum();

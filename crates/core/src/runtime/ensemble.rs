@@ -40,7 +40,7 @@
 //! # A Figure-11-style convergence sweep in a few lines
 //!
 //! ```
-//! use dpde_core::runtime::{AggregateRuntime, Ensemble, InitialStates};
+//! use dpde_core::runtime::{BatchedRuntime, Ensemble, InitialStates};
 //! use dpde_core::ProtocolCompiler;
 //! use netsim::Scenario;
 //! use odekit::parse::parse_system;
@@ -51,7 +51,7 @@
 //!     .scenario(Scenario::new(10_000, 40)?)
 //!     .initial(InitialStates::counts(&[9_990, 10]))
 //!     .seed_range(0..16)
-//!     .run::<AggregateRuntime>()?;
+//!     .run::<BatchedRuntime>()?;
 //! let infected = ensemble.mean_series("y")?;
 //! assert!(infected.last().unwrap() > &9_900.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -572,7 +572,7 @@ impl EnsembleResult {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AgentRuntime, AggregateRuntime};
+    use super::super::AgentRuntime;
     use super::*;
     use crate::fixtures::epidemic_protocol;
 
@@ -1059,9 +1059,9 @@ mod tests {
                 .seed_range(10..18)
         };
         let agent = build().run::<AgentRuntime>().unwrap();
-        let aggregate = build().run::<AggregateRuntime>().unwrap();
+        let batched = build().run::<BatchedRuntime>().unwrap();
         let a = agent.mean_series("y").unwrap();
-        let b = aggregate.mean_series("y").unwrap();
+        let b = batched.mean_series("y").unwrap();
         // Both saturate to (almost) everyone infected.
         assert!(a.last().unwrap() > &4_900.0);
         assert!(b.last().unwrap() > &4_900.0);

@@ -69,6 +69,9 @@ pub(crate) struct Environment {
     adversary: Option<(Box<dyn AdversaryState>, Rng)>,
     /// The injections applied at the most recent boundary.
     log: Vec<InjectionRecord>,
+    /// No boundary of the run has anything to apply (`false` is always
+    /// safe: `calm` then checks the period).
+    quiet: bool,
 }
 
 /// `⌊fraction · population⌋`: how many processes a fractional strike hits.
@@ -106,9 +109,12 @@ impl Environment {
         churn.sort_by_key(|event| event.period);
         let adversary = (scenario.adversary())
             .map(|handle| (handle.fork(), Rng::seed_from(seed ^ ADVERSARY_STREAM)));
+        let model = *scenario.failure_model();
         Environment {
+            quiet: (schedule.is_empty() && churn.is_empty() && adversary.is_none())
+                && model == FailureModel::none(),
             schedule,
-            model: *scenario.failure_model(),
+            model,
             churn,
             rejoin: config.rejoin_state,
             adversary,
@@ -136,10 +142,11 @@ impl Environment {
     /// Whether the boundary of `period` has nothing to apply.
     #[inline(always)]
     pub(crate) fn calm(&self, period: u64) -> bool {
-        self.adversary.is_none()
-            && self.model == FailureModel::none()
-            && due(&self.schedule, period, |&(at, _)| at).is_empty()
-            && due(&self.churn, period, |event| event.period).is_empty()
+        self.quiet
+            || self.adversary.is_none()
+                && self.model == FailureModel::none()
+                && due(&self.schedule, period, |&(at, _)| at).is_empty()
+                && due(&self.churn, period, |event| event.period).is_empty()
     }
 
     /// Applies the boundary of `period` to `population`. A calm period costs

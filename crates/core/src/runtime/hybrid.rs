@@ -12,46 +12,40 @@ use crate::Result;
 use netsim::Scenario;
 
 /// Per-state alive-count threshold below which the hybrid runtime runs at
-/// membership fidelity.
-///
-/// Tied to [`netsim::stochastic::NORMAL_APPROX_CUTOFF`]: above this count the
-/// batched runtime's binomial/normal machinery operates in its
-/// large-population regime (the N→∞ limit in which mean-field batching is
-/// exact up to O(1/N) corrections), below it small-count effects — extinction,
-/// tie-breaking, takeover — need per-process trials.
+/// membership fidelity: [`netsim::stochastic::NORMAL_APPROX_CUTOFF`], not a
+/// sampler limit (see [`HybridRuntime`], "Why").
 pub const SMALL_COUNT_THRESHOLD: u64 = netsim::stochastic::NORMAL_APPROX_CUTOFF as u64;
 
 /// Executes a protocol at the fastest fidelity that is trustworthy for the
 /// *current* population: periods advance on the count-batched
 /// [`BatchedRuntime`] while every per-state alive count is at or above
 /// [`SMALL_COUNT_THRESHOLD`] (= 30, the normal-approximation cutoff of
-/// `netsim`'s samplers), and hand off
-/// losslessly to the per-process [`AgentRuntime`] whenever any count falls
-/// below it — switching back once every count recovers.
+/// `netsim`'s samplers), and hand their exact counts to the per-process
+/// [`AgentRuntime`] whenever any count falls below it — switching back once
+/// every count recovers.
 ///
 /// # Why
 ///
-/// The batched runtime's binomial/normal draws are mean-field machinery:
-/// they are only trustworthy while per-state counts are large — exactly the
-/// N→∞ regime in which population-protocol dynamics converge to their ODE
-/// limit. The phenomena that make small counts interesting (LV majority
-/// tie-breaking, post-massive-failure recovery, endemic extinction) live
-/// where some state's count is *small*, so a run that starts or ends in the
-/// small-count regime previously had to pay per-process cost for its whole
-/// horizon. The hybrid runtime pays it only for the periods that need it.
+/// Below the normal-approximation cutoff every binomial, hypergeometric and
+/// Poisson draw of the batched runtime walks its exact inverse CDF; what
+/// differs at small counts is the update: the batched runtime reads
+/// start-of-period counts, the agent runtime sweeps its processes in id
+/// order within a period. The phenomena that make small counts interesting
+/// (LV majority tie-breaking, post-massive-failure recovery, endemic
+/// extinction) live where some state's count is *small*, where per-process
+/// execution is also cheap; the hybrid runtime pays for it only in the
+/// periods that need it.
 ///
-/// # The handoff is lossless (exchangeability)
+/// # The handoff keeps the counts exactly (exchangeability)
 ///
 /// * **counts → membership.** Every count-level-compatible environment and
 ///   every compiled protocol treats processes exchangeably, so conditioned
 ///   on the per-state (alive, crashed) counts, the process-level
 ///   configuration is uniform over all assignments realizing those counts.
 ///   The handoff draws one such assignment uniformly at random (a joint
-///   shuffle of the `(state, crashed)` labels over ids), which is a
-///   refinement, not an approximation: the joint law of every count-level
-///   observable — and hence of the rest of the run — is exactly the law the
-///   batched runtime would have continued under, now computed at per-process
-///   fidelity.
+///   shuffle of the `(state, crashed)` labels over ids) holding exactly the
+///   handed-off counts. The periods after it run under the agent runtime's
+///   id-order sweep, not the batched runtime's synchronous law.
 /// * **membership → counts.** The reverse direction is a projection: the
 ///   batched state *is* the per-state count vector, which the agent state
 ///   maintains incrementally anyway. Nothing is sampled; determinism per

@@ -11,7 +11,7 @@
 //!   in state order with their firing probabilities, hazards and message
 //!   bills, and the sorted `(from, to)` edge table every tier tallies its
 //!   moves on — so all of them read one transition structure and report
-//!   transitions in one order. Eight runtimes are provided.
+//!   transitions in one order. Seven runtimes are provided.
 //!   [`AgentRuntime`] keeps one state per process (failures, churn, host
 //!   identity), [`BatchedRuntime`] advances whole state-count vectors with
 //!   binomial/multinomial draws — O(actions) arithmetic plus one draw per
@@ -20,13 +20,12 @@
 //!   `states × W` column blocks (one PRNG per column, column loop
 //!   innermost), so a single run is the `W = 1` case, an [`Ensemble`]
 //!   advances 64 seeds per sweep, each bit-for-bit the run of its seed,
-//!   and a [`ShardedRuntime`] advances its S shards as one block —
+//!   and a [`ShardedRuntime`] advances its S shards as one block.
 //!   [`HybridRuntime`] batches while every per-state count is large and
-//!   hands off losslessly to per-process execution when any count runs
-//!   small (extinction, tie-breaking, post-failure recovery), and
-//!   [`AggregateRuntime`] is the scenario-free mean-field sampler for
-//!   failure-free sweeps. [`AsyncRuntime`] turns every contact into a
-//!   queued message over a virtual-time transport. Two continuous-time
+//!   hands the exact counts to per-process execution when any count runs
+//!   small (extinction, tie-breaking, post-failure recovery).
+//!   [`AsyncRuntime`] turns every contact into a queued message over a
+//!   virtual-time transport. Two continuous-time
 //!   fidelities complement them: [`SsaRuntime`] executes every reaction
 //!   individually at exponentially distributed virtual times (exact
 //!   Gillespie sampling), and [`TauLeapRuntime`] advances the same event
@@ -56,7 +55,6 @@
 //!   one crate-private table: every `init` checks it, the decision reads it.
 
 mod agent;
-mod aggregate;
 mod async_runtime;
 mod batched;
 mod ensemble;
@@ -70,7 +68,6 @@ mod ssa;
 mod tau_leap;
 
 pub use agent::{AgentRuntime, AgentState, MembershipView};
-pub use aggregate::{AggregateRuntime, AggregateState};
 pub use async_runtime::{AsyncRuntime, AsyncState};
 pub use batched::{BatchedRuntime, BatchedState};
 pub use ensemble::{Ensemble, EnsembleResult, SeedFailure};
@@ -84,6 +81,12 @@ pub use sharded::{ShardedRuntime, ShardedState};
 pub use simulation::{RunDeadline, Simulation};
 pub use ssa::{SsaRuntime, SsaState};
 pub use tau_leap::{TauLeapRuntime, TauLeapState, DEFAULT_TAU_EPSILON};
+
+/// [`BatchedRuntime`] under the name of the retired aggregate tier, whose
+/// kernel copied its period arithmetic. It exists only because
+/// `benchmark/src/layers.rs` names it for the row `core.aggregate.step_ns.s3`;
+/// the next `benchmark` change removes the row and this alias together.
+pub type AggregateRuntime = BatchedRuntime;
 
 use crate::error::CoreError;
 use crate::state_machine::{Protocol, StateId};
@@ -188,9 +191,9 @@ pub trait Runtime: Sized + Send + Sync + 'static {
 ///   regardless of population sizes;
 /// * otherwise (the default [`ErrorBudget::Fast`]), if any resolved initial
 ///   per-state count is below
-///   [`SMALL_COUNT_THRESHOLD`] the run starts in the small-count regime
-///   where mean-field batching is untrustworthy, so the
-///   [`FidelityTier::Hybrid`] tier serves it (count-batched whenever
+///   [`SMALL_COUNT_THRESHOLD`] the run starts in the small-count regime,
+///   where the agent runtime's per-process semantics are the reference, so
+///   the [`FidelityTier::Hybrid`] tier serves it (count-batched whenever
 ///   populations allow, per-process when they don't — and, once selected,
 ///   the hybrid runtime also covers late-run small-count regimes);
 /// * otherwise [`FidelityTier::Batched`]. The selection is static: a run
@@ -377,14 +380,11 @@ pub(crate) const SHARDED: Serves = Serves("sharded", Needs::SHARDING.or(ENV));
 pub(crate) const ASYNC: Serves = Serves("async", Needs::LINK_MODELS.or(PER_PROCESS));
 pub(crate) const SSA: Serves = Serves("SSA", ENV);
 pub(crate) const TAU_LEAP: Serves = Serves("tau-leap", ENV);
-pub(crate) const AGGREGATE: Serves = Serves("aggregate", Needs::NONE);
 
 /// How the initial protocol states are assigned to processes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InitialStates {
-    /// Explicit number of processes per state; must sum to the number of
-    /// processes the run starts with, which is the group size (its alive
-    /// part under [`AggregateRuntime::with_alive_fraction`]).
+    /// Explicit number of processes per state; must sum to the group size.
     Counts(Vec<u64>),
     /// Fractions per state (must sum to ~1); converted to counts by largest-
     /// remainder rounding.

@@ -49,10 +49,9 @@ pub struct PeriodEvents<'a> {
     /// Number of alive processes at this snapshot.
     pub alive: u64,
     /// Per-state counts restricted to alive processes, for runtimes that
-    /// track them incrementally (the batched runtime; the agent runtime
-    /// computes them through [`membership`](Self::membership) instead, and
-    /// the aggregate runtime's [`counts`](Self::counts) are alive-only
-    /// already).
+    /// track them incrementally (the batched runtime and the tiers built on
+    /// it; the agent runtime computes them through
+    /// [`membership`](Self::membership) instead).
     pub counts_alive: Option<&'a [u64]>,
     /// Per-process membership access (agent runtime only; `None` for
     /// count-level runtimes, whose `counts` contain alive processes only).
@@ -249,7 +248,7 @@ impl Observer for TransitionRecorder {
 /// Records `(period, alive members of a state)` snapshots into
 /// [`RunResult::tracked_members`] — the paper's untraceability /
 /// load-balancing data (Figure 8). Requires a runtime with host identity
-/// (silently records nothing under the aggregate runtime).
+/// (silently records nothing under a count-level runtime).
 #[derive(Debug)]
 pub struct MembershipTracker {
     state: StateId,

@@ -467,20 +467,21 @@ impl ProtocolPlan {
     /// `drawn`, on `W` columns: in the order they were drawn, each takes
     /// members of its target state that did not move themselves (`stayed`,
     /// `states × W`) and is tallied on its edge (`tallies`, `edges × W`), so
-    /// a process leaves its state at most once per period.
+    /// a process leaves its state at most once per period. Leaves `drawn`
+    /// zero for the next period's draws.
     pub(super) fn land_conversions(
         &self,
-        drawn: &[u64],
+        drawn: &mut [u64],
         stayed: &mut [u64],
         tallies: &mut [u64],
         w: usize,
     ) {
-        for (&edge, drawn) in self.conversion_edges.iter().zip(drawn.chunks_exact(w)) {
+        for (&edge, drawn) in self.conversion_edges.iter().zip(drawn.chunks_exact_mut(w)) {
             let target = self.edges[edge as usize].0.index();
             let left = &mut stayed[target * w..(target + 1) * w];
             let tally = &mut tallies[edge as usize * w..(edge as usize + 1) * w];
-            for ((&drawn, left), tally) in drawn.iter().zip(left).zip(tally) {
-                let converted = drawn.min(*left);
+            for ((drawn, left), tally) in drawn.iter_mut().zip(left).zip(tally) {
+                let converted = std::mem::take(drawn).min(*left);
                 *left -= converted;
                 *tally += converted;
             }
@@ -488,14 +489,25 @@ impl ProtocolPlan {
     }
 
     /// Moves a period's tallies (`edges × W`) along their edges in the
-    /// `states × W` count matrix. A state's outflow never exceeds its
-    /// start-of-period population, so the unsigned updates cannot underflow
-    /// in any order.
-    pub(super) fn move_along_edges(&self, tallies: &[u64], counts: &mut [u64], w: usize) {
+    /// `states × W` alive and total count matrices (only alive processes
+    /// move, so the totals stay alive + crashed). A state's outflow never
+    /// exceeds its start-of-period population, so the unsigned updates
+    /// cannot underflow in any order.
+    #[inline(always)]
+    pub(super) fn move_along_edges(
+        &self,
+        tallies: &[u64],
+        alive: &mut [u64],
+        counts: &mut [u64],
+        w: usize,
+    ) {
         for (&(from, to), moved) in self.edges.iter().zip(tallies.chunks_exact(w)) {
             for (r, &moved) in moved.iter().enumerate() {
-                counts[from.index() * w + r] -= moved;
-                counts[to.index() * w + r] += moved;
+                let (from, to) = (from.index() * w + r, to.index() * w + r);
+                alive[from] -= moved;
+                alive[to] += moved;
+                counts[from] -= moved;
+                counts[to] += moved;
             }
         }
     }
@@ -527,7 +539,7 @@ mod tests {
         epidemic_protocol, figure1_protocol, plurality_protocol, token_protocol,
     };
     use crate::runtime::{
-        AgentRuntime, AggregateRuntime, AsyncRuntime, InitialStates, Runtime, SsaRuntime,
+        AgentRuntime, AsyncRuntime, BatchedRuntime, InitialStates, Runtime, SsaRuntime,
         TauLeapRuntime,
     };
     use netsim::Scenario;
@@ -733,7 +745,7 @@ mod tests {
             let moved = [
                 moves_along_plan_edges(&AgentRuntime::new(protocol.clone()), &plan, n),
                 moves_along_plan_edges(&AsyncRuntime::new(protocol.clone()), &plan, n),
-                moves_along_plan_edges(&AggregateRuntime::new(protocol.clone()), &plan, n),
+                moves_along_plan_edges(&BatchedRuntime::new(protocol.clone()), &plan, n),
                 moves_along_plan_edges(&SsaRuntime::new(protocol.clone()), &plan, n),
                 moves_along_plan_edges(&TauLeapRuntime::new(protocol.clone()), &plan, n),
             ];

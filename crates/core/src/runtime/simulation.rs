@@ -456,7 +456,7 @@ pub(crate) fn drive<R: Runtime>(
 #[cfg(test)]
 mod tests {
     use super::super::{
-        AgentRuntime, AggregateRuntime, CountsRecorder, PeriodEvents, TransitionRecorder,
+        AgentRuntime, BatchedRuntime, CountsRecorder, PeriodEvents, RunConfig, TransitionRecorder,
     };
     use super::*;
     use crate::fixtures::epidemic_protocol;
@@ -503,20 +503,21 @@ mod tests {
             err,
             CoreError::InvalidConfig { name: "config", .. }
         ));
-        // Without builder config, run_on drives the pre-built runtime.
-        let runtime = AggregateRuntime::new(protocol.clone())
-            .with_alive_fraction(0.5)
-            .unwrap();
+        // Without builder config, run_on drives the pre-built runtime: with
+        // nobody infective, only its rejoin state can put anyone in y.
+        let runtime = BatchedRuntime::build(protocol.clone(), &RunConfig::rejoining_to(y));
+        let scenario = Scenario::new(1_000, 5)
+            .unwrap()
+            .with_failure_model(netsim::FailureModel::new(0.2, 1.0).unwrap());
         let result = Simulation::of(protocol)
-            .scenario(Scenario::new(1_000, 5).unwrap())
-            .initial(InitialStates::counts(&[499, 1]))
+            .scenario(scenario)
+            .initial(InitialStates::counts(&[1_000, 0]))
             .observe(CountsRecorder::new())
             .run_on(&runtime)
             .unwrap();
-        assert_eq!(
-            result.final_counts().unwrap().iter().sum::<f64>(),
-            500.0,
-            "alive fraction applied"
+        assert!(
+            result.final_counts().unwrap()[1] > 0.0,
+            "rejoin state applied"
         );
     }
 
@@ -559,9 +560,9 @@ mod tests {
                 .observe(CountsRecorder::new())
         };
         let agent = build().run::<AgentRuntime>().unwrap();
-        let aggregate = build().run::<AggregateRuntime>().unwrap();
+        let batched = build().run::<BatchedRuntime>().unwrap();
         let a = agent.final_counts().unwrap()[1];
-        let b = aggregate.final_counts().unwrap()[1];
+        let b = batched.final_counts().unwrap()[1];
         assert!(a > 19_000.0 && b > 19_000.0, "both saturate: {a} vs {b}");
     }
 

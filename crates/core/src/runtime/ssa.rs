@@ -124,15 +124,6 @@ pub struct SsaState {
 /// and tallies its plan edges.
 pub(super) type Window = BatchedState;
 
-/// The constants of one period's event clock.
-pub(super) struct Clock {
-    /// The density denominator (population size) contacts sample from.
-    n: f64,
-    /// The per-contact success rate (`1 − LossConfig::effective_contact_failure(1)`).
-    contact_ok: f64,
-    pub(super) period_secs: f64,
-}
-
 // The per-period helpers are forced inline: a period without events costs a
 // few tens of nanoseconds, so a call boundary around each would show.
 impl Window {
@@ -142,24 +133,19 @@ impl Window {
     /// reuse the synchronized tiers' expected-message accounting at these
     /// start-of-period counts.
     #[inline(always)]
-    pub(super) fn open(&mut self, batched: &BatchedRuntime) -> Result<Clock> {
+    pub(super) fn open(&mut self, batched: &BatchedRuntime) -> Result<()> {
         self.tallies.fill(0);
         self.boundary()?;
-        let clock = Clock {
-            n: self.n_f,
-            contact_ok: 1.0 - self.scenario.loss().effective_contact_failure(1),
-            period_secs: netsim::PERIOD_SECS,
-        };
         let messages =
-            (batched.plan()).expected_messages(&self.counts_alive, clock.n, clock.contact_ok);
+            (batched.plan()).expected_messages(&self.counts_alive, self.n_f, self.contact_ok);
         self.messages = messages.round() as u64;
-        Ok(clock)
+        Ok(())
     }
 
     /// Fills `out` with every channel's propensity (events per second of
     /// virtual time) against the alive counts, and returns their sum.
     #[inline(always)]
-    pub(super) fn propensities(&self, plan: &ProtocolPlan, clock: &Clock, out: &mut [f64]) -> f64 {
+    pub(super) fn propensities(&self, plan: &ProtocolPlan, out: &mut [f64]) -> f64 {
         let x = &self.counts_alive;
         let mut total = 0.0;
         for ((c, m), out) in plan.moves.iter().enumerate().zip(out) {
@@ -167,7 +153,7 @@ impl Window {
             *out = if k == 0.0 {
                 0.0
             } else {
-                plan.hazard_rate(c, k, x, clock.n, clock.contact_ok) / clock.period_secs
+                plan.hazard_rate(c, k, x, self.n_f, self.contact_ok) / netsim::PERIOD_SECS
             };
             total += *out;
         }
@@ -196,8 +182,8 @@ impl Window {
         }
         self.alive_n = self.counts_alive.iter().sum();
         debug_assert_eq!(
-            self.counts.iter().sum::<u64>(),
-            self.scenario.group_size() as u64,
+            self.counts.iter().sum::<u64>() as f64,
+            self.n_f,
             "a continuous-time period must conserve the population"
         );
         self.period += 1;
@@ -245,13 +231,13 @@ impl Runtime for SsaRuntime {
 
     fn step<'s>(&self, state: &'s mut SsaState) -> Result<PeriodEvents<'s>> {
         let plan = self.batched.plan();
-        let clock = state.window.open(&self.batched)?;
-        let period_secs = clock.period_secs;
+        state.window.open(&self.batched)?;
+        let period_secs = netsim::PERIOD_SECS;
 
         // The event clock, from this boundary to the next.
         let mut t = 0.0f64;
         loop {
-            let total = (state.window).propensities(plan, &clock, &mut state.propensities);
+            let total = (state.window).propensities(plan, &mut state.propensities);
             if total <= 0.0 {
                 // Absorbing configuration: no internal time accrues.
                 break;

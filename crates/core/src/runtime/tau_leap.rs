@@ -35,7 +35,7 @@
 //! [`RunConfig::tau_epsilon`].
 
 use super::batched::BatchedRuntime;
-use super::ssa::{Clock, Window};
+use super::ssa::Window;
 use super::{InitialStates, PeriodEvents, RunConfig, Runtime, SMALL_COUNT_THRESHOLD};
 use crate::state_machine::Protocol;
 use crate::Result;
@@ -128,9 +128,9 @@ impl TauLeapRuntime {
     /// virtual time `t`, returning the new time (capped at the period
     /// boundary). Propensities in `state.propensities` are current on entry
     /// and are refreshed after every applied event.
-    fn exact_burst(&self, state: &mut TauLeapState, mut t: f64, clock: &Clock) -> f64 {
+    fn exact_burst(&self, state: &mut TauLeapState, mut t: f64) -> f64 {
         let plan = self.batched.plan();
-        let period_secs = clock.period_secs;
+        let period_secs = netsim::PERIOD_SECS;
         for _ in 0..EXACT_BURST_STEPS {
             let total: f64 = state.propensities.iter().sum();
             if total <= 0.0 {
@@ -156,7 +156,7 @@ impl TauLeapRuntime {
             }
             state.window.fire(plan, winner, 1);
             state.exact_steps += 1;
-            (state.window).propensities(plan, clock, &mut state.propensities);
+            (state.window).propensities(plan, &mut state.propensities);
         }
         t
     }
@@ -201,13 +201,13 @@ impl Runtime for TauLeapRuntime {
 
     fn step<'s>(&self, state: &'s mut TauLeapState) -> Result<PeriodEvents<'s>> {
         let plan = self.batched.plan();
-        let clock = state.window.open(&self.batched)?;
-        let period_secs = clock.period_secs;
+        state.window.open(&self.batched)?;
+        let period_secs = netsim::PERIOD_SECS;
 
         // Leap from this boundary to the next.
         let mut t = 0.0f64;
         while t < period_secs {
-            let total = (state.window).propensities(plan, &clock, &mut state.propensities);
+            let total = (state.window).propensities(plan, &mut state.propensities);
             if total <= 0.0 {
                 break;
             }
@@ -218,7 +218,7 @@ impl Runtime for TauLeapRuntime {
             let small = (state.propensities.iter().enumerate())
                 .any(|(c, &a)| a > 0.0 && x[plan.edge(c).0] < SMALL_COUNT_THRESHOLD);
             if small {
-                t = self.exact_burst(state, t, &clock);
+                t = self.exact_burst(state, t);
                 continue;
             }
 
@@ -250,7 +250,7 @@ impl Runtime for TauLeapRuntime {
             // Unprofitable leap: a handful of exact events is cheaper and
             // exact.
             if tau * total < MIN_EVENTS_PER_LEAP && tau < period_secs - t {
-                t = self.exact_burst(state, t, &clock);
+                t = self.exact_burst(state, t);
                 continue;
             }
 

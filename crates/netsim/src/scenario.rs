@@ -345,9 +345,6 @@ impl Scenario {
     /// emits. Adversary *decisions* draw from a dedicated PRNG stream
     /// derived from the scenario seed, so attaching a strategy that ends up
     /// injecting nothing leaves the run bit-for-bit unchanged.
-    ///
-    /// The aggregate (mean-field) runtime rejects scenarios carrying an
-    /// adversary, exactly as it rejects every other failure mechanism.
     #[must_use]
     pub fn with_adversary(mut self, adversary: impl Adversary + 'static) -> Self {
         self.adversary = Some(AdversaryHandle::new(adversary));

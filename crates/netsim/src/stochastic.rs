@@ -1,6 +1,6 @@
 //! Distribution sampling for the count-level protocol runtimes.
 //!
-//! The batched and aggregate runtimes in `dpde-core` advance a protocol by
+//! The count-level runtimes in `dpde-core` advance a protocol by
 //! sampling *how many* of the processes in a state take a transition each
 //! period, which requires binomial, multinomial and hypergeometric draws.
 //! `rand_distr` is not part of the offline dependency set, so the samplers

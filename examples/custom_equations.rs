@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. Run the protocol over the lossy network and compare against the
-    //    ODE. The aggregate runtime picks the loss model up from the
+    //    ODE. The batched runtime picks the loss model up from the
     //    scenario; the count-level fidelity makes the 2000-period run cheap.
     let n = 20_000u64;
     let result = Simulation::of(protocol)
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .initial(InitialStates::fractions(&[0.05, 0.0, 0.95]))
         .observe(CountsRecorder::new())
-        .run::<AggregateRuntime>()?;
+        .run::<BatchedRuntime>()?;
     let report = compare_to_system(&result.as_ode_trajectory(n as f64), &completed, 0.05)?;
     println!(
         "\nprotocol vs ODE over 2000 periods: max deviation {:.4}, mean {:.4}",

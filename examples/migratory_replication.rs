@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .scenario(Scenario::new(n, periods)?.with_seed(7))
         .initial(InitialStates::counts(&counts))
         .observe(CountsRecorder::new())
-        .run::<AggregateRuntime>()?;
+        .run::<BatchedRuntime>()?;
     println!(
         "\naggregate-fidelity cross-check (no failures): final stasher count {:.0}",
         fast.state_series(STASH)?.last().unwrap()

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run the protocol on 10 000 simulated processes, one initial
     //    infective. The Simulation builder records only what we observe;
-    //    swapping `AgentRuntime` for `BatchedRuntime` or `AggregateRuntime`
-    //    replays the same experiment at count-level fidelity.
+    //    swapping `AgentRuntime` for `BatchedRuntime` replays the same
+    //    experiment at count-level fidelity.
     let n = 10_000usize;
     let result = Simulation::of(protocol.clone())
         .scenario(Scenario::new(n, 40)?.with_seed(42))

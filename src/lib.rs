@@ -13,7 +13,7 @@
 //! * [`core`] — the ODE→protocol compiler (Flipping, One-Time-Sampling,
 //!   Tokenizing), the compiled state machines, the
 //!   [`Runtime`](dpde_core::runtime::Runtime) trait with its agent / batched /
-//!   hybrid / aggregate / sharded / async / SSA / tau-leap implementations,
+//!   hybrid / sharded / async / SSA / tau-leap implementations,
 //!   the [`ErrorBudget`](dpde_core::runtime::ErrorBudget) tier policy,
 //!   composable observers, and the
 //!   [`Simulation`](dpde_core::runtime::Simulation) /
@@ -89,9 +89,9 @@ pub use odekit;
 pub mod prelude {
     pub use dpde_core::equivalence::{compare_to_system, compare_trajectories};
     pub use dpde_core::runtime::{
-        AgentRuntime, AggregateRuntime, AliveTracker, AsyncRuntime, BatchedRuntime, CountsRecorder,
-        Ensemble, EnsembleResult, ErrorBudget, FidelityTier, HybridRuntime, InitialStates,
-        LiveMetrics, LiveMetricsHandle, MembershipTracker, MessageCounter, Observer, PeriodEvents,
+        AgentRuntime, AliveTracker, AsyncRuntime, BatchedRuntime, CountsRecorder, Ensemble,
+        EnsembleResult, ErrorBudget, FidelityTier, HybridRuntime, InitialStates, LiveMetrics,
+        LiveMetricsHandle, MembershipTracker, MessageCounter, Observer, PeriodEvents,
         ResilienceReport, RunConfig, RunDeadline, RunResult, RunStatus, Runtime, SeedFailure,
         ShardCountsRecorder, ShardedRuntime, Simulation, SsaRuntime, TauLeapRuntime,
         TransitionRecorder, TransportProbe, DEFAULT_TAU_EPSILON,

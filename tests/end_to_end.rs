@@ -57,8 +57,8 @@ fn simulation_and_ensemble_drivers_work_across_fidelities() {
             .observe(CountsRecorder::new())
     };
     let agent = spec(protocol.clone()).run::<AgentRuntime>().unwrap();
-    let aggregate = spec(protocol.clone()).run::<AggregateRuntime>().unwrap();
-    for run in [&agent, &aggregate] {
+    let batched = spec(protocol.clone()).run::<BatchedRuntime>().unwrap();
+    for run in [&agent, &batched] {
         assert!(run.final_counts().unwrap()[1] > 0.99 * n as f64);
         // Opt-in recording: only counts were requested.
         assert!(run.metrics.series_names().is_empty());
@@ -273,6 +273,37 @@ fn endemic_equilibrium_keeps_hybrid_at_count_level() {
     assert_eq!(state.handoffs(), (0, 0));
 }
 
+/// The compiled endemic protocol started at its equilibrium (β = 2,
+/// γ = 0.1, α = 0.01, far from extinction): the late-window mean receptive
+/// count of the per-process and the count-level tier agree within sampling
+/// noise, both estimating the same ODE trajectory.
+#[test]
+fn endemic_equilibrium_agrees_between_agent_and_batched() {
+    let params = EndemicParams::new(2.0, 0.1, 0.01).unwrap();
+    let protocol = ProtocolCompiler::new("endemic")
+        .compile(&params.equations())
+        .unwrap();
+    let n = 10_000;
+    let scenario = Scenario::new(n, 800).unwrap().with_seed(42);
+    let initial = InitialStates::counts(&params.equilibrium_counts(n as u64));
+    let late_mean = |run: RunResult| {
+        let receptive = run.state_series("receptive").unwrap();
+        receptive[400..].iter().sum::<f64>() / (receptive.len() - 400) as f64
+    };
+    let agent = late_mean(
+        AgentRuntime::new(protocol.clone())
+            .run(&scenario, &initial)
+            .unwrap(),
+    );
+    let batched = late_mean(
+        BatchedRuntime::new(protocol)
+            .run(&scenario, &initial)
+            .unwrap(),
+    );
+    let rel = (batched - agent).abs() / agent.max(1.0);
+    assert!(rel < 0.2, "batched {batched} vs agent {agent}");
+}
+
 /// Churn from a synthetic Overnet-like trace (Figures 9 & 10 in miniature):
 /// the stasher population and flux stay stable under 10–25 % hourly churn.
 #[test]
@@ -337,10 +368,13 @@ fn failure_compensation_restores_equilibrium_under_losses() {
         .compile(&sys)
         .unwrap();
 
+    let scenario = Scenario::new(n as usize, 3_000)
+        .unwrap()
+        .with_seed(31)
+        .with_loss(loss);
     let run = |protocol| {
-        AggregateRuntime::new(protocol)
-            .with_loss(loss)
-            .run(n, 3_000, &initial, 31)
+        BatchedRuntime::new(protocol)
+            .run(&scenario, &initial)
             .unwrap()
     };
     let naive_run = run(naive);
@@ -388,8 +422,9 @@ fn tokenizing_protocol_tracks_equations() {
     // remains — exactly the divergence Section 6's "Limitations of Tokenizing"
     // warns about). 80 periods × p = 4 ODE time units keeps z well above 0.
     let n = 100_000u64;
-    let run = AggregateRuntime::new(protocol)
-        .run(n, 80, &InitialStates::fractions(&[0.3, 0.3, 0.4]), 13)
+    let scenario = Scenario::new(n as usize, 80).unwrap().with_seed(13);
+    let run = BatchedRuntime::new(protocol)
+        .run(&scenario, &InitialStates::fractions(&[0.3, 0.3, 0.4]))
         .unwrap();
     // z drains into x while y stays put.
     let last = run.final_counts().expect("counts recorded");
