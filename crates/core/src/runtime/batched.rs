@@ -163,6 +163,11 @@ pub struct BatchedState {
     pub(super) env: Environment,
     /// Per edge slot: processes that crossed the edge this period.
     pub(super) tallies: Vec<u64>,
+    /// Per state: its fraction of the group, `counts_alive[s] / n_f` — the
+    /// row every propensity reads. The count kernel fills it at the top of
+    /// each period; the continuous-time tiers keep it current between
+    /// events.
+    pub(super) frac: Vec<f64>,
     // Scratch buffers reused every period.
     /// Per state: the start-of-period members that have not left it yet this
     /// period — what a push/token conversion can still take.
@@ -188,6 +193,9 @@ struct Columns<'a> {
     rngs: &'a mut [Rng],
     counts: &'a mut [u64],
     counts_alive: &'a mut [u64],
+    /// `states × W`: the start-of-period alive counts over their column's
+    /// density denominator, refilled by every period.
+    frac: &'a mut [f64],
     stayed: &'a mut [u64],
     tallies: &'a mut [u64],
     /// `conversions × W`: what every push/token action drew this period;
@@ -404,6 +412,7 @@ pub(super) struct ColumnBlock {
     counts: Vec<u64>,
     counts_alive: Vec<u64>,
     counts_crashed: Vec<u64>,
+    frac: Vec<f64>,
     stayed: Vec<u64>,
     /// The row-major `edges × width` matrix of the last period's transition
     /// tallies, one row per edge of the runtime's plan.
@@ -600,6 +609,7 @@ impl BatchedRuntime {
             period,
             messages: 0,
             transitions: Vec::with_capacity(self.plan.edges.len()),
+            frac: vec![0.0; num_states],
             stayed: vec![0; num_states],
             tallies: vec![0; self.plan.edges.len()],
             pending: vec![0; self.plan.conversion_edges.len()],
@@ -625,7 +635,12 @@ impl BatchedRuntime {
     /// consume it. A column with nobody in the state draws nothing.
     ///
     /// `n_f[r]` is column `r`'s density denominator: [`Shared`] for columns
-    /// of one population size, a per-column slice for shards.
+    /// of one population size, a per-column slice for shards. The period
+    /// opens by dividing every start-of-period alive count by it, once per
+    /// state and column, into the fraction row `frac[s · W + r]`; every
+    /// firing probability and push rate of the period reads that row, not
+    /// the counts (see [`ProtocolPlan::fire_probability`] for why the
+    /// result is bit for bit what a division per action gave).
     #[inline(always)]
     fn advance<D>(&self, cols: Columns<'_>, n_f: &D, contact_ok: f64)
     where
@@ -635,6 +650,7 @@ impl BatchedRuntime {
             rngs,
             counts,
             counts_alive,
+            frac,
             stayed,
             tallies,
             pending,
@@ -647,6 +663,15 @@ impl BatchedRuntime {
         // The alive counts stay the start-of-period counts until the moves
         // at the end.
         let start: &[u64] = counts_alive;
+        let plan = &self.plan;
+        // The fraction row every propensity of the period reads: one
+        // division per state and column.
+        for s in 0..plan.num_states() {
+            for r in 0..w {
+                frac[s * w + r] = start[s * w + r] as f64 / n_f[r];
+            }
+        }
+        let frac: &[f64] = frac;
         stayed.copy_from_slice(start);
         tallies.fill(0);
         // Expected messages, matching the agent runtime's accounting: a
@@ -654,7 +679,6 @@ impl BatchedRuntime {
         // earlier action this period (including the action that moves it).
         messages.fill(0.0);
 
-        let plan = &self.plan;
         for s in 0..plan.num_states() {
             let actions = plan.range(s);
             let row = s * w;
@@ -678,8 +702,7 @@ impl BatchedRuntime {
                         continue;
                     }
                     messages[r] += k_s as f64 * survive[r] * cost;
-                    let count = |s: usize| start[s * w + r];
-                    let fire = plan.fire_probability(a, count, n_f[r], contact_ok);
+                    let fire = plan.fire_probability(a, |s| frac[s * w + r], contact_ok);
                     // Push/token actions convert members of another state:
                     // a binomial tally over `trials` independent attempts.
                     let (trials, success) = match plan.actions[a] {
@@ -703,10 +726,8 @@ impl BatchedRuntime {
                             // fold `survive` into the per-draw probability.
                             // Each surviving executor's samples convert
                             // alive members of the target state.
-                            let per_draw = (count(target as usize) as f64 / n_f[r])
-                                * prob
-                                * contact_ok
-                                * survive[r];
+                            let per_draw =
+                                frac[target as usize * w + r] * prob * contact_ok * survive[r];
                             (k_s.saturating_mul(u64::from(samples)), per_draw)
                         }
                         // Each executor reaches this action only if it has
@@ -811,6 +832,7 @@ impl BatchedRuntime {
             counts: counts_alive.clone(),
             counts_alive,
             counts_crashed: vec![0; num_states * w],
+            frac: vec![0.0; num_states * w],
             stayed: vec![0; num_states * w],
             tallies: vec![0; self.plan.edges.len() * w],
             pending: vec![0; self.plan.conversion_edges.len() * w],
@@ -862,6 +884,7 @@ impl BatchedRuntime {
                 rngs: &mut block.rngs,
                 counts: &mut block.counts,
                 counts_alive: &mut block.counts_alive,
+                frac: &mut block.frac,
                 stayed: &mut block.stayed,
                 tallies: &mut block.tallies,
                 pending: &mut block.pending,
@@ -910,6 +933,7 @@ impl Runtime for BatchedRuntime {
                 rngs: std::slice::from_mut(&mut state.rng),
                 counts: &mut state.counts,
                 counts_alive: &mut state.counts_alive,
+                frac: &mut state.frac,
                 stayed: &mut state.stayed,
                 tallies: &mut state.tallies,
                 pending: &mut state.pending,
@@ -1376,6 +1400,7 @@ mod tests {
     /// `s`'s `(destination, first-move-wins weight)` cells in action order.
     fn per_action_weights(plan: &ProtocolPlan, s: usize, start: &[u64]) -> Vec<(usize, f64)> {
         let n_f = start.iter().sum::<u64>() as f64;
+        let frac: Vec<f64> = start.iter().map(|&k| k as f64 / n_f).collect();
         let mut survive = 1.0;
         plan.range(s)
             .map(|a| {
@@ -1383,7 +1408,7 @@ mod tests {
                     plan.actions[a].moves_self(),
                     "the oracle covers self-moving actions"
                 );
-                let fire = plan.fire_probability(a, |s| start[s], n_f, 1.0);
+                let fire = plan.fire_probability(a, |s| frac[s], 1.0);
                 let weight = survive * fire;
                 survive *= 1.0 - fire;
                 (plan.edge(a).1, weight)

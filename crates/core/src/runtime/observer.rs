@@ -343,6 +343,9 @@ impl Observer for MessageCounter {
 #[derive(Debug, Default)]
 pub struct ShardCountsRecorder {
     recorder: MetricsRecorder,
+    /// `shard{j}:{state}` at `[j * states + s]`, formatted when the first
+    /// shard counts arrive, not per sample.
+    names: Vec<String>,
 }
 
 impl ShardCountsRecorder {
@@ -357,13 +360,19 @@ impl Observer for ShardCountsRecorder {
         let Some(shards) = events.shard_counts_alive else {
             return;
         };
+        let states = protocol.num_states();
+        if self.names.len() != shards.len() * states {
+            self.names = (0..shards.len())
+                .flat_map(|j| {
+                    (0..states)
+                        .map(move |s| format!("shard{j}:{}", protocol.state_name(StateId::new(s))))
+                })
+                .collect();
+        }
         for (j, shard) in shards.iter().enumerate() {
             for (s, &count) in shard.iter().enumerate() {
-                self.recorder.record(
-                    &format!("shard{j}:{}", protocol.state_name(StateId::new(s))),
-                    events.period,
-                    count as f64,
-                );
+                let name = &self.names[j * states + s];
+                self.recorder.record(name, events.period, count as f64);
             }
         }
     }

@@ -12,6 +12,17 @@
 //! * **Buckets** and **conversion rows**, the count kernels' draws: one
 //!   multinomial bucket per distinct destination of a state's self-moving
 //!   actions (in order of first appearance), one row per push/token action.
+//!
+//! Every propensity the plan computes is a monomial in the **state
+//! fractions** `x_s = count_s / n`, the variables of the mean-field ODE: it
+//! reads a fraction row the runtime fills, never counts and `n`. A count
+//! kernel divides once per state and column at the top of a period, the
+//! continuous-time tiers once per state at a boundary and again only for the
+//! two states an event moves — not once per action and required state (a
+//! 33-state plurality protocol has over a thousand actions). The row holds
+//! the raw quotient `count_s / n`, not one scaled by the loss rate, so each
+//! factor is the same IEEE product a per-action division would form and
+//! every PRNG stream is unchanged.
 
 use crate::action::Action;
 use crate::state_machine::{Protocol, StateId};
@@ -365,19 +376,23 @@ impl ProtocolPlan {
     }
 
     /// Per-process probability that action `a`'s firing condition holds
-    /// this period (excluding who it moves), given the start-of-period
-    /// population `count(s)` of every state `s` over a maximal group of `n`
-    /// processes — what the count-level tiers draw against. A sampled
-    /// contact hits a wanted target with probability `count(target) / n`,
+    /// this period (excluding who it moves), given the fraction row
+    /// `frac(s) = count(s) / n` of every state `s` over a maximal group of
+    /// `n` processes — what the count-level tiers draw against. A sampled
+    /// contact hits a wanted target with probability `frac(target)`,
     /// degraded by the per-contact success rate `contact_ok`
     /// (`1 − LossConfig::effective_contact_failure(1)`, which callers hoist
     /// out of their action loops).
+    ///
+    /// The row holds the raw fraction, rounded once by the division that
+    /// fills it, so `frac(r) * contact_ok` is the very product
+    /// `(count(r) / n) * contact_ok` a per-action division would form: the
+    /// probabilities, and every draw against them, are bit for bit the same.
     #[inline]
     pub(super) fn fire_probability(
         &self,
         a: usize,
-        count: impl Fn(usize) -> u64,
-        n: f64,
+        frac: impl Fn(usize) -> f64,
         contact_ok: f64,
     ) -> f64 {
         match self.actions[a] {
@@ -396,7 +411,7 @@ impl ProtocolPlan {
             } => {
                 let mut p = prob;
                 for &r in &self.required[req_start as usize..req_end as usize] {
-                    p *= (count(r as usize) as f64 / n) * contact_ok;
+                    p *= frac(r as usize) * contact_ok;
                 }
                 p
             }
@@ -406,7 +421,7 @@ impl ProtocolPlan {
                 prob,
                 ..
             } => {
-                let hit = (count(target as usize) as f64 / n) * contact_ok;
+                let hit = frac(target as usize) * contact_ok;
                 prob * (1.0 - (1.0 - hit).powi(samples as i32))
             }
             PlanAction::PushSample { .. } => 0.0,
@@ -415,15 +430,19 @@ impl ProtocolPlan {
 
     /// The rate, in events per period, at which `k > 0` executors of action
     /// `a` fire under the continuous-time tiers' [`hazard`] embedding,
-    /// against the current alive counts `x`:
+    /// against the fraction row `frac[s] = x[s] / n` of the current alive
+    /// counts `x` (the raw fractions, so every rate is bit for bit the one
+    /// the counts and `n` would give; see
+    /// [`fire_probability`](Self::fire_probability)):
     ///
     /// * self-moving actions: `k · h(fire_probability)`;
     /// * `PushSample`: each of the `k · samples` per-period draws converts a
     ///   target with probability `per_draw`, so `k · samples · h(per_draw)`
     ///   (self-gating: `h(0) = 0` when the target pool is empty);
-    /// * `Tokenize`: `k · h(q)`, gated on a non-empty token pool.
+    /// * `Tokenize`: `k · h(q)`, gated on a non-empty token pool (a zero
+    ///   fraction is exactly an empty pool).
     #[inline]
-    pub(super) fn hazard_rate(&self, a: usize, k: f64, x: &[u64], n: f64, contact_ok: f64) -> f64 {
+    pub(super) fn hazard_rate(&self, a: usize, k: f64, frac: &[f64], contact_ok: f64) -> f64 {
         match self.actions[a] {
             PlanAction::Flip { .. } => k * self.flip_hazard[a],
             PlanAction::PushSample {
@@ -432,21 +451,21 @@ impl ProtocolPlan {
                 prob,
                 ..
             } => {
-                let per_draw = (x[target as usize] as f64 / n) * prob * contact_ok;
+                let per_draw = frac[target as usize] * prob * contact_ok;
                 k * f64::from(samples) * hazard(per_draw)
             }
-            PlanAction::Tokenize { token_state, .. } if x[token_state as usize] == 0 => 0.0,
-            _ => k * hazard(self.fire_probability(a, |s| x[s], n, contact_ok)),
+            PlanAction::Tokenize { token_state, .. } if frac[token_state as usize] == 0.0 => 0.0,
+            _ => k * hazard(self.fire_probability(a, |s| frac[s], contact_ok)),
         }
     }
 
     /// The synchronized tiers' expected-message accounting at the given
-    /// counts: a process pays for an action only if no earlier self-moving
-    /// action in its state's list already moved it this period (message
-    /// tallies are an accounting fiction at count level, kept comparable
-    /// across every tier).
+    /// counts and their fraction row `frac`: a process pays for an action
+    /// only if no earlier self-moving action in its state's list already
+    /// moved it this period (message tallies are an accounting fiction at
+    /// count level, kept comparable across every tier).
     #[inline(always)]
-    pub(super) fn expected_messages(&self, counts: &[u64], n: f64, contact_ok: f64) -> f64 {
+    pub(super) fn expected_messages(&self, counts: &[u64], frac: &[f64], contact_ok: f64) -> f64 {
         let mut messages = 0.0f64;
         for (s, &k_s) in counts.iter().enumerate() {
             if k_s == 0 {
@@ -456,7 +475,7 @@ impl ProtocolPlan {
             for a in self.range(s) {
                 messages += k_s as f64 * survive * f64::from(self.messages[a]);
                 if self.actions[a].moves_self() {
-                    survive *= 1.0 - self.fire_probability(a, |s| counts[s], n, contact_ok);
+                    survive *= 1.0 - self.fire_probability(a, |s| frac[s], contact_ok);
                 }
             }
         }

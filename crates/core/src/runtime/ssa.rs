@@ -38,6 +38,12 @@
 //! * **`Tokenize`**: `a = x[s] · h(q) / T` gated on a non-empty token pool,
 //!   moving one token `token_state → to`.
 //!
+//! The counts enter a propensity only as executor pools `x[s]` and through
+//! the window's fraction row `x[s] / n`: the boundary fills the row, and an
+//! event refreshes only the two entries it moves, so no channel divides. The
+//! row stores the raw quotient, so every propensity is bit for bit the one a
+//! division per channel gave.
+//!
 //! # Scheduling
 //!
 //! Events are scheduled with Anderson's *modified next-reaction method*:
@@ -129,15 +135,18 @@ pub(super) type Window = BatchedState;
 impl Window {
     /// Applies the environment at this boundary — the identical count-level
     /// draws as the batched tier, in the identical order — and opens the
-    /// next period's event clock over the alive counts. Message tallies
-    /// reuse the synchronized tiers' expected-message accounting at these
-    /// start-of-period counts.
+    /// next period's event clock over the alive counts and their fraction
+    /// row. Message tallies reuse the synchronized tiers' expected-message
+    /// accounting at these start-of-period counts.
     #[inline(always)]
     pub(super) fn open(&mut self, batched: &BatchedRuntime) -> Result<()> {
         self.tallies.fill(0);
         self.boundary()?;
+        for (frac, &k) in self.frac.iter_mut().zip(&self.counts_alive) {
+            *frac = k as f64 / self.n_f;
+        }
         let messages =
-            (batched.plan()).expected_messages(&self.counts_alive, self.n_f, self.contact_ok);
+            (batched.plan()).expected_messages(&self.counts_alive, &self.frac, self.contact_ok);
         self.messages = messages.round() as u64;
         Ok(())
     }
@@ -153,7 +162,7 @@ impl Window {
             *out = if k == 0.0 {
                 0.0
             } else {
-                plan.hazard_rate(c, k, x, self.n_f, self.contact_ok) / netsim::PERIOD_SECS
+                plan.hazard_rate(c, k, &self.frac, self.contact_ok) / netsim::PERIOD_SECS
             };
             total += *out;
         }
@@ -161,14 +170,18 @@ impl Window {
     }
 
     /// Applies `k` firings of channel `c`: moves `k` processes along its
-    /// plan edge and tallies the edge. The caller guarantees the pool holds
-    /// them (an SSA event has a positive propensity; a leap is capped).
+    /// plan edge, refreshes the two fractions that moved and tallies the
+    /// edge. The caller guarantees the pool holds them (an SSA event has a
+    /// positive propensity; a leap is capped).
     pub(super) fn fire(&mut self, plan: &ProtocolPlan, c: usize, k: u64) {
         let m = plan.moves[c];
+        let (from, to) = (m.from as usize, m.to as usize);
         let x = &mut self.counts_alive;
-        debug_assert!(x[m.from as usize] >= k, "firing channel with an empty pool");
-        x[m.from as usize] -= k;
-        x[m.to as usize] += k;
+        debug_assert!(x[from] >= k, "firing channel with an empty pool");
+        x[from] -= k;
+        x[to] += k;
+        self.frac[from] = x[from] as f64 / self.n_f;
+        self.frac[to] = x[to] as f64 / self.n_f;
         self.tallies[m.slot as usize] += k;
     }
 

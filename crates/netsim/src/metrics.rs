@@ -161,22 +161,31 @@ impl MetricsRecorder {
         Self::default()
     }
 
-    /// Appends a sample to the named series (creating it if needed).
+    /// Appends a sample to the named series (creating it if needed). Only a
+    /// new series allocates its name; observers record every period.
     pub fn record(&mut self, series: &str, period: u64, value: f64) {
-        self.series
-            .entry(series.to_string())
-            .or_default()
-            .push((period, value));
+        match self.series.get_mut(series) {
+            Some(samples) => samples.push((period, value)),
+            None => {
+                self.series
+                    .insert(series.to_string(), vec![(period, value)]);
+            }
+        }
     }
 
     /// Increments the last sample of the named series at `period` by `delta`,
     /// or starts it at `delta` if the period has no sample yet. Useful for
     /// counting events (e.g. state transitions) as they happen within a round.
     pub fn add(&mut self, series: &str, period: u64, delta: f64) {
-        let entry = self.series.entry(series.to_string()).or_default();
-        match entry.last_mut() {
-            Some((p, v)) if *p == period => *v += delta,
-            _ => entry.push((period, delta)),
+        match self.series.get_mut(series) {
+            Some(samples) => match samples.last_mut() {
+                Some((p, v)) if *p == period => *v += delta,
+                _ => samples.push((period, delta)),
+            },
+            None => {
+                self.series
+                    .insert(series.to_string(), vec![(period, delta)]);
+            }
         }
     }
 

@@ -1,7 +1,8 @@
-//! The count-level period kernel allocates nothing once a run is set up: a
-//! calm `BatchedRuntime::step` (no environment event due) reuses the scratch
-//! that `init` sized. A binary of its own, because it installs a counting
-//! global allocator.
+//! The count-level period kernels allocate nothing once a run is set up: a
+//! calm `BatchedRuntime::step` or `SsaRuntime::step` (no environment event
+//! due) reuses the scratch that `init` sized, and a sample recorded into an
+//! existing metrics series allocates only when the series grows. A binary of
+//! its own, because it installs a counting global allocator.
 
 use dpde::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -47,17 +48,51 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn a_calm_width_one_batched_step_allocates_nothing() {
-    let params = EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap();
-    let runtime = BatchedRuntime::new(params.figure1_protocol().unwrap());
-    let n = 1_000_000;
+/// Allocations made by 100 calm steps of a run of `runtime` from `counts`.
+fn allocations_of_100_calm_steps<R: Runtime>(runtime: &R, counts: &[u64]) -> u64 {
+    let n = counts.iter().sum::<u64>() as usize;
     let scenario = Scenario::new(n, 100).unwrap().with_seed(1);
-    let initial = InitialStates::counts(&params.equilibrium_counts(n as u64));
-    let mut state = runtime.init(&scenario, &initial).unwrap();
+    let mut state = runtime
+        .init(&scenario, &InitialStates::counts(counts))
+        .unwrap();
     let before = allocations();
     for _ in 0..100 {
         runtime.step(&mut state).unwrap();
     }
-    assert_eq!(allocations() - before, 0, "100 calm steps allocated");
+    allocations() - before
+}
+
+#[test]
+fn a_calm_width_one_batched_step_allocates_nothing() {
+    let params = EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap();
+    let runtime = BatchedRuntime::new(params.figure1_protocol().unwrap());
+    let counts = params.equilibrium_counts(1_000_000);
+    assert_eq!(allocations_of_100_calm_steps(&runtime, &counts), 0);
+}
+
+#[test]
+fn a_calm_many_state_batched_step_allocates_nothing() {
+    let params = dpde::protocols::lv::multi::MultiLvParams::new(32).unwrap();
+    let runtime = BatchedRuntime::new(params.protocol().unwrap());
+    assert_eq!(allocations_of_100_calm_steps(&runtime, &[300_000; 33]), 0);
+}
+
+#[test]
+fn a_calm_ssa_step_allocates_nothing() {
+    let params = EndemicParams::from_contact_count(2, 0.1, 0.01).unwrap();
+    let runtime = SsaRuntime::new(params.figure1_protocol().unwrap());
+    let counts = params.equilibrium_counts(3_000);
+    assert_eq!(allocations_of_100_calm_steps(&runtime, &counts), 0);
+}
+
+#[test]
+fn recording_into_an_existing_series_allocates_only_to_grow_it() {
+    let mut recorder = MetricsRecorder::new();
+    recorder.record("alive", 0, 1.0);
+    let before = allocations();
+    for period in 1..=100 {
+        recorder.record("alive", period, 1.0);
+    }
+    let allocated = allocations() - before;
+    assert!(allocated <= 8, "100 records allocated {allocated} times");
 }

@@ -1285,6 +1285,52 @@ fn lossy_count_level_stream_is_pinned() {
     );
 }
 
+/// Nine-state plurality (eight proposals and the undecided state): every
+/// proposal state carries seven actions into the undecided state, which the
+/// batched kernel merges into one multinomial bucket, and the undecided
+/// state samples nine required states. Recorded before the kernel read its
+/// propensities from a per-period fraction row; the row must not move it.
+#[test]
+fn many_state_plurality_stream_is_pinned() {
+    let protocol = dpde::protocols::lv::multi::MultiLvParams::new(8)
+        .unwrap()
+        .protocol()
+        .unwrap();
+    let initial: Vec<u64> = (0..9)
+        .map(|i| if i < 8 { 110_000 + 2_000 * i } else { 64_000 })
+        .collect();
+    let scenario = Scenario::new(1_000_000, 200).unwrap().with_seed(62);
+    assert_eq!(
+        fingerprint(&BatchedRuntime::new(protocol), scenario, &initial),
+        (
+            vec![62_467, 63_126, 64_630, 67_133, 66_046, 68_350, 69_932, 72_132, 466_184],
+            1_473_299_788,
+            3_216_364
+        )
+    );
+}
+
+/// Two-choice LV under losses: its `Sample` actions require other states,
+/// so each required factor is degraded by a per-contact success rate below
+/// one. Recorded before the kernel read its propensities from a per-period
+/// fraction row; the row must not move it.
+#[test]
+fn lossy_required_state_sample_stream_is_pinned() {
+    let loss = LossConfig::new(0.1, 0.05).unwrap();
+    let scenario = Scenario::new(1_000_000, 300)
+        .unwrap()
+        .with_seed(63)
+        .with_loss(loss);
+    assert_eq!(
+        fingerprint(
+            &BatchedRuntime::new(LvParams::new().protocol().unwrap()),
+            scenario,
+            &[550_000, 450_000, 0]
+        ),
+        (vec![776_375, 53_059, 170_566], 376_136_226, 3_045_472)
+    );
+}
+
 /// Every path the environment takes at a period boundary, on every tier that
 /// has one: scheduled massive failures, the crash/recovery model (with a
 /// rejoin state), churn, each adversary injection a tier applies, a
